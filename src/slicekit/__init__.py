@@ -4,8 +4,8 @@ updates.
 
 The library splits into layers that can be used independently:
 
-- :mod:`slicekit.matrix_core` — system matrices, row classification, and
-  the structural/weight assumption checks.
+- :mod:`slicekit.matrix_core` — the single-row update type, the
+  structural/weight assumption checks, and norms.
 - :mod:`slicekit.slice_engine` — the streaming slice detector that cuts an
   update sequence into windows whose products are uniformly contractive.
 - :mod:`slicekit.bounds` — closed-form row and slice norm bounds.
@@ -69,7 +69,6 @@ from .errors import (
     NegativeEntry,
     NoSubStochasticRow,
     NonConvergence,
-    RowSumExceedsOne,
     SliceKitError,
 )
 from .generators import (
@@ -84,11 +83,7 @@ from .matrix_core import (
     ValidationReport,
     identity_step,
     inf_norm,
-    load_sequence,
-    multiply,
-    row_kind,
     row_update,
-    save_sequence,
     spectral_radius,
     validate_update,
 )
@@ -98,8 +93,6 @@ from .slice_engine import (
     SliceEvent,
     SliceEventKind,
     SliceState,
-    informed_rows,
-    is_success,
     push,
     read_slice_log,
     run_sequence,
@@ -114,7 +107,6 @@ __all__ = [
     # errors
     "SliceKitError",
     "NegativeEntry",
-    "RowSumExceedsOne",
     "DimensionMismatch",
     "NonConvergence",
     "AssumptionViolated",
@@ -132,13 +124,9 @@ __all__ = [
     "ValidationReport",
     "identity_step",
     "row_update",
-    "row_kind",
     "validate_update",
-    "multiply",
     "inf_norm",
     "spectral_radius",
-    "save_sequence",
-    "load_sequence",
     # bounds
     "RowBoundInput",
     "beta4",
@@ -154,8 +142,6 @@ __all__ = [
     "SliceEventKind",
     "SliceState",
     "RunResult",
-    "informed_rows",
-    "is_success",
     "push",
     "run_sequence",
     "write_slice_log",

@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class ExperimentConfig:
                 f"config declares mode {file_mode!r} but the command is {mode!r}"
             )
         raw.setdefault("_config_dir", str(path.parent))
-        seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
+        seed = _value(raw, "seed", int, 0) if seed_override is None else seed_override
         if seed < 0:
             raise ConfigError("seed must be non-negative")
         out_dir = Path(
@@ -96,10 +96,10 @@ class ExperimentConfig:
         )
         try:
             params = Params(
-                beta1=float(raw.get("beta1", 0.05)),
-                beta2=float(raw.get("beta2", 0.7)),
-                alpha=float(raw.get("alpha", 0.1)),
-                tol=float(raw.get("tol", 1e-12)),
+                beta1=_value(raw, "beta1", float, 0.05),
+                beta2=_value(raw, "beta2", float, 0.7),
+                alpha=_value(raw, "alpha", float, 0.1),
+                tol=_value(raw, "tol", float, 1e-12),
             )
         except ValueError as exc:
             raise ConfigError(f"bad weight parameters: {exc}") from exc
@@ -107,6 +107,25 @@ class ExperimentConfig:
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.raw.get(key, default)
+
+    def value(self, key: str, kind: Callable[[Any], Any], default: Any) -> Any:
+        """``kind(raw[key])``, or ``kind(default)`` when the key is absent;
+        a value ``kind`` cannot convert raises :class:`ConfigError`."""
+        return _value(self.raw, key, kind, default)
+
+
+def _value(
+    mapping: Mapping[str, Any], key: str, kind: Callable[[Any], Any], default: Any
+) -> Any:
+    value = mapping.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {value!r} for {key!r}: {exc}") from exc
+
+
+def _floats(values: Any) -> list[float]:
+    return [float(v) for v in values]
 
 
 def _echo_config(config: ExperimentConfig) -> None:
@@ -123,23 +142,23 @@ def _echo_config(config: ExperimentConfig) -> None:
 
 def cmd_products(config: ExperimentConfig) -> int:
     """Generate a random product sequence, slice it, and log norms."""
-    n = int(config.get("n", 4))
-    horizon = int(config.get("horizon", 200))
+    n = config.value("n", int, 4)
+    horizon = config.value("horizon", int, 200)
     if n < 1 or horizon < 0:
         raise ConfigError(f"need n >= 1 and horizon >= 0, got n={n}, horizon={horizon}")
-    strict = bool(config.get("strict", True))
-    p_st = float(config.get("p_stochastic", 1.0 / 3.0))
-    p_sub = float(config.get("p_substochastic", 1.0 / 3.0))
-    p_id = float(config.get("p_identity", 1.0 / 3.0))
-    matrices = random_product_sequence(
-        n,
-        config.params,
-        horizon,
-        rng=np.random.default_rng(config.seed),
-        p_stochastic=p_st,
-        p_substochastic=p_sub,
-        p_identity=p_id,
-    )
+    strict = config.value("strict", bool, True)
+    try:
+        matrices = random_product_sequence(
+            n,
+            config.params,
+            horizon,
+            rng=np.random.default_rng(config.seed),
+            p_stochastic=config.value("p_stochastic", float, 1.0 / 3.0),
+            p_substochastic=config.value("p_substochastic", float, 1.0 / 3.0),
+            p_identity=config.value("p_identity", float, 1.0 / 3.0),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad form weights: {exc}") from exc
     slices, events, _ = run_sequence(matrices, config.params, strict=strict)
 
     out = config.out_dir
@@ -149,7 +168,7 @@ def cmd_products(config: ExperimentConfig) -> int:
         writer = csv.writer(fh)
         writer.writerow(["k", "inf_norm", "spectral_radius"])
         for k, m in enumerate(matrices):
-            running = m.p @ running
+            running = m.apply(running)
             writer.writerow(
                 [
                     k,
@@ -206,10 +225,10 @@ def _products_plot_script() -> str:
 
 
 def _build_world(config: ExperimentConfig) -> World:
-    n = int(config.get("n", 4))
-    u = float(config.get("u", 3.0))
-    sigma = float(config.get("sigma", 0.2))
-    update_prob = float(config.get("update_prob", 1.0))
+    n = config.value("n", int, 4)
+    u = config.value("u", float, 3.0)
+    sigma = config.value("sigma", float, 0.2)
+    update_prob = config.value("update_prob", float, 1.0)
     comm = config.get("comm_radius", "1.5*innermost")
     x0 = config.get("x0")
     regions = config.get("regions")
@@ -254,7 +273,7 @@ def _build_world(config: ExperimentConfig) -> World:
 def cmd_leader_follower(config: ExperimentConfig) -> int:
     """Run the mobile fusion protocol and log states, positions, slices,
     and the per-slice steady-state identity residuals."""
-    horizon = int(config.get("horizon", 200))
+    horizon = config.value("horizon", int, 200)
     if horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {horizon}")
     world = _build_world(config)
@@ -262,7 +281,7 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
         world=world,
         params=config.params,
         horizon=horizon,
-        strict=bool(config.get("strict", True)),
+        strict=config.value("strict", bool, True),
         record_positions=True,
     )
     result = run_leader_follower(run_cfg)
@@ -363,7 +382,9 @@ def cmd_certify(config: ExperimentConfig) -> int:
     cert: Certificate | None = None
 
     if config.get("case1_cap") is not None:
-        candidate = certify_case1(lengths, int(config.get("case1_cap")), config.params)
+        candidate = certify_case1(
+            lengths, config.value("case1_cap", int, None), config.params
+        )
         attempts.append(candidate)
         if candidate.certified:
             cert = candidate
@@ -373,23 +394,24 @@ def cmd_certify(config: ExperimentConfig) -> int:
             raise ConfigError("case2 metadata needs 'cap' and 'subset'")
         candidate = certify_case2(
             lengths,
-            int(meta["cap"]),
-            [int(t) for t in meta["subset"]],
+            _value(meta, "cap", int, None),
+            _value(meta, "subset", lambda v: [int(t) for t in v], None),
             config.params,
-            subset_declared_infinite=bool(meta.get("infinite_family", False)),
+            subset_declared_infinite=_value(meta, "infinite_family", bool, False),
         )
         attempts.append(candidate)
         if candidate.certified:
             cert = candidate
     if cert is None:
-        gamma1_grid = config.get("gamma1_grid", list(DEFAULT_GAMMA1_GRID))
-        gamma2_grid = config.get("gamma2_grid", list(DEFAULT_GAMMA2_GRID))
-        candidate = search_case3(
-            lengths,
-            config.params,
-            gamma1_grid=[float(g) for g in gamma1_grid],
-            gamma2_grid=[float(g) for g in gamma2_grid],
-        )
+        try:
+            candidate = search_case3(
+                lengths,
+                config.params,
+                gamma1_grid=config.value("gamma1_grid", _floats, DEFAULT_GAMMA1_GRID),
+                gamma2_grid=config.value("gamma2_grid", _floats, DEFAULT_GAMMA2_GRID),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad gamma grid: {exc}") from exc
         attempts.append(candidate)
         if candidate.certified:
             cert = candidate

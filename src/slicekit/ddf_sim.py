@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
-from .matrix_core import Params, SystemMatrix
+from .matrix_core import Params, SystemMatrix, identity_step, row_update
 from .slice_engine import Slice, SliceEvent, SliceState, push
 
 __all__ = [
@@ -269,18 +269,18 @@ def build_update(
     n, s = world.n, world.s
     rng = _step_rng(world, 1)
     if world.update_prob < 1.0 and rng.uniform() >= world.update_prob:
-        m = SystemMatrix(np.eye(n), np.zeros((n, s)), updated_row=None)
+        m = identity_step(n, s)
         return m, StepRecord(world.k, None, UpdateKind.IDLE, m)
     i = int(rng.integers(n))
     adj = neighbors(world)
     sensor_nbrs = np.nonzero(adj[i, :n])[0]
     anchor_nbrs = np.nonzero(adj[i, n:])[0]
     if sensor_nbrs.size == 0 and anchor_nbrs.size == 0:
-        m = SystemMatrix(np.eye(n), np.zeros((n, s)), updated_row=None)
+        m = identity_step(n, s)
         return m, StepRecord(world.k, i, UpdateKind.NO_NEIGHBORS, m)
 
-    p = np.eye(n)
-    b = np.zeros((n, s))
+    p_row = np.zeros(n)
+    b_row = np.zeros(s)
     group = np.concatenate(([i], sensor_nbrs))  # self plus sensor neighbors
     if anchor_nbrs.size == 0:
         if group.size > int(np.floor(1.0 / params.beta1)):
@@ -289,9 +289,8 @@ def build_update(
                 f"floor(1/beta1) = {int(np.floor(1.0 / params.beta1))} "
                 f"weights of at least beta1 = {params.beta1} fit in one row"
             )
-        p[i] = 0.0
-        p[i, group] = 1.0 / group.size
-        m = SystemMatrix(p, b, updated_row=i)
+        p_row[group] = 1.0 / group.size
+        m = row_update(n, i, p_row, b_row)
         return m, StepRecord(world.k, i, UpdateKind.STOCHASTIC_UPDATE, m)
 
     a = anchor_nbrs.size
@@ -301,10 +300,9 @@ def build_update(
             f"cannot give each of {a} anchors weight alpha = {params.alpha} "
             "within one unit of row mass"
         )
-    p[i] = 0.0
-    p[i, group] = (1.0 - anchor_total) / group.size
-    b[i, anchor_nbrs] = anchor_total / a
-    m = SystemMatrix(p, b, updated_row=i)
+    p_row[group] = (1.0 - anchor_total) / group.size
+    b_row[anchor_nbrs] = anchor_total / a
+    m = row_update(n, i, p_row, b_row)
     return m, StepRecord(world.k, i, UpdateKind.SUB_STOCHASTIC_UPDATE, m)
 
 
@@ -320,7 +318,7 @@ def lf_step(
         u_vec = np.full(m.s, float(u_vec))
     if u_vec.shape != (m.s,):
         raise DimensionMismatch(f"anchor state must be ({m.s},), got {u_vec.shape}")
-    return m.p @ x + m.b @ u_vec
+    return m.apply(x, u_vec)
 
 
 @dataclass(frozen=True)
@@ -378,6 +376,7 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     events: list[SliceEvent] = []
     state = SliceState(n=n)
     n_accum = np.zeros((n, s))
+    anchor_identity = np.eye(s)
     target = None
     if config.stop_when_error_below is not None:
         if s == 0 or np.ptp(world.u) > 0:
@@ -392,7 +391,7 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         new_x = lf_step(world.x, m, world.u)
         world = replace(world, x=new_x, k=world.k + 1)
         state, evs = push(state, m, params, strict=config.strict, k=k)
-        n_accum = m.p @ n_accum + m.b
+        n_accum = m.apply(n_accum, anchor_identity)
         for ev in evs:
             if ev.slice is not None:
                 slices.append(ev.slice)

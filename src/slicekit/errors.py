@@ -17,10 +17,6 @@ class NegativeEntry(SliceKitError):
     """A matrix or row contains an entry below -tol."""
 
 
-class RowSumExceedsOne(SliceKitError):
-    """A row sums to more than 1 + tol."""
-
-
 class DimensionMismatch(SliceKitError):
     """Operands have incompatible shapes."""
 
@@ -30,7 +26,8 @@ class NonConvergence(SliceKitError):
 
 
 class AssumptionViolated(SliceKitError):
-    """An update matrix failed validation while the engine runs strict.
+    """An update row holds NaN or infinity, or an update matrix failed
+    validation while the engine runs strict.
 
     Carries the offending :class:`~slicekit.matrix_core.ValidationReport` in
     ``report`` when available.

@@ -4,7 +4,8 @@ The systems handled here evolve as ``x(k+1) = P_k x(k) + B_k u(k)`` where
 ``P_k`` is a non-negative n-by-n matrix over the mobile sensors and ``B_k``
 a non-negative n-by-s block over the fixed anchors.  At most one row of
 ``P_k`` differs from the identity at any step: the row of the single sensor
-that fuses its neighborhood that step.  Rows come in three kinds:
+that fuses its neighborhood that step, so :class:`SystemMatrix` stores
+only that row.  Rows come in three kinds:
 
 * stochastic: the sensor fused only sensor values, the row sums to one;
 * sub-stochastic: part of the mass went to anchors (or was withheld), the
@@ -19,20 +20,19 @@ weight actually used, and ``tol`` the classification tolerance.
 
 from __future__ import annotations
 
-import csv
 import enum
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    AssumptionViolated,
     DimensionMismatch,
     NegativeEntry,
     NonConvergence,
-    RowSumExceedsOne,
 )
 
 __all__ = [
@@ -41,13 +41,9 @@ __all__ = [
     "SystemMatrix",
     "AssumptionCheck",
     "ValidationReport",
-    "row_kind",
     "validate_update",
-    "multiply",
     "inf_norm",
     "spectral_radius",
-    "save_sequence",
-    "load_sequence",
 ]
 
 
@@ -75,8 +71,8 @@ class Params:
             raise ValueError(f"beta2 must lie in [0, 1), got {self.beta2}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.tol < 0.0:
-            raise ValueError(f"tol must be non-negative, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
 
 class RowKind(enum.Enum):
@@ -96,112 +92,85 @@ def _as_matrix(a: np.ndarray | Sequence, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemMatrix:
-    """One update step: sensor block ``p`` (n  x n), anchor block ``b``
-    (n x s), and the index of the single updated row.
+    """One update step on n sensors and s anchors: the identity, except
+    that row ``updated_row`` of the sensor block is ``p_row`` (length n) and
+    the same row of the anchor block is ``b_row`` (length s).
 
-    ``updated_row`` is None for identity steps.  The anchor block is carried
-    even in pure product studies (all zeros there) so one type serves both
-    analyses.  Instances are treated as immutable; the arrays must not be
+    ``updated_row`` is None for identity steps, which carry no row.  The
+    anchor block is carried even in pure product studies (s = 0 there) so
+    one type serves both analyses.  Rows holding NaN or infinity are
+    rejected.  Instances are treated as immutable; the arrays must not be
     mutated after construction.
     """
 
-    p: np.ndarray
-    b: np.ndarray
+    n: int
+    s: int = 0
     updated_row: int | None = None
+    p_row: np.ndarray | None = None
+    b_row: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        p = _as_matrix(self.p, "p")
-        n = p.shape[0]
-        if p.shape != (n, n):
-            raise DimensionMismatch(f"p must be square, got shape {p.shape}")
-        b = _as_matrix(self.b, "b")
-        if b.shape[0] != n:
-            raise DimensionMismatch(
-                f"b must have one row per sensor: p is {p.shape}, b is {b.shape}"
-            )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "b", b)
-        if self.updated_row is not None:
-            object.__setattr__(self, "updated_row", int(self.updated_row))
-            if not 0 <= self.updated_row < n:
+        i = self.updated_row
+        if i is None:
+            return
+        if not 0 <= i < self.n:
+            raise DimensionMismatch(f"updated_row {i} outside range(0, {self.n})")
+        object.__setattr__(self, "updated_row", int(i))
+        for name, size in (("p_row", self.n), ("b_row", self.s)):
+            row = np.array(getattr(self, name), dtype=float)
+            if row.shape != (size,):
                 raise DimensionMismatch(
-                    f"updated_row {self.updated_row} outside range(0, {n})"
+                    f"{name} must have shape ({size},), got {row.shape}"
                 )
+            if not np.all(np.isfinite(row)):
+                raise AssumptionViolated(f"{name} holds a non-finite entry: {row}")
+            object.__setattr__(self, name, row)
 
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
+    @cached_property
+    def p(self) -> np.ndarray:
+        """The dense n x n sensor block, built on first use."""
+        p = np.eye(self.n)
+        if self.updated_row is not None:
+            p[self.updated_row] = self.p_row
+        return p
 
-    @property
-    def s(self) -> int:
-        return self.b.shape[1]
+    @cached_property
+    def b(self) -> np.ndarray:
+        """The dense n x s anchor block, built on first use."""
+        b = np.zeros((self.n, self.s))
+        if self.updated_row is not None:
+            b[self.updated_row] = self.b_row
+        return b
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         """True when the step leaves the state untouched."""
-        if self.updated_row is None:
-            return _is_identity_matrix(self.p, self.b, tol)
         i = self.updated_row
-        row_ok = (
-            abs(self.p[i, i] - 1.0) <= tol
-            and np.all(np.abs(np.delete(self.p[i], i)) <= tol)
-            and np.all(np.abs(self.b[i]) <= tol)
-        )
-        return bool(row_ok) and _non_updated_rows_identity(self, tol)
+        if i is None:
+            return True
+        dev = np.abs(self.p_row)
+        dev[i] = abs(self.p_row[i] - 1.0)
+        return bool(dev.max() <= tol and np.all(np.abs(self.b_row) <= tol))
 
-    def structure_violations(self, tol: float = 1e-12) -> tuple[str, ...]:
-        """Structural defects: negative entries, row sums above one, or
-        non-identity rows other than the updated one."""
-        issues: list[str] = []
-        if np.any(self.p < -tol) or np.any(self.b < -tol):
-            issues.append("negative entry")
-        totals = self.p.sum(axis=1) + self.b.sum(axis=1)
-        bad = np.nonzero(totals > 1.0 + tol)[0]
-        for i in bad:
-            issues.append(f"row {i} sums to {totals[i]!r} > 1 + tol")
-        if self.updated_row is None:
-            if not _is_identity_matrix(self.p, self.b, tol):
-                issues.append("updated_row is None but the matrix is not identity")
-        else:
-            for i in range(self.n):
-                if i == self.updated_row:
-                    continue
-                foreign = (
-                    abs(self.p[i, i] - 1.0) > tol
-                    or np.any(np.abs(np.delete(self.p[i], i)) > tol)
-                    or np.any(np.abs(self.b[i]) > tol)
-                )
-                if foreign:
-                    issues.append(
-                        f"row {i} differs from the identity but the update "
-                        f"is declared at row {self.updated_row}"
-                    )
-        return tuple(issues)
-
-
-def _is_identity_matrix(p: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    n = p.shape[0]
-    return bool(
-        np.all(np.abs(p - np.eye(n)) <= tol) and np.all(np.abs(b) <= tol)
-    )
-
-
-def _non_updated_rows_identity(m: SystemMatrix, tol: float) -> bool:
-    n = m.n
-    for i in range(n):
-        if i == m.updated_row:
-            continue
-        if abs(m.p[i, i] - 1.0) > tol:
-            return False
-        if np.any(np.abs(np.delete(m.p[i], i)) > tol):
-            return False
-        if np.any(np.abs(m.b[i]) > tol):
-            return False
-    return True
+    def apply(self, a: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """``P a``, plus ``B u`` when ``u`` is given, for a vector or a
+        stack of n rows ``a``.  Returns a new array; only the updated row
+        is recomputed, since every other row of ``P`` is the identity's and
+        of ``B`` zero."""
+        out = np.array(a, dtype=float)
+        if out.shape[:1] != (self.n,):
+            raise DimensionMismatch(
+                f"cannot apply a {self.n}-row update to shape {out.shape}"
+            )
+        i = self.updated_row
+        if i is not None:
+            row = self.p_row @ out
+            out[i] = row if u is None else row + self.b_row @ u
+        return out
 
 
 def identity_step(n: int, s: int = 0) -> SystemMatrix:
     """The do-nothing update on n sensors and s anchors."""
-    return SystemMatrix(np.eye(n), np.zeros((n, s)), updated_row=None)
+    return SystemMatrix(n, s)
 
 
 def row_update(
@@ -211,48 +180,13 @@ def row_update(
     b_row: Sequence[float] | np.ndarray | None = None,
     s: int | None = None,
 ) -> SystemMatrix:
-    """Build the update that replaces one row and leaves the rest identity."""
-    p = np.eye(n)
-    p[row] = np.asarray(p_row, dtype=float)
+    """Build the update that replaces one row and leaves the rest identity.
+
+    Without ``b_row`` the anchor row is zero over ``s`` anchors (default 0);
+    with it, ``s`` defaults to its length."""
     if b_row is None:
-        s = 0 if s is None else s
-        b_row = np.zeros(s)
-    b_row = np.asarray(b_row, dtype=float)
-    b = np.zeros((n, b_row.shape[0]))
-    b[row] = b_row
-    return SystemMatrix(p, b, updated_row=row)
-
-
-def row_kind(
-    row: np.ndarray | Sequence[float],
-    params: Params,
-    index: int | None = None,
-) -> RowKind:
-    """Classify one update row (sensor and anchor entries concatenated).
-
-    With ``index`` given, only the canonical basis vector at that position
-    counts as an identity row; otherwise any basis vector does.  Raises
-    :class:`NegativeEntry` or :class:`RowSumExceedsOne` on malformed rows.
-    """
-    r = np.asarray(row, dtype=float)
-    if r.ndim != 1:
-        raise DimensionMismatch(f"row must be 1-dimensional, got shape {r.shape}")
-    tol = params.tol
-    if np.any(r < -tol):
-        raise NegativeEntry(f"row has entries below -tol: {r[r < -tol]}")
-    total = float(r.sum())
-    if total > 1.0 + tol:
-        raise RowSumExceedsOne(f"row sums to {total!r} > 1 + tol")
-    if total < 1.0 - tol:
-        return RowKind.SUB_STOCHASTIC
-    if index is not None:
-        if abs(r[index] - 1.0) <= tol and np.all(np.abs(np.delete(r, index)) <= tol):
-            return RowKind.IDENTITY_ROW
-        return RowKind.STOCHASTIC
-    near_one = np.abs(r - 1.0) <= tol
-    if np.count_nonzero(near_one) == 1 and np.all(r[~near_one] <= tol):
-        return RowKind.IDENTITY_ROW
-    return RowKind.STOCHASTIC
+        b_row = np.zeros(0 if s is None else s)
+    return SystemMatrix(n, len(b_row) if s is None else s, row, p_row, b_row)
 
 
 @dataclass(frozen=True)
@@ -322,24 +256,31 @@ class ValidationReport:
 def validate_update(
     m: SystemMatrix, params: Params, require_coupling: bool = False
 ) -> ValidationReport:
-    """Check one update matrix against the admissibility rules.
+    """Check one update against the admissibility rules.  Only the updated
+    row is examined: every other row is the identity's by construction.
 
     Never raises: every defect lands in the report.  ``require_coupling``
-    additionally demands that each full row over [p | b] sums to one, as the
+    additionally demands that the full row over [p | b] sums to one, as the
     leader-follower protocol guarantees by construction.
     """
     tol = params.tol
-    structure_issues = m.structure_violations(tol)
-    structure = AssumptionCheck(True, not structure_issues, structure_issues)
+    i = m.updated_row
+    structure_issues: list[str] = []
+    total = 1.0
+    if i is not None:
+        p_row, b_row = m.p_row, m.b_row
+        if np.any(p_row < -tol) or np.any(b_row < -tol):
+            structure_issues.append("negative entry")
+        total = float(p_row.sum()) + float(b_row.sum())
+        if total > 1.0 + tol:
+            structure_issues.append(f"row {i} sums to {total!r} > 1 + tol")
+    structure = AssumptionCheck(True, not structure_issues, tuple(structure_issues))
 
     coupling = _NOT_APPLICABLE
     if require_coupling:
-        totals = m.p.sum(axis=1) + m.b.sum(axis=1)
-        off = np.nonzero(np.abs(totals - 1.0) > tol)[0]
-        fails = tuple(f"row {i} totals {totals[i]!r} != 1" for i in off)
+        fails = () if abs(total - 1.0) <= tol else (f"row {i} totals {total!r} != 1",)
         coupling = AssumptionCheck(True, not fails, fails)
 
-    i = m.updated_row
     if i is None or m.is_identity(tol):
         return ValidationReport(
             updated_row=i,
@@ -351,8 +292,6 @@ def validate_update(
             coupling=coupling,
         )
 
-    p_row = m.p[i]
-    b_row = m.b[i]
     p_sum = float(p_row.sum())
     kind = RowKind.SUB_STOCHASTIC if p_sum < 1.0 - tol else RowKind.STOCHASTIC
 
@@ -402,17 +341,6 @@ def validate_update(
         anchor_discount=anchor_discount,
         coupling=coupling,
     )
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape checking."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply shapes {a.shape} and {b.shape}"
-        )
-    return a @ b
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -466,71 +394,3 @@ def spectral_radius(
         f"power iteration did not settle within {max_iter} iterations"
     )
 
-
-# ---------------------------------------------------------------------------
-# Sequence I/O: one CSV per matrix block plus a JSON manifest.
-# ---------------------------------------------------------------------------
-
-def _write_block(path: Path, a: np.ndarray) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for (r, c), v in np.ndenumerate(a):
-            if v != 0.0:
-                writer.writerow([r, c, f"{v:.17g}"])
-
-
-def _read_block(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    a = np.zeros(shape)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            a[int(rec["row"]), int(rec["col"])] = float(rec["value"])
-    return a
-
-
-def save_sequence(
-    matrices: Iterable[SystemMatrix], directory: str | Path
-) -> Path:
-    """Persist a matrix sequence: sparse row/col/value CSVs plus a manifest
-    recording n, s, and the step order.  Returns the manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    steps = []
-    n = s = None
-    for k, m in enumerate(matrices):
-        if n is None:
-            n, s = m.n, m.s
-        elif (m.n, m.s) != (n, s):
-            raise DimensionMismatch(
-                f"step {k} has shape ({m.n}, {m.s}), expected ({n}, {s})"
-            )
-        p_name = f"p_{k:06d}.csv"
-        b_name = f"b_{k:06d}.csv"
-        _write_block(directory / p_name, m.p)
-        _write_block(directory / b_name, m.b)
-        steps.append(
-            {"k": k, "p": p_name, "b": b_name, "updated_row": m.updated_row}
-        )
-    manifest = {
-        "n": n if n is not None else 0,
-        "s": s if s is not None else 0,
-        "count": len(steps),
-        "steps": steps,
-    }
-    manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return manifest_path
-
-
-def load_sequence(directory: str | Path) -> list[SystemMatrix]:
-    """Load a sequence previously written by :func:`save_sequence`."""
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    n, s = manifest["n"], manifest["s"]
-    out = []
-    for step in manifest["steps"]:
-        p = _read_block(directory / step["p"], (n, n))
-        b = _read_block(directory / step["b"], (n, s))
-        out.append(SystemMatrix(p, b, updated_row=step["updated_row"]))
-    return out

@@ -35,8 +35,6 @@ __all__ = [
     "SliceEventKind",
     "SliceEvent",
     "SliceState",
-    "informed_rows",
-    "is_success",
     "push",
     "run_sequence",
     "RunResult",
@@ -116,10 +114,6 @@ class SliceState:
         if self.j is None:
             self.j = np.eye(self.n)
 
-    @property
-    def uninformed(self) -> set[int]:
-        return set(range(self.n)) - self.informed
-
     def reset_window(self) -> None:
         self.j = np.eye(self.n)
         self.informed = set()
@@ -128,34 +122,6 @@ class SliceState:
         self.g = {}
         self.started = False
         self.start_k = None
-
-
-def informed_rows(j: np.ndarray, params: Params) -> set[int]:
-    """Rows of a product whose sum sits below 1 - tol."""
-    sums = np.asarray(j, dtype=float).sum(axis=1)
-    return set(np.nonzero(sums < 1.0 - params.tol)[0].tolist())
-
-
-def is_success(m: SystemMatrix, state: SliceState, params: Params) -> int | None:
-    """Predict whether pushing ``m`` creates a newly sub-stochastic row.
-
-    Returns the updated row index when either (i) the update's sensor row is
-    itself sub-stochastic, or (ii) it is stochastic but places nonzero
-    weight on a row already informed; returns None otherwise (identity
-    steps included).  Agrees with the recomputation done by :func:`push`.
-    """
-    i = m.updated_row
-    if i is None or m.is_identity(params.tol):
-        return None
-    if i in state.informed:
-        return None
-    p_row = m.p[i]
-    p_sum = float(p_row.sum())
-    if p_sum < 1.0 - params.tol:
-        return i
-    if any(p_row[j] > params.tol for j in state.informed):
-        return i
-    return None
 
 
 def push(
@@ -169,10 +135,11 @@ def push(
 
     Identity steps are skipped.  In strict mode the matrix must pass
     :func:`validate_update` (raising :class:`AssumptionViolated` otherwise);
-    permissive mode accepts anything with matching shape and recomputes all
-    row sums, so multi-row updates and rule-violating rows are observable
-    rather than fatal.  A single push can emit several events: opening the
-    slice, one success per newly informed row, and completion.
+    permissive mode accepts any row of matching shape, so rule-violating
+    rows are observable rather than fatal.  Only the updated row of the
+    running product moves, so only that row's sum and informed status are
+    recomputed.  A single push can emit several events: opening the slice,
+    a success when the row becomes newly informed, and completion.
     """
     if m.n != state.n:
         raise AssumptionViolated(
@@ -193,46 +160,28 @@ def push(
         state.start_k = this_k
     state.k_local += 1
 
-    state.j = m.p @ state.j
-    sums = state.j.sum(axis=1)
-    new_informed = set(np.nonzero(sums < 1.0 - params.tol)[0].tolist())
-    gained = sorted(new_informed - state.informed)
+    i = m.updated_row
+    state.j = m.apply(state.j)
+    row_sum = float(state.j[i].sum())
 
     # Direct sub-stochastic updates stamp g for their row, successes stamp h.
-    if m.updated_row is not None:
-        if float(m.p[m.updated_row].sum()) < 1.0 - params.tol:
-            state.g[m.updated_row] = state.k_local
-    else:
-        for r in range(state.n):
-            row = m.p[r]
-            if abs(row[r] - 1.0) <= params.tol and np.all(
-                np.abs(np.delete(row, r)) <= params.tol
-            ):
-                continue
-            if float(row.sum()) < 1.0 - params.tol:
-                state.g[r] = state.k_local
+    if float(m.p_row.sum()) < 1.0 - params.tol:
+        state.g[i] = state.k_local
 
     events: list[SliceEvent] = []
-    if gained and not state.started:
-        state.started = True
-        events.append(SliceEvent(SliceEventKind.STARTED, k=k))
-    for r in gained:
-        if r not in state.h:
-            state.h[r] = state.k_local
-        events.append(
-            SliceEvent(
-                SliceEventKind.SUCCESS, k=k, row=r, row_sum_after=float(sums[r])
-            )
-        )
-    if not gained:
-        row = m.updated_row
-        row_sum = float(sums[row]) if row is not None else None
-        events.append(
-            SliceEvent(
-                SliceEventKind.ABSORBED, k=k, row=row, row_sum_after=row_sum
-            )
-        )
-    state.informed = new_informed
+    informed_now = row_sum < 1.0 - params.tol
+    if informed_now and i not in state.informed:
+        if not state.started:
+            state.started = True
+            events.append(SliceEvent(SliceEventKind.STARTED, k=k))
+        state.h.setdefault(i, state.k_local)
+        state.informed.add(i)
+        kind = SliceEventKind.SUCCESS
+    else:
+        if not informed_now:
+            state.informed.discard(i)
+        kind = SliceEventKind.ABSORBED
+    events.append(SliceEvent(kind, k=k, row=i, row_sum_after=row_sum))
 
     if len(state.informed) == state.n:
         finished = Slice(

@@ -256,3 +256,29 @@ class TestConfigHandling:
         cfg = tmp_path / "c.json"
         cfg.write_text("[1, 2, 3]")
         assert main(["products", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "mode, payload",
+        [
+            ("products", {"n": "four"}),
+            ("products", {"seed": "a"}),
+            ("products", {"p_identity": -1}),
+            ("lf", {"horizon": "x"}),
+            ("certify", {"case1_cap": "abc"}),
+            ("certify", {"gamma2_grid": [-1]}),
+            ("certify", {"gamma1_grid": [2]}),
+        ],
+    )
+    def test_bad_values_exit_config_with_one_line(self, tmp_path, capsys, mode, payload):
+        log = tmp_path / "slices.csv"
+        log.write_text(
+            "slice_index,start_k,end_k,length,norm,bound\n0,0,4,5,0.5,0.9\n"
+        )
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"mode": mode, "slice_log": str(log), "horizon": 5, **payload},
+        )
+        capsys.readouterr()
+        assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")

@@ -1,4 +1,4 @@
-"""Row classification, structural validation, and matrix arithmetic."""
+"""The single-row update type, row classification, validation, and norms."""
 
 from __future__ import annotations
 
@@ -8,19 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
+    AssumptionViolated,
     DimensionMismatch,
-    NegativeEntry,
     Params,
     RowKind,
-    RowSumExceedsOne,
     SystemMatrix,
     identity_step,
     inf_norm,
-    load_sequence,
-    multiply,
-    row_kind,
     row_update,
-    save_sequence,
     spectral_radius,
     validate_update,
 )
@@ -43,6 +38,8 @@ class TestParams:
             {"beta1": 0.1, "beta2": 0.5, "alpha": 0.0},
             {"beta1": 0.1, "beta2": 0.5, "alpha": 1.5},
             {"beta1": 0.1, "beta2": 0.5, "tol": -1e-9},
+            {"beta1": 0.1, "beta2": 0.5, "tol": float("nan")},
+            {"beta1": 0.1, "beta2": 0.5, "tol": float("inf")},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -50,31 +47,41 @@ class TestParams:
             Params(**kwargs)
 
 
+def row_kind(values, index=0):
+    """Classification of one row as validate_update reports it."""
+    m = row_update(len(values), index, values)
+    report = validate_update(m, PARAMS)
+    assert report.structure.ok, report.summary()
+    return report.update_kind
+
+
 class TestRowKind:
     def test_substochastic_example(self):
         # [DERIVED] sum 0.5 < 1
-        assert row_kind([0.3, 0.2, 0.0, 0.0], PARAMS) is RowKind.SUB_STOCHASTIC
+        assert row_kind([0.3, 0.2, 0.0, 0.0]) is RowKind.SUB_STOCHASTIC
 
     def test_stochastic_row(self):
-        assert row_kind([0.5, 0.5], PARAMS) is RowKind.STOCHASTIC
+        assert row_kind([0.5, 0.5]) is RowKind.STOCHASTIC
 
     def test_identity_row_at_index(self):
-        assert row_kind([0.0, 1.0, 0.0], PARAMS, index=1) is RowKind.IDENTITY_ROW
+        assert row_kind([0.0, 1.0, 0.0], index=1) is RowKind.IDENTITY_ROW
 
     def test_basis_vector_elsewhere_is_stochastic(self):
         # weight parked entirely on another node is a (degenerate) fusion
-        assert row_kind([0.0, 1.0, 0.0], PARAMS, index=0) is RowKind.STOCHASTIC
+        assert row_kind([0.0, 1.0, 0.0], index=0) is RowKind.STOCHASTIC
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(NegativeEntry):
-            row_kind([0.5, -0.1], PARAMS)
+        report = validate_update(row_update(2, 0, [0.5, -0.1]), PARAMS)
+        assert not report.structure.ok
+        assert "negative entry" in report.structure.failures
 
     def test_row_sum_above_one_rejected(self):
-        with pytest.raises(RowSumExceedsOne):
-            row_kind([0.8, 0.3], PARAMS)
+        report = validate_update(row_update(2, 0, [0.8, 0.3]), PARAMS)
+        assert not report.structure.ok
+        assert any("> 1 + tol" in f for f in report.structure.failures)
 
     def test_sum_within_tol_of_one_is_stochastic(self):
-        assert row_kind([0.5, 0.5 - 1e-14], PARAMS) is RowKind.STOCHASTIC
+        assert row_kind([0.5, 0.5 - 1e-14]) is RowKind.STOCHASTIC
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
@@ -86,7 +93,10 @@ class TestRowKind:
             values = [v * 0.5 / total for v in values]
         shuffled = list(values)
         rnd.shuffle(shuffled)
-        assert row_kind(values, PARAMS) is row_kind(shuffled, PARAMS)
+        # a basis vector counts as an identity row wherever it sits
+        assert row_kind(values, int(np.argmax(values))) is row_kind(
+            shuffled, int(np.argmax(shuffled))
+        )
 
 
 class TestSystemMatrix:
@@ -94,7 +104,8 @@ class TestSystemMatrix:
         m = row_update(3, 1, [0.2, 0.5, 0.3])
         assert m.updated_row == 1
         assert m.p[0, 0] == 1.0 and m.p[2, 2] == 1.0
-        assert m.structure_violations() == ()
+        assert np.array_equal(m.p[1], [0.2, 0.5, 0.3])
+        assert validate_update(m, PARAMS).structure.ok
 
     def test_identity_step(self):
         m = identity_step(4, s=2)
@@ -107,22 +118,39 @@ class TestSystemMatrix:
         assert m.s == 1
         assert not m.is_identity()
 
-    def test_structure_flags_foreign_rows(self):
-        p = np.eye(3)
-        p[0] = [0.5, 0.5, 0.0]
-        p[2] = [0.0, 0.2, 0.8]
-        m = SystemMatrix(p, np.zeros((3, 0)), updated_row=0)
-        assert any("row 2" in v for v in m.structure_violations())
-
     def test_negative_entry_flagged(self):
-        p = np.eye(2)
-        p[0] = [1.1, -0.1]
-        m = SystemMatrix(p, np.zeros((2, 0)), updated_row=0)
-        assert any("negative" in v for v in m.structure_violations())
+        m = row_update(2, 0, [1.1, -0.1])
+        report = validate_update(m, PARAMS)
+        assert "negative entry" in report.structure.failures
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            SystemMatrix(np.eye(2), np.zeros((3, 1)), updated_row=0)
+            row_update(2, 0, [1.0, 0.0], b_row=[0.0], s=3)
+        with pytest.raises(DimensionMismatch):
+            row_update(2, 0, [1.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            row_update(2, 2, [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["p_row", "b_row"])
+    def test_non_finite_rows_rejected(self, block, bad):
+        p_row, b_row = [0.5, 0.25], [0.25]
+        if block == "p_row":
+            p_row[0] = bad
+        else:
+            b_row[0] = bad
+        with pytest.raises(AssumptionViolated):
+            row_update(2, 0, p_row, b_row=b_row)
+
+    def test_apply_matches_dense_product(self):
+        rng = np.random.default_rng(4)
+        m = row_update(3, 2, [0.2, 0.3, 0.1], b_row=[0.25, 0.15])
+        a = rng.uniform(size=(3, 5))
+        u = rng.uniform(size=(2, 5))
+        assert np.allclose(m.apply(a), m.p @ a, rtol=0, atol=1e-15)
+        assert np.allclose(m.apply(a, u), m.p @ a + m.b @ u, rtol=0, atol=1e-15)
+        assert np.array_equal(m.apply(a)[:2], a[:2])  # untouched rows copied
+        assert np.array_equal(identity_step(3).apply(a), a)
 
 
 class TestValidateUpdate:
@@ -182,10 +210,10 @@ class TestValidateUpdate:
 
 class TestArithmetic:
     def test_multiply_oracle(self):
-        # [DERIVED] hand multiplication
-        a = np.array([[0.5, 0.5], [0.0, 1.0]])
+        # [DERIVED] hand multiplication; P has row 0 = [0.5, 0.5]
+        a = row_update(2, 0, [0.5, 0.5])
         b = np.array([[1.0, 0.0], [0.5, 0.5]])
-        assert np.allclose(multiply(a, b), [[0.75, 0.25], [0.5, 0.5]], atol=1e-15)
+        assert np.allclose(a.apply(b), [[0.75, 0.25], [0.5, 0.5]], atol=1e-15)
 
     def test_inf_norm_oracles(self):
         # [DERIVED] max row sums 1.0 and 0.5
@@ -194,15 +222,15 @@ class TestArithmetic:
 
     def test_multiply_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            multiply(np.eye(2), np.eye(3))
+            row_update(2, 0, [0.5, 0.5]).apply(np.eye(3))
 
     def test_stochastic_matrices_are_closed_under_multiplication(self):
         rng = np.random.default_rng(1)
-        a = rng.uniform(size=(4, 4))
-        a /= a.sum(axis=1, keepdims=True)
+        weights = rng.uniform(size=4)
+        a = row_update(4, 1, weights / weights.sum())
         b = rng.uniform(size=(4, 4))
         b /= b.sum(axis=1, keepdims=True)
-        product = multiply(a, b)
+        product = a.apply(b)
         assert np.all(product >= 0)
         assert np.allclose(product.sum(axis=1), 1.0, atol=2e-12)
 
@@ -240,25 +268,3 @@ class TestArithmetic:
         a = rng.uniform(size=(3, 3))
         assert spectral_radius(a) <= inf_norm(a) + 1e-9
 
-
-class TestSequenceIO:
-    def test_round_trip(self, tmp_path):
-        mats = [
-            identity_step(3, s=1),
-            row_update(3, 1, [0.2, 0.5, 0.3], b_row=[0.0], s=1),
-            row_update(3, 0, [0.4, 0.1, 0.2], b_row=[0.3], s=1),
-        ]
-        save_sequence(mats, tmp_path / "seq")
-        loaded = load_sequence(tmp_path / "seq")
-        assert len(loaded) == len(mats)
-        for orig, back in zip(mats, loaded):
-            assert np.array_equal(orig.p, back.p)
-            assert np.array_equal(orig.b, back.b)
-            assert orig.updated_row == back.updated_row
-
-    def test_values_survive_exactly(self, tmp_path):
-        p_row = [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]
-        mats = [row_update(3, 2, p_row)]
-        save_sequence(mats, tmp_path / "seq")
-        loaded = load_sequence(tmp_path / "seq")
-        assert np.array_equal(loaded[0].p[2], np.array(p_row))
