@@ -50,6 +50,52 @@ def successes(events):
     return [ev.row for ev in events if ev.kind is SliceEventKind.SUCCESS]
 
 
+def predicted_success(m, state, params):
+    """The success rule stated up front: the updated row, when it is not
+    yet informed and its update is sub-stochastic or puts weight on an
+    informed row; None otherwise (identity steps included)."""
+    i = m.updated_row
+    if i is None or m.is_identity(params.tol) or i in state.informed:
+        return None
+    if float(m.p_row.sum()) < 1.0 - params.tol:
+        return i
+    if any(m.p_row[j] > params.tol for j in state.informed):
+        return i
+    return None
+
+
+class TestInformedRows:
+    """The informed set: the rows of the running product whose sum sits
+    below 1 - tol."""
+
+    def test_identity_has_none(self):
+        state, _ = push(SliceState(n=3), identity_step(3), PARAMS)
+        assert state.informed == set()
+        np.testing.assert_array_equal(state.j, np.eye(3))
+
+    def test_single_informed_row(self):
+        # [DERIVED] product [[0.3, 0.2], [0.0, 1.0]]: row sums 0.5 and 1.0
+        state, _ = push(
+            SliceState(n=2), row_update(2, 0, [0.3, 0.2]), PARAMS, strict=False
+        )
+        np.testing.assert_array_equal(state.j, [[0.3, 0.2], [0.0, 1.0]])
+        assert state.informed == {0}
+
+    def test_both_rows_informed(self):
+        # [DERIVED] products [[1, 0], [0.1, 0.2]] then [[0.32, 0.04], [0.1, 0.2]]:
+        # row sums 0.36 and 0.3, so the second push informs both rows
+        state = SliceState(n=2)
+        push(state, row_update(2, 1, [0.1, 0.2]), PARAMS, strict=False)
+        assert state.informed == {1}
+        state, events = push(
+            state, row_update(2, 0, [0.3, 0.2]), PARAMS, strict=False
+        )
+        assert successes(events) == [0]
+        (done,) = [ev.slice for ev in events if ev.kind is SliceEventKind.COMPLETED]
+        np.testing.assert_allclose(done.product, [[0.32, 0.04], [0.1, 0.2]])
+        assert set(np.nonzero(done.product.sum(axis=1) < 1.0 - PARAMS.tol)[0]) == {0, 1}
+
+
 class TestIsSuccess:
     """The success rule as push applies it: a row becomes newly informed
     when its update is sub-stochastic or leans on an informed row."""
@@ -78,6 +124,20 @@ class TestIsSuccess:
         state, events = push(state, sub_update(2, 0, 0.4), PARAMS)
         assert successes(events) == []
         assert state.informed == {0}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prediction_matches_push(self, seed):
+        rng = np.random.default_rng(seed)
+        params = LOOSE
+        mats = random_product_sequence(3, params, 40, rng=rng)
+        state = SliceState(n=3)
+        for m in mats:
+            predicted = predicted_success(m, state, params)
+            state, events = push(state, m, params)
+            if predicted is None:
+                assert successes(events) == []
+            else:
+                assert successes(events) == [predicted]
 
 
 class TestPush:
