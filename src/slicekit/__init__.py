@@ -10,7 +10,8 @@ The library splits into layers that can be used independently:
   update sequence into windows whose products are uniformly contractive.
 - :mod:`slicekit.bounds` — closed-form row and slice norm bounds.
 - :mod:`slicekit.certifier` — asymptotic-stability certificates built from
-  recorded slice lengths (uniform cap, capped subfamily, growth caps).
+  recorded slice lengths (uniform cap, capped subfamily, growth caps
+  scanned over gamma1 at a fixed rate floor).
 - :mod:`slicekit.generators` — random and adversarial sequence generators.
 - :mod:`slicekit.ddf_sim` — disk-confined mobile agents fusing toward an
   anchor value, driving the engine online.

@@ -7,7 +7,8 @@ All outputs are CSV or plain text, written without timestamps so a fixed
 seed reproduces byte-identical files.  Plots are emitted as gnuplot scripts
 over the CSVs rather than rendered in-process, keeping the package free of
 plotting dependencies.  Exit codes: 0 on success, 2 on configuration
-errors, 3 when certification was requested but not achieved.
+errors, 3 when certification was requested but not achieved, 4 when a run
+fails after its configuration was accepted.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .certifier import (
     certify_case2,
     search_case3,
     write_certificate,
-    DEFAULT_GAMMA1_GRID,
-    DEFAULT_GAMMA2_GRID,
+    MIN_GAMMA2,
 )
 from .ddf_sim import (
     LeaderFollowerConfig,
@@ -51,6 +51,7 @@ __all__ = ["ExperimentConfig", "cmd_products", "cmd_leader_follower", "cmd_certi
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CERTIFIED = 3
+EXIT_RUNTIME = 4
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,11 @@ def _value(
         raise ConfigError(f"bad value {value!r} for {key!r}: {exc}") from exc
 
 
-def _floats(values: Any) -> list[float]:
-    return [float(v) for v in values]
+def _flag(value: Any) -> bool:
+    """A JSON boolean; strings such as ``"false"`` are refused."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
 
 
 def _echo_config(config: ExperimentConfig) -> None:
@@ -146,7 +150,7 @@ def cmd_products(config: ExperimentConfig) -> int:
     horizon = config.value("horizon", int, 200)
     if n < 1 or horizon < 0:
         raise ConfigError(f"need n >= 1 and horizon >= 0, got n={n}, horizon={horizon}")
-    strict = config.value("strict", bool, True)
+    strict = config.value("strict", _flag, True)
     try:
         matrices = random_product_sequence(
             n,
@@ -229,8 +233,14 @@ def _build_world(config: ExperimentConfig) -> World:
     u = config.value("u", float, 3.0)
     sigma = config.value("sigma", float, 0.2)
     update_prob = config.value("update_prob", float, 1.0)
-    comm = config.get("comm_radius", "1.5*innermost")
-    x0 = config.get("x0")
+    comm = config.value(
+        "comm_radius", lambda v: v if isinstance(v, str) else float(v), "1.5*innermost"
+    )
+    x0 = config.value(
+        "x0", lambda v: np.zeros(n) if v is None else np.asarray(v, dtype=float), None
+    )
+    if x0.shape != (n,):
+        raise ConfigError(f"x0 must hold {n} initial states, got shape {x0.shape}")
     regions = config.get("regions")
     if regions is None:
         return demo_world(
@@ -258,7 +268,7 @@ def _build_world(config: ExperimentConfig) -> World:
         sensor_pos=sensors[:, :2].copy(),
         sensor_center=sensors[:, :2],
         sensor_radius=sensors[:, 2],
-        x=np.zeros(n) if x0 is None else np.asarray(x0, dtype=float),
+        x=x0,
         anchor_pos=anchors[:, :2].copy(),
         anchor_center=anchors[:, :2],
         anchor_radius=anchors[:, 2],
@@ -281,7 +291,7 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
         world=world,
         params=config.params,
         horizon=horizon,
-        strict=config.value("strict", bool, True),
+        strict=config.value("strict", _flag, True),
         record_positions=True,
     )
     result = run_leader_follower(run_cfg)
@@ -363,8 +373,14 @@ def cmd_certify(config: ExperimentConfig) -> int:
 
     Tries, in order: the uniform cap (only if ``case1_cap`` is configured),
     the capped-subfamily route (only if ``case2`` metadata is present), and
-    the growth-cap grid search (always).  The first certifying case wins.
+    the growth-cap scan over gamma1 at the rate floor (always).  The first
+    certifying case wins.
     """
+    # Refused, not ignored: a config that asked for a stronger rate must not
+    # quietly get the floor.
+    for key in ("gamma1_grid", "gamma2_grid"):
+        if key in config.raw:
+            raise ConfigError(f"{key!r} was removed; case iii uses gamma2 = {MIN_GAMMA2}")
     log_value = config.get("slice_log")
     if not log_value:
         raise ConfigError("certify needs 'slice_log' pointing at a slice CSV")
@@ -397,21 +413,13 @@ def cmd_certify(config: ExperimentConfig) -> int:
             _value(meta, "cap", int, None),
             _value(meta, "subset", lambda v: [int(t) for t in v], None),
             config.params,
-            subset_declared_infinite=_value(meta, "infinite_family", bool, False),
+            subset_declared_infinite=_value(meta, "infinite_family", _flag, False),
         )
         attempts.append(candidate)
         if candidate.certified:
             cert = candidate
     if cert is None:
-        try:
-            candidate = search_case3(
-                lengths,
-                config.params,
-                gamma1_grid=config.value("gamma1_grid", _floats, DEFAULT_GAMMA1_GRID),
-                gamma2_grid=config.value("gamma2_grid", _floats, DEFAULT_GAMMA2_GRID),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad gamma grid: {exc}") from exc
+        candidate = search_case3(lengths, config.params)
         attempts.append(candidate)
         if candidate.certified:
             cert = candidate
@@ -470,7 +478,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_certify(config)
     except SliceKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

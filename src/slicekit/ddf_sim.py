@@ -138,14 +138,12 @@ class UpdateKind(enum.Enum):
 
 @dataclass
 class StepRecord:
-    """What happened at one step; ``states_after`` is filled by the runner
-    once the state advance is applied."""
+    """What happened at one step."""
 
     k: int
     updating_sensor: int | None
     update_kind: UpdateKind
     matrix: SystemMatrix
-    states_after: np.ndarray | None = None
 
 
 def demo_world(
@@ -334,7 +332,6 @@ class LeaderFollowerConfig:
     params: Params
     horizon: int
     strict: bool = True
-    record_steps: bool = False
     record_positions: bool = False
     stop_when_error_below: float | None = None
 
@@ -343,13 +340,12 @@ class LeaderFollowerConfig:
 class SimResult:
     """Run outputs: per-step states (row 0 is the initial state), completed
     slices with their accumulated input vectors, the engine event log, and
-    optional step records / position history."""
+    the optional position history."""
 
     states: np.ndarray
     slices: list[Slice]
     slice_inputs: list[np.ndarray]
     events: list[SliceEvent]
-    records: list[StepRecord]
     positions: np.ndarray | None
     world: World
     steps_run: int
@@ -370,7 +366,6 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     )
     if positions is not None:
         positions[0] = world.positions
-    records: list[StepRecord] = []
     slices: list[Slice] = []
     slice_inputs: list[np.ndarray] = []
     events: list[SliceEvent] = []
@@ -387,7 +382,7 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     steps_run = 0
     for k in range(config.horizon):
         world = step_motion(world)
-        m, rec = build_update(world, params)
+        m, _ = build_update(world, params)
         new_x = lf_step(world.x, m, world.u)
         world = replace(world, x=new_x, k=world.k + 1)
         state, evs = push(state, m, params, strict=config.strict, k=k)
@@ -401,9 +396,6 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         states[k + 1] = new_x
         if positions is not None:
             positions[k + 1] = world.positions
-        if config.record_steps:
-            rec.states_after = new_x
-            records.append(rec)
         steps_run = k + 1
         if target is not None and np.max(np.abs(new_x - target)) <= (
             config.stop_when_error_below
@@ -417,7 +409,6 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         slices=slices,
         slice_inputs=slice_inputs,
         events=events,
-        records=records,
         positions=positions,
         world=world,
         steps_run=steps_run,

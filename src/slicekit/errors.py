@@ -2,8 +2,10 @@
 
 Every error raised by the library derives from :class:`SliceKitError` so
 callers can trap the whole family with a single except clause.  The CLI maps
-:class:`ConfigError` to exit code 2 and reserves exit code 3 for a
-certification verdict of "not certified" (which is a result, not an error).
+:class:`ConfigError` to exit code 2 and every other error, raised once a run
+is under way (such as :class:`AssumptionViolated`, :class:`InfeasibleWeights`
+or :class:`NonConvergence`), to exit code 4.  Exit code 3 is a certification
+verdict of "not certified" (which is a result, not an error).
 """
 
 from __future__ import annotations

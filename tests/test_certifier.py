@@ -27,6 +27,7 @@ from slicekit import (
     slice_norm_bound,
     write_certificate,
 )
+from slicekit.certifier import DEFAULT_GAMMA1_GRID, MIN_GAMMA2
 
 PARAMS = Params(beta1=0.05, beta2=0.3)
 WIDE = Params(beta1=0.05, beta2=0.7)
@@ -195,6 +196,74 @@ class TestSearch:
     def test_meaningless_pairs_are_skipped_not_fatal(self):
         cert = search_case3([1, 1], Params(beta1=0.05, beta2=0.95))
         assert cert.verdict in (Verdict.CERTIFIED, Verdict.NOT_CERTIFIED)
+
+    def test_cap_undefined_at_the_rate_floor(self):
+        # beta2 >= exp(-MIN_GAMMA2): no gamma1 has a defined cap at i = 1.
+        params = Params(beta1=0.05, beta2=0.9995)
+        with pytest.raises(MeaninglessBound):
+            case3_length_cap(1, 0.0, MIN_GAMMA2, params)
+        cert = search_case3([1, 1, 2], params)
+        assert cert.verdict is Verdict.NOT_CERTIFIED
+        assert cert.case_used is None and cert.trace is None
+        assert any("grid" in note and str(MIN_GAMMA2) in note for note in cert.notes)
+
+
+def _grid_search_reference(lengths, params):
+    """The earlier two-level search: every gamma1 of the grid against 21
+    log-spaced gamma2 values from 1e-3 to 1e2, first certifying pair wins."""
+    for g1 in DEFAULT_GAMMA1_GRID:
+        for g2 in np.logspace(-3.0, 2.0, 21):
+            try:
+                cert = certify_case3(lengths, g1, g2, params)
+            except MeaninglessBound:
+                continue
+            if cert.certified:
+                return cert
+    return None
+
+
+@st.composite
+def _case3_inputs(draw):
+    beta1 = draw(st.floats(0.01, 0.95))
+    # The second range reaches past exp(-MIN_GAMMA2) ~ 0.9990005, where the
+    # cap at the rate floor is undefined.
+    beta2 = draw(st.one_of(st.floats(0.0, 0.99), st.floats(0.998, 0.99999)))
+    params = Params(beta1=beta1, beta2=beta2)
+    if draw(st.booleans()):
+        return params, draw(st.lists(st.integers(1, 12), max_size=30))
+    gamma1 = draw(st.sampled_from(DEFAULT_GAMMA1_GRID) | st.floats(0.0, 1.0))
+    gamma2 = 10.0 ** draw(st.floats(-3.0, 1.0))
+    count = draw(st.integers(1, 40))
+    try:
+        schedule = case3_lengths(count, gamma1, gamma2, params)
+    except MeaninglessBound:
+        schedule = [1] * count
+    shifts = draw(st.lists(st.integers(-1, 1), min_size=count, max_size=count))
+    lengths = [max(1, v + d) for v, d in zip(schedule, shifts)]
+    return params, draw(st.permutations(lengths))
+
+
+class TestSearchMatchesGrid:
+    @given(_case3_inputs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rate_floor_scan_matches_two_level_grid(self, case):
+        params, lengths = case
+        expected = _grid_search_reference(lengths, params)
+        cert = search_case3(lengths, params)
+        if expected is None:
+            assert cert.verdict is Verdict.NOT_CERTIFIED
+            assert cert.case_used is None and cert.witnesses == {}
+            assert cert.trace is None
+            assert any("grid" in note for note in cert.notes)
+            return
+        assert cert.verdict is expected.verdict
+        assert cert.case_used is expected.case_used
+        assert cert.witnesses == expected.witnesses
+        assert cert.horizon == expected.horizon
+        for name in ("lengths", "products", "neg_log_sums"):
+            assert np.array_equal(
+                getattr(cert.trace, name), getattr(expected.trace, name)
+            )
 
 
 class TestBoundTrace:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from slicekit.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, EXIT_OK, main
+from slicekit.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_RUNTIME, main
 
 
 def write_config(path, payload):
@@ -225,6 +225,31 @@ class TestCertify:
         )
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_cap_undefined_at_rate_floor_exits_three(self, tmp_path):
+        log = tmp_path / "slices.csv"
+        log.write_text(
+            "slice_index,start_k,end_k,length,norm,bound\n0,0,0,1,0.5,0.9\n"
+        )
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"mode": "certify", "slice_log": str(log), "beta1": 0.05, "beta2": 0.9995},
+        )
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_NOT_CERTIFIED
+        text = (out / "certificate.txt").read_text()
+        assert "verdict: not_certified" in text and "grid" in text
+
+    @pytest.mark.parametrize("key", ["gamma1_grid", "gamma2_grid"])
+    def test_removed_grid_keys_are_refused(self, tmp_path, capsys, slice_log, key):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"mode": "certify", "slice_log": slice_log, key: [0.5]},
+        )
+        capsys.readouterr()
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
 
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
@@ -267,6 +292,11 @@ class TestConfigHandling:
             ("certify", {"case1_cap": "abc"}),
             ("certify", {"gamma2_grid": [-1]}),
             ("certify", {"gamma1_grid": [2]}),
+            ("lf", {"comm_radius": [1]}),
+            ("lf", {"x0": ["a", "b", "c", "d"]}),
+            ("lf", {"x0": [0.0, 1.0]}),
+            ("products", {"strict": "false"}),
+            ("certify", {"case2": {"cap": 5, "subset": [0], "infinite_family": "true"}}),
         ],
     )
     def test_bad_values_exit_config_with_one_line(self, tmp_path, capsys, mode, payload):
@@ -280,5 +310,14 @@ class TestConfigHandling:
         )
         capsys.readouterr()
         assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_runtime_failure_exits_runtime_with_one_line(self, tmp_path, capsys):
+        # beta1 = 0.6 is a valid parameter, but no row with two neighbours can
+        # meet it; the run fails once the first such update is built.
+        cfg = write_config(tmp_path / "c.json", {"mode": "lf", "beta1": 0.6})
+        capsys.readouterr()
+        assert main(["lf", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
