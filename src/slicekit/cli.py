@@ -90,11 +90,8 @@ class ExperimentConfig:
         seed = _value(raw, "seed", int, 0) if seed_override is None else seed_override
         if seed < 0:
             raise ConfigError("seed must be non-negative")
-        out_dir = Path(
-            out_override
-            if out_override is not None
-            else raw.get("out_dir", "out")
-        )
+        config_out = _value(raw, "out_dir", _text, "out")
+        out_dir = Path(out_override if out_override is not None else config_out)
         try:
             params = Params(
                 beta1=_value(raw, "beta1", float, 0.05),
@@ -114,6 +111,15 @@ class ExperimentConfig:
         a value ``kind`` cannot convert raises :class:`ConfigError`."""
         return _value(self.raw, key, kind, default)
 
+    def make_out_dir(self) -> Path:
+        """Create the output directory; a path that cannot be a directory
+        (an existing file, say) raises :class:`ConfigError`."""
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out_dir}: {exc}") from exc
+        return self.out_dir
+
 
 def _value(
     mapping: Mapping[str, Any], key: str, kind: Callable[[Any], Any], default: Any
@@ -121,7 +127,7 @@ def _value(
     value = mapping.get(key, default)
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value {value!r} for {key!r}: {exc}") from exc
 
 
@@ -129,6 +135,16 @@ def _flag(value: Any) -> bool:
     """A JSON boolean; strings such as ``"false"`` are refused."""
     if not isinstance(value, bool):
         raise TypeError("expected true or false")
+    return value
+
+
+def _text(value: Any) -> str:
+    """A JSON string usable as a path; numbers, lists and strings holding a
+    NUL byte are refused."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    if "\0" in value:
+        raise ValueError("a path cannot hold a NUL byte")
     return value
 
 
@@ -165,8 +181,7 @@ def cmd_products(config: ExperimentConfig) -> int:
         raise ConfigError(f"bad form weights: {exc}") from exc
     slices, events, _ = run_sequence(matrices, config.params, strict=strict)
 
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = config.make_out_dir()
     running = np.eye(n)
     with (out / "per_k.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -263,17 +278,14 @@ def _build_world(config: ExperimentConfig) -> World:
         raise ConfigError(f"regions.sensors must be {n} rows of [cx, cy, r]")
     if anchors.ndim != 2 or anchors.shape[1] != 3 or anchors.shape[0] < 1:
         raise ConfigError("regions.anchors must be rows of [cx, cy, r]")
-    radii = np.concatenate([sensors[:, 2], anchors[:, 2]])
+    nodes = np.vstack([sensors, anchors])
     return World(
-        sensor_pos=sensors[:, :2].copy(),
-        sensor_center=sensors[:, :2],
-        sensor_radius=sensors[:, 2],
+        pos=nodes[:, :2].copy(),
+        center=nodes[:, :2],
+        radius=nodes[:, 2],
         x=x0,
-        anchor_pos=anchors[:, :2].copy(),
-        anchor_center=anchors[:, :2],
-        anchor_radius=anchors[:, 2],
         u=np.full(anchors.shape[0], u),
-        comm_radius=resolve_comm_radius(comm, radii),
+        comm_radius=resolve_comm_radius(comm, nodes[:, 2]),
         sigma=sigma,
         rng_seed=config.seed,
         update_prob=update_prob,
@@ -296,8 +308,7 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
     )
     result = run_leader_follower(run_cfg)
 
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = config.make_out_dir()
     write_trajectory_csv(result.states, out / "trajectory.csv")
     if result.positions is not None:
         write_positions_csv(result.positions, out / "positions.csv")
@@ -347,22 +358,14 @@ def _trajectories_plot_script(world: World) -> str:
         'set xlabel "x"',
         'set ylabel "y"',
     ]
-    idx = 1
-    for center, radius in zip(world.sensor_center, world.sensor_radius):
+    for node, (center, radius) in enumerate(zip(world.center, world.radius)):
+        color = "gray" if node < world.n else "red"
         lines.append(
-            f"set object {idx} circle at {center[0]:.17g},{center[1]:.17g} "
-            f"size {radius:.17g} fs empty border lc rgb \"gray\""
+            f"set object {node + 1} circle at {center[0]:.17g},{center[1]:.17g} "
+            f"size {radius:.17g} fs empty border lc rgb \"{color}\""
         )
-        idx += 1
-    for center, radius in zip(world.anchor_center, world.anchor_radius):
-        lines.append(
-            f"set object {idx} circle at {center[0]:.17g},{center[1]:.17g} "
-            f"size {radius:.17g} fs empty border lc rgb \"red\""
-        )
-        idx += 1
-    total = world.n + world.s
     lines.append(
-        f"plot for [i=0:{total - 1}] \"positions.csv\" "
+        f"plot for [i=0:{world.n + world.s - 1}] \"positions.csv\" "
         "using ($2==i?$3:1/0):4 with lines title sprintf(\"node %d\", i)"
     )
     return "\n".join(lines) + "\n"
@@ -381,7 +384,7 @@ def cmd_certify(config: ExperimentConfig) -> int:
     for key in ("gamma1_grid", "gamma2_grid"):
         if key in config.raw:
             raise ConfigError(f"{key!r} was removed; case iii uses gamma2 = {MIN_GAMMA2}")
-    log_value = config.get("slice_log")
+    log_value = config.value("slice_log", _text, "")
     if not log_value:
         raise ConfigError("certify needs 'slice_log' pointing at a slice CSV")
     log_path = Path(log_value)
@@ -391,7 +394,12 @@ def cmd_certify(config: ExperimentConfig) -> int:
         raise ConfigError(f"slice log {log_path} does not exist")
     from .slice_engine import read_slice_log
 
-    records = read_slice_log(log_path)
+    try:
+        records = read_slice_log(log_path)
+    except KeyError as exc:
+        raise ConfigError(f"slice log {log_path} has no {exc} column") from exc
+    except (OSError, TypeError, ValueError, csv.Error) as exc:
+        raise ConfigError(f"cannot read slice log {log_path}: {exc}") from exc
     lengths = [rec["length"] for rec in records]
 
     attempts: list[Certificate] = []
@@ -424,8 +432,7 @@ def cmd_certify(config: ExperimentConfig) -> int:
         if candidate.certified:
             cert = candidate
 
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = config.make_out_dir()
     if cert is None:
         notes = [note for c in attempts for note in c.notes]
         cert = Certificate(
@@ -477,7 +484,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_leader_follower(config)
         return cmd_certify(config)
     except SliceKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line even when the message quotes a path holding a newline.
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 

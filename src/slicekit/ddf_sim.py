@@ -57,19 +57,19 @@ __all__ = [
 class World:
     """Snapshot of the mobile network.
 
-    Sensors come first everywhere; anchors occupy indices n..n+s-1 in
-    stacked arrays.  ``k`` counts completed steps and seeds the per-step
+    Geometry is stacked over all ``n + s`` nodes, sensors first: rows
+    ``0..n-1`` of ``pos``, ``center`` and ``radius`` belong to the sensors
+    and rows ``n..n+s-1`` to the anchors, with ``n = len(x)`` and
+    ``s = len(u)``.  Each node stays inside the disk of ``radius`` around its
+    ``center``.  ``k`` counts completed steps and seeds the per-step
     randomness streams, so a snapshot fully determines the next motion and
     updater draw.  Treat instances (arrays included) as immutable.
     """
 
-    sensor_pos: np.ndarray
-    sensor_center: np.ndarray
-    sensor_radius: np.ndarray
+    pos: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
     x: np.ndarray
-    anchor_pos: np.ndarray
-    anchor_center: np.ndarray
-    anchor_radius: np.ndarray
     u: np.ndarray
     comm_radius: float
     sigma: float = 0.2
@@ -78,55 +78,47 @@ class World:
     update_prob: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "sensor_pos",
-            "sensor_center",
-            "sensor_radius",
-            "x",
-            "anchor_pos",
-            "anchor_center",
-            "anchor_radius",
-            "u",
-        ):
+        arrays = ("pos", "center", "radius", "x", "u")
+        for name in arrays:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n, s = self.n, self.s
-        if self.sensor_pos.shape != (n, 2) or self.sensor_center.shape != (n, 2):
-            raise DimensionMismatch("sensor position arrays must be (n, 2)")
-        if self.anchor_pos.shape != (s, 2) or self.anchor_center.shape != (s, 2):
-            raise DimensionMismatch("anchor position arrays must be (s, 2)")
-        if self.x.shape != (n,) or self.sensor_radius.shape != (n,):
-            raise DimensionMismatch("sensor state/radius arrays must be (n,)")
-        if self.u.shape != (s,) or self.anchor_radius.shape != (s,):
-            raise DimensionMismatch("anchor state/radius arrays must be (s,)")
+        if self.x.ndim != 1 or self.u.ndim != 1:
+            raise DimensionMismatch("sensor states x and anchor states u must be 1-D")
+        total = self.n + self.s
+        for name, shape in (("pos", (total, 2)), ("center", (total, 2)), ("radius", (total,))):
+            if getattr(self, name).shape != shape:
+                raise DimensionMismatch(
+                    f"{name} must be {shape} for {self.n} sensors and {self.s} "
+                    f"anchors, got {getattr(self, name).shape}"
+                )
+        # One pass over all values: this runs on every ``replace``, twice a step.
+        if not np.isfinite(np.concatenate([getattr(self, a).ravel() for a in arrays])).all():
+            bad = next(a for a in arrays if not np.isfinite(getattr(self, a)).all())
+            raise ConfigError(f"{bad} must hold finite numbers only")
+        for name in ("comm_radius", "sigma"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(
+                    f"{name} must be finite and non-negative, got {getattr(self, name)}"
+                )
         if self.rng_seed < 0 or self.k < 0:
             raise ConfigError("rng_seed and k must be non-negative")
         if not 0.0 <= self.update_prob <= 1.0:
             raise ConfigError("update_prob must lie in [0, 1]")
-        for pos, center, radius, what in (
-            (self.sensor_pos, self.sensor_center, self.sensor_radius, "sensor"),
-            (self.anchor_pos, self.anchor_center, self.anchor_radius, "anchor"),
-        ):
-            if pos.size == 0:
-                continue
-            dist = np.linalg.norm(pos - center, axis=1)
-            if np.any(dist > radius + 1e-9):
-                off = int(np.argmax(dist - radius))
-                raise ConfigError(
-                    f"{what} {off} starts outside its region "
-                    f"(distance {dist[off]!r} > radius {radius[off]!r})"
-                )
+        dist = np.linalg.norm(self.pos - self.center, axis=1)
+        if np.any(dist > self.radius + 1e-9):
+            off = int(np.argmax(dist - self.radius))
+            what = f"sensor {off}" if off < self.n else f"anchor {off - self.n}"
+            raise ConfigError(
+                f"{what} starts outside its region "
+                f"(distance {float(dist[off])} > radius {float(self.radius[off])})"
+            )
 
     @property
     def n(self) -> int:
-        return self.x.shape[0] if np.ndim(self.x) else 0
+        return self.x.shape[0]
 
     @property
     def s(self) -> int:
-        return self.u.shape[0] if np.ndim(self.u) else 0
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.vstack([self.sensor_pos, self.anchor_pos])
+        return self.u.shape[0]
 
 
 class UpdateKind(enum.Enum):
@@ -161,27 +153,21 @@ def demo_world(
     than the communication radius away from the anchor disk)."""
     if n < 1:
         raise ConfigError("need at least one sensor")
-    anchor_center = np.array([[0.0, 0.0]])
-    anchor_radius = np.array([1.0])
-    centers = np.zeros((n, 2))
-    radii = np.full(n, 1.2)
+    # Sensors 0..n-1, then the anchor (row n) at the origin with radius 1.
+    centers = np.zeros((n + 1, 2))
+    radii = np.full(n + 1, 1.2)
+    radii[n] = 1.0
     for i in range(n):
         side = 1.0 if i % 2 == 0 else -1.0
         ring = i // 2
         centers[i, 0] = side * (1.9 + 2.0 * ring)
-    radius = resolve_comm_radius(
-        comm_radius, np.concatenate([radii, anchor_radius])
-    )
     return World(
-        sensor_pos=centers.copy(),
-        sensor_center=centers,
-        sensor_radius=radii,
+        pos=centers.copy(),
+        center=centers,
+        radius=radii,
         x=np.zeros(n) if x0 is None else np.asarray(x0, dtype=float),
-        anchor_pos=anchor_center.copy(),
-        anchor_center=anchor_center,
-        anchor_radius=anchor_radius,
         u=np.array([float(u)]),
-        comm_radius=radius,
+        comm_radius=resolve_comm_radius(comm_radius, radii),
         sigma=sigma,
         rng_seed=seed,
         update_prob=update_prob,
@@ -226,28 +212,22 @@ def step_motion(world: World) -> World:
     total = world.n + world.s
     angles = rng.uniform(0.0, 2.0 * np.pi, size=total)
     radii_frac = np.sqrt(rng.uniform(0.0, 1.0, size=total))
-    region_radii = np.concatenate([world.sensor_radius, world.anchor_radius])
-    step_len = world.sigma * region_radii * radii_frac
+    step_len = world.sigma * world.radius * radii_frac
     disp = np.column_stack([np.cos(angles), np.sin(angles)]) * step_len[:, None]
-    centers = np.vstack([world.sensor_center, world.anchor_center])
-    new_pos = world.positions + disp
-    offset = new_pos - centers
+    new_pos = world.pos + disp
+    offset = new_pos - world.center
     dist = np.linalg.norm(offset, axis=1)
-    over = dist > region_radii
+    over = dist > world.radius
     if np.any(over):
-        scale = region_radii[over] / dist[over]
-        new_pos[over] = centers[over] + offset[over] * scale[:, None]
-    return replace(
-        world,
-        sensor_pos=new_pos[: world.n],
-        anchor_pos=new_pos[world.n :],
-    )
+        scale = world.radius[over] / dist[over]
+        new_pos[over] = world.center[over] + offset[over] * scale[:, None]
+    return replace(world, pos=new_pos)
 
 
 def neighbors(world: World) -> np.ndarray:
     """Symmetric boolean adjacency over all nodes (sensors then anchors):
     within communication radius, no self edges."""
-    pos = world.positions
+    pos = world.pos
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
     adj = dist <= world.comm_radius
@@ -365,7 +345,7 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         else None
     )
     if positions is not None:
-        positions[0] = world.positions
+        positions[0] = world.pos
     slices: list[Slice] = []
     slice_inputs: list[np.ndarray] = []
     events: list[SliceEvent] = []
@@ -395,7 +375,7 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         events.extend(evs)
         states[k + 1] = new_x
         if positions is not None:
-            positions[k + 1] = world.positions
+            positions[k + 1] = world.pos
         steps_run = k + 1
         if target is not None and np.max(np.abs(new_x - target)) <= (
             config.stop_when_error_below

@@ -86,7 +86,8 @@ def random_product_sequence(
             others = rng.choice(
                 [j for j in range(n) if j != row], size=d - 1, replace=False
             )
-            support = np.concatenate(([row], others))
+            # astype: with n = 1, ``others`` is an empty float array.
+            support = np.concatenate(([row], others)).astype(int)
             mass = params.beta2 * float(rng.uniform(0.0, 1.0))
             p_row = np.zeros(n)
             p_row[support] = mass * rng.dirichlet(np.ones(d))

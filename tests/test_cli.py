@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slicekit.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_RUNTIME, main
+
+SLICE_LOG = "slice_index,start_k,end_k,length,norm,bound\n0,0,4,5,0.5,0.9\n"
 
 
 def write_config(path, payload):
@@ -128,6 +134,33 @@ class TestLeaderFollower:
         )
         out = tmp_path / "out"
         assert main(["lf", "--config", cfg, "--out", str(out)]) == EXIT_OK
+
+    def test_trajectory_plot_draws_every_region(self, tmp_path):
+        sensors = [[1.5, 0.0, 1.0], [-1.5, 0.25, 0.75]]
+        anchors = [[0.0, 0.0, 0.8], [0.0, 2.5, 0.5]]
+        cfg = write_config(
+            tmp_path / "lf.json",
+            {
+                "mode": "lf",
+                "n": 2,
+                "horizon": 5,
+                "seed": 0,
+                "regions": {"sensors": sensors, "anchors": anchors},
+                "comm_radius": 1.2,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["lf", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        script = (out / "plot_trajectories.gp").read_text().splitlines()
+        objects = [line.split() for line in script if line.startswith("set object")]
+        expected = [(*c, "gray") for c in sensors] + [(*c, "red") for c in anchors]
+        assert len(objects) == len(expected)
+        for index, (words, (cx, cy, r, color)) in enumerate(zip(objects, expected), start=1):
+            assert words[2] == str(index)
+            assert tuple(float(v) for v in words[5].split(",")) == (cx, cy)
+            assert float(words[7]) == r
+            assert words[-1] == f'"{color}"'
+        assert script[-1].startswith("plot for [i=0:3] ")
 
     def test_malformed_regions_exit_config(self, tmp_path):
         cfg = write_config(
@@ -297,13 +330,16 @@ class TestConfigHandling:
             ("lf", {"x0": [0.0, 1.0]}),
             ("products", {"strict": "false"}),
             ("certify", {"case2": {"cap": 5, "subset": [0], "infinite_family": "true"}}),
+            ("lf", {"u": "inf"}),
+            ("lf", {"x0": ["nan", 0, 0, 0]}),
+            ("lf", {"sigma": "nan"}),
+            ("lf", {"comm_radius": float("nan")}),
+            ("lf", {"sigma": -1}),
         ],
     )
     def test_bad_values_exit_config_with_one_line(self, tmp_path, capsys, mode, payload):
         log = tmp_path / "slices.csv"
-        log.write_text(
-            "slice_index,start_k,end_k,length,norm,bound\n0,0,4,5,0.5,0.9\n"
-        )
+        log.write_text(SLICE_LOG)
         cfg = write_config(
             tmp_path / "c.json",
             {"mode": mode, "slice_log": str(log), "horizon": 5, **payload},
@@ -321,3 +357,92 @@ class TestConfigHandling:
         assert main(["lf", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "mode, payload, log_text, named",
+        [
+            ("certify", {"slice_log": 5}, SLICE_LOG, "slice_log"),
+            ("products", {"out_dir": 5}, SLICE_LOG, "out_dir"),
+            ("certify", {}, "a,b\n1,2\n", "slices.csv"),
+            ("certify", {}, SLICE_LOG.replace("4,5,", "4,x,"), "slices.csv"),
+            ("certify", {"slice_log": "no\nsuch.csv"}, SLICE_LOG, "no such.csv"),
+            ("products", {"out_dir": "slices.csv"}, SLICE_LOG, "output directory"),
+            ("products", {"out_dir": "a\0"}, SLICE_LOG, "out_dir"),
+        ],
+        ids=[
+            "slice_log-number",
+            "out_dir-number",
+            "log-without-columns",
+            "log-non-integer-length",
+            "slice_log-newline",
+            "out_dir-existing-file",
+            "out_dir-nul-byte",
+        ],
+    )
+    def test_bad_inputs_exit_config_with_one_line(
+        self, tmp_path, monkeypatch, capsys, mode, payload, log_text, named
+    ):
+        # No --out here: out_dir comes from the config, so stay inside tmp_path.
+        monkeypatch.chdir(tmp_path)
+        log = tmp_path / "slices.csv"
+        log.write_text(log_text)
+        cfg = write_config(
+            tmp_path / "c.json", {"mode": mode, "slice_log": str(log), **payload}
+        )
+        capsys.readouterr()
+        assert main([mode, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+MODE_KEYS = {
+    "products": ["n", "horizon", "strict", "p_stochastic", "p_substochastic", "p_identity"],
+    "lf": ["n", "horizon", "strict", "u", "sigma", "update_prob", "comm_radius", "x0", "regions"],
+    "certify": ["slice_log", "case1_cap", "case2"],
+}
+COMMON_KEYS = ["seed", "beta1", "beta2", "alpha", "tol", "out_dir"]
+NESTED_KEYS = ["sensors", "anchors", "cap", "subset", "infinite_family"]
+
+# Numbers stay within [-3, 6] (plus NaN and +-inf) and strings within two
+# characters, so that no drawn n or horizon makes a run large or slow.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.floats(-3.0, 6.0)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(NESTED_KEYS) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+class TestNeverTracebacks:
+    @pytest.mark.parametrize("mode", sorted(MODE_KEYS))
+    @settings(
+        max_examples=80,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_config_exits_cleanly(self, tmp_path, mode, data):
+        keys = st.sampled_from(MODE_KEYS[mode] + COMMON_KEYS)
+        payload = data.draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
+        log = tmp_path / "slices.csv"
+        log.write_text(SLICE_LOG)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"mode": mode, "slice_log": str(log), "horizon": 5, **payload},
+        )
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([mode, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NOT_CERTIFIED, EXIT_RUNTIME)
+        lines = err.getvalue().splitlines()
+        if code in (EXIT_OK, EXIT_NOT_CERTIFIED):
+            # A "not certified" verdict is a result, not an error.
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines

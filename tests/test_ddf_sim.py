@@ -9,6 +9,7 @@ import pytest
 
 from slicekit import (
     ConfigError,
+    DimensionMismatch,
     InfeasibleWeights,
     LeaderFollowerConfig,
     Params,
@@ -29,15 +30,12 @@ PARAMS = Params(beta1=0.05, beta2=0.7, alpha=0.1)
 
 
 def tiny_world(**overrides):
-    """One sensor and one anchor in overlapping range."""
+    """One sensor (node 0) and one anchor (node 1) in overlapping range."""
     base = dict(
-        sensor_pos=np.array([[1.0, 0.0]]),
-        sensor_center=np.array([[1.0, 0.0]]),
-        sensor_radius=np.array([1.0]),
+        pos=np.array([[1.0, 0.0], [0.0, 0.0]]),
+        center=np.array([[1.0, 0.0], [0.0, 0.0]]),
+        radius=np.array([1.0, 0.5]),
         x=np.array([0.0]),
-        anchor_pos=np.array([[0.0, 0.0]]),
-        anchor_center=np.array([[0.0, 0.0]]),
-        anchor_radius=np.array([0.5]),
         u=np.array([3.0]),
         comm_radius=2.0,
         rng_seed=0,
@@ -50,32 +48,56 @@ class TestWorld:
     def test_demo_world_shapes(self):
         w = demo_world(n=4, u=3.0, seed=0)
         assert w.n == 4 and w.s == 1
-        assert w.positions.shape == (5, 2)
+        assert w.pos.shape == (5, 2)
         assert np.all(w.u == 3.0)
 
     def test_demo_world_outer_sensors_never_reach_the_anchor(self):
         w = demo_world(n=4, u=3.0, seed=0)
         for i in (2, 3):
-            closest = (
-                np.linalg.norm(w.sensor_center[i])
-                - w.sensor_radius[i]
-                - w.anchor_radius[0]
-            )
+            closest = np.linalg.norm(w.center[i]) - w.radius[i] - w.radius[w.n]
             assert closest > w.comm_radius
 
     def test_demo_world_inner_sensors_can_reach_the_anchor(self):
         w = demo_world(n=4, u=3.0, seed=0)
         for i in (0, 1):
-            closest = (
-                np.linalg.norm(w.sensor_center[i])
-                - w.sensor_radius[i]
-                - w.anchor_radius[0]
-            )
+            closest = np.linalg.norm(w.center[i]) - w.radius[i] - w.radius[w.n]
             assert closest < w.comm_radius
 
     def test_out_of_region_position_rejected(self):
         with pytest.raises(ConfigError):
-            tiny_world(sensor_pos=np.array([[5.0, 0.0]]))
+            tiny_world(pos=np.array([[5.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "pos, message",
+        [
+            ([[3.0, 0.0], [0.0, 0.0]], r"^sensor 0 .*\(distance 2\.0 > radius 1\.0\)$"),
+            ([[1.0, 0.0], [0.0, 1.5]], r"^anchor 0 .*\(distance 1\.5 > radius 0\.5\)$"),
+        ],
+    )
+    def test_out_of_region_message_names_the_node(self, pos, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_world(pos=np.array(pos))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pos", [[np.nan, 0.0], [0.0, 0.0]]),
+            ("center", [[1.0, 0.0], [0.0, np.inf]]),
+            ("radius", [np.nan, 0.5]),
+            ("x", [np.nan]),
+            ("u", [-np.inf]),
+            ("comm_radius", np.nan),
+            ("sigma", np.inf),
+            ("sigma", -1.0),
+        ],
+    )
+    def test_non_finite_or_negative_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_world(**{field: value})
+
+    def test_stacked_shapes_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            tiny_world(radius=np.array([1.0]))
 
     def test_resolve_comm_radius(self):
         assert resolve_comm_radius(2.5, [1.0, 3.0]) == 2.5
@@ -90,25 +112,23 @@ class TestMotion:
         w = demo_world(n=4, u=3.0, seed=1)
         for k in range(200):
             w = replace(step_motion(w), k=k + 1)
-            sensor_dist = np.linalg.norm(w.sensor_pos - w.sensor_center, axis=1)
-            anchor_dist = np.linalg.norm(w.anchor_pos - w.anchor_center, axis=1)
-            assert np.all(sensor_dist <= w.sensor_radius + 1e-9)
-            assert np.all(anchor_dist <= w.anchor_radius + 1e-9)
+            dist = np.linalg.norm(w.pos - w.center, axis=1)
+            assert np.all(dist <= w.radius + 1e-9)
 
     def test_step_length_is_capped(self):
         w = demo_world(n=4, u=3.0, seed=2, sigma=0.1)
         moved = step_motion(w)
-        jump = np.linalg.norm(moved.sensor_pos - w.sensor_pos, axis=1)
-        assert np.all(jump <= 0.1 * w.sensor_radius + 1e-9)
+        jump = np.linalg.norm(moved.pos - w.pos, axis=1)
+        assert np.all(jump <= 0.1 * w.radius + 1e-9)
 
     def test_motion_is_deterministic_per_step(self):
         w = demo_world(n=4, u=3.0, seed=3)
-        assert np.array_equal(step_motion(w).sensor_pos, step_motion(w).sensor_pos)
+        assert np.array_equal(step_motion(w).pos, step_motion(w).pos)
 
     def test_zero_sigma_freezes_everyone(self):
         w = demo_world(n=4, u=3.0, seed=4, sigma=0.0)
         moved = step_motion(w)
-        assert np.array_equal(moved.sensor_pos, w.sensor_pos)
+        assert np.array_equal(moved.pos, w.pos)
 
 
 class TestNeighbors:
@@ -143,14 +163,12 @@ class TestBuildUpdate:
         assert m.updated_row is None
 
     def test_sensor_group_shares_equally(self):
+        centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [50.0, 50.0]])
         w = World(
-            sensor_pos=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-            sensor_center=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-            sensor_radius=np.array([0.5, 0.5, 0.5]),
+            pos=centers.copy(),
+            center=centers,
+            radius=np.full(4, 0.5),
             x=np.zeros(3),
-            anchor_pos=np.array([[50.0, 50.0]]),
-            anchor_center=np.array([[50.0, 50.0]]),
-            anchor_radius=np.array([0.5]),
             u=np.array([3.0]),
             comm_radius=1.5,
             rng_seed=1,
@@ -164,14 +182,12 @@ class TestBuildUpdate:
 
     def test_anchor_weight_floor_binds_with_many_anchors(self):
         params = Params(beta1=0.05, beta2=0.7, alpha=0.2)
+        centers = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]])
         w = World(
-            sensor_pos=np.array([[0.0, 0.0]]),
-            sensor_center=np.array([[0.0, 0.0]]),
-            sensor_radius=np.array([0.5]),
+            pos=centers.copy(),
+            center=centers,
+            radius=np.array([0.5, 0.2, 0.2, 0.2]),
             x=np.zeros(1),
-            anchor_pos=np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]]),
-            anchor_center=np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]]),
-            anchor_radius=np.array([0.2, 0.2, 0.2]),
             u=np.full(3, 3.0),
             comm_radius=2.0,
             rng_seed=0,
@@ -183,14 +199,12 @@ class TestBuildUpdate:
 
     def test_too_many_anchors_is_infeasible(self):
         params = Params(beta1=0.05, beta2=0.7, alpha=0.6)
+        centers = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]])
         w = World(
-            sensor_pos=np.array([[0.0, 0.0]]),
-            sensor_center=np.array([[0.0, 0.0]]),
-            sensor_radius=np.array([0.5]),
+            pos=centers.copy(),
+            center=centers,
+            radius=np.array([0.5, 0.2, 0.2]),
             x=np.zeros(1),
-            anchor_pos=np.array([[0.5, 0.0], [-0.5, 0.0]]),
-            anchor_center=np.array([[0.5, 0.0], [-0.5, 0.0]]),
-            anchor_radius=np.array([0.2, 0.2]),
             u=np.full(2, 3.0),
             comm_radius=2.0,
             rng_seed=0,
@@ -200,15 +214,14 @@ class TestBuildUpdate:
 
     def test_crowded_sensor_group_is_infeasible(self):
         params = Params(beta1=0.4, beta2=0.7)
-        centers = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3], [0.3, 0.3]])
+        centers = np.array(
+            [[0.0, 0.0], [0.3, 0.0], [0.0, 0.3], [0.3, 0.3], [50.0, 50.0]]
+        )
         w = World(
-            sensor_pos=centers.copy(),
-            sensor_center=centers,
-            sensor_radius=np.full(4, 0.2),
+            pos=centers.copy(),
+            center=centers,
+            radius=np.array([0.2, 0.2, 0.2, 0.2, 0.5]),
             x=np.zeros(4),
-            anchor_pos=np.array([[50.0, 50.0]]),
-            anchor_center=np.array([[50.0, 50.0]]),
-            anchor_radius=np.array([0.5]),
             u=np.array([3.0]),
             comm_radius=5.0,
             rng_seed=0,

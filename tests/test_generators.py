@@ -77,6 +77,14 @@ class TestRandomProductSequence:
         for m in mats:
             assert m.p[m.updated_row].sum() < 1.0 - params.tol
 
+    def test_single_sensor_draws_self_weight_rows(self):
+        # n = 1: every non-identity row is the sensor's own sub-stochastic weight
+        mats = random_product_sequence(1, PARAMS, 40, rng=np.random.default_rng(0))
+        assert any(not m.is_identity() for m in mats)
+        for m in mats:
+            assert validate_update(m, PARAMS).ok
+            assert m.is_identity() or m.p[0, 0] <= PARAMS.beta2
+
     def test_form_weights_are_relative_masses(self):
         mats = random_product_sequence(
             3,
