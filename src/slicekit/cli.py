@@ -395,12 +395,11 @@ def cmd_certify(config: ExperimentConfig) -> int:
     from .slice_engine import read_slice_log
 
     try:
-        records = read_slice_log(log_path)
+        lengths = [rec["length"] for rec in read_slice_log(log_path)]
     except KeyError as exc:
         raise ConfigError(f"slice log {log_path} has no {exc} column") from exc
-    except (OSError, TypeError, ValueError, csv.Error) as exc:
+    except (IndexError, OSError, ValueError, csv.Error) as exc:
         raise ConfigError(f"cannot read slice log {log_path}: {exc}") from exc
-    lengths = [rec["length"] for rec in records]
 
     attempts: list[Certificate] = []
     cert: Certificate | None = None

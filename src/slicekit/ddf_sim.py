@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -55,15 +55,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class World:
-    """Snapshot of the mobile network.
+    """The validated input of a leader-follower run.
 
     Geometry is stacked over all ``n + s`` nodes, sensors first: rows
     ``0..n-1`` of ``pos``, ``center`` and ``radius`` belong to the sensors
     and rows ``n..n+s-1`` to the anchors, with ``n = len(x)`` and
     ``s = len(u)``.  Each node stays inside the disk of ``radius`` around its
-    ``center``.  ``k`` counts completed steps and seeds the per-step
-    randomness streams, so a snapshot fully determines the next motion and
-    updater draw.  Treat instances (arrays included) as immutable.
+    ``center``.  ``pos`` and ``x`` are the start state: a run advances its
+    own copies and passes the step index to the functions that draw from
+    the per-step randomness streams.  Every field is checked once, here.
+    Treat instances (arrays included) as immutable.
     """
 
     pos: np.ndarray
@@ -74,7 +75,6 @@ class World:
     comm_radius: float
     sigma: float = 0.2
     rng_seed: int = 0
-    k: int = 0
     update_prob: float = 1.0
 
     def __post_init__(self) -> None:
@@ -90,17 +90,28 @@ class World:
                     f"{name} must be {shape} for {self.n} sensors and {self.s} "
                     f"anchors, got {getattr(self, name).shape}"
                 )
-        # One pass over all values: this runs on every ``replace``, twice a step.
-        if not np.isfinite(np.concatenate([getattr(self, a).ravel() for a in arrays])).all():
-            bad = next(a for a in arrays if not np.isfinite(getattr(self, a)).all())
-            raise ConfigError(f"{bad} must hold finite numbers only")
+        for name in arrays:
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must hold finite numbers only")
+        if np.any(self.radius < 0):
+            raise ConfigError(f"radius must be non-negative, got {float(np.min(self.radius))}")
         for name in ("comm_radius", "sigma"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigError(
                     f"{name} must be finite and non-negative, got {getattr(self, name)}"
                 )
-        if self.rng_seed < 0 or self.k < 0:
-            raise ConfigError("rng_seed and k must be non-negative")
+        # Before projection a moved node lies up to (1 + sigma) * radius from
+        # its centre, and past sqrt(max / 2) its squared 2-D norm overflows.
+        # Python floats overflow to inf here without a warning.
+        reach = (1.0 + float(self.sigma)) * float(np.max(self.radius, initial=0.0))
+        limit = float(np.sqrt(np.finfo(float).max / 2))
+        if reach > limit:
+            raise ConfigError(
+                f"sigma = {self.sigma} moves nodes up to {reach:.6g} from their "
+                f"centres; squared distances overflow past {limit:.6g}"
+            )
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be non-negative")
         if not 0.0 <= self.update_prob <= 1.0:
             raise ConfigError("update_prob must lie in [0, 1]")
         dist = np.linalg.norm(self.pos - self.center, axis=1)
@@ -135,7 +146,6 @@ class StepRecord:
     k: int
     updating_sensor: int | None
     update_kind: UpdateKind
-    matrix: SystemMatrix
 
 
 def demo_world(
@@ -178,7 +188,8 @@ def resolve_comm_radius(
     value: float | str, region_radii: np.ndarray | Sequence[float]
 ) -> float:
     """Accept an absolute radius or the form ``'<factor>*innermost'``,
-    meaning that multiple of the smallest region radius."""
+    meaning that multiple of the smallest region radius.  The result is
+    checked where it belongs, by :class:`World`."""
     if isinstance(value, str):
         text = value.replace("x", "*").strip()
         if not text.endswith("*innermost"):
@@ -190,72 +201,63 @@ def resolve_comm_radius(
         except ValueError as exc:
             raise ConfigError(f"bad comm_radius factor in {value!r}") from exc
         return factor * float(np.min(np.asarray(region_radii, dtype=float)))
-    radius = float(value)
-    if radius < 0:
-        raise ConfigError(f"comm_radius must be non-negative, got {radius}")
-    return radius
+    return float(value)
 
 
-def _step_rng(world: World, stream: int) -> np.random.Generator:
-    return np.random.default_rng([world.rng_seed, world.k, stream])
-
-
-def step_motion(world: World) -> World:
-    """Move every agent one random step inside its region.
+def step_motion(world: World, pos: np.ndarray, k: int) -> np.ndarray:
+    """Return the positions after step ``k``: every agent takes one random
+    step from ``pos`` inside its region.
 
     Displacements are uniform over the disk of radius ``sigma * region
     radius``; any move that would exit the region is projected back onto
     it.  Deterministic given ``rng_seed`` and ``k``: the draw comes from a
     stream derived from both, not from call history.
     """
-    rng = _step_rng(world, 0)
+    rng = np.random.default_rng([world.rng_seed, k, 0])
     total = world.n + world.s
     angles = rng.uniform(0.0, 2.0 * np.pi, size=total)
     radii_frac = np.sqrt(rng.uniform(0.0, 1.0, size=total))
     step_len = world.sigma * world.radius * radii_frac
     disp = np.column_stack([np.cos(angles), np.sin(angles)]) * step_len[:, None]
-    new_pos = world.pos + disp
+    new_pos = pos + disp
     offset = new_pos - world.center
     dist = np.linalg.norm(offset, axis=1)
     over = dist > world.radius
     if np.any(over):
         scale = world.radius[over] / dist[over]
         new_pos[over] = world.center[over] + offset[over] * scale[:, None]
-    return replace(world, pos=new_pos)
+    return new_pos
 
 
-def neighbors(world: World) -> np.ndarray:
-    """Symmetric boolean adjacency over all nodes (sensors then anchors):
-    within communication radius, no self edges."""
-    pos = world.pos
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    adj = dist <= world.comm_radius
-    np.fill_diagonal(adj, False)
-    return adj
+def neighbors(world: World, pos: np.ndarray, i: int) -> np.ndarray:
+    """Node ``i``'s boolean neighbour row over all nodes (sensors then
+    anchors) at positions ``pos``: within communication radius, ``i``
+    itself excluded."""
+    row = np.linalg.norm(pos[i] - pos, axis=1) <= world.comm_radius
+    row[i] = False
+    return row
 
 
 def build_update(
-    world: World, params: Params
+    world: World, pos: np.ndarray, k: int, params: Params
 ) -> tuple[SystemMatrix, StepRecord]:
-    """Draw the updating sensor and build its fusion row.
+    """Draw the sensor that fuses at step ``k`` and build its row from its
+    neighbours at positions ``pos``.
 
     Raises :class:`InfeasibleWeights` when an anchor-free neighborhood is
     too large for the weight floor (more than ``floor(1/beta1)`` members)
     or when the anchor floor cannot fit inside one unit of row mass.
     """
     n, s = world.n, world.s
-    rng = _step_rng(world, 1)
+    rng = np.random.default_rng([world.rng_seed, k, 1])
     if world.update_prob < 1.0 and rng.uniform() >= world.update_prob:
-        m = identity_step(n, s)
-        return m, StepRecord(world.k, None, UpdateKind.IDLE, m)
+        return identity_step(n, s), StepRecord(k, None, UpdateKind.IDLE)
     i = int(rng.integers(n))
-    adj = neighbors(world)
-    sensor_nbrs = np.nonzero(adj[i, :n])[0]
-    anchor_nbrs = np.nonzero(adj[i, n:])[0]
+    row = neighbors(world, pos, i)
+    sensor_nbrs = np.nonzero(row[:n])[0]
+    anchor_nbrs = np.nonzero(row[n:])[0]
     if sensor_nbrs.size == 0 and anchor_nbrs.size == 0:
-        m = identity_step(n, s)
-        return m, StepRecord(world.k, i, UpdateKind.NO_NEIGHBORS, m)
+        return identity_step(n, s), StepRecord(k, i, UpdateKind.NO_NEIGHBORS)
 
     p_row = np.zeros(n)
     b_row = np.zeros(s)
@@ -269,7 +271,7 @@ def build_update(
             )
         p_row[group] = 1.0 / group.size
         m = row_update(n, i, p_row, b_row)
-        return m, StepRecord(world.k, i, UpdateKind.STOCHASTIC_UPDATE, m)
+        return m, StepRecord(k, i, UpdateKind.STOCHASTIC_UPDATE)
 
     a = anchor_nbrs.size
     anchor_total = max(params.alpha * a, 1.0 - params.beta2)
@@ -281,7 +283,7 @@ def build_update(
     p_row[group] = (1.0 - anchor_total) / group.size
     b_row[anchor_nbrs] = anchor_total / a
     m = row_update(n, i, p_row, b_row)
-    return m, StepRecord(world.k, i, UpdateKind.SUB_STOCHASTIC_UPDATE, m)
+    return m, StepRecord(k, i, UpdateKind.SUB_STOCHASTIC_UPDATE)
 
 
 def lf_step(
@@ -319,33 +321,36 @@ class LeaderFollowerConfig:
 @dataclass
 class SimResult:
     """Run outputs: per-step states (row 0 is the initial state), completed
-    slices with their accumulated input vectors, the engine event log, and
-    the optional position history."""
+    slices with their accumulated input matrices, the engine event log, the
+    optional position history (row 0 is the start layout), and the number
+    of steps executed."""
 
     states: np.ndarray
     slices: list[Slice]
     slice_inputs: list[np.ndarray]
     events: list[SliceEvent]
     positions: np.ndarray | None
-    world: World
     steps_run: int
 
 
 def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
-    """Run the full loop: motion, update construction, state advance, slice
-    tracking, and per-slice input accumulation ``N <- P N + B``."""
+    """Run the full loop from the world's start state: motion, update
+    construction, state advance, slice tracking, and per-slice input
+    accumulation ``N <- P N + B``.  The loop owns the positions, the states
+    and the step index; the world itself never changes."""
     world = config.world
     params = config.params
     n, s = world.n, world.s
+    pos, x = world.pos, world.x
     states = np.empty((config.horizon + 1, n))
-    states[0] = world.x
+    states[0] = x
     positions = (
         np.empty((config.horizon + 1, n + s, 2))
         if config.record_positions
         else None
     )
     if positions is not None:
-        positions[0] = world.pos
+        positions[0] = pos
     slices: list[Slice] = []
     slice_inputs: list[np.ndarray] = []
     events: list[SliceEvent] = []
@@ -361,10 +366,9 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         target = float(world.u[0])
     steps_run = 0
     for k in range(config.horizon):
-        world = step_motion(world)
-        m, _ = build_update(world, params)
-        new_x = lf_step(world.x, m, world.u)
-        world = replace(world, x=new_x, k=world.k + 1)
+        pos = step_motion(world, pos, k)
+        m, _ = build_update(world, pos, k, params)
+        x = lf_step(x, m, world.u)
         state, evs = push(state, m, params, strict=config.strict, k=k)
         n_accum = m.apply(n_accum, anchor_identity)
         for ev in evs:
@@ -373,11 +377,11 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
                 slice_inputs.append(n_accum.copy())
                 n_accum = np.zeros((n, s))
         events.extend(evs)
-        states[k + 1] = new_x
+        states[k + 1] = x
         if positions is not None:
-            positions[k + 1] = world.pos
+            positions[k + 1] = pos
         steps_run = k + 1
-        if target is not None and np.max(np.abs(new_x - target)) <= (
+        if target is not None and np.max(np.abs(x - target)) <= (
             config.stop_when_error_below
         ):
             break
@@ -390,7 +394,6 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         slice_inputs=slice_inputs,
         events=events,
         positions=positions,
-        world=world,
         steps_run=steps_run,
     )
 

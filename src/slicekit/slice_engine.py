@@ -234,14 +234,18 @@ def run_sequence(
 # Logs
 # ---------------------------------------------------------------------------
 
+# Slice log columns in file order, each with the type it is read back as.
+_SLICE_LOG_COLUMNS = dict(
+    slice_index=int, start_k=int, end_k=int, length=int, norm=float, bound=float
+)
+
+
 def write_slice_log(slices: Sequence[Slice], path: str | Path) -> Path:
     """CSV with one line per completed slice."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["slice_index", "start_k", "end_k", "length", "norm", "bound"]
-        )
+        writer.writerow(list(_SLICE_LOG_COLUMNS))
         for s in slices:
             writer.writerow(
                 [
@@ -257,21 +261,13 @@ def write_slice_log(slices: Sequence[Slice], path: str | Path) -> Path:
 
 
 def read_slice_log(path: str | Path) -> list[dict]:
-    """Parse a slice log back into dictionaries with typed fields."""
-    out = []
+    """Parse a slice log back into one dictionary per non-blank row, holding
+    the log columns the file has, each converted to its type."""
     with Path(path).open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(
-                {
-                    "slice_index": int(rec["slice_index"]),
-                    "start_k": int(rec["start_k"]),
-                    "end_k": int(rec["end_k"]),
-                    "length": int(rec["length"]),
-                    "norm": float(rec["norm"]),
-                    "bound": float(rec["bound"]),
-                }
-            )
-    return out
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        have = [(c, header.index(c), t) for c, t in _SLICE_LOG_COLUMNS.items() if c in header]
+        return [{c: t(row[j]) for c, j, t in have} for row in rows if row]
 
 
 def write_event_log(events: Sequence[SliceEvent], path: str | Path) -> Path:

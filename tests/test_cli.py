@@ -162,6 +162,42 @@ class TestLeaderFollower:
             assert words[-1] == f'"{color}"'
         assert script[-1].startswith("plot for [i=0:3] ")
 
+    def test_huge_regions_with_frequent_projection(self, tmp_path):
+        # sigma = 1.5 often projects a move back onto a disk of radius 1e10,
+        # where rounding exceeds any absolute tolerance.
+        cfg = write_config(
+            tmp_path / "lf.json",
+            {
+                "mode": "lf",
+                "n": 2,
+                "horizon": 300,
+                "seed": 0,
+                "sigma": 1.5,
+                "regions": {
+                    "sensors": [[2e10, 0.0, 1e10], [-2e10, 0.0, 1e10]],
+                    "anchors": [[0.0, 0.0, 1e10], [0.0, 2e10, 1e10]],
+                },
+            },
+        )
+        assert main(["lf", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("comm_radius", ["1.5*innermost", 2.0])
+    def test_negative_region_radius_is_named(self, tmp_path, capsys, comm_radius):
+        cfg = write_config(
+            tmp_path / "lf.json",
+            {
+                "mode": "lf",
+                "n": 1,
+                "horizon": 5,
+                "regions": {"sensors": [[0, 0, -1]], "anchors": [[0, 0, 1]]},
+                "comm_radius": comm_radius,
+            },
+        )
+        capsys.readouterr()
+        assert main(["lf", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: radius")
+
     def test_malformed_regions_exit_config(self, tmp_path):
         cfg = write_config(
             tmp_path / "lf.json",
@@ -272,6 +308,18 @@ class TestCertify:
         text = (out / "certificate.txt").read_text()
         assert "verdict: not_certified" in text and "grid" in text
 
+    def test_log_with_only_lengths_is_read(self, tmp_path, capsys):
+        log = tmp_path / "slices.csv"
+        log.write_text("length\n3\n4\n5\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"mode": "certify", "slice_log": str(log), "beta1": 0.05, "beta2": 0.7},
+        )
+        capsys.readouterr()
+        code = main(["certify", "--config", cfg, "--out", str(tmp_path / "cert")])
+        assert code in (EXIT_OK, EXIT_NOT_CERTIFIED)
+        assert "error:" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["gamma1_grid", "gamma2_grid"])
     def test_removed_grid_keys_are_refused(self, tmp_path, capsys, slice_log, key):
         cfg = write_config(
@@ -335,6 +383,8 @@ class TestConfigHandling:
             ("lf", {"sigma": "nan"}),
             ("lf", {"comm_radius": float("nan")}),
             ("lf", {"sigma": -1}),
+            ("lf", {"sigma": 1e308}),
+            ("lf", {"comm_radius": -1}),
         ],
     )
     def test_bad_values_exit_config_with_one_line(self, tmp_path, capsys, mode, payload):
@@ -365,6 +415,7 @@ class TestConfigHandling:
             ("products", {"out_dir": 5}, SLICE_LOG, "out_dir"),
             ("certify", {}, "a,b\n1,2\n", "slices.csv"),
             ("certify", {}, SLICE_LOG.replace("4,5,", "4,x,"), "slices.csv"),
+            ("certify", {}, SLICE_LOG.replace(",0.5,0.9", ""), "slices.csv"),
             ("certify", {"slice_log": "no\nsuch.csv"}, SLICE_LOG, "no such.csv"),
             ("products", {"out_dir": "slices.csv"}, SLICE_LOG, "output directory"),
             ("products", {"out_dir": "a\0"}, SLICE_LOG, "out_dir"),
@@ -374,6 +425,7 @@ class TestConfigHandling:
             "out_dir-number",
             "log-without-columns",
             "log-non-integer-length",
+            "log-short-row",
             "slice_log-newline",
             "out_dir-existing-file",
             "out_dir-nul-byte",

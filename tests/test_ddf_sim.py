@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -95,6 +93,19 @@ class TestWorld:
         with pytest.raises(ConfigError, match=field):
             tiny_world(**{field: value})
 
+    def test_negative_radius_rejected_before_comm_radius(self):
+        with pytest.raises(ConfigError, match=r"^radius"):
+            tiny_world(radius=np.array([-1.0, 0.5]), comm_radius=-1.5)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"sigma": 1e308}, {"radius": np.array([1e300, 0.5])}],
+    )
+    def test_overflowing_reach_rejected(self, overrides, recwarn):
+        with pytest.raises(ConfigError, match=r"^sigma"):
+            tiny_world(**overrides)
+        assert len(recwarn) == 0
+
     def test_stacked_shapes_must_agree(self):
         with pytest.raises(DimensionMismatch):
             tiny_world(radius=np.array([1.0]))
@@ -110,57 +121,116 @@ class TestWorld:
 class TestMotion:
     def test_agents_stay_inside_their_disks(self):
         w = demo_world(n=4, u=3.0, seed=1)
+        pos = w.pos
         for k in range(200):
-            w = replace(step_motion(w), k=k + 1)
-            dist = np.linalg.norm(w.pos - w.center, axis=1)
+            pos = step_motion(w, pos, k)
+            dist = np.linalg.norm(pos - w.center, axis=1)
             assert np.all(dist <= w.radius + 1e-9)
 
     def test_step_length_is_capped(self):
         w = demo_world(n=4, u=3.0, seed=2, sigma=0.1)
-        moved = step_motion(w)
-        jump = np.linalg.norm(moved.pos - w.pos, axis=1)
+        moved = step_motion(w, w.pos, 0)
+        jump = np.linalg.norm(moved - w.pos, axis=1)
         assert np.all(jump <= 0.1 * w.radius + 1e-9)
 
     def test_motion_is_deterministic_per_step(self):
         w = demo_world(n=4, u=3.0, seed=3)
-        assert np.array_equal(step_motion(w).pos, step_motion(w).pos)
+        assert np.array_equal(step_motion(w, w.pos, 5), step_motion(w, w.pos, 5))
+        assert not np.array_equal(step_motion(w, w.pos, 5), step_motion(w, w.pos, 6))
 
     def test_zero_sigma_freezes_everyone(self):
         w = demo_world(n=4, u=3.0, seed=4, sigma=0.0)
-        moved = step_motion(w)
-        assert np.array_equal(moved.pos, w.pos)
+        moved = step_motion(w, w.pos, 0)
+        assert np.array_equal(moved, w.pos)
+
+    def test_start_positions_are_not_modified(self):
+        w = demo_world(n=4, u=3.0, seed=4, sigma=1.5)
+        start = w.pos.copy()
+        step_motion(w, w.pos, 0)
+        assert np.array_equal(w.pos, start)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_projected_positions_stay_inside_their_disks(self, seed):
+        # sigma = 1.5 pushes most steps past the boundary, so the projection
+        # runs often; its rounding is relative to the radius.
+        w = demo_world(n=4, u=3.0, seed=seed, sigma=1.5)
+        cfg = LeaderFollowerConfig(
+            world=w, params=PARAMS, horizon=300, record_positions=True
+        )
+        res = run_leader_follower(cfg)
+        dist = np.linalg.norm(res.positions - w.center, axis=2)
+        assert np.all(dist <= w.radius * (1 + 1e-12))
+
+
+def all_pairs_adjacency(pos, comm_radius):
+    """Reference: the symmetric all-pairs adjacency, no self edges."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    adj = dist <= comm_radius
+    np.fill_diagonal(adj, False)
+    return adj
 
 
 class TestNeighbors:
     def test_symmetric_without_self_edges(self):
         w = demo_world(n=4, u=3.0, seed=5)
-        adj = neighbors(w)
+        adj = np.array([neighbors(w, w.pos, i) for i in range(w.n + w.s)])
         assert adj.shape == (5, 5)
         assert np.array_equal(adj, adj.T)
         assert not np.any(np.diag(adj))
 
     def test_radius_threshold(self):
         w = tiny_world(comm_radius=0.99)
-        assert not neighbors(w)[0, 1]
+        assert not neighbors(w, w.pos, 0)[1]
         w = tiny_world(comm_radius=1.01)
-        assert neighbors(w)[0, 1]
+        assert neighbors(w, w.pos, 0)[1]
+        assert neighbors(w, w.pos, 1)[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_match_all_pairs_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, s = 6, 3
+        pos = rng.normal(scale=2.0, size=(n + s, 2))
+        # A radius equal to one exact pairwise distance puts that pair on
+        # the boundary, where "<=" must agree with the reference.
+        radius = float(np.linalg.norm(pos[1] - pos[4]))
+        w = World(
+            pos=pos,
+            center=pos.copy(),
+            radius=np.ones(n + s),
+            x=np.zeros(n),
+            u=np.full(s, 3.0),
+            comm_radius=radius,
+        )
+        reference = all_pairs_adjacency(pos, radius)
+        assert reference[1, 4] and reference[4, 1]
+        for i in range(n + s):
+            assert np.array_equal(neighbors(w, pos, i), reference[i])
 
 
 class TestBuildUpdate:
     def test_anchor_only_row_oracle(self):
         # [DERIVED] w_a = max(0.1, 0.3) = 0.3, self keeps 0.7
         w = tiny_world()
-        m, rec = build_update(w, PARAMS)
+        m, rec = build_update(w, w.pos, 0, PARAMS)
         assert rec.update_kind is UpdateKind.SUB_STOCHASTIC_UPDATE
+        assert rec.k == 0 and rec.updating_sensor == 0
         assert m.p[0, 0] == pytest.approx(0.7)
         assert m.b[0, 0] == pytest.approx(0.3)
 
     def test_isolated_sensor_yields_identity(self):
         w = tiny_world(comm_radius=0.1)
-        m, rec = build_update(w, PARAMS)
+        m, rec = build_update(w, w.pos, 0, PARAMS)
         assert rec.update_kind is UpdateKind.NO_NEIGHBORS
         assert m.is_identity()
         assert m.updated_row is None
+
+    def test_reads_the_given_positions(self):
+        # The start layout is out of range; the positions passed in are not.
+        w = tiny_world(comm_radius=0.6)
+        m, rec = build_update(w, np.array([[0.5, 0.0], [0.0, 0.0]]), 0, PARAMS)
+        assert rec.update_kind is UpdateKind.SUB_STOCHASTIC_UPDATE
+        assert m.b[0, 0] == pytest.approx(0.3)
 
     def test_sensor_group_shares_equally(self):
         centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [50.0, 50.0]])
@@ -173,7 +243,7 @@ class TestBuildUpdate:
             comm_radius=1.5,
             rng_seed=1,
         )
-        m, rec = build_update(w, PARAMS)
+        m, rec = build_update(w, w.pos, 0, PARAMS)
         assert rec.update_kind is UpdateKind.STOCHASTIC_UPDATE
         i = m.updated_row
         nonzero = np.nonzero(m.p[i])[0]
@@ -192,7 +262,7 @@ class TestBuildUpdate:
             comm_radius=2.0,
             rng_seed=0,
         )
-        m, _ = build_update(w, params)
+        m, _ = build_update(w, w.pos, 0, params)
         # alpha * 3 = 0.6 > 1 - beta2 = 0.3, so each anchor gets exactly alpha
         assert np.allclose(m.b[0], 0.2)
         assert m.p[0, 0] == pytest.approx(0.4)
@@ -210,7 +280,7 @@ class TestBuildUpdate:
             rng_seed=0,
         )
         with pytest.raises(InfeasibleWeights):
-            build_update(w, params)
+            build_update(w, w.pos, 0, params)
 
     def test_crowded_sensor_group_is_infeasible(self):
         params = Params(beta1=0.4, beta2=0.7)
@@ -227,11 +297,11 @@ class TestBuildUpdate:
             rng_seed=0,
         )
         with pytest.raises(InfeasibleWeights):
-            build_update(w, params)
+            build_update(w, w.pos, 0, params)
 
     def test_update_prob_zero_idles(self):
         w = tiny_world(update_prob=0.0)
-        m, rec = build_update(w, PARAMS)
+        m, rec = build_update(w, w.pos, 0, PARAMS)
         assert rec.update_kind is UpdateKind.IDLE
         assert m.is_identity()
 
