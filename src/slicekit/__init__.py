@@ -4,8 +4,8 @@ updates.
 
 The library splits into layers that can be used independently:
 
-- :mod:`slicekit.matrix_core` — the single-row update type, the
-  structural/weight assumption checks, and norms.
+- :mod:`slicekit.matrix_core` — the single-row update type, its
+  admissibility check, and norms.
 - :mod:`slicekit.slice_engine` — the streaming slice detector that cuts an
   update sequence into windows whose products are uniformly contractive.
 - :mod:`slicekit.bounds` — closed-form row and slice norm bounds.
@@ -69,7 +69,6 @@ from .errors import (
     MeaninglessBound,
     NegativeEntry,
     NoSubStochasticRow,
-    NonConvergence,
     SliceKitError,
 )
 from .generators import (
@@ -79,9 +78,7 @@ from .generators import (
 )
 from .matrix_core import (
     Params,
-    RowKind,
     SystemMatrix,
-    ValidationReport,
     identity_step,
     inf_norm,
     row_update,
@@ -109,7 +106,6 @@ __all__ = [
     "SliceKitError",
     "NegativeEntry",
     "DimensionMismatch",
-    "NonConvergence",
     "AssumptionViolated",
     "NoSubStochasticRow",
     "InvalidIndex",
@@ -120,9 +116,7 @@ __all__ = [
     "ConfigError",
     # matrix core
     "Params",
-    "RowKind",
     "SystemMatrix",
-    "ValidationReport",
     "identity_step",
     "row_update",
     "validate_update",

@@ -486,6 +486,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # One line even when the message quotes a path holding a newline.
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
+    except MemoryError as exc:
+        # The config is valid; the machine cannot hold the run.
+        print("error: out of memory:", *str(exc).splitlines(), file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -233,7 +233,10 @@ def neighbors(world: World, pos: np.ndarray, i: int) -> np.ndarray:
     """Node ``i``'s boolean neighbour row over all nodes (sensors then
     anchors) at positions ``pos``: within communication radius, ``i``
     itself excluded."""
-    row = np.linalg.norm(pos[i] - pos, axis=1) <= world.comm_radius
+    # Centres far apart overflow the squared distance to inf, which is
+    # still the right answer (not a neighbour).
+    with np.errstate(over="ignore"):
+        row = np.linalg.norm(pos[i] - pos, axis=1) <= world.comm_radius
     row[i] = False
     return row
 

@@ -3,8 +3,8 @@
 Every error raised by the library derives from :class:`SliceKitError` so
 callers can trap the whole family with a single except clause.  The CLI maps
 :class:`ConfigError` to exit code 2 and every other error, raised once a run
-is under way (such as :class:`AssumptionViolated`, :class:`InfeasibleWeights`
-or :class:`NonConvergence`), to exit code 4.  Exit code 3 is a certification
+is under way (such as :class:`AssumptionViolated` or
+:class:`InfeasibleWeights`), to exit code 4.  Exit code 3 is a certification
 verdict of "not certified" (which is a result, not an error).
 """
 
@@ -23,21 +23,9 @@ class DimensionMismatch(SliceKitError):
     """Operands have incompatible shapes."""
 
 
-class NonConvergence(SliceKitError):
-    """Power iteration failed to settle within the iteration budget."""
-
-
 class AssumptionViolated(SliceKitError):
-    """An update row holds NaN or infinity, or an update matrix failed
-    validation while the engine runs strict.
-
-    Carries the offending :class:`~slicekit.matrix_core.ValidationReport` in
-    ``report`` when available.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    """A matrix holds NaN or infinity, or an update failed validation
+    while the engine runs strict."""
 
 
 class NoSubStochasticRow(SliceKitError):

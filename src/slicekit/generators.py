@@ -72,24 +72,17 @@ def random_product_sequence(
         row = int(rng.integers(n))
         if form == 0:
             d = int(rng.integers(2, max_support + 1))
-            others = rng.choice(
-                [j for j in range(n) if j != row], size=d - 1, replace=False
-            )
-            support = np.concatenate(([row], others))
-            weights = params.beta1 + (1.0 - d * params.beta1) * rng.dirichlet(
-                np.ones(d)
-            )
-            p_row = np.zeros(n)
-            p_row[support] = weights
         else:
             d = int(rng.integers(1, n + 1))
-            others = rng.choice(
-                [j for j in range(n) if j != row], size=d - 1, replace=False
+        idx = rng.choice(n - 1, d - 1, replace=False)
+        support = np.concatenate(([row], idx + (idx >= row)))
+        p_row = np.zeros(n)
+        if form == 0:
+            p_row[support] = params.beta1 + (1.0 - d * params.beta1) * rng.dirichlet(
+                np.ones(d)
             )
-            # astype: with n = 1, ``others`` is an empty float array.
-            support = np.concatenate(([row], others)).astype(int)
+        else:
             mass = params.beta2 * float(rng.uniform(0.0, 1.0))
-            p_row = np.zeros(n)
             p_row[support] = mass * rng.dirichlet(np.ones(d))
         out.append(row_update(n, row, p_row))
     return out

@@ -20,7 +20,6 @@ weight actually used, and ``tol`` the classification tolerance.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,19 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolated,
-    DimensionMismatch,
-    NegativeEntry,
-    NonConvergence,
-)
+from .errors import AssumptionViolated, DimensionMismatch, NegativeEntry
 
 __all__ = [
     "Params",
-    "RowKind",
     "SystemMatrix",
-    "AssumptionCheck",
-    "ValidationReport",
     "validate_update",
     "inf_norm",
     "spectral_radius",
@@ -73,14 +64,6 @@ class Params:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
-
-
-class RowKind(enum.Enum):
-    """Classification of a single update row."""
-
-    STOCHASTIC = "stochastic"
-    SUB_STOCHASTIC = "sub_stochastic"
-    IDENTITY_ROW = "identity_row"
 
 
 def _as_matrix(a: np.ndarray | Sequence, name: str = "matrix") -> np.ndarray:
@@ -189,158 +172,57 @@ def row_update(
     return SystemMatrix(n, len(b_row) if s is None else s, row, p_row, b_row)
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    """Outcome of one validation rule: whether it applied and whether it
-    passed, with human-readable failure details."""
+def validate_update(m: SystemMatrix, params: Params) -> tuple[str, ...]:
+    """The admissibility rules one update fails; empty means admissible.
+    Only the updated row is examined: every other row is the identity's by
+    construction.
 
-    applicable: bool
-    passed: bool
-    failures: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return (not self.applicable) or self.passed
-
-
-_NOT_APPLICABLE = AssumptionCheck(applicable=False, passed=True)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-assumption verdicts for a single update matrix.
-
-    ``anchor_free_sum`` requires an anchor-free fused row to sum to one.
-    ``weight_floor`` requires every nonzero weight of an anchor-free fusion,
-    the (mandatory) self-weight included, to lie in [beta1, 1).
-    ``anchor_discount`` requires a fused row carrying anchor mass (or
-    withholding mass) to keep its sensor-row sum at or below beta2 and every
-    used anchor weight at or above alpha.  ``coupling`` (optional) requires
-    every full row over sensors and anchors to sum to exactly one.
+    Every row must be non-negative and total at most one.  A row whose
+    sensor part sums to one (within ``tol``) is an anchor-free fusion: it
+    carries no anchor weight, keeps a self-weight, and every nonzero weight
+    lies in [beta1, 1).  Any other non-identity row keeps its sensor sum at
+    or below beta2 and every used anchor weight at or above alpha.
     """
-
-    updated_row: int | None
-    update_kind: RowKind | None
-    structure: AssumptionCheck
-    anchor_free_sum: AssumptionCheck
-    weight_floor: AssumptionCheck
-    anchor_discount: AssumptionCheck
-    coupling: AssumptionCheck
-
-    @property
-    def checks(self) -> dict[str, AssumptionCheck]:
-        return {
-            "structure": self.structure,
-            "anchor_free_sum": self.anchor_free_sum,
-            "weight_floor": self.weight_floor,
-            "anchor_discount": self.anchor_discount,
-            "coupling": self.coupling,
-        }
-
-    @property
-    def ok(self) -> bool:
-        return all(check.ok for check in self.checks.values())
-
-    def summary(self) -> str:
-        parts = []
-        for name, check in self.checks.items():
-            if not check.applicable:
-                continue
-            state = "pass" if check.passed else "FAIL"
-            parts.append(f"{name}={state}")
-            for f in check.failures:
-                parts.append(f"  ({f})")
-        return "; ".join(parts) if parts else "identity step, nothing to check"
-
-
-def validate_update(
-    m: SystemMatrix, params: Params, require_coupling: bool = False
-) -> ValidationReport:
-    """Check one update against the admissibility rules.  Only the updated
-    row is examined: every other row is the identity's by construction.
-
-    Never raises: every defect lands in the report.  ``require_coupling``
-    additionally demands that the full row over [p | b] sums to one, as the
-    leader-follower protocol guarantees by construction.
-    """
-    tol = params.tol
     i = m.updated_row
-    structure_issues: list[str] = []
-    total = 1.0
-    if i is not None:
-        p_row, b_row = m.p_row, m.b_row
-        if np.any(p_row < -tol) or np.any(b_row < -tol):
-            structure_issues.append("negative entry")
-        total = float(p_row.sum()) + float(b_row.sum())
-        if total > 1.0 + tol:
-            structure_issues.append(f"row {i} sums to {total!r} > 1 + tol")
-    structure = AssumptionCheck(True, not structure_issues, tuple(structure_issues))
-
-    coupling = _NOT_APPLICABLE
-    if require_coupling:
-        fails = () if abs(total - 1.0) <= tol else (f"row {i} totals {total!r} != 1",)
-        coupling = AssumptionCheck(True, not fails, fails)
-
-    if i is None or m.is_identity(tol):
-        return ValidationReport(
-            updated_row=i,
-            update_kind=RowKind.IDENTITY_ROW if i is not None else None,
-            structure=structure,
-            anchor_free_sum=_NOT_APPLICABLE,
-            weight_floor=_NOT_APPLICABLE,
-            anchor_discount=_NOT_APPLICABLE,
-            coupling=coupling,
-        )
-
+    if i is None:
+        return ()
+    tol = params.tol
+    p_row, b_row = m.p_row, m.b_row
+    fails: list[str] = []
+    if p_row.min() < -tol or (b_row.size and b_row.min() < -tol):
+        fails.append("negative entry")
     p_sum = float(p_row.sum())
-    kind = RowKind.SUB_STOCHASTIC if p_sum < 1.0 - tol else RowKind.STOCHASTIC
+    total = p_sum + float(b_row.sum())
+    if total > 1.0 + tol:
+        fails.append(f"row {i} sums to {total!r} > 1 + tol")
+    if m.is_identity(tol):
+        return tuple(fails)
 
-    anchor_free_sum = _NOT_APPLICABLE
-    weight_floor = _NOT_APPLICABLE
-    anchor_discount = _NOT_APPLICABLE
-
-    if kind is RowKind.STOCHASTIC:
-        fails = []
-        if np.any(b_row > tol):
-            fails.append("anchor weight present on a row whose sensor part sums to 1")
+    if p_sum >= 1.0 - tol:
+        if b_row.size and b_row.max() > tol:
+            fails.append(
+                "anchor weight present on a row whose sensor part sums to 1"
+            )
         if abs(p_sum - 1.0) > tol:
             fails.append(f"sensor row sum {p_sum!r} != 1")
-        anchor_free_sum = AssumptionCheck(True, not fails, tuple(fails))
-
-        fails = []
         if p_row[i] <= tol:
             fails.append("self-weight is zero")
-        nz = np.nonzero(p_row > tol)[0]
-        for j in nz:
-            w = p_row[j]
+        for j in np.nonzero(p_row > tol)[0]:
+            w = float(p_row[j])
             if w < params.beta1 - tol:
                 fails.append(f"weight {w!r} at column {j} below beta1={params.beta1}")
             if w >= 1.0 - tol:
                 fails.append(f"weight {w!r} at column {j} reaches 1")
-        weight_floor = AssumptionCheck(True, not fails, tuple(fails))
     else:
-        fails = []
         if p_sum > params.beta2 + tol:
-            fails.append(
-                f"sensor row sum {p_sum!r} exceeds beta2={params.beta2}"
-            )
-        used = np.nonzero(b_row > tol)[0]
-        for j in used:
-            if b_row[j] < params.alpha - tol:
+            fails.append(f"sensor row sum {p_sum!r} exceeds beta2={params.beta2}")
+        for j in np.nonzero(b_row > tol)[0]:
+            w = float(b_row[j])
+            if w < params.alpha - tol:
                 fails.append(
-                    f"anchor weight {b_row[j]!r} at column {j} below alpha={params.alpha}"
+                    f"anchor weight {w!r} at column {j} below alpha={params.alpha}"
                 )
-        anchor_discount = AssumptionCheck(True, not fails, tuple(fails))
-
-    return ValidationReport(
-        updated_row=i,
-        update_kind=kind,
-        structure=structure,
-        anchor_free_sum=anchor_free_sum,
-        weight_floor=weight_floor,
-        anchor_discount=anchor_discount,
-        coupling=coupling,
-    )
+    return tuple(fails)
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -351,46 +233,21 @@ def inf_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def spectral_radius(
-    a: np.ndarray,
-    iter_tol: float = 1e-10,
-    max_iter: int = 100_000,
-    shift: float = 1e-9,
-) -> float:
-    """Largest eigenvalue magnitude of a non-negative matrix.
+def spectral_radius(a: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a non-negative matrix, clamped into
+    [0, inf_norm(a)].
 
-    Power iteration on ``a + shift*I``; the diagonal shift breaks pure
-    cycles so the dominant eigenvalue of the shifted matrix is the one with
-    the largest real part, which for non-negative ``a`` is the one sought.
-    Intended for (products of) update matrices, where the iteration settles
-    quickly; raises :class:`NonConvergence` past ``max_iter``.  The result
-    is clamped into [0, inf_norm(a)].
+    Raises :class:`AssumptionViolated` when the matrix holds NaN or
+    infinity and :class:`NegativeEntry` when an entry is negative.
     """
     a = _as_matrix(a, "a")
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch(f"spectral radius needs a square matrix, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise AssumptionViolated("spectral_radius got a matrix with a non-finite entry")
     if np.any(a < 0):
         raise NegativeEntry("spectral_radius expects a non-negative matrix")
     if n == 0:
         return 0.0
-    ceiling = inf_norm(a)
-    if ceiling == 0.0:
-        return 0.0
-    shifted = a + shift * np.eye(n)
-    v = np.full(n, 1.0 / n)
-    est = 0.0
-    for _ in range(max_iter):
-        w = shifted @ v
-        total = float(w.sum())
-        if total <= 1e-300:
-            return 0.0
-        new_est = total / float(v.sum())
-        v = w / total
-        if abs(new_est - est) <= iter_tol * max(1.0, abs(new_est)):
-            return float(min(max(new_est - shift, 0.0), ceiling))
-        est = new_est
-    raise NonConvergence(
-        f"power iteration did not settle within {max_iter} iterations"
-    )
-
+    return min(float(np.abs(np.linalg.eigvals(a)).max()), inf_norm(a))

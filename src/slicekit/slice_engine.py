@@ -148,11 +148,9 @@ def push(
     if m.is_identity(params.tol):
         return state, [SliceEvent(SliceEventKind.SKIPPED, k=k)]
     if strict:
-        report = validate_update(m, params)
-        if not report.ok:
-            raise AssumptionViolated(
-                f"update failed validation: {report.summary()}", report=report
-            )
+        fails = validate_update(m, params)
+        if fails:
+            raise AssumptionViolated(f"update failed validation: {'; '.join(fails)}")
 
     this_k = state.next_k
     state.next_k += 1

@@ -181,6 +181,26 @@ class TestLeaderFollower:
         )
         assert main(["lf", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
+    def test_far_apart_regions_run_silently(self, tmp_path, capsys):
+        # Squared distances between centres 2e200 apart overflow to inf,
+        # which still means "not a neighbour"; stderr stays empty.
+        cfg = write_config(
+            tmp_path / "lf.json",
+            {
+                "mode": "lf",
+                "n": 2,
+                "horizon": 50,
+                "seed": 0,
+                "regions": {
+                    "sensors": [[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0]],
+                    "anchors": [[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0]],
+                },
+            },
+        )
+        capsys.readouterr()
+        assert main(["lf", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("comm_radius", ["1.5*innermost", 2.0])
     def test_negative_region_radius_is_named(self, tmp_path, capsys, comm_radius):
         cfg = write_config(
@@ -407,6 +427,20 @@ class TestConfigHandling:
         assert main(["lf", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_run_too_large_for_memory_exits_runtime_with_one_line(
+        self, tmp_path, capsys
+    ):
+        # A valid config whose n x n running product (728 TiB) cannot be
+        # allocated; the request fails at once.
+        cfg = write_config(
+            tmp_path / "c.json", {"mode": "products", "n": 10_000_000, "horizon": 0}
+        )
+        capsys.readouterr()
+        argv = ["products", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory")
 
     @pytest.mark.parametrize(
         "mode, payload, log_text, named",

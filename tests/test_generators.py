@@ -26,7 +26,7 @@ class TestRandomProductSequence:
     def test_every_matrix_validates(self):
         rng = np.random.default_rng(0)
         for m in random_product_sequence(5, PARAMS, 100, rng=rng):
-            assert validate_update(m, PARAMS).ok
+            assert validate_update(m, PARAMS) == ()
             assert inf_norm(m.p) <= 1.0 + 1e-12
 
     def test_deterministic_for_a_seed(self):
@@ -82,7 +82,7 @@ class TestRandomProductSequence:
         mats = random_product_sequence(1, PARAMS, 40, rng=np.random.default_rng(0))
         assert any(not m.is_identity() for m in mats)
         for m in mats:
-            assert validate_update(m, PARAMS).ok
+            assert validate_update(m, PARAMS) == ()
             assert m.is_identity() or m.p[0, 0] <= PARAMS.beta2
 
     def test_form_weights_are_relative_masses(self):
@@ -122,7 +122,7 @@ class TestWorstCaseSequence:
     def test_every_step_validates_strictly(self):
         params = Params(beta1=0.2, beta2=0.6)
         for m in worst_case_slice_sequence(3, 6, params):
-            assert validate_update(m, params).ok
+            assert validate_update(m, params) == ()
 
     def test_rejects_length_below_n(self):
         with pytest.raises(InvalidLength):

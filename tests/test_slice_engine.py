@@ -185,9 +185,19 @@ class TestPush:
 
     def test_strict_mode_rejects_floor_violation(self):
         state = SliceState(n=2)
-        with pytest.raises(AssumptionViolated) as excinfo:
+        message = (
+            r"^update failed validation: weight 0\.01 at column 1 below beta1=0\.05$"
+        )
+        with pytest.raises(AssumptionViolated, match=message):
             push(state, stoch_update(2, 0, [0.99, 0.01]), PARAMS)
-        assert excinfo.value.report is not None
+
+    def test_strict_mode_names_every_failed_rule(self):
+        message = (
+            r"^update failed validation: self-weight is zero; "
+            r"weight 1\.0 at column 1 reaches 1$"
+        )
+        with pytest.raises(AssumptionViolated, match=message):
+            push(SliceState(n=2), stoch_update(2, 0, [0.0, 1.0]), PARAMS)
 
     def test_permissive_mode_accepts_rule_violations(self):
         state = SliceState(n=2)
