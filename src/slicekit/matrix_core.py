@@ -189,7 +189,7 @@ def validate_update(m: SystemMatrix, params: Params) -> tuple[str, ...]:
     tol = params.tol
     p_row, b_row = m.p_row, m.b_row
     fails: list[str] = []
-    if p_row.min() < -tol or (b_row.size and b_row.min() < -tol):
+    if p_row.min() < -tol or b_row.min(initial=0.0) < -tol:
         fails.append("negative entry")
     p_sum = float(p_row.sum())
     total = p_sum + float(b_row.sum())
@@ -199,7 +199,7 @@ def validate_update(m: SystemMatrix, params: Params) -> tuple[str, ...]:
         return tuple(fails)
 
     if p_sum >= 1.0 - tol:
-        if b_row.size and b_row.max() > tol:
+        if b_row.max(initial=0.0) > tol:
             fails.append(
                 "anchor weight present on a row whose sensor part sums to 1"
             )
