@@ -27,10 +27,10 @@ lengths whose margins underflow as floats.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,6 +39,7 @@ import numpy as np
 from .bounds import log_slice_norm_gap, slice_norm_bound
 from .errors import InvalidLength, InvalidSubset, MeaninglessBound
 from .matrix_core import Params
+from .tables import write_table
 
 __all__ = [
     "Verdict",
@@ -391,19 +392,10 @@ def write_certificate(
     trace_name = None
     if cert.trace is not None:
         trace_name = f"{stem}_trace.csv"
-        with (directory / trace_name).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "length", "cumulative_product", "neg_log_sum"])
-            tr = cert.trace
-            for t in range(tr.lengths.size):
-                writer.writerow(
-                    [
-                        t,
-                        int(tr.lengths[t]),
-                        f"{tr.products[t]:.17g}",
-                        f"{tr.neg_log_sums[t]:.17g}",
-                    ]
-                )
+        tr = cert.trace
+        columns = (tr.lengths.tolist(), tr.products.tolist(), tr.neg_log_sums.tolist())
+        header = "t,length,cumulative_product,neg_log_sum"
+        write_table(directory / trace_name, header, "%d,%d,%.17g,%.17g", zip(count(), *columns))
     text_path = directory / f"{stem}.txt"
     text_path.write_text(format_certificate(cert, trace_csv=trace_name))
     return text_path

@@ -18,6 +18,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -41,10 +42,11 @@ from .ddf_sim import (
     write_positions_csv,
     write_trajectory_csv,
 )
-from .errors import ConfigError, SliceKitError
+from .errors import ConfigError, InvalidLength, InvalidSubset, SliceKitError
 from .generators import random_product_sequence
 from .matrix_core import Params, inf_norm, spectral_radius
 from .slice_engine import run_sequence, write_event_log, write_slice_log
+from .tables import write_table
 
 __all__ = ["ExperimentConfig", "cmd_products", "cmd_leader_follower", "cmd_certify", "main"]
 
@@ -182,38 +184,17 @@ def cmd_products(config: ExperimentConfig) -> int:
     slices, events, _ = run_sequence(matrices, config.params, strict=strict)
 
     out = config.make_out_dir()
-    running = np.eye(n)
-    with (out / "per_k.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "inf_norm", "spectral_radius"])
-        for k, m in enumerate(matrices):
-            running = m.apply(running)
-            writer.writerow(
-                [
-                    k,
-                    f"{inf_norm(running):.17g}",
-                    f"{spectral_radius(running):.17g}",
-                ]
-            )
+    running = accumulate(matrices, lambda j, m: m.apply(j), initial=np.eye(n))
+    next(running)  # the empty product
+    rows = ((k, inf_norm(j), spectral_radius(j)) for k, j in enumerate(running))
+    write_table(out / "per_k.csv", "k,inf_norm,spectral_radius", "%d,%.17g,%.17g", rows)
     write_slice_log(slices, out / "slices.csv")
     write_event_log(events, out / "events.csv")
-    cumulative = np.eye(n)
-    with (out / "slice_boundaries.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "end_k", "length", "slice_norm", "cumulative_norm"]
-        )
-        for s in slices:
-            cumulative = s.product @ cumulative
-            writer.writerow(
-                [
-                    s.index,
-                    s.end_k,
-                    s.length,
-                    f"{s.norm:.17g}",
-                    f"{inf_norm(cumulative):.17g}",
-                ]
-            )
+    cumulative = accumulate((s.product for s in slices), lambda c, p: p @ c, initial=np.eye(n))
+    next(cumulative)  # the empty product
+    rows = ((s.index, s.end_k, s.length, s.norm, inf_norm(c)) for s, c in zip(slices, cumulative))
+    header = "t,end_k,length,slice_norm,cumulative_norm"
+    write_table(out / "slice_boundaries.csv", header, "%d,%d,%d,%.17g,%.17g", rows)
     (out / "plot_products.gp").write_text(_products_plot_script())
     _echo_config(config)
     print(
@@ -314,12 +295,9 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
         write_positions_csv(result.positions, out / "positions.csv")
     write_slice_log(result.slices, out / "slices.csv")
     write_event_log(result.events, out / "events.csv")
-    with (out / "steady_state.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slice_index", "residual", "ok"])
-        for s, n_t in zip(result.slices, result.slice_inputs):
-            check = steady_state_check(s.product, n_t)
-            writer.writerow([s.index, f"{check.residual:.17g}", int(check.ok)])
+    checks = map(steady_state_check, (s.product for s in result.slices), result.slice_inputs)
+    rows = ((s.index, c.residual, c.ok) for s, c in zip(result.slices, checks))
+    write_table(out / "steady_state.csv", "slice_index,residual,ok", "%d,%.17g,%d", rows)
     (out / "plot_states.gp").write_text(_states_plot_script(world))
     (out / "plot_trajectories.gp").write_text(_trajectories_plot_script(world))
     _echo_config(config)
@@ -404,32 +382,37 @@ def cmd_certify(config: ExperimentConfig) -> int:
     attempts: list[Certificate] = []
     cert: Certificate | None = None
 
-    if config.get("case1_cap") is not None:
-        candidate = certify_case1(
-            lengths, config.value("case1_cap", int, None), config.params
-        )
-        attempts.append(candidate)
-        if candidate.certified:
-            cert = candidate
-    if cert is None and config.get("case2") is not None:
-        meta = config.get("case2")
-        if not isinstance(meta, dict) or "cap" not in meta or "subset" not in meta:
-            raise ConfigError("case2 metadata needs 'cap' and 'subset'")
-        candidate = certify_case2(
-            lengths,
-            _value(meta, "cap", int, None),
-            _value(meta, "subset", lambda v: [int(t) for t in v], None),
-            config.params,
-            subset_declared_infinite=_value(meta, "infinite_family", _flag, False),
-        )
-        attempts.append(candidate)
-        if candidate.certified:
-            cert = candidate
-    if cert is None:
-        candidate = search_case3(lengths, config.params)
-        attempts.append(candidate)
-        if candidate.certified:
-            cert = candidate
+    # The routes check their inputs; a bad cap, subset or logged length is
+    # a fault of the config or the log, not of the run.
+    try:
+        if config.get("case1_cap") is not None:
+            candidate = certify_case1(
+                lengths, config.value("case1_cap", int, None), config.params
+            )
+            attempts.append(candidate)
+            if candidate.certified:
+                cert = candidate
+        if cert is None and config.get("case2") is not None:
+            meta = config.get("case2")
+            if not isinstance(meta, dict) or "cap" not in meta or "subset" not in meta:
+                raise ConfigError("case2 metadata needs 'cap' and 'subset'")
+            candidate = certify_case2(
+                lengths,
+                _value(meta, "cap", int, None),
+                _value(meta, "subset", lambda v: [int(t) for t in v], None),
+                config.params,
+                subset_declared_infinite=_value(meta, "infinite_family", _flag, False),
+            )
+            attempts.append(candidate)
+            if candidate.certified:
+                cert = candidate
+        if cert is None:
+            candidate = search_case3(lengths, config.params)
+            attempts.append(candidate)
+            if candidate.certified:
+                cert = candidate
+    except (InvalidLength, InvalidSubset) as exc:
+        raise ConfigError(f"cannot certify {log_path}: {exc}") from exc
 
     out = config.make_out_dir()
     if cert is None:

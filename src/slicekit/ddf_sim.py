@@ -22,7 +22,6 @@ drives all sensor states to the anchor value.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +32,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params, SystemMatrix, identity_step, row_update
 from .slice_engine import Slice, SliceEvent, SliceState, push
+from .tables import write_table
 
 __all__ = [
     "World",
@@ -377,7 +377,7 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         for ev in evs:
             if ev.slice is not None:
                 slices.append(ev.slice)
-                slice_inputs.append(n_accum.copy())
+                slice_inputs.append(n_accum)
                 n_accum = np.zeros((n, s))
         events.extend(evs)
         states[k + 1] = x
@@ -421,19 +421,13 @@ def steady_state_check(
 
 def write_trajectory_csv(states: np.ndarray, path: str | Path) -> None:
     """CSV ``k,sensor,state`` with k = 0 the initial state."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "sensor", "state"])
-        for k, row in enumerate(np.asarray(states)):
-            for i, v in enumerate(row):
-                writer.writerow([k, i, f"{v:.17g}"])
+    frames = enumerate(np.asarray(states))
+    rows = ((k, i, v) for k, frame in frames for i, v in enumerate(frame.tolist()))
+    write_table(path, "k,sensor,state", "%d,%d,%.17g", rows)
 
 
 def write_positions_csv(positions: np.ndarray, path: str | Path) -> None:
     """CSV ``k,node,x,y``; nodes are sensors 0..n-1 then anchors."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "node", "x", "y"])
-        for k, frame in enumerate(np.asarray(positions)):
-            for node, (px, py) in enumerate(frame):
-                writer.writerow([k, node, f"{px:.17g}", f"{py:.17g}"])
+    frames = enumerate(np.asarray(positions))
+    rows = ((k, i, x, y) for k, frame in frames for i, (x, y) in enumerate(frame.tolist()))
+    write_table(path, "k,node,x,y", "%d,%d,%.17g,%.17g", rows)

@@ -29,6 +29,7 @@ import numpy as np
 from .bounds import slice_norm_bound
 from .errors import AssumptionViolated
 from .matrix_core import Params, SystemMatrix, inf_norm, validate_update
+from .tables import write_table
 
 __all__ = [
     "Slice",
@@ -105,7 +106,6 @@ class SliceState:
     k_local: int = 0
     h: dict[int, int] = field(default_factory=dict)
     g: dict[int, int] = field(default_factory=dict)
-    started: bool = False
     start_k: int | None = None
     next_k: int = 0
     completed: int = 0
@@ -120,7 +120,6 @@ class SliceState:
         self.k_local = 0
         self.h = {}
         self.g = {}
-        self.started = False
         self.start_k = None
 
 
@@ -169,8 +168,7 @@ def push(
     events: list[SliceEvent] = []
     informed_now = row_sum < 1.0 - params.tol
     if informed_now and i not in state.informed:
-        if not state.started:
-            state.started = True
+        if not state.h:
             events.append(SliceEvent(SliceEventKind.STARTED, k=k))
         state.h.setdefault(i, state.k_local)
         state.informed.add(i)
@@ -207,7 +205,6 @@ def run_sequence(
     matrices: Iterable[SystemMatrix],
     params: Params,
     strict: bool = True,
-    state: SliceState | None = None,
 ) -> RunResult:
     """Drive a whole sequence through :func:`push`.
 
@@ -215,6 +212,7 @@ def run_sequence(
     the raw input index), and the residual state of the open window."""
     slices: list[Slice] = []
     events: list[SliceEvent] = []
+    state: SliceState | None = None
     for k, m in enumerate(matrices):
         if state is None:
             state = SliceState(n=m.n)
@@ -240,22 +238,8 @@ _SLICE_LOG_COLUMNS = dict(
 
 def write_slice_log(slices: Sequence[Slice], path: str | Path) -> Path:
     """CSV with one line per completed slice."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_SLICE_LOG_COLUMNS))
-        for s in slices:
-            writer.writerow(
-                [
-                    s.index,
-                    s.start_k,
-                    s.end_k,
-                    s.length,
-                    f"{s.norm:.17g}",
-                    f"{s.bound:.17g}",
-                ]
-            )
-    return path
+    rows = ((s.index, s.start_k, s.end_k, s.length, s.norm, s.bound) for s in slices)
+    return write_table(path, ",".join(_SLICE_LOG_COLUMNS), "%d,%d,%d,%d,%.17g,%.17g", rows)
 
 
 def read_slice_log(path: str | Path) -> list[dict]:
@@ -269,18 +253,14 @@ def read_slice_log(path: str | Path) -> list[dict]:
 
 
 def write_event_log(events: Sequence[SliceEvent], path: str | Path) -> Path:
-    """CSV with one line per engine event."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "event", "row", "row_sum_after"])
-        for ev in events:
-            writer.writerow(
-                [
-                    "" if ev.k is None else ev.k,
-                    ev.kind.value,
-                    "" if ev.row is None else ev.row,
-                    "" if ev.row_sum_after is None else f"{ev.row_sum_after:.17g}",
-                ]
-            )
-    return path
+    """CSV with one line per engine event; absent fields are left empty."""
+    rows = (
+        (
+            "" if ev.k is None else ev.k,
+            ev.kind.value,
+            "" if ev.row is None else ev.row,
+            "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
+        )
+        for ev in events
+    )
+    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", rows)

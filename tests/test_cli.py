@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from slicekit.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_RUNTIME, main
 
 SLICE_LOG = "slice_index,start_k,end_k,length,norm,bound\n0,0,4,5,0.5,0.9\n"
+TWO_ENTRY_LOG = SLICE_LOG + "1,5,9,5,0.5,0.9\n"
 
 
 def write_config(path, payload):
@@ -64,16 +65,32 @@ class TestProducts:
         assert len((out / "slices.csv").read_text().splitlines()) == 1
 
     def test_reruns_are_byte_identical(self, tmp_path, products_config):
-        out = tmp_path / "out"
-        main(["products", "--config", products_config, "--out", str(out)])
-        first = {
-            p.name: p.read_bytes() for p in out.iterdir() if p.is_file()
-        }
-        main(["products", "--config", products_config, "--out", str(out)])
-        second = {
-            p.name: p.read_bytes() for p in out.iterdir() if p.is_file()
-        }
-        assert first == second
+        # Each mode runs twice into the same directory; certify reads the
+        # products run's slice log, so that runs first.
+        lf_config = write_config(
+            tmp_path / "lf.json", {"mode": "lf", "n": 4, "horizon": 400, "seed": 0}
+        )
+        certify_config = write_config(
+            tmp_path / "certify.json",
+            {
+                "mode": "certify",
+                "slice_log": "products/slices.csv",
+                "beta1": 0.05,
+                "beta2": 0.7,
+                "case1_cap": 60,
+            },
+        )
+        for mode, cfg in (
+            ("products", products_config),
+            ("lf", lf_config),
+            ("certify", certify_config),
+        ):
+            out = tmp_path / mode
+            runs = []
+            for _ in range(2):
+                assert main([mode, "--config", cfg, "--out", str(out)]) == EXIT_OK
+                runs.append({p.name: p.read_bytes() for p in out.iterdir() if p.is_file()})
+            assert runs[0] == runs[1], mode
 
     def test_seed_override_changes_the_data(self, tmp_path, products_config):
         out_a = tmp_path / "a"
@@ -453,6 +470,12 @@ class TestConfigHandling:
             ("certify", {"slice_log": "no\nsuch.csv"}, SLICE_LOG, "no such.csv"),
             ("products", {"out_dir": "slices.csv"}, SLICE_LOG, "output directory"),
             ("products", {"out_dir": "a\0"}, SLICE_LOG, "out_dir"),
+            ("certify", {"case1_cap": 0}, SLICE_LOG, "cap must be >= 1"),
+            ("certify", {"case2": {"cap": 0, "subset": [0]}}, SLICE_LOG, "cap must be >= 1"),
+            ("certify", {"case2": {"cap": 9, "subset": [7]}}, TWO_ENTRY_LOG, "out of range"),
+            ("certify", {"case2": {"cap": 9, "subset": [0, 0]}}, SLICE_LOG, "duplicate"),
+            ("certify", {}, SLICE_LOG.replace("4,5,", "4,0,"), "lengths must be >= 1"),
+            ("certify", {}, SLICE_LOG.replace("4,5,", "4,-2,"), "lengths must be >= 1"),
         ],
         ids=[
             "slice_log-number",
@@ -463,6 +486,12 @@ class TestConfigHandling:
             "slice_log-newline",
             "out_dir-existing-file",
             "out_dir-nul-byte",
+            "case1_cap-zero",
+            "case2-cap-zero",
+            "case2-subset-out-of-range",
+            "case2-subset-duplicate",
+            "log-zero-length",
+            "log-negative-length",
         ],
     )
     def test_bad_inputs_exit_config_with_one_line(

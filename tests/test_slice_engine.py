@@ -404,8 +404,7 @@ def dense_push(state, m, params, k=None):
         state.g[int(r)] = state.k_local
 
     events = []
-    if gained and not state.started:
-        state.started = True
+    if gained and not state.h:
         events.append(SliceEvent(SliceEventKind.STARTED, k=k))
     for r in gained:
         state.h.setdefault(r, state.k_local)
