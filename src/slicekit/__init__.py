@@ -21,12 +21,8 @@ The library splits into layers that can be used independently:
 from __future__ import annotations
 
 from .bounds import (
-    RowBoundInput,
-    beta4,
-    combined_row_bound,
     log_slice_norm_gap,
-    row_bound_no_substochastic,
-    row_bound_with_substochastic,
+    row_bound,
     slice_norm_bound,
     slice_norm_gap,
 )
@@ -68,7 +64,6 @@ from .errors import (
     InvalidSubset,
     MeaninglessBound,
     NegativeEntry,
-    NoSubStochasticRow,
     SliceKitError,
 )
 from .generators import (
@@ -107,7 +102,6 @@ __all__ = [
     "NegativeEntry",
     "DimensionMismatch",
     "AssumptionViolated",
-    "NoSubStochasticRow",
     "InvalidIndex",
     "InvalidLength",
     "InvalidSubset",
@@ -123,11 +117,7 @@ __all__ = [
     "inf_norm",
     "spectral_radius",
     # bounds
-    "RowBoundInput",
-    "beta4",
-    "row_bound_no_substochastic",
-    "row_bound_with_substochastic",
-    "combined_row_bound",
+    "row_bound",
     "slice_norm_bound",
     "slice_norm_gap",
     "log_slice_norm_gap",

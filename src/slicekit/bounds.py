@@ -21,56 +21,16 @@ underflows (around L = 700 at beta1 = 0.05).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvalidIndex, InvalidLength, NoSubStochasticRow
+from .errors import InvalidIndex, InvalidLength
 from .matrix_core import Params
 
 __all__ = [
-    "RowBoundInput",
-    "beta4",
-    "row_bound_no_substochastic",
-    "row_bound_with_substochastic",
-    "combined_row_bound",
+    "row_bound",
     "slice_norm_bound",
     "slice_norm_gap",
     "log_slice_norm_gap",
 ]
-
-
-@dataclass(frozen=True)
-class RowBoundInput:
-    """Per-row slice statistics feeding the bound formulas.
-
-    slice_len: total number of matrices in the slice, at least 1.
-    h: 1-based within-slice index of the row's success, if it happened.
-    g: 1-based index of the row's last direct sub-stochastic update, absent
-       when the row only ever took stochastic updates.
-    beta4: largest sub-stochastic row sum of the product just before index
-       ``h``; required on the stochastic-only route.
-    """
-
-    slice_len: int
-    h: int | None = None
-    g: int | None = None
-    beta4: float | None = None
-
-
-def beta4(j_prev: np.ndarray, params: Params) -> float:
-    """Largest sub-stochastic row sum of a running product.
-
-    ``j_prev`` is the product immediately before the update of interest.
-    Raises :class:`NoSubStochasticRow` when every row still sums to one.
-    """
-    sums = np.asarray(j_prev, dtype=float).sum(axis=1)
-    informed = sums[sums < 1.0 - params.tol]
-    if informed.size == 0:
-        raise NoSubStochasticRow(
-            "product has no sub-stochastic row, the statistic is undefined"
-        )
-    return float(informed.max())
 
 
 def _check_len(slice_len: int) -> None:
@@ -78,46 +38,37 @@ def _check_len(slice_len: int) -> None:
         raise InvalidLength(f"slice length must be at least 1, got {slice_len}")
 
 
-def row_bound_no_substochastic(inp: RowBoundInput, params: Params) -> float:
-    """Final row-sum bound for a row informed only through its neighbors.
+def row_bound(
+    slice_len: int,
+    params: Params,
+    *,
+    h: int | None = None,
+    g: int | None = None,
+    beta4: float | None = None,
+) -> float:
+    """Final row-sum bound ``1 + beta1**(L - l) * (beta - 1)`` for one row
+    of a slice of length ``L = slice_len``.
 
-    Requires ``h >= 2`` (a slice cannot open with a stochastic update at the
-    row itself) and ``beta4 < 1``.
+    A row whose last direct sub-stochastic update sits at 1-based index
+    ``g`` takes ``(l, beta) = (g, beta2)``, and ``h`` and ``beta4`` are then
+    ignored. Any other row takes ``(l, beta) = (h - 1, beta4)``: ``h`` in
+    ``2..L`` is its success index and ``beta4`` in ``[0, 1)`` the largest
+    sub-stochastic row sum of the product just before ``h``.
     """
-    _check_len(inp.slice_len)
-    if inp.g is not None:
+    _check_len(slice_len)
+    if g is not None:
+        if g < 1 or g > slice_len:
+            raise InvalidIndex(
+                f"update index g={g} invalid for slice length {slice_len}"
+            )
+        return 1.0 + params.beta1 ** (slice_len - g) * (params.beta2 - 1.0)
+    if h is None or h < 2 or h > slice_len:
         raise InvalidIndex(
-            "row took a direct sub-stochastic update, use the other route"
+            f"success index h={h} invalid for slice length {slice_len}"
         )
-    if inp.h is None or inp.h < 2 or inp.h > inp.slice_len:
-        raise InvalidIndex(
-            f"success index h={inp.h} invalid for slice length {inp.slice_len}"
-        )
-    if inp.beta4 is None or not 0.0 <= inp.beta4 < 1.0:
-        raise InvalidIndex(f"beta4={inp.beta4} must lie in [0, 1)")
-    exponent = inp.slice_len - inp.h + 1
-    return 1.0 + params.beta1**exponent * (inp.beta4 - 1.0)
-
-
-def row_bound_with_substochastic(inp: RowBoundInput, params: Params) -> float:
-    """Final row-sum bound for a row that took a direct sub-stochastic
-    update, the last one at index ``g``."""
-    _check_len(inp.slice_len)
-    if inp.g is None or inp.g < 1 or inp.g > inp.slice_len:
-        raise InvalidIndex(
-            f"update index g={inp.g} invalid for slice length {inp.slice_len}"
-        )
-    exponent = inp.slice_len - inp.g
-    return 1.0 + params.beta1**exponent * (params.beta2 - 1.0)
-
-
-def combined_row_bound(inp: RowBoundInput, params: Params) -> float:
-    """Route to whichever row bound applies: stochastic-only rows use
-    ``l = h - 1`` against ``beta4``, rows with a direct sub-stochastic
-    update use ``l = g`` against ``beta2``."""
-    if inp.g is None:
-        return row_bound_no_substochastic(inp, params)
-    return row_bound_with_substochastic(inp, params)
+    if beta4 is None or not 0.0 <= beta4 < 1.0:
+        raise InvalidIndex(f"beta4={beta4} must lie in [0, 1)")
+    return 1.0 + params.beta1 ** (slice_len - h + 1) * (beta4 - 1.0)
 
 
 def slice_norm_bound(length: int, params: Params) -> float:

@@ -88,11 +88,21 @@ class BoundTrace:
     neg_log_sums: np.ndarray
 
 
-def bound_trace(lengths: Sequence[int], params: Params) -> BoundTrace:
-    """Trace the certified contraction along ``lengths`` in the given order."""
-    arr = np.asarray(list(lengths), dtype=int)
+def _length_array(lengths: Sequence[int]) -> np.ndarray:
+    """``lengths`` as an int64 array; a length below 1 or beyond int64
+    raises :class:`InvalidLength`."""
+    try:
+        arr = np.asarray(list(lengths), dtype=np.int64)
+    except OverflowError as exc:
+        raise InvalidLength(f"slice lengths must fit in 64 bits: {exc}") from exc
     if arr.size and arr.min() < 1:
         raise InvalidLength(f"slice lengths must be >= 1, got min {arr.min()}")
+    return arr
+
+
+def bound_trace(lengths: Sequence[int], params: Params) -> BoundTrace:
+    """Trace the certified contraction along ``lengths`` in the given order."""
+    arr = _length_array(lengths)
     log_gaps = np.array(
         [log_slice_norm_gap(int(L), params) for L in arr], dtype=float
     )
@@ -139,11 +149,9 @@ def certify_case1(
     the uniform per-slice norm bound ``delta = 1 + beta1**(n_cap-1) *
     (beta2 - 1) < 1``.
     """
-    arr = list(int(v) for v in lengths)
+    arr = _length_array(lengths).tolist()
     if not arr:
         return _not_certified(0, ["no completed slices in the sample"])
-    if min(arr) < 1:
-        raise InvalidLength(f"slice lengths must be >= 1, got min {min(arr)}")
     if n_cap < 1:
         raise InvalidLength(f"cap must be >= 1, got {n_cap}")
     offenders = [(t, L) for t, L in enumerate(arr) if L > n_cap]
@@ -186,12 +194,10 @@ def certify_case2(
     infinite, so the caller must keep ``subset_declared_infinite`` true (the
     certificate records this proviso) or the verdict is not certified.
     """
-    arr = list(int(v) for v in lengths)
+    arr = _length_array(lengths).tolist()
     horizon = len(arr)
     if not arr:
         return _not_certified(0, ["no completed slices in the sample"])
-    if min(arr) < 1:
-        raise InvalidLength(f"slice lengths must be >= 1, got min {min(arr)}")
     if infinite_subset_cap < 1:
         raise InvalidLength(f"cap must be >= 1, got {infinite_subset_cap}")
     idx = list(int(t) for t in subset)
@@ -282,12 +288,10 @@ def certify_case3(
     k-th smallest cap cannot cover the k-th smallest length); if all ranks
     pass, the pairing itself is the witness assignment.
     """
-    arr = np.asarray(list(lengths), dtype=int)
+    arr = _length_array(lengths)
     horizon = int(arr.size)
     if horizon == 0:
         return _not_certified(0, ["no completed slices in the sample"])
-    if arr.min() < 1:
-        raise InvalidLength(f"slice lengths must be >= 1, got min {arr.min()}")
     caps = np.array(
         [case3_length_cap(i, gamma1, gamma2, params) for i in range(1, horizon + 1)]
     )
@@ -330,6 +334,7 @@ def search_case3(lengths: Sequence[int], params: Params) -> Certificate:
     """Return the first gamma1 of the grid that certifies at the rate floor
     ``MIN_GAMMA2``, skipping any whose caps are undefined; not certified
     when none does."""
+    lengths = _length_array(lengths)
     for g1 in DEFAULT_GAMMA1_GRID:
         try:
             cert = certify_case3(lengths, g1, MIN_GAMMA2, params)
@@ -338,7 +343,7 @@ def search_case3(lengths: Sequence[int], params: Params) -> Certificate:
         if cert.certified:
             return cert
     return _not_certified(
-        len(list(lengths)),
+        lengths.size,
         [f"no gamma1 in the grid {DEFAULT_GAMMA1_GRID} certifies at the "
          f"rate floor gamma2 = {MIN_GAMMA2}"],
     )

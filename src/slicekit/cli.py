@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -65,6 +65,7 @@ class ExperimentConfig:
     seed: int
     out_dir: Path
     params: Params
+    config_dir: Path
 
     @classmethod
     def load(
@@ -88,8 +89,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config declares mode {file_mode!r} but the command is {mode!r}"
             )
-        raw.setdefault("_config_dir", str(path.parent))
-        seed = _value(raw, "seed", int, 0) if seed_override is None else seed_override
+        seed = _value(raw, "seed", _int, 0) if seed_override is None else seed_override
         if seed < 0:
             raise ConfigError("seed must be non-negative")
         config_out = _value(raw, "out_dir", _text, "out")
@@ -103,7 +103,9 @@ class ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad weight parameters: {exc}") from exc
-        return cls(mode=mode, raw=raw, seed=seed, out_dir=out_dir, params=params)
+        return cls(
+            mode=mode, raw=raw, seed=seed, out_dir=out_dir, params=params, config_dir=path.parent
+        )
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.raw.get(key, default)
@@ -140,6 +142,16 @@ def _flag(value: Any) -> bool:
     return value
 
 
+def _int(value: Any) -> int:
+    """A JSON integer or an integral float such as ``4.0``; booleans,
+    strings, fractions, NaN and infinities are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _text(value: Any) -> str:
     """A JSON string usable as a path; numbers, lists and strings holding a
     NUL byte are refused."""
@@ -151,9 +163,7 @@ def _text(value: Any) -> str:
 
 
 def _echo_config(config: ExperimentConfig) -> None:
-    resolved = {
-        k: v for k, v in config.raw.items() if not k.startswith("_")
-    }
+    resolved = dict(config.raw)
     resolved["mode"] = config.mode
     resolved["seed"] = config.seed
     resolved["out_dir"] = str(config.out_dir)
@@ -164,8 +174,8 @@ def _echo_config(config: ExperimentConfig) -> None:
 
 def cmd_products(config: ExperimentConfig) -> int:
     """Generate a random product sequence, slice it, and log norms."""
-    n = config.value("n", int, 4)
-    horizon = config.value("horizon", int, 200)
+    n = config.value("n", _int, 4)
+    horizon = config.value("horizon", _int, 200)
     if n < 1 or horizon < 0:
         raise ConfigError(f"need n >= 1 and horizon >= 0, got n={n}, horizon={horizon}")
     strict = config.value("strict", _flag, True)
@@ -225,7 +235,7 @@ def _products_plot_script() -> str:
 
 
 def _build_world(config: ExperimentConfig) -> World:
-    n = config.value("n", int, 4)
+    n = config.value("n", _int, 4)
     u = config.value("u", float, 3.0)
     sigma = config.value("sigma", float, 0.2)
     update_prob = config.value("update_prob", float, 1.0)
@@ -276,7 +286,7 @@ def _build_world(config: ExperimentConfig) -> World:
 def cmd_leader_follower(config: ExperimentConfig) -> int:
     """Run the mobile fusion protocol and log states, positions, slices,
     and the per-slice steady-state identity residuals."""
-    horizon = config.value("horizon", int, 200)
+    horizon = config.value("horizon", _int, 200)
     if horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {horizon}")
     world = _build_world(config)
@@ -367,7 +377,7 @@ def cmd_certify(config: ExperimentConfig) -> int:
         raise ConfigError("certify needs 'slice_log' pointing at a slice CSV")
     log_path = Path(log_value)
     if not log_path.is_absolute():
-        log_path = Path(config.get("_config_dir", ".")) / log_path
+        log_path = config.config_dir / log_path
     if not log_path.exists():
         raise ConfigError(f"slice log {log_path} does not exist")
     from .slice_engine import read_slice_log
@@ -387,7 +397,7 @@ def cmd_certify(config: ExperimentConfig) -> int:
     try:
         if config.get("case1_cap") is not None:
             candidate = certify_case1(
-                lengths, config.value("case1_cap", int, None), config.params
+                lengths, config.value("case1_cap", _int, None), config.params
             )
             attempts.append(candidate)
             if candidate.certified:
@@ -398,8 +408,8 @@ def cmd_certify(config: ExperimentConfig) -> int:
                 raise ConfigError("case2 metadata needs 'cap' and 'subset'")
             candidate = certify_case2(
                 lengths,
-                _value(meta, "cap", int, None),
-                _value(meta, "subset", lambda v: [int(t) for t in v], None),
+                _value(meta, "cap", _int, None),
+                _value(meta, "subset", lambda v: [_int(t) for t in v], None),
                 config.params,
                 subset_declared_infinite=_value(meta, "infinite_family", _flag, False),
             )
@@ -416,15 +426,8 @@ def cmd_certify(config: ExperimentConfig) -> int:
 
     out = config.make_out_dir()
     if cert is None:
-        notes = [note for c in attempts for note in c.notes]
-        cert = Certificate(
-            verdict=attempts[-1].verdict,
-            case_used=None,
-            witnesses={},
-            trace=None,
-            horizon=len(lengths),
-            notes=tuple(notes),
-        )
+        # The last attempt is always search_case3's not-certified result.
+        cert = replace(attempts[-1], notes=tuple(note for c in attempts for note in c.notes))
     write_certificate(cert, out)
     _echo_config(config)
     case = cert.case_used.value if cert.case_used else "none"

@@ -28,11 +28,6 @@ class AssumptionViolated(SliceKitError):
     while the engine runs strict."""
 
 
-class NoSubStochasticRow(SliceKitError):
-    """A contraction statistic was requested for a product with no
-    sub-stochastic row."""
-
-
 class InvalidIndex(SliceKitError):
     """An update-position index is outside the valid range for its slice."""
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +11,9 @@ from hypothesis import strategies as st
 from slicekit import (
     InvalidIndex,
     InvalidLength,
-    NoSubStochasticRow,
     Params,
-    RowBoundInput,
-    beta4,
-    combined_row_bound,
     log_slice_norm_gap,
-    row_bound_no_substochastic,
-    row_bound_with_substochastic,
+    row_bound,
     slice_norm_bound,
     slice_norm_gap,
 )
@@ -33,87 +27,52 @@ params_strategy = st.builds(
 )
 
 
-class TestBeta4:
-    def test_single_substochastic_row(self):
-        # [DERIVED] only the first row is below one
-        j = np.array([[0.3, 0.2], [0.0, 1.0]])
-        assert beta4(j, PARAMS) == pytest.approx(0.5)
-
-    def test_max_over_substochastic_rows(self):
-        # [DERIVED] max(0.5, 0.3)
-        j = np.array([[0.3, 0.2], [0.1, 0.2]])
-        assert beta4(j, PARAMS) == pytest.approx(0.5)
-
-    def test_undefined_without_substochastic_row(self):
-        with pytest.raises(NoSubStochasticRow):
-            beta4(np.eye(3), PARAMS)
-
-
-class TestRowBoundStochasticOnly:
-    def test_oracle(self):
+class TestRowBound:
+    def test_oracle_without_direct_update(self):
         # [DERIVED] 1 + 0.05 * (0.7 - 1) = 0.985
-        inp = RowBoundInput(slice_len=2, h=2, beta4=0.7)
-        assert row_bound_no_substochastic(inp, PARAMS) == pytest.approx(0.985)
+        assert row_bound(2, PARAMS, h=2, beta4=0.7) == pytest.approx(0.985)
 
-    def test_requires_h_at_least_two(self):
-        with pytest.raises(InvalidIndex):
-            row_bound_no_substochastic(
-                RowBoundInput(slice_len=3, h=1, beta4=0.5), PARAMS
-            )
-
-    def test_h_cannot_exceed_length(self):
-        with pytest.raises(InvalidIndex):
-            row_bound_no_substochastic(
-                RowBoundInput(slice_len=3, h=4, beta4=0.5), PARAMS
-            )
-
-    def test_beta4_must_be_below_one(self):
-        with pytest.raises(InvalidIndex):
-            row_bound_no_substochastic(
-                RowBoundInput(slice_len=3, h=2, beta4=1.0), PARAMS
-            )
-
-    def test_rejects_rows_with_direct_updates(self):
-        with pytest.raises(InvalidIndex):
-            row_bound_no_substochastic(
-                RowBoundInput(slice_len=3, h=2, g=1, beta4=0.5), PARAMS
-            )
-
-
-class TestRowBoundWithDirectUpdate:
-    def test_oracle(self):
+    def test_oracle_with_direct_update(self):
         # [DERIVED] 1 + 0.05**4 * (0.7 - 1) = 0.999998125
-        inp = RowBoundInput(slice_len=5, g=1)
-        assert row_bound_with_substochastic(inp, PARAMS) == pytest.approx(
-            0.999998125, abs=1e-15
-        )
+        assert row_bound(5, PARAMS, g=1) == pytest.approx(0.999998125, abs=1e-15)
 
     def test_late_update_gives_smaller_bound(self):
-        early = row_bound_with_substochastic(
-            RowBoundInput(slice_len=5, g=1), PARAMS
-        )
-        late = row_bound_with_substochastic(
-            RowBoundInput(slice_len=5, g=5), PARAMS
-        )
+        early = row_bound(5, PARAMS, g=1)
+        late = row_bound(5, PARAMS, g=5)
         assert late < early
         assert late == pytest.approx(PARAMS.beta2)
 
-    def test_g_out_of_range(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"h": 1, "beta4": 0.5}, id="h-below-two"),
+            pytest.param({"h": 4, "beta4": 0.5}, id="h-above-length"),
+            pytest.param({"beta4": 0.5}, id="h-missing"),
+            pytest.param({"h": 2, "beta4": 1.0}, id="beta4-one"),
+            pytest.param({"h": 2, "beta4": -0.1}, id="beta4-negative"),
+            pytest.param({"h": 2}, id="beta4-missing"),
+            pytest.param({"g": 0}, id="g-zero"),
+            pytest.param({"g": 4}, id="g-above-length"),
+        ],
+    )
+    def test_invalid_index(self, kwargs):
         with pytest.raises(InvalidIndex):
-            row_bound_with_substochastic(RowBoundInput(slice_len=3, g=0), PARAMS)
-        with pytest.raises(InvalidIndex):
-            row_bound_with_substochastic(RowBoundInput(slice_len=3, g=4), PARAMS)
+            row_bound(3, PARAMS, **kwargs)
 
+    def test_rejects_nonpositive_length(self):
+        with pytest.raises(InvalidLength):
+            row_bound(0, PARAMS, g=1)
 
-class TestCombinedRowBound:
     def test_dispatch_on_direct_update(self):
-        with_g = RowBoundInput(slice_len=4, h=2, g=3, beta4=0.5)
-        without_g = RowBoundInput(slice_len=4, h=2, beta4=0.5)
-        assert combined_row_bound(with_g, PARAMS) == row_bound_with_substochastic(
-            with_g, PARAMS
+        # with g given, h and beta4 are ignored, even when out of range
+        assert row_bound(4, PARAMS, h=2, g=3, beta4=0.5) == row_bound(
+            4, PARAMS, g=3
         )
-        assert combined_row_bound(without_g, PARAMS) == row_bound_no_substochastic(
-            without_g, PARAMS
+        assert row_bound(4, PARAMS, h=9, g=3, beta4=1.5) == row_bound(
+            4, PARAMS, g=3
+        )
+        assert row_bound(4, PARAMS, h=2, beta4=0.5) == 1.0 + PARAMS.beta1**3 * (
+            0.5 - 1.0
         )
 
     @given(
@@ -126,18 +85,29 @@ class TestCombinedRowBound:
         """Any admissible per-row statistic yields a row bound at most the
         slice-level bound, provided the running product obeyed the row-sum
         cap (beta4 <= beta2) at the success index."""
-        use_g = data.draw(st.booleans())
-        if use_g:
-            g = data.draw(st.integers(1, slice_len))
-            inp = RowBoundInput(slice_len=slice_len, g=g)
+        if data.draw(st.booleans()):
+            bound = row_bound(
+                slice_len, params, g=data.draw(st.integers(1, slice_len))
+            )
         else:
-            h = data.draw(st.integers(2, slice_len))
-            b4 = data.draw(st.floats(0.0, params.beta2))
-            inp = RowBoundInput(slice_len=slice_len, h=h, beta4=b4)
-        assert (
-            combined_row_bound(inp, params)
-            <= slice_norm_bound(slice_len, params) + 1e-12
-        )
+            bound = row_bound(
+                slice_len,
+                params,
+                h=data.draw(st.integers(2, slice_len)),
+                beta4=data.draw(st.floats(0.0, params.beta2)),
+            )
+        assert bound <= slice_norm_bound(slice_len, params) + 1e-12
+
+    @given(params=params_strategy, slice_len=st.integers(1, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_earliest_rows_meet_slice_bound_exactly(self, params, slice_len):
+        """A row updated directly at index 1, or informed at index 2 from a
+        row capped at beta2, attains the slice bound bit for bit, because
+        ``beta2 - 1`` is exactly ``-(1 - beta2)``."""
+        expected = slice_norm_bound(slice_len, params)
+        assert row_bound(slice_len, params, g=1) == expected
+        if slice_len >= 2:
+            assert row_bound(slice_len, params, h=2, beta4=params.beta2) == expected
 
 
 class TestSliceNormBound:

@@ -324,6 +324,16 @@ class TestCertify:
         )
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
+    @pytest.mark.parametrize("config_dir", [5, "elsewhere"])
+    def test_config_dir_key_does_not_move_the_log(self, tmp_path, config_dir):
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "slices.csv").write_text(SLICE_LOG)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"mode": "certify", "slice_log": "slices.csv", "case1_cap": 5, "_config_dir": config_dir},
+        )
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
     def test_missing_log_exits_config(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -422,6 +432,18 @@ class TestConfigHandling:
             ("lf", {"sigma": -1}),
             ("lf", {"sigma": 1e308}),
             ("lf", {"comm_radius": -1}),
+            ("products", {"n": 4.7}),
+            ("products", {"n": True}),
+            ("products", {"horizon": True}),
+            ("lf", {"horizon": 2.5}),
+            ("lf", {"n": "4"}),
+            ("products", {"seed": 1.5}),
+            ("products", {"seed": True}),
+            ("certify", {"case1_cap": 4.5}),
+            ("certify", {"case1_cap": "5"}),
+            ("certify", {"case2": {"cap": 5.5, "subset": [0], "infinite_family": True}}),
+            ("certify", {"case2": {"cap": 5, "subset": [0.5], "infinite_family": True}}),
+            ("certify", {"case2": {"cap": 5, "subset": "0", "infinite_family": True}}),
         ],
     )
     def test_bad_values_exit_config_with_one_line(self, tmp_path, capsys, mode, payload):
@@ -435,6 +457,14 @@ class TestConfigHandling:
         assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        outputs = []
+        for name, n in (("int", 4), ("float", 4.0)):
+            cfg = write_config(tmp_path / f"{name}.json", {"mode": "products", "n": n, "horizon": 20})
+            assert main(["products", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+            outputs.append((tmp_path / name / "per_k.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_runtime_failure_exits_runtime_with_one_line(self, tmp_path, capsys):
         # beta1 = 0.6 is a valid parameter, but no row with two neighbours can
@@ -476,6 +506,7 @@ class TestConfigHandling:
             ("certify", {"case2": {"cap": 9, "subset": [0, 0]}}, SLICE_LOG, "duplicate"),
             ("certify", {}, SLICE_LOG.replace("4,5,", "4,0,"), "lengths must be >= 1"),
             ("certify", {}, SLICE_LOG.replace("4,5,", "4,-2,"), "lengths must be >= 1"),
+            ("certify", {}, SLICE_LOG.replace("4,5,", "4,100000000000000000000,"), "64 bits"),
         ],
         ids=[
             "slice_log-number",
@@ -492,6 +523,7 @@ class TestConfigHandling:
             "case2-subset-duplicate",
             "log-zero-length",
             "log-negative-length",
+            "log-huge-length",
         ],
     )
     def test_bad_inputs_exit_config_with_one_line(
@@ -515,7 +547,7 @@ MODE_KEYS = {
     "lf": ["n", "horizon", "strict", "u", "sigma", "update_prob", "comm_radius", "x0", "regions"],
     "certify": ["slice_log", "case1_cap", "case2"],
 }
-COMMON_KEYS = ["seed", "beta1", "beta2", "alpha", "tol", "out_dir"]
+COMMON_KEYS = ["seed", "beta1", "beta2", "alpha", "tol", "out_dir", "_config_dir"]
 NESTED_KEYS = ["sensors", "anchors", "cap", "subset", "infinite_family"]
 
 # Numbers stay within [-3, 6] (plus NaN and +-inf) and strings within two

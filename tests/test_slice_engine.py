@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 from slicekit import (
     AssumptionViolated,
     Params,
-    RowBoundInput,
     Slice,
     SliceEvent,
     SliceEventKind,
     SliceState,
-    beta4,
-    combined_row_bound,
     identity_step,
     inf_norm,
     push,
     random_product_sequence,
     read_slice_log,
+    row_bound,
     row_update,
     run_sequence,
     slice_norm_bound,
@@ -338,13 +336,14 @@ class TestRowBoundsAgainstRealizedSums:
             row_bounds = []
             for row in range(4):
                 if row in g_all:
-                    inp = RowBoundInput(slice_len=s.length, g=g_all[row])
+                    bound = row_bound(s.length, params, g=g_all[row])
                 else:
-                    b4 = beta4(prefixes[h_all[row] - 1], params)
-                    inp = RowBoundInput(
-                        slice_len=s.length, h=h_all[row], beta4=b4
+                    prev = prefixes[h_all[row] - 1].sum(axis=1)
+                    informed = prev[prev < 1.0 - params.tol]
+                    assert informed.size, "no sub-stochastic row before h"
+                    bound = row_bound(
+                        s.length, params, h=h_all[row], beta4=informed.max()
                     )
-                bound = combined_row_bound(inp, params)
                 assert sums[row] <= bound + 1e-9
                 row_bounds.append(bound)
             # the full chain: norm <= max row bound <= slice-level bound

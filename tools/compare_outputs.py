@@ -10,7 +10,8 @@ the parent commit and this checkout.  The inputs come from
 shared by both trees:
 
 - the 32 lf_demo configs;
-- the 10 certify_growth logs;
+- the 10 certify_growth logs, plus three configs on the first log that
+  certify by case i, certify by case ii, and certify nothing;
 - the first products_n16 config at seeds 0-4;
 - products at n = 4, horizon 200, at seeds 0-4.
 
@@ -40,6 +41,13 @@ from workloads import WORKLOADS, materialise  # noqa: E402
 
 SEED = 100
 PRODUCTS_SEEDS = range(5)
+# Overrides of the first certify_growth config, which certifies by case iii,
+# so that every certify outcome is compared.
+CERTIFY_OUTCOMES = {
+    "case1": {"case1_cap": 5},
+    "case2": {"case2": {"cap": 5, "subset": [0, 1, 2], "infinite_family": True}},
+    "none": {"beta1": 0.01, "case1_cap": 4},
+}
 
 # Runs a JSON list of (name, argv) ops from stdin through slicekit.cli.main,
 # each into OUT_ROOT/name, and prints where slicekit came from and the exit
@@ -62,6 +70,11 @@ def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
     for name in ("lf_demo", "certify_growth"):
         argvs, _, _ = materialise(WORKLOADS[name], SEED, inputs / name)
         ops += [(f"{name}_{j:02d}", argv) for j, argv in enumerate(argvs)]
+    base = json.loads((inputs / "certify_growth" / "config_0.json").read_text())
+    for outcome, overrides in CERTIFY_OUTCOMES.items():
+        path = inputs / "certify_growth" / f"config_0_{outcome}.json"
+        path.write_text(json.dumps({**base, **overrides}) + "\n")
+        ops.append((f"certify_growth_00_{outcome}", ["certify", "--config", str(path)]))
     argvs, _, _ = materialise(WORKLOADS["products_n16"], SEED, inputs / "products_n16")
     ops += [(f"products_n16_seed{s}", [*argvs[0], "--seed", str(s)]) for s in PRODUCTS_SEEDS]
     small = inputs / "products_n4.json"
