@@ -286,14 +286,11 @@ def _build_world(config: ExperimentConfig) -> World:
 def cmd_leader_follower(config: ExperimentConfig) -> int:
     """Run the mobile fusion protocol and log states, positions, slices,
     and the per-slice steady-state identity residuals."""
-    horizon = config.value("horizon", _int, 200)
-    if horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {horizon}")
     world = _build_world(config)
     run_cfg = LeaderFollowerConfig(
         world=world,
         params=config.params,
-        horizon=horizon,
+        horizon=config.value("horizon", _int, 200),
         strict=config.value("strict", _flag, True),
         record_positions=True,
     )

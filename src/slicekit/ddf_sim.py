@@ -18,17 +18,26 @@ forms:
 Every full row therefore sums to one, which makes each completed slice
 satisfy ``M_t 1 + N_t 1 = 1`` for the accumulated input matrix ``N_t`` and
 drives all sensor states to the anchor value.
+
+Step ``k`` draws its motion from ``default_rng([rng_seed, k, 0])`` and its
+fusing sensor from ``default_rng([rng_seed, k, 1])``, so every step is
+reproducible on its own.  A run computes those draws for a block of
+``DRAW_BLOCK`` steps at once (:mod:`slicekit.streams`), bit for bit, without
+building the generators.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params, SystemMatrix, identity_step, row_update
 from .slice_engine import Slice, SliceEvent, SliceState, push
@@ -51,6 +60,16 @@ __all__ = [
     "write_trajectory_csv",
     "write_positions_csv",
 ]
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as a Python int; bools and non-integers are refused."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -83,6 +102,8 @@ class World:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.x.ndim != 1 or self.u.ndim != 1:
             raise DimensionMismatch("sensor states x and anchor states u must be 1-D")
+        if self.n < 1:
+            raise ConfigError("need at least one sensor")
         total = self.n + self.s
         for name, shape in (("pos", (total, 2)), ("center", (total, 2)), ("radius", (total,))):
             if getattr(self, name).shape != shape:
@@ -110,8 +131,10 @@ class World:
                 f"sigma = {self.sigma} moves nodes up to {reach:.6g} from their "
                 f"centres; squared distances overflow past {limit:.6g}"
             )
-        if self.rng_seed < 0:
+        seed = _integer("rng_seed", self.rng_seed)
+        if seed < 0:
             raise ConfigError("rng_seed must be non-negative")
+        object.__setattr__(self, "rng_seed", seed)
         if not 0.0 <= self.update_prob <= 1.0:
             raise ConfigError("update_prob must lie in [0, 1]")
         dist = np.linalg.norm(self.pos - self.center, axis=1)
@@ -210,23 +233,40 @@ def step_motion(world: World, pos: np.ndarray, k: int) -> np.ndarray:
 
     Displacements are uniform over the disk of radius ``sigma * region
     radius``; any move that would exit the region is projected back onto
-    it.  Deterministic given ``rng_seed`` and ``k``: the draw comes from a
-    stream derived from both, not from call history.
+    it.  Deterministic given ``rng_seed`` and ``k``: the draw is that of
+    ``default_rng([rng_seed, k, 0])``, not of call history.  A run draws the
+    same displacements for a whole block of steps at once.
     """
-    rng = np.random.default_rng([world.rng_seed, k, 0])
+    return _project(world, pos + _displacements(world, k, k + 1)[0])
+
+
+def _displacements(world: World, start: int, stop: int) -> np.ndarray:
+    """The ``(stop - start, n + s, 2)`` motion displacements of steps
+    ``start..stop-1``.  Each step's angles then radius fractions are the
+    first ``2 (n + s)`` uniforms of ``default_rng([rng_seed, k, 0])``."""
     total = world.n + world.s
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=total)
-    radii_frac = np.sqrt(rng.uniform(0.0, 1.0, size=total))
-    step_len = world.sigma * world.radius * radii_frac
-    disp = np.column_stack([np.cos(angles), np.sin(angles)]) * step_len[:, None]
-    new_pos = pos + disp
+    draws = streams.doubles(streams.words(world.rng_seed, start, stop, 0, 2 * total))
+    angles = 2.0 * np.pi * draws[:, :total]
+    step_len = world.sigma * world.radius * np.sqrt(draws[:, total:])
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1) * step_len[..., None]
+
+
+def _project(world: World, new_pos: np.ndarray) -> np.ndarray:
+    """Move every node of ``new_pos`` that left its region back onto the
+    region's edge, in place."""
     offset = new_pos - world.center
-    dist = np.linalg.norm(offset, axis=1)
+    dist = _lengths(offset)
     over = dist > world.radius
-    if np.any(over):
+    if over.any():
         scale = world.radius[over] / dist[over]
         new_pos[over] = world.center[over] + offset[over] * scale[:, None]
     return new_pos
+
+
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row, summed as ``numpy.linalg.norm`` sums
+    it, without that function's dispatch."""
+    return np.sqrt((vectors * vectors).sum(axis=1))
 
 
 def neighbors(world: World, pos: np.ndarray, i: int) -> np.ndarray:
@@ -236,7 +276,7 @@ def neighbors(world: World, pos: np.ndarray, i: int) -> np.ndarray:
     # Centres far apart overflow the squared distance to inf, which is
     # still the right answer (not a neighbour).
     with np.errstate(over="ignore"):
-        row = np.linalg.norm(pos[i] - pos, axis=1) <= world.comm_radius
+        row = _lengths(pos[i] - pos) <= world.comm_radius
     row[i] = False
     return row
 
@@ -245,17 +285,38 @@ def build_update(
     world: World, pos: np.ndarray, k: int, params: Params
 ) -> tuple[SystemMatrix, StepRecord]:
     """Draw the sensor that fuses at step ``k`` and build its row from its
-    neighbours at positions ``pos``.
+    neighbours at positions ``pos``.  The draw is that of
+    ``default_rng([rng_seed, k, 1])``; a run draws the same sensors for a
+    whole block of steps at once.
 
     Raises :class:`InfeasibleWeights` when an anchor-free neighborhood is
     too large for the weight floor (more than ``floor(1/beta1)`` members)
     or when the anchor floor cannot fit inside one unit of row mass.
     """
+    return _fuse(world, pos, k, params, _updaters(world, k, k + 1)[0])
+
+
+def _updaters(world: World, start: int, stop: int) -> list[int]:
+    """The sensor that fuses at each of steps ``start..stop-1``, or -1 when
+    the step idles.  Each step draws from ``default_rng([rng_seed, k, 1])``:
+    when ``update_prob < 1`` a ``uniform()`` decides whether it idles, then
+    ``integers(n)`` picks the sensor."""
+    gated = world.update_prob < 1.0
+    block = streams.words(world.rng_seed, start, stop, 1, 1 + gated)
+    who = streams.integers(world.rng_seed, start, 1, block, world.n)
+    if gated:
+        who[streams.doubles(block[:, 0]) >= world.update_prob] = -1
+    return who.tolist()
+
+
+def _fuse(
+    world: World, pos: np.ndarray, k: int, params: Params, i: int
+) -> tuple[SystemMatrix, StepRecord]:
+    """Build the row of sensor ``i`` at step ``k`` (identity when ``i`` is
+    -1, an idle step) from its neighbours at positions ``pos``."""
     n, s = world.n, world.s
-    rng = np.random.default_rng([world.rng_seed, k, 1])
-    if world.update_prob < 1.0 and rng.uniform() >= world.update_prob:
+    if i < 0:
         return identity_step(n, s), StepRecord(k, None, UpdateKind.IDLE)
-    i = int(rng.integers(n))
     row = neighbors(world, pos, i)
     sensor_nbrs = np.nonzero(row[:n])[0]
     anchor_nbrs = np.nonzero(row[n:])[0]
@@ -306,10 +367,11 @@ def lf_step(
 
 @dataclass(frozen=True)
 class LeaderFollowerConfig:
-    """Everything one simulation run needs.
+    """Everything one simulation run needs, checked when built.
 
-    ``stop_when_error_below``, when set (and all anchors share one value),
-    ends the run early once every sensor is within that distance of the
+    ``horizon`` is a non-negative integer.  ``stop_when_error_below``, when
+    set, is finite and non-negative, needs all anchors to share one value,
+    and ends the run early once every sensor is within that distance of the
     anchor value; the step count actually executed is reported back.
     """
 
@@ -319,6 +381,23 @@ class LeaderFollowerConfig:
     strict: bool = True
     record_positions: bool = False
     stop_when_error_below: float | None = None
+
+    def __post_init__(self) -> None:
+        horizon = _integer("horizon", self.horizon)
+        if horizon < 0:
+            raise ConfigError(f"horizon must be >= 0, got {horizon}")
+        object.__setattr__(self, "horizon", horizon)
+        stop = self.stop_when_error_below
+        if stop is not None and (
+            isinstance(stop, bool)
+            or not isinstance(stop, numbers.Real)
+            or not 0.0 <= stop < np.inf
+        ):
+            raise ConfigError(
+                f"stop_when_error_below must be finite and non-negative, got {stop!r}"
+            )
+        if stop is not None and (self.world.s == 0 or np.ptp(self.world.u) > 0):
+            raise ConfigError("early stopping needs a single shared anchor value")
 
 
 @dataclass
@@ -334,6 +413,22 @@ class SimResult:
     events: list[SliceEvent]
     positions: np.ndarray | None
     steps_run: int
+
+
+# Steps whose random draws a run computes at once; it bounds the memory the
+# draws take whatever the horizon.
+DRAW_BLOCK = 1024
+
+
+def _step_draws(world: World, horizon: int) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Each step's index, motion displacements and fusing sensor (as
+    :func:`step_motion` and :func:`build_update` draw them), computed one
+    block of steps at a time."""
+    for start in range(0, horizon, DRAW_BLOCK):
+        stop = min(start + DRAW_BLOCK, horizon)
+        block = zip(_displacements(world, start, stop), _updaters(world, start, stop))
+        for k, (disp, i) in enumerate(block, start):
+            yield k, disp, i
 
 
 def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
@@ -360,17 +455,11 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     state = SliceState(n=n)
     n_accum = np.zeros((n, s))
     anchor_identity = np.eye(s)
-    target = None
-    if config.stop_when_error_below is not None:
-        if s == 0 or np.ptp(world.u) > 0:
-            raise ConfigError(
-                "early stopping needs a single shared anchor value"
-            )
-        target = float(world.u[0])
+    target = None if config.stop_when_error_below is None else float(world.u[0])
     steps_run = 0
-    for k in range(config.horizon):
-        pos = step_motion(world, pos, k)
-        m, _ = build_update(world, pos, k, params)
+    for k, disp, i in _step_draws(world, config.horizon):
+        pos = _project(world, pos + disp)
+        m, _ = _fuse(world, pos, k, params, i)
         x = lf_step(x, m, world.u)
         state, evs = push(state, m, params, strict=config.strict, k=k)
         n_accum = m.apply(n_accum, anchor_identity)

@@ -22,7 +22,14 @@ from slicekit import (
     steady_state_check,
     step_motion,
 )
-from slicekit.ddf_sim import resolve_comm_radius, write_positions_csv, write_trajectory_csv
+from slicekit.ddf_sim import (
+    DRAW_BLOCK,
+    _fuse,
+    resolve_comm_radius,
+    write_positions_csv,
+    write_trajectory_csv,
+)
+from slicekit.slice_engine import SliceState, push
 
 PARAMS = Params(beta1=0.05, beta2=0.7, alpha=0.1)
 
@@ -105,6 +112,26 @@ class TestWorld:
         with pytest.raises(ConfigError, match=r"^sigma"):
             tiny_world(**overrides)
         assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, None, np.float64(2.0)])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"^rng_seed must be an integer"):
+            demo_world(seed=seed)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        w = demo_world(seed=np.int64(7))
+        assert type(w.rng_seed) is int and w.rng_seed == 7
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            demo_world(seed=-1)
+
+    def test_no_sensors_rejected(self):
+        with pytest.raises(ConfigError, match="at least one sensor"):
+            World(
+                pos=np.zeros((1, 2)), center=np.zeros((1, 2)), radius=np.ones(1),
+                x=np.zeros(0), u=np.ones(1), comm_radius=1.0, update_prob=0.0,
+            )
 
     def test_stacked_shapes_must_agree(self):
         with pytest.raises(DimensionMismatch):
@@ -382,6 +409,141 @@ class TestRunLeaderFollower:
         res = run_leader_follower(cfg)
         assert res.positions is not None
         assert res.positions.shape == (51, 5, 2)
+
+
+def reference_run(config):
+    """The run loop with a fresh ``default_rng`` per step and stream, as
+    ``step_motion`` and ``build_update`` drew before streams were computed
+    in blocks.  Returns the states, positions and (kind, k, row) events."""
+    world, params = config.world, config.params
+    total = world.n + world.s
+    pos, x = world.pos, world.x
+    states, positions, events = [x], [pos], []
+    state = SliceState(n=world.n)
+    for k in range(config.horizon):
+        rng = np.random.default_rng([world.rng_seed, k, 0])
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=total)
+        radii_frac = np.sqrt(rng.uniform(0.0, 1.0, size=total))
+        step_len = world.sigma * world.radius * radii_frac
+        pos = pos + np.column_stack([np.cos(angles), np.sin(angles)]) * step_len[:, None]
+        offset = pos - world.center
+        dist = np.linalg.norm(offset, axis=1)
+        over = dist > world.radius
+        pos[over] = world.center[over] + offset[over] * (world.radius[over] / dist[over])[:, None]
+        rng = np.random.default_rng([world.rng_seed, k, 1])
+        if world.update_prob < 1.0 and rng.uniform() >= world.update_prob:
+            i = -1
+        else:
+            i = int(rng.integers(world.n))
+        m, _ = _fuse(world, pos, k, params, i)
+        x = lf_step(x, m, world.u)
+        state, evs = push(state, m, params, strict=config.strict, k=k)
+        events += [(ev.kind, ev.k, ev.row) for ev in evs]
+        states.append(x)
+        positions.append(pos)
+        stop = config.stop_when_error_below
+        if stop is not None and np.max(np.abs(x - world.u[0])) <= stop:
+            break
+    return np.array(states), np.array(positions), events
+
+
+def assert_same_run(config):
+    states, positions, events = reference_run(config)
+    res = run_leader_follower(config)
+    assert res.steps_run == len(states) - 1
+    assert np.array_equal(res.states, states)
+    assert np.array_equal(res.positions, positions)
+    assert [(ev.kind, ev.k, ev.row) for ev in res.events] == events
+
+
+class TestBlockDraws:
+    """Runs draw each step's randomness for a block of steps at once; every
+    draw must equal that of the step's own ``default_rng``."""
+
+    @pytest.mark.parametrize(
+        "horizon", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 3]
+    )
+    @pytest.mark.parametrize(
+        "n, update_prob, seed", [(1, 0.5, 3), (3, 1.0, 2**32 + 7), (5, 0.0, 11), (5, 0.5, 2**64 + 1)]
+    )
+    def test_run_matches_per_step_generators(self, horizon, n, update_prob, seed):
+        w = demo_world(n=n, u=3.0, seed=seed, sigma=0.6, update_prob=update_prob)
+        assert_same_run(
+            LeaderFollowerConfig(world=w, params=PARAMS, horizon=horizon, record_positions=True)
+        )
+
+    def test_early_stop_matches_per_step_generators(self):
+        w = demo_world(n=4, u=3.0, seed=0)
+        cfg = LeaderFollowerConfig(
+            world=w, params=PARAMS, horizon=100_000, record_positions=True,
+            stop_when_error_below=1e-2,
+        )
+        assert_same_run(cfg)
+        assert DRAW_BLOCK < run_leader_follower(cfg).steps_run < 100_000
+
+    def test_public_step_functions_match_per_step_generators(self):
+        w = demo_world(n=4, u=3.0, seed=5, update_prob=0.5)
+        cfg = LeaderFollowerConfig(world=w, params=PARAMS, horizon=30, record_positions=True)
+        _, positions, _ = reference_run(cfg)
+        for k in range(30):
+            assert np.array_equal(step_motion(w, positions[k], k), positions[k + 1])
+            rng = np.random.default_rng([w.rng_seed, k, 1])
+            idle = rng.uniform() >= w.update_prob
+            rec = build_update(w, positions[k + 1], k, PARAMS)[1]
+            assert rec.updating_sensor == (None if idle else int(rng.integers(w.n)))
+
+    def test_demo_run_builds_no_generator(self, monkeypatch):
+        built = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        w = demo_world(n=4, u=3.0, seed=100)
+        run_leader_follower(LeaderFollowerConfig(world=w, params=PARAMS, horizon=800))
+        assert built == []
+
+
+class TestLeaderFollowerConfig:
+    @pytest.mark.parametrize("horizon", [-3, -1])
+    def test_negative_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigError, match=r"^horizon must be >= 0"):
+            LeaderFollowerConfig(world=demo_world(), params=PARAMS, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [2.0, 2.5, "5", True, None])
+    def test_non_integer_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigError, match=r"^horizon must be an integer"):
+            LeaderFollowerConfig(world=demo_world(), params=PARAMS, horizon=horizon)
+
+    def test_numpy_integer_horizon_stored_as_int(self):
+        cfg = LeaderFollowerConfig(world=demo_world(), params=PARAMS, horizon=np.int64(4))
+        assert type(cfg.horizon) is int and cfg.horizon == 4
+
+    @pytest.mark.parametrize("stop", [np.nan, np.inf, -np.inf, -1.0, "0.1", True])
+    def test_bad_stop_threshold_rejected(self, stop):
+        with pytest.raises(ConfigError, match=r"^stop_when_error_below"):
+            LeaderFollowerConfig(
+                world=demo_world(), params=PARAMS, horizon=5, stop_when_error_below=stop
+            )
+
+    def test_stop_threshold_needs_one_anchor_value(self):
+        two_anchors = World(
+            pos=np.zeros((3, 2)), center=np.zeros((3, 2)), radius=np.ones(3),
+            x=np.zeros(1), u=np.array([1.0, 2.0]), comm_radius=1.0,
+        )
+        with pytest.raises(ConfigError, match="single shared anchor value"):
+            LeaderFollowerConfig(
+                world=two_anchors, params=PARAMS, horizon=5, stop_when_error_below=0.1
+            )
+
+    @pytest.mark.parametrize("stop", [0.0, 0, 1e-3, np.float64(0.5)])
+    def test_valid_stop_threshold_accepted(self, stop):
+        cfg = LeaderFollowerConfig(
+            world=demo_world(), params=PARAMS, horizon=5, stop_when_error_below=stop
+        )
+        assert run_leader_follower(cfg).steps_run <= 5
 
 
 class TestSteadyStateCheck:

@@ -9,7 +9,11 @@ the parent commit and this checkout.  The inputs come from
 ``perfbench/workloads.py``'s ``materialise`` at seed 100, built once and
 shared by both trees:
 
-- the 32 lf_demo configs;
+- the 32 lf_demo configs, plus variants of the first one that reach what
+  lf_demo never does: idling steps (``update_prob`` 0.5), 3 and 5
+  sensors, two sensors and two anchors in given ``regions``, a seed of
+  two 32-bit words, and horizons 1, 257 and 1500 (block edges of the
+  random draws);
 - the 10 certify_growth logs, plus three configs on the first log that
   certify by case i, certify by case ii, and certify nothing;
 - the first products_n16 config at seeds 0-4;
@@ -49,6 +53,24 @@ CERTIFY_OUTCOMES = {
     "none": {"beta1": 0.01, "case1_cap": 4},
 }
 
+# Overrides of the first lf_demo config.
+LF_VARIANTS = {
+    "idle": {"update_prob": 0.5},
+    "n3": {"n": 3},
+    "n5": {"n": 5},
+    "regions": {
+        "n": 2,
+        "regions": {
+            "sensors": [[1.5, 0.0, 1.0], [-1.5, 0.0, 1.0]],
+            "anchors": [[0.0, 0.0, 0.8], [0.0, 2.0, 0.8]],
+        },
+    },
+    "seed_2words": {"seed": 2**40 + 3},
+    "h1": {"horizon": 1},
+    "h257": {"horizon": 257},
+    "h1500": {"horizon": 1500},
+}
+
 # Runs a JSON list of (name, argv) ops from stdin through slicekit.cli.main,
 # each into OUT_ROOT/name, and prints where slicekit came from and the exit
 # codes.
@@ -70,11 +92,15 @@ def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
     for name in ("lf_demo", "certify_growth"):
         argvs, _, _ = materialise(WORKLOADS[name], SEED, inputs / name)
         ops += [(f"{name}_{j:02d}", argv) for j, argv in enumerate(argvs)]
-    base = json.loads((inputs / "certify_growth" / "config_0.json").read_text())
-    for outcome, overrides in CERTIFY_OUTCOMES.items():
-        path = inputs / "certify_growth" / f"config_0_{outcome}.json"
-        path.write_text(json.dumps({**base, **overrides}) + "\n")
-        ops.append((f"certify_growth_00_{outcome}", ["certify", "--config", str(path)]))
+    for name, mode, variants in (
+        ("lf_demo", "lf", LF_VARIANTS),
+        ("certify_growth", "certify", CERTIFY_OUTCOMES),
+    ):
+        base = json.loads((inputs / name / "config_0.json").read_text())
+        for variant, overrides in variants.items():
+            path = inputs / name / f"config_0_{variant}.json"
+            path.write_text(json.dumps({**base, **overrides}) + "\n")
+            ops.append((f"{name}_00_{variant}", [mode, "--config", str(path)]))
     argvs, _, _ = materialise(WORKLOADS["products_n16"], SEED, inputs / "products_n16")
     ops += [(f"products_n16_seed{s}", [*argvs[0], "--seed", str(s)]) for s in PRODUCTS_SEEDS]
     small = inputs / "products_n4.json"
