@@ -48,11 +48,9 @@ from .ddf_sim import (
     World,
     build_update,
     demo_world,
-    lf_step,
     neighbors,
     run_leader_follower,
     steady_state_check,
-    step_motion,
 )
 from .errors import (
     AssumptionViolated,
@@ -156,10 +154,8 @@ __all__ = [
     "LeaderFollowerConfig",
     "SimResult",
     "demo_world",
-    "step_motion",
     "neighbors",
     "build_update",
-    "lf_step",
     "run_leader_follower",
     "steady_state_check",
 ]

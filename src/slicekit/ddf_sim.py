@@ -51,10 +51,8 @@ __all__ = [
     "SimResult",
     "demo_world",
     "resolve_comm_radius",
-    "step_motion",
     "neighbors",
     "build_update",
-    "lf_step",
     "run_leader_follower",
     "steady_state_check",
     "write_trajectory_csv",
@@ -227,19 +225,6 @@ def resolve_comm_radius(
     return float(value)
 
 
-def step_motion(world: World, pos: np.ndarray, k: int) -> np.ndarray:
-    """Return the positions after step ``k``: every agent takes one random
-    step from ``pos`` inside its region.
-
-    Displacements are uniform over the disk of radius ``sigma * region
-    radius``; any move that would exit the region is projected back onto
-    it.  Deterministic given ``rng_seed`` and ``k``: the draw is that of
-    ``default_rng([rng_seed, k, 0])``, not of call history.  A run draws the
-    same displacements for a whole block of steps at once.
-    """
-    return _project(world, pos + _displacements(world, k, k + 1)[0])
-
-
 def _displacements(world: World, start: int, stop: int) -> np.ndarray:
     """The ``(stop - start, n + s, 2)`` motion displacements of steps
     ``start..stop-1``.  Each step's angles then radius fractions are the
@@ -281,21 +266,6 @@ def neighbors(world: World, pos: np.ndarray, i: int) -> np.ndarray:
     return row
 
 
-def build_update(
-    world: World, pos: np.ndarray, k: int, params: Params
-) -> tuple[SystemMatrix, StepRecord]:
-    """Draw the sensor that fuses at step ``k`` and build its row from its
-    neighbours at positions ``pos``.  The draw is that of
-    ``default_rng([rng_seed, k, 1])``; a run draws the same sensors for a
-    whole block of steps at once.
-
-    Raises :class:`InfeasibleWeights` when an anchor-free neighborhood is
-    too large for the weight floor (more than ``floor(1/beta1)`` members)
-    or when the anchor floor cannot fit inside one unit of row mass.
-    """
-    return _fuse(world, pos, k, params, _updaters(world, k, k + 1)[0])
-
-
 def _updaters(world: World, start: int, stop: int) -> list[int]:
     """The sensor that fuses at each of steps ``start..stop-1``, or -1 when
     the step idles.  Each step draws from ``default_rng([rng_seed, k, 1])``:
@@ -309,13 +279,23 @@ def _updaters(world: World, start: int, stop: int) -> list[int]:
     return who.tolist()
 
 
-def _fuse(
-    world: World, pos: np.ndarray, k: int, params: Params, i: int
+def build_update(
+    world: World, pos: np.ndarray, k: int, i: int, params: Params
 ) -> tuple[SystemMatrix, StepRecord]:
-    """Build the row of sensor ``i`` at step ``k`` (identity when ``i`` is
-    -1, an idle step) from its neighbours at positions ``pos``."""
+    """Build the row of sensor ``i``, which fuses at step ``k``, from its
+    neighbours at positions ``pos``; ``i = -1`` is an idle step and builds
+    the identity.  A run draws ``i`` from stream 1 of step ``k``; nothing
+    is drawn here.
+
+    Raises :class:`DimensionMismatch` when ``i`` lies outside ``-1..n-1``,
+    and :class:`InfeasibleWeights` when an anchor-free neighborhood is too
+    large for the weight floor (more than ``floor(1/beta1)`` members) or
+    when the anchor floor cannot fit inside one unit of row mass.
+    """
     n, s = world.n, world.s
-    if i < 0:
+    if not -1 <= i < n:
+        raise DimensionMismatch(f"fusing sensor {i} outside range(-1, {n})")
+    if i == -1:
         return identity_step(n, s), StepRecord(k, None, UpdateKind.IDLE)
     row = neighbors(world, pos, i)
     sensor_nbrs = np.nonzero(row[:n])[0]
@@ -326,43 +306,26 @@ def _fuse(
     p_row = np.zeros(n)
     b_row = np.zeros(s)
     group = np.concatenate(([i], sensor_nbrs))  # self plus sensor neighbors
-    if anchor_nbrs.size == 0:
-        if group.size > int(np.floor(1.0 / params.beta1)):
-            raise InfeasibleWeights(
-                f"{group.size} sensors share the row but only "
-                f"floor(1/beta1) = {int(np.floor(1.0 / params.beta1))} "
-                f"weights of at least beta1 = {params.beta1} fit in one row"
-            )
-        p_row[group] = 1.0 / group.size
-        m = row_update(n, i, p_row, b_row)
-        return m, StepRecord(k, i, UpdateKind.STOCHASTIC_UPDATE)
-
     a = anchor_nbrs.size
-    anchor_total = max(params.alpha * a, 1.0 - params.beta2)
-    if anchor_total > 1.0:
-        raise InfeasibleWeights(
-            f"cannot give each of {a} anchors weight alpha = {params.alpha} "
-            "within one unit of row mass"
-        )
+    if a == 0:
+        fit = int(np.floor(1.0 / params.beta1))
+        if group.size > fit:
+            raise InfeasibleWeights(
+                f"{group.size} sensors share the row but only floor(1/beta1) = "
+                f"{fit} weights of at least beta1 = {params.beta1} fit in one row"
+            )
+        anchor_total, kind = 0.0, UpdateKind.STOCHASTIC_UPDATE
+    else:
+        anchor_total = max(params.alpha * a, 1.0 - params.beta2)
+        if anchor_total > 1.0:
+            raise InfeasibleWeights(
+                f"cannot give each of {a} anchors weight alpha = {params.alpha} "
+                "within one unit of row mass"
+            )
+        b_row[anchor_nbrs] = anchor_total / a
+        kind = UpdateKind.SUB_STOCHASTIC_UPDATE
     p_row[group] = (1.0 - anchor_total) / group.size
-    b_row[anchor_nbrs] = anchor_total / a
-    m = row_update(n, i, p_row, b_row)
-    return m, StepRecord(k, i, UpdateKind.SUB_STOCHASTIC_UPDATE)
-
-
-def lf_step(
-    x: np.ndarray, m: SystemMatrix, u: np.ndarray | float
-) -> np.ndarray:
-    """Advance the sensor states one step: ``P x + B u``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.n,):
-        raise DimensionMismatch(f"state must be ({m.n},), got {x.shape}")
-    u_vec = np.asarray(u, dtype=float)
-    if u_vec.ndim == 0:
-        u_vec = np.full(m.s, float(u_vec))
-    if u_vec.shape != (m.s,):
-        raise DimensionMismatch(f"anchor state must be ({m.s},), got {u_vec.shape}")
-    return m.apply(x, u_vec)
+    return row_update(n, i, p_row, b_row), StepRecord(k, i, kind)
 
 
 @dataclass(frozen=True)
@@ -421,14 +384,24 @@ DRAW_BLOCK = 1024
 
 
 def _step_draws(world: World, horizon: int) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Each step's index, motion displacements and fusing sensor (as
-    :func:`step_motion` and :func:`build_update` draw them), computed one
-    block of steps at a time."""
+    """Each step's index, motion displacements and fusing sensor, computed
+    one block of steps at a time.  Stream 0 of step ``k`` holds its motion
+    (:func:`_displacements`) and stream 1 its fusing sensor
+    (:func:`_updaters`)."""
     for start in range(0, horizon, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, horizon)
         block = zip(_displacements(world, start, stop), _updaters(world, start, stop))
         for k, (disp, i) in enumerate(block, start):
             yield k, disp, i
+
+
+def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
+    """Room for ``horizon + 1`` frames of shape ``frame``; a history too
+    large even to index is out of memory too."""
+    try:
+        return np.empty((horizon + 1, *frame))
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
 
 
 def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
@@ -440,13 +413,9 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     params = config.params
     n, s = world.n, world.s
     pos, x = world.pos, world.x
-    states = np.empty((config.horizon + 1, n))
+    states = _history(config.horizon, (n,))
     states[0] = x
-    positions = (
-        np.empty((config.horizon + 1, n + s, 2))
-        if config.record_positions
-        else None
-    )
+    positions = _history(config.horizon, (n + s, 2)) if config.record_positions else None
     if positions is not None:
         positions[0] = pos
     slices: list[Slice] = []
@@ -459,8 +428,8 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     steps_run = 0
     for k, disp, i in _step_draws(world, config.horizon):
         pos = _project(world, pos + disp)
-        m, _ = _fuse(world, pos, k, params, i)
-        x = lf_step(x, m, world.u)
+        m, _ = build_update(world, pos, k, i, params)
+        x = m.apply(x, world.u)
         state, evs = push(state, m, params, strict=config.strict, k=k)
         n_accum = m.apply(n_accum, anchor_identity)
         for ev in evs:

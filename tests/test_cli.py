@@ -475,16 +475,25 @@ class TestConfigHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "mode, payload",
+        [
+            # The n x n running product (728 TiB) cannot be allocated.
+            ("products", {"n": 10_000_000, "horizon": 0}),
+            # The state history's size in bytes overflows a 64-bit index.
+            ("lf", {"horizon": 2**59}),
+            # The history's row count overflows a 64-bit index.
+            ("lf", {"horizon": 10**19}),
+        ],
+    )
     def test_run_too_large_for_memory_exits_runtime_with_one_line(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, mode, payload
     ):
-        # A valid config whose n x n running product (728 TiB) cannot be
-        # allocated; the request fails at once.
-        cfg = write_config(
-            tmp_path / "c.json", {"mode": "products", "n": 10_000_000, "horizon": 0}
-        )
+        # A valid config that the machine cannot hold; the request fails at
+        # once.
+        cfg = write_config(tmp_path / "c.json", {"mode": mode, **payload})
         capsys.readouterr()
-        argv = ["products", "--config", cfg, "--out", str(tmp_path / "o")]
+        argv = [mode, "--config", cfg, "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory")

@@ -15,21 +15,19 @@ from slicekit import (
     World,
     build_update,
     demo_world,
-    lf_step,
     neighbors,
     row_update,
     run_leader_follower,
     steady_state_check,
-    step_motion,
 )
+from slicekit import ddf_sim
 from slicekit.ddf_sim import (
     DRAW_BLOCK,
-    _fuse,
     resolve_comm_radius,
     write_positions_csv,
     write_trajectory_csv,
 )
-from slicekit.slice_engine import SliceState, push
+from slicekit.slice_engine import SliceEventKind, SliceState, push
 
 PARAMS = Params(beta1=0.05, beta2=0.7, alpha=0.1)
 
@@ -145,35 +143,40 @@ class TestWorld:
             resolve_comm_radius("lots", [1.0])
 
 
+def run_positions(world, horizon):
+    """The position history of a run of ``world`` (row 0 the start layout)."""
+    cfg = LeaderFollowerConfig(
+        world=world, params=PARAMS, horizon=horizon, record_positions=True
+    )
+    return run_leader_follower(cfg).positions
+
+
 class TestMotion:
     def test_agents_stay_inside_their_disks(self):
         w = demo_world(n=4, u=3.0, seed=1)
-        pos = w.pos
-        for k in range(200):
-            pos = step_motion(w, pos, k)
-            dist = np.linalg.norm(pos - w.center, axis=1)
-            assert np.all(dist <= w.radius + 1e-9)
+        dist = np.linalg.norm(run_positions(w, 200) - w.center, axis=2)
+        assert np.all(dist <= w.radius + 1e-9)
 
     def test_step_length_is_capped(self):
         w = demo_world(n=4, u=3.0, seed=2, sigma=0.1)
-        moved = step_motion(w, w.pos, 0)
-        jump = np.linalg.norm(moved - w.pos, axis=1)
-        assert np.all(jump <= 0.1 * w.radius + 1e-9)
+        jumps = np.linalg.norm(np.diff(run_positions(w, 50), axis=0), axis=2)
+        assert np.all(jumps <= 0.1 * w.radius + 1e-9)
 
     def test_motion_is_deterministic_per_step(self):
         w = demo_world(n=4, u=3.0, seed=3)
-        assert np.array_equal(step_motion(w, w.pos, 5), step_motion(w, w.pos, 5))
-        assert not np.array_equal(step_motion(w, w.pos, 5), step_motion(w, w.pos, 6))
+        long = run_positions(w, 40)
+        assert np.array_equal(run_positions(w, 20), long[:21])
+        moves = np.diff(long, axis=0)
+        assert not np.array_equal(moves[5], moves[6])
 
     def test_zero_sigma_freezes_everyone(self):
         w = demo_world(n=4, u=3.0, seed=4, sigma=0.0)
-        moved = step_motion(w, w.pos, 0)
-        assert np.array_equal(moved, w.pos)
+        assert np.all(run_positions(w, 20) == w.pos)
 
     def test_start_positions_are_not_modified(self):
         w = demo_world(n=4, u=3.0, seed=4, sigma=1.5)
         start = w.pos.copy()
-        step_motion(w, w.pos, 0)
+        run_positions(w, 20)
         assert np.array_equal(w.pos, start)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -181,11 +184,7 @@ class TestMotion:
         # sigma = 1.5 pushes most steps past the boundary, so the projection
         # runs often; its rounding is relative to the radius.
         w = demo_world(n=4, u=3.0, seed=seed, sigma=1.5)
-        cfg = LeaderFollowerConfig(
-            world=w, params=PARAMS, horizon=300, record_positions=True
-        )
-        res = run_leader_follower(cfg)
-        dist = np.linalg.norm(res.positions - w.center, axis=2)
+        dist = np.linalg.norm(run_positions(w, 300) - w.center, axis=2)
         assert np.all(dist <= w.radius * (1 + 1e-12))
 
 
@@ -239,7 +238,7 @@ class TestBuildUpdate:
     def test_anchor_only_row_oracle(self):
         # [DERIVED] w_a = max(0.1, 0.3) = 0.3, self keeps 0.7
         w = tiny_world()
-        m, rec = build_update(w, w.pos, 0, PARAMS)
+        m, rec = build_update(w, w.pos, 0, 0, PARAMS)
         assert rec.update_kind is UpdateKind.SUB_STOCHASTIC_UPDATE
         assert rec.k == 0 and rec.updating_sensor == 0
         assert m.p[0, 0] == pytest.approx(0.7)
@@ -247,7 +246,7 @@ class TestBuildUpdate:
 
     def test_isolated_sensor_yields_identity(self):
         w = tiny_world(comm_radius=0.1)
-        m, rec = build_update(w, w.pos, 0, PARAMS)
+        m, rec = build_update(w, w.pos, 0, 0, PARAMS)
         assert rec.update_kind is UpdateKind.NO_NEIGHBORS
         assert m.is_identity()
         assert m.updated_row is None
@@ -255,11 +254,12 @@ class TestBuildUpdate:
     def test_reads_the_given_positions(self):
         # The start layout is out of range; the positions passed in are not.
         w = tiny_world(comm_radius=0.6)
-        m, rec = build_update(w, np.array([[0.5, 0.0], [0.0, 0.0]]), 0, PARAMS)
+        m, rec = build_update(w, np.array([[0.5, 0.0], [0.0, 0.0]]), 0, 0, PARAMS)
         assert rec.update_kind is UpdateKind.SUB_STOCHASTIC_UPDATE
         assert m.b[0, 0] == pytest.approx(0.3)
 
-    def test_sensor_group_shares_equally(self):
+    @pytest.mark.parametrize("i, group", [(0, [0, 1]), (1, [0, 1, 2]), (2, [1, 2])])
+    def test_sensor_group_shares_equally(self, i, group):
         centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [50.0, 50.0]])
         w = World(
             pos=centers.copy(),
@@ -270,12 +270,13 @@ class TestBuildUpdate:
             comm_radius=1.5,
             rng_seed=1,
         )
-        m, rec = build_update(w, w.pos, 0, PARAMS)
+        m, rec = build_update(w, w.pos, 7, i, PARAMS)
         assert rec.update_kind is UpdateKind.STOCHASTIC_UPDATE
-        i = m.updated_row
-        nonzero = np.nonzero(m.p[i])[0]
-        assert np.allclose(m.p[i][nonzero], 1.0 / nonzero.size)
-        assert m.p[i].sum() == pytest.approx(1.0)
+        assert rec.k == 7 and rec.updating_sensor == i and m.updated_row == i
+        expected = np.zeros(3)
+        expected[group] = 1.0 / len(group)
+        assert np.array_equal(m.p_row, expected)
+        assert np.array_equal(m.b_row, [0.0])
 
     def test_anchor_weight_floor_binds_with_many_anchors(self):
         params = Params(beta1=0.05, beta2=0.7, alpha=0.2)
@@ -289,7 +290,7 @@ class TestBuildUpdate:
             comm_radius=2.0,
             rng_seed=0,
         )
-        m, _ = build_update(w, w.pos, 0, params)
+        m, _ = build_update(w, w.pos, 0, 0, params)
         # alpha * 3 = 0.6 > 1 - beta2 = 0.3, so each anchor gets exactly alpha
         assert np.allclose(m.b[0], 0.2)
         assert m.p[0, 0] == pytest.approx(0.4)
@@ -307,7 +308,7 @@ class TestBuildUpdate:
             rng_seed=0,
         )
         with pytest.raises(InfeasibleWeights):
-            build_update(w, w.pos, 0, params)
+            build_update(w, w.pos, 0, 0, params)
 
     def test_crowded_sensor_group_is_infeasible(self):
         params = Params(beta1=0.4, beta2=0.7)
@@ -324,26 +325,21 @@ class TestBuildUpdate:
             rng_seed=0,
         )
         with pytest.raises(InfeasibleWeights):
-            build_update(w, w.pos, 0, params)
+            build_update(w, w.pos, 0, 0, params)
 
-    def test_update_prob_zero_idles(self):
-        w = tiny_world(update_prob=0.0)
-        m, rec = build_update(w, w.pos, 0, PARAMS)
+    def test_idle_step_builds_identity(self):
+        w = tiny_world()
+        m, rec = build_update(w, w.pos, 3, -1, PARAMS)
         assert rec.update_kind is UpdateKind.IDLE
-        assert m.is_identity()
+        assert rec.k == 3 and rec.updating_sensor is None
+        assert m.is_identity() and m.updated_row is None
 
-
-class TestLfStep:
-    def test_oracle(self):
-        # [DERIVED] 0.7 * 0 + 0.3 * 3 = 0.9
-        m = row_update(1, 0, [0.7], b_row=[0.3], s=1)
-        assert lf_step(np.array([0.0]), m, 3.0)[0] == pytest.approx(0.9)
-
-    def test_scalar_anchor_broadcasts(self):
-        m = row_update(2, 0, [0.5, 0.2], b_row=[0.15, 0.15], s=2)
-        out = lf_step(np.array([1.0, 1.0]), m, 3.0)
-        assert out[0] == pytest.approx(0.5 + 0.2 + 0.9)
-        assert out[1] == pytest.approx(1.0)
+    @pytest.mark.parametrize("i", [-5, -2, 1, 2, 10])
+    def test_fusing_sensor_out_of_range_rejected(self, i):
+        # Node 1 is the anchor; no index past the one sensor fuses.
+        w = tiny_world()
+        with pytest.raises(DimensionMismatch, match=rf"^fusing sensor {i} outside range\(-1, 1\)$"):
+            build_update(w, w.pos, 0, i, PARAMS)
 
 
 class TestRunLeaderFollower:
@@ -412,9 +408,10 @@ class TestRunLeaderFollower:
 
 
 def reference_run(config):
-    """The run loop with a fresh ``default_rng`` per step and stream, as
-    ``step_motion`` and ``build_update`` drew before streams were computed
-    in blocks.  Returns the states, positions and (kind, k, row) events."""
+    """The run loop with a fresh ``default_rng`` per step and stream, as the
+    simulator drew before it computed each block of steps' draws at once.
+    Only the draws are its own; rows come from ``build_update``.  Returns
+    the states, positions and (kind, k, row) events."""
     world, params = config.world, config.params
     total = world.n + world.s
     pos, x = world.pos, world.x
@@ -435,8 +432,8 @@ def reference_run(config):
             i = -1
         else:
             i = int(rng.integers(world.n))
-        m, _ = _fuse(world, pos, k, params, i)
-        x = lf_step(x, m, world.u)
+        m, _ = build_update(world, pos, k, i, params)
+        x = m.apply(x, world.u)
         state, evs = push(state, m, params, strict=config.strict, k=k)
         events += [(ev.kind, ev.k, ev.row) for ev in evs]
         states.append(x)
@@ -481,17 +478,6 @@ class TestBlockDraws:
         assert_same_run(cfg)
         assert DRAW_BLOCK < run_leader_follower(cfg).steps_run < 100_000
 
-    def test_public_step_functions_match_per_step_generators(self):
-        w = demo_world(n=4, u=3.0, seed=5, update_prob=0.5)
-        cfg = LeaderFollowerConfig(world=w, params=PARAMS, horizon=30, record_positions=True)
-        _, positions, _ = reference_run(cfg)
-        for k in range(30):
-            assert np.array_equal(step_motion(w, positions[k], k), positions[k + 1])
-            rng = np.random.default_rng([w.rng_seed, k, 1])
-            idle = rng.uniform() >= w.update_prob
-            rec = build_update(w, positions[k + 1], k, PARAMS)[1]
-            assert rec.updating_sensor == (None if idle else int(rng.integers(w.n)))
-
     def test_demo_run_builds_no_generator(self, monkeypatch):
         built = []
         real = np.random.default_rng
@@ -504,6 +490,29 @@ class TestBlockDraws:
         w = demo_world(n=4, u=3.0, seed=100)
         run_leader_follower(LeaderFollowerConfig(world=w, params=PARAMS, horizon=800))
         assert built == []
+
+
+class TestOneStepPath:
+    """The run builds every step's row through the public ``build_update``."""
+
+    @pytest.mark.parametrize("update_prob, idle", [(1.0, 0), (0.5, 423), (0.0, 800)])
+    def test_run_builds_each_row_through_build_update(self, monkeypatch, update_prob, idle):
+        kinds = []
+        real = ddf_sim.build_update
+
+        def counting(*args):
+            m, rec = real(*args)
+            kinds.append(rec.update_kind)
+            return m, rec
+
+        monkeypatch.setattr(ddf_sim, "build_update", counting)
+        w = demo_world(n=4, u=3.0, seed=100, update_prob=update_prob)
+        res = run_leader_follower(LeaderFollowerConfig(world=w, params=PARAMS, horizon=800))
+        counts = {kind: kinds.count(kind) for kind in UpdateKind}
+        assert len(kinds) == sum(counts.values()) == res.steps_run == 800
+        skipped = sum(ev.kind is SliceEventKind.SKIPPED for ev in res.events)
+        assert counts[UpdateKind.IDLE] + counts[UpdateKind.NO_NEIGHBORS] == skipped
+        assert counts[UpdateKind.IDLE] == idle
 
 
 class TestLeaderFollowerConfig:

@@ -12,8 +12,10 @@ shared by both trees:
 - the 32 lf_demo configs, plus variants of the first one that reach what
   lf_demo never does: idling steps (``update_prob`` 0.5), 3 and 5
   sensors, two sensors and two anchors in given ``regions``, a seed of
-  two 32-bit words, and horizons 1, 257 and 1500 (block edges of the
-  random draws);
+  two 32-bit words, horizons 1, 257 and 1500 (block edges of the random
+  draws), the permissive engine (``strict`` false), and the two
+  infeasible-weight failures (a sensor group too large for ``beta1``, two
+  anchors too many for ``alpha``), which exit 4;
 - the 10 certify_growth logs, plus three configs on the first log that
   certify by case i, certify by case ii, and certify nothing;
 - the first products_n16 config at seeds 0-4;
@@ -53,22 +55,30 @@ CERTIFY_OUTCOMES = {
     "none": {"beta1": 0.01, "case1_cap": 4},
 }
 
+# Two sensors and two anchors in given regions.
+TWO_ANCHOR_REGIONS = {
+    "n": 2,
+    "regions": {
+        "sensors": [[1.5, 0.0, 1.0], [-1.5, 0.0, 1.0]],
+        "anchors": [[0.0, 0.0, 0.8], [0.0, 2.0, 0.8]],
+    },
+}
+
 # Overrides of the first lf_demo config.
 LF_VARIANTS = {
     "idle": {"update_prob": 0.5},
     "n3": {"n": 3},
     "n5": {"n": 5},
-    "regions": {
-        "n": 2,
-        "regions": {
-            "sensors": [[1.5, 0.0, 1.0], [-1.5, 0.0, 1.0]],
-            "anchors": [[0.0, 0.0, 0.8], [0.0, 2.0, 0.8]],
-        },
-    },
+    "regions": TWO_ANCHOR_REGIONS,
     "seed_2words": {"seed": 2**40 + 3},
     "h1": {"horizon": 1},
     "h257": {"horizon": 257},
     "h1500": {"horizon": 1500},
+    "permissive": {"strict": False},
+    # A sensor and one neighbour cannot both get beta1 = 0.6 in one row.
+    "crowded": {"beta1": 0.6},
+    # Two anchors heard at once cannot each get alpha = 0.6.
+    "anchor_floor": {**TWO_ANCHOR_REGIONS, "alpha": 0.6, "comm_radius": 3.0},
 }
 
 # Runs a JSON list of (name, argv) ops from stdin through slicekit.cli.main,
