@@ -16,146 +16,29 @@ The library splits into layers that can be used independently:
 - :mod:`slicekit.ddf_sim` — disk-confined mobile agents fusing toward an
   anchor value, driving the engine online.
 - :mod:`slicekit.cli` — the ``slicekit`` command-line harness.
+
+Each module's ``__all__`` is its public list; the package re-exports the
+lists of every module above except :mod:`slicekit.cli`.
 """
 
-from __future__ import annotations
-
-from .bounds import (
-    log_slice_norm_gap,
-    row_bound,
-    slice_norm_bound,
-    slice_norm_gap,
-)
-from .certifier import (
-    BoundTrace,
-    Certificate,
-    CertificateCase,
-    Verdict,
-    bound_trace,
-    case3_length_cap,
-    certify_case1,
-    certify_case2,
-    certify_case3,
-    format_certificate,
-    search_case3,
-    write_certificate,
-)
-from .ddf_sim import (
-    LeaderFollowerConfig,
-    SimResult,
-    StepRecord,
-    UpdateKind,
-    World,
-    build_update,
-    demo_world,
-    neighbors,
-    run_leader_follower,
-    steady_state_check,
-)
-from .errors import (
-    AssumptionViolated,
-    ConfigError,
-    DimensionMismatch,
-    InfeasibleWeights,
-    InvalidIndex,
-    InvalidLength,
-    InvalidSubset,
-    MeaninglessBound,
-    NegativeEntry,
-    SliceKitError,
-)
-from .generators import (
-    case3_lengths,
-    random_product_sequence,
-    worst_case_slice_sequence,
-)
-from .matrix_core import (
-    Params,
-    SystemMatrix,
-    identity_step,
-    inf_norm,
-    row_update,
-    spectral_radius,
-    validate_update,
-)
-from .slice_engine import (
-    RunResult,
-    Slice,
-    SliceEvent,
-    SliceEventKind,
-    SliceState,
-    push,
-    read_slice_log,
-    run_sequence,
-    write_event_log,
-    write_slice_log,
-)
+from . import bounds, certifier, ddf_sim, errors, generators, matrix_core, slice_engine
+from .errors import *
+from .matrix_core import *
+from .bounds import *
+from .slice_engine import *
+from .certifier import *
+from .generators import *
+from .ddf_sim import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "SliceKitError",
-    "NegativeEntry",
-    "DimensionMismatch",
-    "AssumptionViolated",
-    "InvalidIndex",
-    "InvalidLength",
-    "InvalidSubset",
-    "MeaninglessBound",
-    "InfeasibleWeights",
-    "ConfigError",
-    # matrix core
-    "Params",
-    "SystemMatrix",
-    "identity_step",
-    "row_update",
-    "validate_update",
-    "inf_norm",
-    "spectral_radius",
-    # bounds
-    "row_bound",
-    "slice_norm_bound",
-    "slice_norm_gap",
-    "log_slice_norm_gap",
-    # engine
-    "Slice",
-    "SliceEvent",
-    "SliceEventKind",
-    "SliceState",
-    "RunResult",
-    "push",
-    "run_sequence",
-    "write_slice_log",
-    "read_slice_log",
-    "write_event_log",
-    # certifier
-    "Verdict",
-    "CertificateCase",
-    "BoundTrace",
-    "Certificate",
-    "bound_trace",
-    "case3_length_cap",
-    "certify_case1",
-    "certify_case2",
-    "certify_case3",
-    "search_case3",
-    "format_certificate",
-    "write_certificate",
-    # generators
-    "random_product_sequence",
-    "worst_case_slice_sequence",
-    "case3_lengths",
-    # simulator
-    "World",
-    "UpdateKind",
-    "StepRecord",
-    "LeaderFollowerConfig",
-    "SimResult",
-    "demo_world",
-    "neighbors",
-    "build_update",
-    "run_leader_follower",
-    "steady_state_check",
+    *errors.__all__,
+    *matrix_core.__all__,
+    *bounds.__all__,
+    *slice_engine.__all__,
+    *certifier.__all__,
+    *generators.__all__,
+    *ddf_sim.__all__,
 ]

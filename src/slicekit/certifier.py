@@ -388,19 +388,18 @@ def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_certificate(
-    cert: Certificate, directory: str | Path, stem: str = "certificate"
-) -> Path:
-    """Write the certificate text plus its trace CSV; returns the text path."""
+def write_certificate(cert: Certificate, directory: str | Path) -> Path:
+    """Write ``certificate.txt`` plus, when the certificate has a trace,
+    ``certificate_trace.csv``; returns the text path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     trace_name = None
     if cert.trace is not None:
-        trace_name = f"{stem}_trace.csv"
+        trace_name = "certificate_trace.csv"
         tr = cert.trace
         columns = (tr.lengths.tolist(), tr.products.tolist(), tr.neg_log_sums.tolist())
         header = "t,length,cumulative_product,neg_log_sum"
         write_table(directory / trace_name, header, "%d,%d,%.17g,%.17g", zip(count(), *columns))
-    text_path = directory / f"{stem}.txt"
+    text_path = directory / "certificate.txt"
     text_path.write_text(format_certificate(cert, trace_csv=trace_name))
     return text_path

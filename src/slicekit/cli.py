@@ -8,7 +8,8 @@ seed reproduces byte-identical files.  Plots are emitted as gnuplot scripts
 over the CSVs rather than rendered in-process, keeping the package free of
 plotting dependencies.  Exit codes: 0 on success, 2 on configuration
 errors, 3 when certification was requested but not achieved, 4 when a run
-fails after its configuration was accepted.
+fails after its configuration was accepted (an ``OSError`` while writing the
+outputs included).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .ddf_sim import (
 from .errors import ConfigError, InvalidLength, InvalidSubset, SliceKitError
 from .generators import random_product_sequence
 from .matrix_core import Params, inf_norm, spectral_radius
-from .slice_engine import run_sequence, write_event_log, write_slice_log
+from .slice_engine import read_slice_log, run_sequence, write_event_log, write_slice_log
 from .tables import write_table
 
 __all__ = ["ExperimentConfig", "cmd_products", "cmd_leader_follower", "cmd_certify", "main"]
@@ -80,7 +81,7 @@ class ExperimentConfig:
             raw = json.loads(path.read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, too deep
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -96,10 +97,10 @@ class ExperimentConfig:
         out_dir = Path(out_override if out_override is not None else config_out)
         try:
             params = Params(
-                beta1=_value(raw, "beta1", float, 0.05),
-                beta2=_value(raw, "beta2", float, 0.7),
-                alpha=_value(raw, "alpha", float, 0.1),
-                tol=_value(raw, "tol", float, 1e-12),
+                beta1=_value(raw, "beta1", _real, 0.05),
+                beta2=_value(raw, "beta2", _real, 0.7),
+                alpha=_value(raw, "alpha", _real, 0.1),
+                tol=_value(raw, "tol", _real, 1e-12),
             )
         except ValueError as exc:
             raise ConfigError(f"bad weight parameters: {exc}") from exc
@@ -152,6 +153,18 @@ def _int(value: Any) -> int:
     return int(value)
 
 
+def _real(value: Any) -> float:
+    """A JSON number; booleans and strings such as ``"0.5"`` are refused."""
+    if isinstance(value, (bool, str)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _reals(values: Any) -> np.ndarray:
+    """A JSON list of numbers, each read as :func:`_real`."""
+    return np.array([_real(v) for v in values], dtype=float)
+
+
 def _text(value: Any) -> str:
     """A JSON string usable as a path; numbers, lists and strings holding a
     NUL byte are refused."""
@@ -185,9 +198,9 @@ def cmd_products(config: ExperimentConfig) -> int:
             config.params,
             horizon,
             rng=np.random.default_rng(config.seed),
-            p_stochastic=config.value("p_stochastic", float, 1.0 / 3.0),
-            p_substochastic=config.value("p_substochastic", float, 1.0 / 3.0),
-            p_identity=config.value("p_identity", float, 1.0 / 3.0),
+            p_stochastic=config.value("p_stochastic", _real, 1.0 / 3.0),
+            p_substochastic=config.value("p_substochastic", _real, 1.0 / 3.0),
+            p_identity=config.value("p_identity", _real, 1.0 / 3.0),
         )
     except ValueError as exc:
         raise ConfigError(f"bad form weights: {exc}") from exc
@@ -236,15 +249,13 @@ def _products_plot_script() -> str:
 
 def _build_world(config: ExperimentConfig) -> World:
     n = config.value("n", _int, 4)
-    u = config.value("u", float, 3.0)
-    sigma = config.value("sigma", float, 0.2)
-    update_prob = config.value("update_prob", float, 1.0)
+    u = config.value("u", _real, 3.0)
+    sigma = config.value("sigma", _real, 0.2)
+    update_prob = config.value("update_prob", _real, 1.0)
     comm = config.value(
-        "comm_radius", lambda v: v if isinstance(v, str) else float(v), "1.5*innermost"
+        "comm_radius", lambda v: v if isinstance(v, str) else _real(v), "1.5*innermost"
     )
-    x0 = config.value(
-        "x0", lambda v: np.zeros(n) if v is None else np.asarray(v, dtype=float), None
-    )
+    x0 = config.value("x0", lambda v: np.zeros(n) if v is None else _reals(v), None)
     if x0.shape != (n,):
         raise ConfigError(f"x0 must hold {n} initial states, got shape {x0.shape}")
     regions = config.get("regions")
@@ -259,9 +270,9 @@ def _build_world(config: ExperimentConfig) -> World:
             update_prob=update_prob,
         )
     try:
-        sensors = np.asarray(regions["sensors"], dtype=float)
-        anchors = np.asarray(regions["anchors"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        sensors = np.array([_reals(row) for row in regions["sensors"]])
+        anchors = np.array([_reals(row) for row in regions["anchors"]])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             "regions must hold 'sensors' and 'anchors' lists of [cx, cy, r]"
         ) from exc
@@ -377,8 +388,6 @@ def cmd_certify(config: ExperimentConfig) -> int:
         log_path = config.config_dir / log_path
     if not log_path.exists():
         raise ConfigError(f"slice log {log_path} does not exist")
-    from .slice_engine import read_slice_log
-
     try:
         lengths = [rec["length"] for rec in read_slice_log(log_path)]
     except KeyError as exc:
@@ -472,6 +481,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError as exc:
         # The config is valid; the machine cannot hold the run.
         print("error: out of memory:", *str(exc).splitlines(), file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:
+        # The config is valid; an output could not be written.
+        print("error:", *str(exc).splitlines(), file=sys.stderr)
         return EXIT_RUNTIME
 
 

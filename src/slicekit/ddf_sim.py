@@ -375,7 +375,10 @@ class SimResult:
     slice_inputs: list[np.ndarray]
     events: list[SliceEvent]
     positions: np.ndarray | None
-    steps_run: int
+
+    @property
+    def steps_run(self) -> int:
+        return self.states.shape[0] - 1
 
 
 # Steps whose random draws a run computes at once; it bounds the memory the
@@ -455,7 +458,6 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         slice_inputs=slice_inputs,
         events=events,
         positions=positions,
-        steps_run=steps_run,
     )
 
 

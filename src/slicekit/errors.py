@@ -4,11 +4,25 @@ Every error raised by the library derives from :class:`SliceKitError` so
 callers can trap the whole family with a single except clause.  The CLI maps
 :class:`ConfigError` to exit code 2 and every other error, raised once a run
 is under way (such as :class:`AssumptionViolated` or
-:class:`InfeasibleWeights`), to exit code 4.  Exit code 3 is a certification
-verdict of "not certified" (which is a result, not an error).
+:class:`InfeasibleWeights`), to exit code 4, as it does an ``OSError`` from
+writing the outputs.  Exit code 3 is a certification verdict of "not
+certified" (which is a result, not an error).
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "SliceKitError",
+    "NegativeEntry",
+    "DimensionMismatch",
+    "AssumptionViolated",
+    "InvalidIndex",
+    "InvalidLength",
+    "InvalidSubset",
+    "MeaninglessBound",
+    "InfeasibleWeights",
+    "ConfigError",
+]
 
 
 class SliceKitError(Exception):

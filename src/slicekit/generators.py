@@ -43,8 +43,9 @@ def random_product_sequence(
 ) -> list[SystemMatrix]:
     """Draw a sequence of admissible single-row updates (anchor block zero).
 
-    The three form weights are relative masses, normalized to one (the
-    ``random.choices`` convention).  Stochastic rows pick a support of
+    The three form weights are finite, non-negative relative masses with a
+    positive, finite total, normalized to one (the ``random.choices``
+    convention).  Stochastic rows pick a support of
     2..min(n, floor(1/beta1)) columns including the updated row itself, so
     every weight can sit in [beta1, 1); sub-stochastic rows pick any support
     including self and a row sum uniform on (0, beta2].  When n = 1 or
@@ -54,11 +55,11 @@ def random_product_sequence(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     masses = np.array([p_stochastic, p_substochastic, p_identity], dtype=float)
-    if np.any(masses < 0):
-        raise ValueError(f"form weights must be non-negative, got {masses}")
-    total = masses.sum()
-    if total <= 0:
-        raise ValueError("form weights must have positive mass")
+    if not np.all(np.isfinite(masses) & (masses >= 0)):
+        raise ValueError(f"form weights must be finite and non-negative, got {masses.tolist()}")
+    total = sum(masses.tolist())  # a Python sum overflows to inf without a warning
+    if not 0 < total < math.inf:
+        raise ValueError(f"form weights must have a positive, finite total, got {total}")
     probs = masses / total
     max_support = min(n, int(math.floor(1.0 / params.beta1)))
     out: list[SystemMatrix] = []

@@ -32,6 +32,8 @@ from .errors import AssumptionViolated, DimensionMismatch, NegativeEntry
 __all__ = [
     "Params",
     "SystemMatrix",
+    "identity_step",
+    "row_update",
     "validate_update",
     "inf_norm",
     "spectral_radius",

@@ -55,16 +55,13 @@ class Slice:
     product: np.ndarray
     start_k: int
     end_k: int
-    length: int
     norm: float
     bound: float
 
-    def __post_init__(self) -> None:
-        if self.length != self.end_k - self.start_k + 1:
-            raise ValueError(
-                f"slice length {self.length} does not match window "
-                f"[{self.start_k}, {self.end_k}]"
-            )
+    @property
+    def length(self) -> int:
+        """The number of matrices in the window."""
+        return self.end_k - self.start_k + 1
 
 
 class SliceEventKind(enum.Enum):
@@ -103,7 +100,6 @@ class SliceState:
     n: int
     j: np.ndarray = field(default=None)  # type: ignore[assignment]
     informed: set[int] = field(default_factory=set)
-    k_local: int = 0
     h: dict[int, int] = field(default_factory=dict)
     g: dict[int, int] = field(default_factory=dict)
     start_k: int | None = None
@@ -114,10 +110,13 @@ class SliceState:
         if self.j is None:
             self.j = np.eye(self.n)
 
+    @property
+    def k_local(self) -> int:
+        return 0 if self.start_k is None else self.next_k - self.start_k
+
     def reset_window(self) -> None:
         self.j = np.eye(self.n)
         self.informed = set()
-        self.k_local = 0
         self.h = {}
         self.g = {}
         self.start_k = None
@@ -155,7 +154,6 @@ def push(
     state.next_k += 1
     if state.start_k is None:
         state.start_k = this_k
-    state.k_local += 1
 
     i = m.updated_row
     state.j = m.apply(state.j)
@@ -185,7 +183,6 @@ def push(
             product=state.j.copy(),
             start_k=state.start_k,
             end_k=this_k,
-            length=state.k_local,
             norm=inf_norm(state.j),
             bound=slice_norm_bound(state.k_local, params),
         )

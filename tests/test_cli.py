@@ -391,6 +391,20 @@ class TestConfigHandling:
         bad.write_text("{not json")
         assert main(["products", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'\xff\xfe{"n":4}', b'{"n": ' + b"1" * 5000 + b"}", b"[" * 10**5 + b"]" * 10**5],
+        ids=["not-utf8", "int-too-long", "nested-too-deep"],
+    )
+    def test_unreadable_config_exits_config_with_one_line(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        argv = ["products", "--config", str(bad), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_mode_mismatch(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"mode": "lf"})
         assert main(["products", "--config", cfg]) == EXIT_CONFIG
@@ -444,6 +458,21 @@ class TestConfigHandling:
             ("certify", {"case2": {"cap": 5.5, "subset": [0], "infinite_family": True}}),
             ("certify", {"case2": {"cap": 5, "subset": [0.5], "infinite_family": True}}),
             ("certify", {"case2": {"cap": 5, "subset": "0", "infinite_family": True}}),
+            ("products", {"beta2": False}),
+            ("products", {"beta1": "0.05"}),
+            ("products", {"tol": True}),
+            ("products", {"p_identity": "1"}),
+            ("lf", {"sigma": True}),
+            ("lf", {"comm_radius": True}),
+            ("lf", {"x0": ["1", "2", "3", True]}),
+            ("lf", {"u": "3"}),
+            ("lf", {"update_prob": True}),
+            ("lf", {"n": 1, "regions": {"sensors": [[0, 0, "1"]], "anchors": [[3, 0, 1]]}}),
+            ("lf", {"n": 1, "regions": {"sensors": [[0, 0, 1]], "anchors": [[3, 0, 10**400]]}}),
+            ("products", {"horizon": 0, "p_stochastic": float("nan")}),
+            ("products", {"horizon": 0, "p_identity": float("inf")}),
+            ("products", {"p_identity": float("inf")}),
+            ("products", {"p_stochastic": 1e308, "p_substochastic": 1e308}),
         ],
     )
     def test_bad_values_exit_config_with_one_line(self, tmp_path, capsys, mode, payload):
@@ -474,6 +503,24 @@ class TestConfigHandling:
         assert main(["lf", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "mode, blocked",
+        [("products", "per_k.csv"), ("lf", "trajectory.csv"), ("certify", "certificate.txt")],
+    )
+    def test_failed_write_exits_runtime_with_one_line(self, tmp_path, capsys, mode, blocked):
+        # A directory where an output file goes: the config is valid, the
+        # write fails.
+        log = tmp_path / "slices.csv"
+        log.write_text(SLICE_LOG)
+        cfg = write_config(
+            tmp_path / "c.json", {"mode": mode, "slice_log": str(log), "horizon": 5}
+        )
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and blocked in err[0]
 
     @pytest.mark.parametrize(
         "mode, payload",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,12 +102,20 @@ class TestRandomProductSequence:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             random_product_sequence(3, PARAMS, 5, p_stochastic=-0.1)
+        # Refused before any draw, so even an empty sequence is refused.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                random_product_sequence(3, PARAMS, 0, p_identity=bad)
 
     def test_zero_total_mass_rejected(self):
         with pytest.raises(ValueError):
             random_product_sequence(
                 3, PARAMS, 5, p_stochastic=0.0, p_substochastic=0.0, p_identity=0.0
             )
+
+    def test_overflowing_total_mass_rejected(self):
+        with pytest.raises(ValueError, match="finite total"):
+            random_product_sequence(3, PARAMS, 0, p_stochastic=1e308, p_identity=1e308)
 
 
 class TestWorstCaseSequence:

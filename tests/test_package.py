@@ -1,0 +1,53 @@
+"""The package's public surface: one export list per module."""
+
+from __future__ import annotations
+
+import slicekit
+from slicekit import bounds, certifier, ddf_sim, errors, generators, matrix_core, slice_engine
+
+MODULES = (errors, matrix_core, bounds, slice_engine, certifier, generators, ddf_sim)
+
+# slicekit.__all__ before the package derived it from the module lists.
+EARLIER_EXPORTS = [
+    "__version__",
+    "SliceKitError", "NegativeEntry", "DimensionMismatch", "AssumptionViolated",
+    "InvalidIndex", "InvalidLength", "InvalidSubset", "MeaninglessBound",
+    "InfeasibleWeights", "ConfigError",
+    "Params", "SystemMatrix", "identity_step", "row_update", "validate_update",
+    "inf_norm", "spectral_radius",
+    "row_bound", "slice_norm_bound", "slice_norm_gap", "log_slice_norm_gap",
+    "Slice", "SliceEvent", "SliceEventKind", "SliceState", "RunResult", "push",
+    "run_sequence", "write_slice_log", "read_slice_log", "write_event_log",
+    "Verdict", "CertificateCase", "BoundTrace", "Certificate", "bound_trace",
+    "case3_length_cap", "certify_case1", "certify_case2", "certify_case3",
+    "search_case3", "format_certificate", "write_certificate",
+    "random_product_sequence", "worst_case_slice_sequence", "case3_lengths",
+    "World", "UpdateKind", "StepRecord", "LeaderFollowerConfig", "SimResult",
+    "demo_world", "neighbors", "build_update", "run_leader_follower",
+    "steady_state_check",
+]
+
+
+def test_all_is_the_module_lists_in_order():
+    expected = ["__version__"] + [name for m in MODULES for name in m.__all__]
+    assert slicekit.__all__ == expected
+    assert len(set(slicekit.__all__)) == len(slicekit.__all__)
+
+
+def test_every_exported_name_resolves():
+    for m in MODULES:
+        for name in m.__all__:
+            assert getattr(slicekit, name) is getattr(m, name)
+    assert isinstance(slicekit.__version__, str)
+
+
+def test_star_import_binds_exactly_the_list():
+    namespace: dict = {}
+    exec("from slicekit import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(slicekit.__all__)
+
+
+def test_earlier_exports_are_kept():
+    assert len(EARLIER_EXPORTS) == 57
+    assert set(EARLIER_EXPORTS) <= set(slicekit.__all__)

@@ -393,7 +393,6 @@ def dense_push(state, m, params, k=None):
     state.next_k += 1
     if state.start_k is None:
         state.start_k = this_k
-    state.k_local += 1
 
     state.j = m.p @ state.j
     sums = state.j.sum(axis=1)
@@ -425,7 +424,6 @@ def dense_push(state, m, params, k=None):
             product=state.j.copy(),
             start_k=state.start_k,
             end_k=this_k,
-            length=state.k_local,
             norm=inf_norm(state.j),
             bound=slice_norm_bound(state.k_local, params),
         )
