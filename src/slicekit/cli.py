@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,9 +43,16 @@ from .ddf_sim import (
     write_positions_csv,
     write_trajectory_csv,
 )
-from .errors import ConfigError, InvalidLength, InvalidSubset, SliceKitError
+from .errors import (
+    AssumptionViolated,
+    ConfigError,
+    InvalidLength,
+    InvalidSubset,
+    NegativeEntry,
+    SliceKitError,
+)
 from .generators import random_product_sequence
-from .matrix_core import Params, inf_norm, spectral_radius
+from .matrix_core import Params, SystemMatrix, inf_norm
 from .slice_engine import read_slice_log, run_sequence, write_event_log, write_slice_log
 from .tables import write_table
 
@@ -193,6 +200,10 @@ def cmd_products(config: ExperimentConfig) -> int:
         raise ConfigError(f"need n >= 1 and horizon >= 0, got n={n}, horizon={horizon}")
     strict = config.value("strict", _flag, True)
     try:
+        start = np.eye(n)  # the empty product
+    except ValueError as exc:  # too large even to index: out of memory too
+        raise MemoryError(str(exc)) from None
+    try:
         matrices = random_product_sequence(
             n,
             config.params,
@@ -207,13 +218,11 @@ def cmd_products(config: ExperimentConfig) -> int:
     slices, events, _ = run_sequence(matrices, config.params, strict=strict)
 
     out = config.make_out_dir()
-    running = accumulate(matrices, lambda j, m: m.apply(j), initial=np.eye(n))
-    next(running)  # the empty product
-    rows = ((k, inf_norm(j), spectral_radius(j)) for k, j in enumerate(running))
+    rows = _per_k_rows(matrices, start)
     write_table(out / "per_k.csv", "k,inf_norm,spectral_radius", "%d,%.17g,%.17g", rows)
     write_slice_log(slices, out / "slices.csv")
     write_event_log(events, out / "events.csv")
-    cumulative = accumulate((s.product for s in slices), lambda c, p: p @ c, initial=np.eye(n))
+    cumulative = accumulate((s.product for s in slices), lambda c, p: p @ c, initial=start)
     next(cumulative)  # the empty product
     rows = ((s.index, s.end_k, s.length, s.norm, inf_norm(c)) for s, c in zip(slices, cumulative))
     header = "t,end_k,length,slice_norm,cumulative_norm"
@@ -225,6 +234,55 @@ def cmd_products(config: ExperimentConfig) -> int:
         f"outputs in {out}"
     )
     return EXIT_OK
+
+
+# The running products of one spectral-radius pass: at most this many steps,
+# and at most this many entries (4 MiB), so that from n = 91 on a block
+# holds fewer steps and its memory stays bounded at any n.
+_RHO_BLOCK = 64
+_RHO_BLOCK_ENTRIES = 1 << 19
+
+
+def _per_k_rows(
+    matrices: Sequence[SystemMatrix], start: np.ndarray
+) -> Iterator[tuple[int, float, float]]:
+    """``(k, inf_norm(J), spectral_radius(J))`` for each running product
+    ``J = P_k ... P_0 start``, bit for bit, where ``start`` is the identity
+    and every update row sums to at most one, as generated rows do.
+
+    While some row has never been updated it is still ``e_i``, so 1 is an
+    eigenvalue and ``rho <= inf_norm = 1`` gives ``rho = 1.0`` without an
+    eigensolve.  The products are gathered in blocks; each block is checked
+    and normed in one pass, and its steps with every row updated share one
+    stacked ``eigvals`` call.  A non-finite entry raises
+    :class:`AssumptionViolated` and a negative one :class:`NegativeEntry`,
+    as :func:`spectral_radius` does.
+    """
+    n = start.shape[0]
+    size = max(1, min(_RHO_BLOCK, _RHO_BLOCK_ENTRIES // (n * n), len(matrices)))
+    block = np.empty((size, n, n))
+    touched: set[int] = set()
+    j = start
+    for k0 in range(0, len(matrices), size):
+        chunk = matrices[k0 : k0 + size]
+        untouched = 0  # a prefix: rows once updated stay updated
+        for t, m in enumerate(chunk):
+            j = m.apply(j)
+            block[t] = j
+            if m.updated_row is not None:
+                touched.add(m.updated_row)
+            untouched += len(touched) < n
+        stack = block[: len(chunk)]
+        if not np.all(np.isfinite(stack)):
+            raise AssumptionViolated("a running product holds a non-finite entry")
+        if np.any(stack < 0):
+            raise NegativeEntry("a running product holds a negative entry")
+        norms = np.abs(stack).sum(axis=2).max(axis=1)
+        radii = np.ones(len(chunk))
+        if untouched < len(chunk):
+            eig = np.abs(np.linalg.eigvals(stack[untouched:])).max(axis=1)
+            radii[untouched:] = np.minimum(eig, norms[untouched:])
+        yield from zip(range(k0, k0 + len(chunk)), norms.tolist(), radii.tolist())
 
 
 def _products_plot_script() -> str:

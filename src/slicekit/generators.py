@@ -12,6 +12,12 @@ Three families:
   untouched until the final success;
 * the slice-length schedule ``floor(cap(i))`` that tracks the case-iii
   growth caps as tightly as integers allow.
+
+The random protocol's draws reproduce ``rng.choice(3, p=...)`` and
+``rng.dirichlet(np.ones(d))`` bit for bit without calling them, so a seed
+gives the same sequence as those calls would; the draw order (form, row,
+support size, support, then the sub-stochastic mass before the weights) is
+fixed, and changing it changes every sequence.
 """
 
 from __future__ import annotations
@@ -61,10 +67,12 @@ def random_product_sequence(
     if not 0 < total < math.inf:
         raise ValueError(f"form weights must have a positive, finite total, got {total}")
     probs = masses / total
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     max_support = min(n, int(math.floor(1.0 / params.beta1)))
     out: list[SystemMatrix] = []
     for _ in range(horizon):
-        form = rng.choice(3, p=probs)
+        form = int(cdf.searchsorted(rng.random(), side="right"))  # rng.choice(3, p=probs)
         if form == 0 and max_support < 2:
             form = 1
         if form == 2:
@@ -79,14 +87,24 @@ def random_product_sequence(
         support = np.concatenate(([row], idx + (idx >= row)))
         p_row = np.zeros(n)
         if form == 0:
-            p_row[support] = params.beta1 + (1.0 - d * params.beta1) * rng.dirichlet(
-                np.ones(d)
-            )
+            p_row[support] = params.beta1 + (1.0 - d * params.beta1) * _flat_dirichlet(rng, d)
         else:
             mass = params.beta2 * float(rng.uniform(0.0, 1.0))
-            p_row[support] = mass * rng.dirichlet(np.ones(d))
+            p_row[support] = mass * _flat_dirichlet(rng, d)
         out.append(row_update(n, row, p_row))
     return out
+
+
+def _flat_dirichlet(rng: np.random.Generator, d: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(d))``, bit for bit and with the same stream
+    use: NumPy draws ``standard_gamma(1)``, which is the standard
+    exponential, and divides by its left-to-right sum (``np.sum`` would sum
+    pairwise from 8 terms on)."""
+    e = rng.standard_exponential(d)
+    acc = 0.0
+    for v in e.tolist():
+        acc += v
+    return e * (1.0 / acc)
 
 
 def worst_case_slice_sequence(

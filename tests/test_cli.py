@@ -6,11 +6,22 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slicekit.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_RUNTIME, main
+from slicekit import (
+    AssumptionViolated,
+    NegativeEntry,
+    Params,
+    identity_step,
+    inf_norm,
+    random_product_sequence,
+    row_update,
+    spectral_radius,
+)
+from slicekit.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_RUNTIME, _per_k_rows, main
 
 SLICE_LOG = "slice_index,start_k,end_k,length,norm,bound\n0,0,4,5,0.5,0.9\n"
 TWO_ENTRY_LOG = SLICE_LOG + "1,5,9,5,0.5,0.9\n"
@@ -108,6 +119,125 @@ class TestProducts:
             ]
         )
         assert (out_a / "per_k.csv").read_text() != (out_b / "per_k.csv").read_text()
+
+
+PARAMS = Params(beta1=0.05, beta2=0.7)
+
+
+def dense_per_k(matrices, n):
+    """The per_k rows computed one running product at a time."""
+    j, rows = np.eye(n), []
+    for k, m in enumerate(matrices):
+        j = m.apply(j)
+        rows.append((k, inf_norm(j), spectral_radius(j)))
+    return rows
+
+
+def accumulate_touched(matrices):
+    """The number of distinct rows updated up to and including each step."""
+    touched = set()
+    for m in matrices:
+        if m.updated_row is not None:
+            touched.add(m.updated_row)
+        yield len(touched)
+
+
+class TestPerKRows:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_per_step_norms_for_every_n(self, n):
+        matrices = random_product_sequence(n, PARAMS, 129, rng=np.random.default_rng(n))
+        assert list(_per_k_rows(matrices, np.eye(n))) == dense_per_k(matrices, n)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_matches_per_step_norms_across_block_edges(self, n, horizon):
+        matrices = random_product_sequence(n, PARAMS, horizon, rng=np.random.default_rng(7))
+        assert list(_per_k_rows(matrices, np.eye(n))) == dense_per_k(matrices, n)
+
+    def test_matches_per_step_norms_once_every_row_is_updated(self):
+        # Every step updates a row, so all 64 rows are updated within 600
+        # steps and most steps take the eigvals route.
+        matrices = random_product_sequence(
+            64, PARAMS, 600, rng=np.random.default_rng(0), p_identity=0.0
+        )
+        assert len({m.updated_row for m in matrices}) == 64
+        assert list(_per_k_rows(matrices, np.eye(64))) == dense_per_k(matrices, 64)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 5),
+        steps=st.lists(
+            st.tuples(
+                st.integers(-1, 4),
+                st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_matches_per_step_norms_on_any_substochastic_rows(self, n, steps):
+        matrices = []
+        for row, weights in steps:
+            if row < 0 or row >= n:
+                matrices.append(identity_step(n))
+                continue
+            w = np.array(weights[:n])
+            matrices.append(row_update(n, row, w / max(1.0, float(w.sum()))))
+        rows = list(_per_k_rows(matrices, np.eye(n)))
+        assert rows == dense_per_k(matrices, n)
+        # The unit-row rule: exactly 1 while some row is untouched.
+        for (_, _, rho), seen in zip(rows, accumulate_touched(matrices)):
+            if seen < n:
+                assert rho == 1.0
+
+    def test_permissive_run_writes_the_per_step_norms(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "p.json",
+            {"mode": "products", "n": 6, "horizon": 129, "seed": 3, "strict": False},
+        )
+        out = tmp_path / "out"
+        assert main(["products", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "per_k.csv").read_text().splitlines()[1:]
+        written = [(int(k), float(a), float(b)) for k, a, b in (x.split(",") for x in lines)]
+        matrices = random_product_sequence(6, PARAMS, 129, rng=np.random.default_rng(3))
+        assert written == dense_per_k(matrices, 6)
+
+    def test_no_eigensolve_while_a_row_is_untouched(self, monkeypatch):
+        solved = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            solved.append(len(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        matrices = random_product_sequence(256, PARAMS, 300, rng=np.random.default_rng(1))
+        rows = list(_per_k_rows(matrices, np.eye(256)))
+        assert solved == [] and [rho for _, _, rho in rows] == [1.0] * 300
+
+        matrices = random_product_sequence(4, PARAMS, 200, rng=np.random.default_rng(1))
+        full = [k for k, seen in enumerate(accumulate_touched(matrices)) if seen == 4]
+        assert 0 < len(full) < 200
+        list(_per_k_rows(matrices, np.eye(4)))
+        # One call per 64-step block holding a fully updated step, each
+        # solving only those steps.
+        assert len(solved) == len({k // 64 for k in full}) and sum(solved) == len(full)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([-0.5, 1.0], NegativeEntry),
+            # An entry of 1e200 overflows to infinity on the second step.
+            ([1e200, 0.0], AssumptionViolated),
+        ],
+    )
+    def test_bad_products_raise_as_spectral_radius_does(self, rows, error):
+        # Row 1 is never updated, so no step reaches an eigensolve.
+        matrices = [row_update(2, 0, rows)] * 2
+        with np.errstate(over="ignore"):
+            with pytest.raises(error):
+                list(_per_k_rows(matrices, np.eye(2)))
+            with pytest.raises(error):
+                dense_per_k(matrices, 2)
 
 
 class TestLeaderFollower:
@@ -531,6 +661,12 @@ class TestConfigHandling:
             ("lf", {"horizon": 2**59}),
             # The history's row count overflows a 64-bit index.
             ("lf", {"horizon": 10**19}),
+            # The running product's size in bytes overflows a 64-bit index.
+            ("products", {"n": 3_000_000_000, "horizon": 0}),
+            # n itself overflows a 64-bit index.
+            ("products", {"n": 10**20, "horizon": 0}),
+            # ... and is refused before any draw, which it would overflow too.
+            ("products", {"n": 10**20, "horizon": 3}),
         ],
     )
     def test_run_too_large_for_memory_exits_runtime_with_one_line(

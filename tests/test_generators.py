@@ -20,8 +20,84 @@ from slicekit import (
     validate_update,
     worst_case_slice_sequence,
 )
+from slicekit.generators import _flat_dirichlet
 
 PARAMS = Params(beta1=0.05, beta2=0.7)
+
+
+def choice_dirichlet_sequence(n, params, horizon, rng, masses):
+    """random_product_sequence's rows drawn with ``rng.choice`` and
+    ``rng.dirichlet``, in the same order."""
+    probs = np.array(masses, dtype=float) / sum(masses)
+    max_support = min(n, int(math.floor(1.0 / params.beta1)))
+    out = []
+    for _ in range(horizon):
+        form = rng.choice(3, p=probs)
+        if form == 0 and max_support < 2:
+            form = 1
+        if form == 2:
+            out.append((None, None))
+            continue
+        row = int(rng.integers(n))
+        d = int(rng.integers(2, max_support + 1)) if form == 0 else int(rng.integers(1, n + 1))
+        idx = rng.choice(n - 1, d - 1, replace=False)
+        support = np.concatenate(([row], idx + (idx >= row)))
+        p_row = np.zeros(n)
+        if form == 0:
+            weights = rng.dirichlet(np.ones(d))
+            p_row[support] = params.beta1 + (1.0 - d * params.beta1) * weights
+        else:
+            mass = params.beta2 * float(rng.uniform(0.0, 1.0))
+            p_row[support] = mass * rng.dirichlet(np.ones(d))
+        out.append((row, p_row))
+    return out
+
+
+class TestExactDraws:
+    @pytest.mark.parametrize(
+        "masses", [(1.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1e-300, 1.0, 1.0)]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_rows_match_choice_and_dirichlet(self, n, masses):
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_product_sequence(
+                n, PARAMS, 120, rng=rng,
+                p_stochastic=masses[0], p_substochastic=masses[1], p_identity=masses[2],
+            )
+            ref = choice_dirichlet_sequence(n, PARAMS, 120, ref_rng, masses)
+            for m, (row, p_row) in zip(got, ref, strict=True):
+                assert m.updated_row == row
+                assert row is None or np.array_equal(m.p_row, p_row)
+            # Both consumed the stream alike.
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("d", range(1, 65))
+    def test_flat_dirichlet_matches_numpy(self, d):
+        # From d = 8 on, np.sum's pairwise sum would differ from NumPy's
+        # sequential one.
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(_flat_dirichlet(rng, d), ref_rng.dirichlet(np.ones(d)))
+            assert rng.random() == ref_rng.random()
+
+    def test_output_is_pinned_at_one_seed(self):
+        # Swapping two draws, such as the sub-stochastic mass and its
+        # weights, changes these rows.
+        got = [
+            (m.updated_row, None if m.p_row is None else m.p_row.tolist())
+            for m in random_product_sequence(3, PARAMS, 8, rng=np.random.default_rng(2024))
+        ]
+        assert got == [
+            (None, None),
+            (0, [0.8679284982195621, 0.0, 0.13207150178043792]),
+            (2, [0.2509770717171272, 0.22907979500339454, 0.5199431332794784]),
+            (0, [0.5271865376800203, 0.07662412679851448, 0.07912487386144154]),
+            (1, [0.19521534862560402, 0.6163987271316813, 0.18838592424271478]),
+            (None, None),
+            (0, [0.14773549969295313, 0.852264500307047, 0.0]),
+            (1, [0.5867957028492653, 0.2956437145841529, 0.11756058256658172]),
+        ]
 
 
 class TestRandomProductSequence:

@@ -19,7 +19,10 @@ shared by both trees:
 - the 10 certify_growth logs, plus three configs on the first log that
   certify by case i, certify by case ii, and certify nothing;
 - the first products_n16 config at seeds 0-4;
-- products at n = 4, horizon 200, at seeds 0-4.
+- products at seeds 0-4 with default weights at n = 4, horizon 200; n = 1,
+  horizon 50; n = 16, horizon 129, which crosses two 64-step block edges of
+  ``per_k.csv``'s spectral radius; and n = 64, horizon 600, where every
+  seed updates all 64 rows and so reaches the stacked ``eigvals``.
 
 Each tree runs every op through ``slicekit.cli.main`` in its own subprocess,
 importing ``slicekit`` from that tree's ``src/``.  The trees run one after
@@ -81,6 +84,14 @@ LF_VARIANTS = {
     "anchor_floor": {**TWO_ANCHOR_REGIONS, "alpha": 0.6, "comm_radius": 3.0},
 }
 
+# Products configs beyond products_n16, each run at PRODUCTS_SEEDS.
+PRODUCTS_VARIANTS = {
+    "n4": {"n": 4, "horizon": 200},
+    "n1": {"n": 1, "horizon": 50},
+    "n16_h129": {"n": 16, "horizon": 129},
+    "n64_h600": {"n": 64, "horizon": 600},
+}
+
 # Runs a JSON list of (name, argv) ops from stdin through slicekit.cli.main,
 # each into OUT_ROOT/name, and prints where slicekit came from and the exit
 # codes.
@@ -113,12 +124,13 @@ def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
             ops.append((f"{name}_00_{variant}", [mode, "--config", str(path)]))
     argvs, _, _ = materialise(WORKLOADS["products_n16"], SEED, inputs / "products_n16")
     ops += [(f"products_n16_seed{s}", [*argvs[0], "--seed", str(s)]) for s in PRODUCTS_SEEDS]
-    small = inputs / "products_n4.json"
-    small.write_text(json.dumps({"mode": "products", "n": 4, "horizon": 200}) + "\n")
-    ops += [
-        (f"products_n4_seed{s}", ["products", "--config", str(small), "--seed", str(s)])
-        for s in PRODUCTS_SEEDS
-    ]
+    for variant, payload in PRODUCTS_VARIANTS.items():
+        path = inputs / f"products_{variant}.json"
+        path.write_text(json.dumps({"mode": "products", **payload}) + "\n")
+        ops += [
+            (f"products_{variant}_seed{s}", ["products", "--config", str(path), "--seed", str(s)])
+            for s in PRODUCTS_SEEDS
+        ]
     return ops
 
 
