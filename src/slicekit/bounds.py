@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import InvalidIndex, InvalidLength
 from .matrix_core import Params
 
@@ -33,9 +35,10 @@ __all__ = [
 ]
 
 
-def _check_len(slice_len: int) -> None:
-    if slice_len < 1:
-        raise InvalidLength(f"slice length must be at least 1, got {slice_len}")
+def _check_len(slice_len: int | np.ndarray) -> None:
+    shortest = np.min(slice_len, initial=1)
+    if shortest < 1:
+        raise InvalidLength(f"slice length must be at least 1, got {shortest}")
 
 
 def row_bound(
@@ -88,7 +91,7 @@ def slice_norm_gap(length: int, params: Params) -> float:
     return params.beta1 ** (length - 1) * (1.0 - params.beta2)
 
 
-def log_slice_norm_gap(length: int, params: Params) -> float:
-    """Natural log of the contraction margin, finite at any length."""
+def log_slice_norm_gap(length: int | np.ndarray, params: Params) -> float | np.ndarray:
+    """Natural log of the contraction margin, finite at any length; per entry of an array."""
     _check_len(length)
     return (length - 1) * math.log(params.beta1) + math.log1p(-params.beta2)

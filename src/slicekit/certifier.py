@@ -92,7 +92,7 @@ def _length_array(lengths: Sequence[int]) -> np.ndarray:
     """``lengths`` as an int64 array; a length below 1 or beyond int64
     raises :class:`InvalidLength`."""
     try:
-        arr = np.asarray(list(lengths), dtype=np.int64)
+        arr = np.asarray(lengths, dtype=np.int64)
     except OverflowError as exc:
         raise InvalidLength(f"slice lengths must fit in 64 bits: {exc}") from exc
     if arr.size and arr.min() < 1:
@@ -103,9 +103,7 @@ def _length_array(lengths: Sequence[int]) -> np.ndarray:
 def bound_trace(lengths: Sequence[int], params: Params) -> BoundTrace:
     """Trace the certified contraction along ``lengths`` in the given order."""
     arr = _length_array(lengths)
-    log_gaps = np.array(
-        [log_slice_norm_gap(int(L), params) for L in arr], dtype=float
-    )
+    log_gaps = log_slice_norm_gap(arr, params)
     with np.errstate(divide="ignore"):
         neg_terms = -np.log1p(-np.exp(log_gaps))
     neg_log_sums = np.cumsum(neg_terms)

@@ -52,9 +52,7 @@ from .errors import (
     SliceKitError,
 )
 from .generators import random_product_sequence
-# per_k no longer calls spectral_radius; the name stays here because
-# perfbench's tracer wraps cli.spectral_radius and lists a missing one.
-from .matrix_core import Params, SystemMatrix, inf_norm, spectral_radius  # noqa: F401
+from .matrix_core import Params, SystemMatrix, inf_norm, spectral_radius
 from .slice_engine import read_slice_log, run_sequence, write_event_log, write_slice_log
 from .tables import write_table
 
@@ -254,11 +252,11 @@ def _per_k_rows(
 
     While some row has never been updated it is still ``e_i``, so 1 is an
     eigenvalue and ``rho <= inf_norm = 1`` gives ``rho = 1.0`` without an
-    eigensolve.  The products are gathered in blocks; each block is checked
-    and normed in one pass, and its steps with every row updated share one
-    stacked ``eigvals`` call.  A non-finite entry raises
-    :class:`AssumptionViolated` and a negative one :class:`NegativeEntry`,
-    as :func:`spectral_radius` does.
+    eigensolve.  The products are gathered in blocks; each block is normed
+    by one :func:`inf_norm` call, and its steps with every row updated share
+    one :func:`spectral_radius` call.  The whole block is checked first, so
+    that a non-finite entry raises :class:`AssumptionViolated` and a
+    negative one :class:`NegativeEntry` on the unit-row steps too.
     """
     n = start.shape[0]
     size = max(1, min(_RHO_BLOCK, _RHO_BLOCK_ENTRIES // (n * n), len(matrices)))
@@ -279,11 +277,10 @@ def _per_k_rows(
             raise AssumptionViolated("a running product holds a non-finite entry")
         if np.any(stack < 0):
             raise NegativeEntry("a running product holds a negative entry")
-        norms = np.abs(stack).sum(axis=2).max(axis=1)
+        norms = inf_norm(stack)
         radii = np.ones(len(chunk))
         if untouched < len(chunk):
-            eig = np.abs(np.linalg.eigvals(stack[untouched:])).max(axis=1)
-            radii[untouched:] = np.minimum(eig, norms[untouched:])
+            radii[untouched:] = spectral_radius(stack[untouched:])
         yield from zip(range(k0, k0 + len(chunk)), norms.tolist(), radii.tolist())
 
 

@@ -135,7 +135,7 @@ class World:
         object.__setattr__(self, "rng_seed", seed)
         if not 0.0 <= self.update_prob <= 1.0:
             raise ConfigError("update_prob must lie in [0, 1]")
-        dist = np.linalg.norm(self.pos - self.center, axis=1)
+        dist = _lengths(self.pos - self.center)
         if np.any(dist > self.radius + 1e-9):
             off = int(np.argmax(dist - self.radius))
             what = f"sensor {off}" if off < self.n else f"anchor {off - self.n}"

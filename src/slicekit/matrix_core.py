@@ -70,8 +70,8 @@ class Params:
 
 def _as_matrix(a: np.ndarray | Sequence, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=float)
-    if out.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {out.shape}")
+    if out.ndim < 2:
+        raise DimensionMismatch(f"{name} must have 2 or more dimensions, got shape {out.shape}")
     return out
 
 
@@ -227,29 +227,26 @@ def validate_update(m: SystemMatrix, params: Params) -> tuple[str, ...]:
     return tuple(fails)
 
 
-def inf_norm(a: np.ndarray) -> float:
-    """Maximum absolute row sum."""
+def inf_norm(a: np.ndarray) -> float | np.ndarray:
+    """Maximum absolute row sum (0 without entries), per matrix of a stack ``(..., n, m)``."""
     a = _as_matrix(a, "a")
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).sum(axis=1).max())
+    norms = np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)
+    return float(norms) if a.ndim == 2 else norms
 
 
-def spectral_radius(a: np.ndarray) -> float:
+def spectral_radius(a: np.ndarray) -> float | np.ndarray:
     """Largest eigenvalue magnitude of a non-negative matrix, clamped into
-    [0, inf_norm(a)].
+    [0, inf_norm(a)]; per matrix, by one eigensolve, of a stack ``(..., n, n)``.
 
     Raises :class:`AssumptionViolated` when the matrix holds NaN or
     infinity and :class:`NegativeEntry` when an entry is negative.
     """
     a = _as_matrix(a, "a")
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"spectral radius needs a square matrix, got {a.shape}")
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatch(f"spectral radius needs square matrices, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise AssumptionViolated("spectral_radius got a matrix with a non-finite entry")
     if np.any(a < 0):
         raise NegativeEntry("spectral_radius expects a non-negative matrix")
-    if n == 0:
-        return 0.0
-    return min(float(np.abs(np.linalg.eigvals(a)).max()), inf_norm(a))
+    radii = np.minimum(np.abs(np.linalg.eigvals(a)).max(axis=-1, initial=0.0), inf_norm(a))
+    return float(radii) if a.ndim == 2 else radii

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,3 +151,22 @@ class TestSliceNormBound:
         log_gap = log_slice_norm_gap(length, PARAMS)
         assert math.isfinite(log_gap)
         assert log_gap < 0.0
+
+
+class TestLogGapArray:
+    @given(
+        params=params_strategy,
+        lengths=st.lists(st.integers(1, 2**62), max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_scalar_call_on_each_entry(self, params, lengths):
+        gaps = log_slice_norm_gap(np.array(lengths, dtype=np.int64), params)
+        assert gaps.tolist() == [log_slice_norm_gap(L, params) for L in lengths]
+
+    def test_empty_array(self):
+        assert log_slice_norm_gap(np.array([], dtype=np.int64), PARAMS).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[0], [3, -2, 5]])
+    def test_rejects_nonpositive_entry(self, bad):
+        with pytest.raises(InvalidLength, match="at least 1"):
+            log_slice_norm_gap(np.array(bad), PARAMS)

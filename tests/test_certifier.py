@@ -85,6 +85,11 @@ class TestCase2:
         )
         assert not cert.certified
 
+    def test_empty_record_is_not_certified(self):
+        cert = certify_case2([], 5, [], WIDE)
+        assert not cert.certified and cert.horizon == 0
+        assert cert.notes == ("no completed slices in the sample",)
+
     def test_empty_subset_is_not_certified(self):
         cert = certify_case2([3, 3], 4, [], WIDE)
         assert not cert.certified

@@ -15,6 +15,7 @@ from slicekit import (
     AssumptionViolated,
     NegativeEntry,
     Params,
+    case3_lengths,
     identity_step,
     inf_norm,
     random_product_sequence,
@@ -494,8 +495,27 @@ class TestCertify:
         )
         capsys.readouterr()
         code = main(["certify", "--config", cfg, "--out", str(tmp_path / "cert")])
-        assert code in (EXIT_OK, EXIT_NOT_CERTIFIED)
+        assert code == EXIT_NOT_CERTIFIED
         assert "error:" not in capsys.readouterr().err
+
+    def test_growth_log_certifies_by_case_iii(self, tmp_path):
+        # Lengths on the gamma1 = 1 caps, shuffled: only the last gamma1 of
+        # the grid certifies, through a matching that undoes the shuffle.
+        lengths = case3_lengths(40, 1.0, 1e-3, Params(beta1=0.05, beta2=0.7))
+        order = np.random.default_rng(5).permutation(40)
+        log = tmp_path / "slices.csv"
+        log.write_text("length\n" + "".join(f"{lengths[t]}\n" for t in order))
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"mode": "certify", "slice_log": str(log), "beta1": 0.05, "beta2": 0.7},
+        )
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        text = (out / "certificate.txt").read_text()
+        assert "verdict: certified" in text and "case: case_iii" in text
+        assert "witness gamma1: 1\n" in text
+        rows = text.split("i,slice_index,length,cap\n")[1].splitlines()
+        assert sorted(int(row.split(",")[1]) for row in rows) == list(range(40))
 
     @pytest.mark.parametrize("key", ["gamma1_grid", "gamma2_grid"])
     def test_removed_grid_keys_are_refused(self, tmp_path, capsys, slice_log, key):
@@ -699,6 +719,25 @@ class TestConfigHandling:
             ("certify", {}, SLICE_LOG.replace("4,5,", "4,0,"), "lengths must be >= 1"),
             ("certify", {}, SLICE_LOG.replace("4,5,", "4,-2,"), "lengths must be >= 1"),
             ("certify", {}, SLICE_LOG.replace("4,5,", "4,100000000000000000000,"), "64 bits"),
+            ("products", {"n": 0}, SLICE_LOG, "n=0"),
+            ("products", {"horizon": -1}, SLICE_LOG, "horizon=-1"),
+            (
+                "lf",
+                {"n": 2, "regions": {"sensors": [[0, 0, 1]], "anchors": [[3, 0, 1]]}},
+                SLICE_LOG,
+                "regions.sensors",
+            ),
+            (
+                "lf",
+                {"n": 1, "regions": {"sensors": [[0, 0, 1]], "anchors": []}},
+                SLICE_LOG,
+                "regions.anchors",
+            ),
+            ("certify", {"slice_log": ""}, SLICE_LOG, "slice_log"),
+            ("certify", {"case2": {"cap": 5}}, SLICE_LOG, "case2"),
+            ("lf", {"update_prob": 1.5}, SLICE_LOG, "update_prob"),
+            ("lf", {"n": 0}, SLICE_LOG, "at least one sensor"),
+            ("lf", {"comm_radius": "a*innermost"}, SLICE_LOG, "comm_radius"),
         ],
         ids=[
             "slice_log-number",
@@ -716,6 +755,15 @@ class TestConfigHandling:
             "log-zero-length",
             "log-negative-length",
             "log-huge-length",
+            "products-n-zero",
+            "products-negative-horizon",
+            "lf-regions-sensor-count",
+            "lf-regions-no-anchors",
+            "slice_log-empty",
+            "case2-without-subset",
+            "lf-update_prob-above-one",
+            "lf-n-zero",
+            "lf-comm_radius-bad-factor",
         ],
     )
     def test_bad_inputs_exit_config_with_one_line(

@@ -135,6 +135,10 @@ class TestWorld:
         with pytest.raises(DimensionMismatch):
             tiny_world(radius=np.array([1.0]))
 
+    def test_sensor_states_must_be_one_dimensional(self):
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            tiny_world(x=np.zeros((1, 1)))
+
     def test_resolve_comm_radius(self):
         assert resolve_comm_radius(2.5, [1.0, 3.0]) == 2.5
         assert resolve_comm_radius("1.5*innermost", [2.0, 1.0]) == pytest.approx(1.5)

@@ -214,6 +214,10 @@ class TestWorstCaseSequence:
         with pytest.raises(InvalidLength):
             worst_case_slice_sequence(4, 3, Params(beta1=0.3, beta2=0.5))
 
+    def test_rejects_a_single_row(self):
+        with pytest.raises(InvalidLength, match="at least 2 rows"):
+            worst_case_slice_sequence(1, 3, Params(beta1=0.3, beta2=0.5))
+
     def test_rejects_large_beta1(self):
         with pytest.raises(InfeasibleWeights):
             worst_case_slice_sequence(2, 4, Params(beta1=0.7, beta2=0.5))

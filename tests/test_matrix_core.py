@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from slicekit import (
     AssumptionViolated,
     DimensionMismatch,
+    NegativeEntry,
     Params,
     identity_step,
     inf_norm,
@@ -300,3 +301,62 @@ class TestArithmetic:
         rng = np.random.default_rng(seed)
         a = rng.uniform(size=(3, 3))
         assert spectral_radius(a) <= inf_norm(a)
+
+
+def running_products(n, horizon, seed):
+    """The ``(horizon, n, n)`` stack of running products of a random
+    sequence, the identity start excluded."""
+    stack, j = [], np.eye(n)
+    for m in random_product_sequence(n, PARAMS, horizon, rng=np.random.default_rng(seed)):
+        j = m.apply(j)
+        stack.append(j)
+    return np.array(stack).reshape(horizon, n, n)
+
+
+class TestStackedNorms:
+    @pytest.mark.parametrize("n, horizon", [(1, 20), (4, 200), (16, 64), (16, 300)])
+    def test_stack_matches_per_matrix_calls_bit_for_bit(self, n, horizon):
+        stack = running_products(n, horizon, seed=n)
+        assert inf_norm(stack).tolist() == [inf_norm(a) for a in stack]
+        assert spectral_radius(stack).tolist() == [spectral_radius(a) for a in stack]
+
+    def test_stack_holding_an_untouched_row_matches(self):
+        stack = running_products(16, 300, seed=3)
+        untouched = np.all(stack == np.eye(16), axis=2).any(axis=1)
+        assert untouched.any() and not untouched.all()
+        assert spectral_radius(stack).tolist() == [spectral_radius(a) for a in stack]
+
+    def test_leading_axes_are_kept(self):
+        stack = running_products(3, 12, seed=1)
+        grid = stack.reshape(2, 6, 3, 3)
+        assert inf_norm(grid).tolist() == inf_norm(stack).reshape(2, 6).tolist()
+        assert spectral_radius(grid).tolist() == spectral_radius(stack).reshape(2, 6).tolist()
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0), (0, 0, 0)])
+    def test_empty_stacks(self, shape):
+        stack = np.zeros(shape)
+        assert inf_norm(stack).tolist() == [0.0] * shape[0]
+        assert spectral_radius(stack).tolist() == [0.0] * shape[0]
+
+    def test_a_matrix_gives_a_python_float(self):
+        a = np.array([[0.5, 0.25], [0.0, 1.0]])
+        assert type(inf_norm(a)) is float and type(spectral_radius(a)) is float
+        assert type(inf_norm(np.zeros((0, 0)))) is float
+
+    @pytest.mark.parametrize("fn", [inf_norm, spectral_radius])
+    @pytest.mark.parametrize("a", [np.ones(3), np.float64(1.0)])
+    def test_fewer_than_two_dimensions_rejected(self, fn, a):
+        with pytest.raises(DimensionMismatch):
+            fn(a)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3)])
+    def test_spectral_radius_rejects_non_square(self, shape):
+        with pytest.raises(DimensionMismatch):
+            spectral_radius(np.ones(shape))
+
+    @pytest.mark.parametrize("bad, error", [(np.nan, AssumptionViolated), (-0.5, NegativeEntry)])
+    def test_one_bad_matrix_fails_the_stack(self, bad, error):
+        stack = np.stack([np.eye(2)] * 3)
+        stack[2, 1, 0] = bad
+        with pytest.raises(error):
+            spectral_radius(stack)
