@@ -36,7 +36,10 @@ __all__ = [
 
 
 def _check_len(slice_len: int | np.ndarray) -> None:
-    shortest = np.min(slice_len, initial=1)
+    if isinstance(slice_len, (int, np.integer)):
+        shortest = slice_len
+    else:
+        shortest = np.min(slice_len, initial=1)
     if shortest < 1:
         raise InvalidLength(f"slice length must be at least 1, got {shortest}")
 
@@ -78,7 +81,7 @@ def slice_norm_bound(length: int, params: Params) -> float:
     """Infinity-norm bound ``1 - beta1**(length-1) * (1 - beta2)`` for the
     product of one completed slice."""
     _check_len(length)
-    return 1.0 - slice_norm_gap(length, params)
+    return 1.0 - _gap(length, params)
 
 
 def slice_norm_gap(length: int, params: Params) -> float:
@@ -88,6 +91,10 @@ def slice_norm_gap(length: int, params: Params) -> float:
     in which case :func:`log_slice_norm_gap` still carries the sign.
     """
     _check_len(length)
+    return _gap(length, params)
+
+
+def _gap(length: int, params: Params) -> float:
     return params.beta1 ** (length - 1) * (1.0 - params.beta2)
 
 

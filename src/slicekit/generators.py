@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .certifier import CAP_FEASIBILITY_TOL, case3_length_cap
+from .certifier import CAP_FEASIBILITY_TOL, _case3_caps
 from .errors import InfeasibleWeights, InvalidLength
 from .matrix_core import Params, SystemMatrix, identity_step, row_update
 
@@ -156,12 +156,5 @@ def case3_lengths(
     """The integer schedule ``floor(cap(i))`` for i = 1..count; every entry
     is at least 1 because a defined cap always exceeds 1.  Floors share the
     certifier's boundary tolerance so the schedule always certifies."""
-    return [
-        int(
-            math.floor(
-                case3_length_cap(i, gamma1, gamma2, params)
-                + CAP_FEASIBILITY_TOL
-            )
-        )
-        for i in range(1, count + 1)
-    ]
+    caps = _case3_caps(range(1, count + 1), gamma1, gamma2, params)
+    return [math.floor(cap + CAP_FEASIBILITY_TOL) for cap in caps]

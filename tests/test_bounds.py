@@ -145,6 +145,21 @@ class TestSliceNormBound:
             gap, rel=1e-12
         )
 
+    @pytest.mark.parametrize("bad", [0, -1, np.int64(0)], ids=["zero", "minus-one", "int64-zero"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda L: slice_norm_bound(L, PARAMS),
+            lambda L: slice_norm_gap(L, PARAMS),
+            lambda L: log_slice_norm_gap(L, PARAMS),
+            lambda L: row_bound(L, PARAMS, g=1),
+        ],
+        ids=["bound", "gap", "log-gap", "row-bound"],
+    )
+    def test_scalar_length_below_one_is_refused(self, call, bad):
+        with pytest.raises(InvalidLength, match=f"^slice length must be at least 1, got {int(bad)}$"):
+            call(bad)
+
     def test_log_gap_survives_underflow(self):
         length = 500
         assert slice_norm_gap(length, PARAMS) == 0.0

@@ -27,7 +27,13 @@ from slicekit import (
     slice_norm_bound,
     write_certificate,
 )
-from slicekit.certifier import DEFAULT_GAMMA1_GRID, MIN_GAMMA2
+from slicekit.certifier import (
+    CAP_FEASIBILITY_TOL,
+    DEFAULT_GAMMA1_GRID,
+    MIN_GAMMA2,
+    _case3_caps,
+    _screen_fails,
+)
 
 PARAMS = Params(beta1=0.05, beta2=0.3)
 WIDE = Params(beta1=0.05, beta2=0.7)
@@ -269,6 +275,168 @@ class TestSearchMatchesGrid:
             assert np.array_equal(
                 getattr(cert.trace, name), getattr(expected.trace, name)
             )
+
+
+def _cap_formula(i, gamma1, gamma2, params):
+    """The case-iii cap written out as the scalar float operations it is
+    defined by, in order."""
+    x = gamma2 * float(i) ** (-gamma1)
+    budget = -math.expm1(-x)
+    if budget >= 1.0 - params.beta2:
+        raise MeaninglessBound(
+            f"requested margin 1-exp(-{x!r}) = {budget!r} is not below "
+            f"1 - beta2 = {1.0 - params.beta2!r}"
+        )
+    return (math.log(budget) - math.log1p(-params.beta2)) / math.log(params.beta1) + 1.0
+
+
+def _scalar_rank_check(lengths, gamma1, params):
+    """The greedy matching at the rate floor from ``case3_length_cap``
+    alone: the witness assignment when every rank passes, else None;
+    raises where a cap is undefined."""
+    caps = [case3_length_cap(i, gamma1, MIN_GAMMA2, params) for i in range(1, len(lengths) + 1)]
+    by_length = np.argsort(lengths, kind="stable")
+    by_cap = np.argsort(caps, kind="stable")
+    if any(lengths[s] > caps[c] + CAP_FEASIBILITY_TOL for s, c in zip(by_length, by_cap)):
+        return None
+    slice_at = np.empty(len(lengths), dtype=int)
+    slice_at[by_cap] = by_length
+    return tuple(
+        (i + 1, int(t), lengths[t], caps[i]) for i, t in enumerate(slice_at)
+    )
+
+
+def _scalar_search_reference(lengths, params):
+    """The grid scan from ``case3_length_cap`` alone: the first certifying
+    gamma1 and its assignment, or None."""
+    for g1 in DEFAULT_GAMMA1_GRID:
+        try:
+            assignment = _scalar_rank_check(lengths, g1, params)
+        except MeaninglessBound:
+            continue
+        if assignment is not None:
+            return g1, assignment
+    return None
+
+
+@st.composite
+def _boundary_inputs(draw):
+    """Lengths at ``floor(cap + 1e-9)`` of a grid gamma1's caps at the rate
+    floor, with at most one of them raised by 1, over weights that reach
+    huge caps (beta1 near 1) and caps undefined at i = 1 (beta2 near
+    exp(-MIN_GAMMA2))."""
+    beta1 = draw(st.floats(0.01, 0.95) | st.floats(0.95, 0.999999))
+    edge = math.exp(-MIN_GAMMA2)
+    beta2 = draw(st.floats(0.0, 0.99) | st.floats(edge - 1e-6, edge + 1e-6))
+    params = Params(beta1=beta1, beta2=beta2)
+    gamma1 = draw(st.sampled_from(DEFAULT_GAMMA1_GRID))
+    count = draw(st.integers(1, 60))
+    try:
+        caps = [case3_length_cap(i, gamma1, MIN_GAMMA2, params) for i in range(1, count + 1)]
+    except MeaninglessBound:
+        caps = [1.0] * count
+    lengths = [math.floor(cap + CAP_FEASIBILITY_TOL) for cap in caps]
+    raised = draw(st.none() | st.integers(0, count - 1))
+    if raised is not None:
+        lengths[raised] += 1
+    return params, draw(st.permutations(lengths))
+
+
+class TestScreenedSearch:
+    @given(_boundary_inputs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_search_matches_the_scalar_reference(self, case):
+        params, lengths = case
+        expected = _scalar_search_reference(lengths, params)
+        cert = search_case3(lengths, params)
+        if expected is None:
+            assert cert.verdict is Verdict.NOT_CERTIFIED
+            assert cert.witnesses == {} and cert.trace is None
+            return
+        gamma1, assignment = expected
+        assert cert.verdict is Verdict.CERTIFIED
+        assert cert.witnesses == {
+            "gamma1": gamma1, "gamma2": MIN_GAMMA2, "assignment": assignment,
+        }
+        assert [cap.hex() for *_, cap in cert.witnesses["assignment"]] == [
+            cap.hex() for *_, cap in assignment
+        ]
+        trace = bound_trace([length for _, _, length, _ in assignment], params)
+        for name in ("lengths", "products", "neg_log_sums"):
+            assert getattr(cert.trace, name).tobytes() == getattr(trace, name).tobytes()
+
+    @given(_boundary_inputs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_screen_keeps_every_certifying_gamma1(self, case):
+        params, lengths = case
+        sorted_lengths = np.sort(np.array(lengths, dtype=np.int64))
+        positions = np.arange(1.0, len(lengths) + 1.0)
+        for g1 in DEFAULT_GAMMA1_GRID:
+            try:
+                certifies = _scalar_rank_check(lengths, g1, params) is not None
+            except MeaninglessBound:
+                continue
+            if certifies:
+                assert not _screen_fails(sorted_lengths, positions, g1, params)
+
+    def test_screen_keeps_a_length_inside_the_tolerance(self):
+        # The constant gamma1 = 0 cap is 5 - 5e-10 here, so only the
+        # tolerance lets a length of 5 through; the guard alone is ~2e-11.
+        params = Params(beta1=0.5, beta2=1.0 + math.expm1(-MIN_GAMMA2) * 0.5 ** (5e-10 - 4.0))
+        assert 5.0 - CAP_FEASIBILITY_TOL < case3_length_cap(1, 0.0, MIN_GAMMA2, params) < 5.0 - 1e-10
+        lengths = np.array([5, 5, 5])
+        assert not _screen_fails(lengths, np.arange(1.0, 4.0), 0.0, params)
+        cert = search_case3(lengths, params)
+        assert cert.certified and cert.witnesses["gamma1"] == 0.0
+
+    def test_screen_drops_a_clear_failure(self):
+        lengths = np.array([50, 60, 70])
+        positions = np.arange(1.0, 4.0)
+        assert all(_screen_fails(lengths, positions, g1, PARAMS) for g1 in DEFAULT_GAMMA1_GRID)
+
+
+class TestCapList:
+    @given(
+        beta1=st.floats(0.01, 0.999999),
+        beta2=st.floats(0.0, 0.99) | st.floats(0.998, 0.99999),
+        gamma1=st.floats(0.0, 1.0),
+        log_gamma2=st.floats(-3.0, 1.0),
+        first=st.integers(1, 10**6),
+        count=st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_cap_bit_for_bit(
+        self, beta1, beta2, gamma1, log_gamma2, first, count
+    ):
+        params = Params(beta1=beta1, beta2=beta2)
+        gamma2 = 10.0 ** log_gamma2
+        positions = range(first, first + count)
+        expected, error = [], None
+        for i in positions:
+            try:
+                cap = case3_length_cap(i, gamma1, gamma2, params)
+            except MeaninglessBound as exc:
+                error = str(exc)
+                break
+            assert cap.hex() == _cap_formula(i, gamma1, gamma2, params).hex()
+            expected.append(cap.hex())
+        if error is None:
+            assert [cap.hex() for cap in _case3_caps(positions, gamma1, gamma2, params)] == expected
+        else:
+            with pytest.raises(MeaninglessBound) as exc:
+                _case3_caps(positions, gamma1, gamma2, params)
+            assert str(exc.value) == error
+            with pytest.raises(MeaninglessBound) as exc:
+                _cap_formula(first + len(expected), gamma1, gamma2, params)
+            assert str(exc.value) == error
+
+    def test_invalid_arguments_are_checked_once(self):
+        with pytest.raises(InvalidSubset, match="got 0"):
+            _case3_caps(range(0, 3), 1.0, 1.0, PARAMS)
+        with pytest.raises(ValueError, match="gamma1"):
+            _case3_caps(range(1, 3), 2.0, 1.0, PARAMS)
+        with pytest.raises(ValueError, match="gamma2"):
+            _case3_caps(range(1, 3), 1.0, 0.0, PARAMS)
 
 
 class TestBoundTrace:

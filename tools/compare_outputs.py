@@ -17,7 +17,13 @@ shared by both trees:
   infeasible-weight failures (a sensor group too large for ``beta1``, two
   anchors too many for ``alpha``), which exit 4;
 - the 10 certify_growth logs, plus three configs on the first log that
-  certify by case i, certify by case ii, and certify nothing;
+  certify by case i, certify by case ii, and certify nothing, and three
+  more logs for the case-iii search: the ``gamma1`` = 0.5 schedule of
+  2 000 slices in reverse, which certifies at 0.5; the first log with its
+  longest slice one longer, which no ``gamma1`` certifies; and the
+  ``gamma1`` = 1 schedule at ``beta1`` = 0.999, whose caps are in the
+  thousands (the two schedules come from this checkout's
+  ``slicekit.generators.case3_lengths``);
 - the first products_n16 config at seeds 0-4;
 - products at seeds 0-4 with default weights at n = 4, horizon 200; n = 1,
   horizon 50; n = 16, horizon 129, which crosses two 64-step block edges of
@@ -45,8 +51,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
 
-from workloads import WORKLOADS, materialise  # noqa: E402
+from slicekit import Params  # noqa: E402
+from slicekit.certifier import MIN_GAMMA2  # noqa: E402
+from slicekit.generators import case3_lengths  # noqa: E402
+from workloads import BETA1, BETA2, WORKLOADS, materialise  # noqa: E402
 
 SEED = 100
 PRODUCTS_SEEDS = range(5)
@@ -57,6 +67,26 @@ CERTIFY_OUTCOMES = {
     "case2": {"case2": {"cap": 5, "subset": [0, 1, 2], "infinite_family": True}},
     "none": {"beta1": 0.01, "case1_cap": 4},
 }
+
+
+def certify_logs(first_log: list[int]) -> dict[str, tuple[list[int], dict]]:
+    """Slice logs beyond certify_growth's, by name: the lengths and the
+    overrides of the first certify_growth config that go with them."""
+    bumped = list(first_log)
+    bumped[bumped.index(max(bumped))] += 1
+    return {
+        # Every length is at most 4, so case i at cap 3 fails first.
+        "gamma1_half": (
+            case3_lengths(2000, 0.5, MIN_GAMMA2, Params(BETA1, BETA2))[::-1],
+            {"case1_cap": 3},
+        ),
+        "bumped": (bumped, {}),
+        "beta1_0999": (
+            case3_lengths(1000, 1.0, MIN_GAMMA2, Params(0.999, BETA2)),
+            {"beta1": 0.999},
+        ),
+    }
+
 
 # Two sensors and two anchors in given regions.
 TWO_ANCHOR_REGIONS = {
@@ -110,8 +140,9 @@ print(json.dumps({"file": slicekit.__file__, "codes": codes}))
 def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
     """Materialise the inputs under ``inputs`` and name one op per run."""
     ops = []
+    pools = {}
     for name in ("lf_demo", "certify_growth"):
-        argvs, _, _ = materialise(WORKLOADS[name], SEED, inputs / name)
+        argvs, pools[name], _ = materialise(WORKLOADS[name], SEED, inputs / name)
         ops += [(f"{name}_{j:02d}", argv) for j, argv in enumerate(argvs)]
     for name, mode, variants in (
         ("lf_demo", "lf", LF_VARIANTS),
@@ -122,6 +153,14 @@ def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
             path = inputs / name / f"config_0_{variant}.json"
             path.write_text(json.dumps({**base, **overrides}) + "\n")
             ops.append((f"{name}_00_{variant}", [mode, "--config", str(path)]))
+    directory = inputs / "certify_growth"
+    base = json.loads((directory / "config_0.json").read_text())
+    for variant, (lengths, overrides) in certify_logs(pools["certify_growth"][0]["_lengths"]).items():
+        log = f"log_{variant}.csv"
+        (directory / log).write_text("slice_index,length\n" + "".join(f"{t},{v}\n" for t, v in enumerate(lengths)))
+        path = directory / f"config_{variant}.json"
+        path.write_text(json.dumps({**base, "slice_log": log, **overrides}) + "\n")
+        ops.append((f"certify_{variant}", ["certify", "--config", str(path)]))
     argvs, _, _ = materialise(WORKLOADS["products_n16"], SEED, inputs / "products_n16")
     ops += [(f"products_n16_seed{s}", [*argvs[0], "--seed", str(s)]) for s in PRODUCTS_SEEDS]
     for variant, payload in PRODUCTS_VARIANTS.items():
