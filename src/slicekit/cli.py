@@ -312,7 +312,15 @@ def _build_world(config: ExperimentConfig) -> World:
     comm = config.value(
         "comm_radius", lambda v: v if isinstance(v, str) else _real(v), "1.5*innermost"
     )
-    x0 = config.value("x0", lambda v: np.zeros(n) if v is None else _reals(v), None)
+    if config.get("x0") is None:
+        if n < 1:
+            raise ConfigError("need at least one sensor")
+        try:
+            x0 = np.zeros(n)
+        except ValueError as exc:  # too large even to index: out of memory too
+            raise MemoryError(str(exc)) from None
+    else:
+        x0 = config.value("x0", _reals, None)
     if x0.shape != (n,):
         raise ConfigError(f"x0 must hold {n} initial states, got shape {x0.shape}")
     regions = config.get("regions")

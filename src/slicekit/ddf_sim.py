@@ -23,7 +23,13 @@ Step ``k`` draws its motion from ``default_rng([rng_seed, k, 0])`` and its
 fusing sensor from ``default_rng([rng_seed, k, 1])``, so every step is
 reproducible on its own.  A run computes those draws for a block of
 ``DRAW_BLOCK`` steps at once (:mod:`slicekit.streams`), bit for bit, without
-building the generators.
+building the generators.  It then takes the block in two passes.  The motion
+runs step by step, since each projection depends on the previous position.
+The neighbour rows and fusion weights depend on the positions and the fusing
+sensor but not on the states, so one NumPy pass computes them for every step
+of the block.  Only wrapping each row as an update, advancing the states and
+feeding the slice engine remain per step.  :func:`neighbors` and
+:func:`build_update` are one-step blocks of the same computation.
 """
 
 from __future__ import annotations
@@ -249,24 +255,32 @@ def _project(world: World, new_pos: np.ndarray) -> np.ndarray:
 
 
 def _lengths(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean length of each row, summed as ``numpy.linalg.norm`` sums
-    it, without that function's dispatch."""
-    return np.sqrt((vectors * vectors).sum(axis=1))
+    """Euclidean length of each vector along the last axis, summed as
+    ``numpy.linalg.norm`` sums it, without that function's dispatch."""
+    return np.sqrt((vectors * vectors).sum(axis=-1))
+
+
+def _neighbor_rows(world: World, track: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Boolean neighbour rows over all nodes (sensors then anchors), one per
+    step of a block: row ``t`` marks the nodes within communication radius
+    of node ``nodes[t]`` at positions ``track[t]``, that node excluded."""
+    steps = np.arange(len(nodes))
+    # Centres far apart overflow the squared distance to inf, which is
+    # still the right answer (not a neighbour).
+    with np.errstate(over="ignore"):
+        rows = _lengths(track[steps, nodes][:, None] - track) <= world.comm_radius
+    rows[steps, nodes] = False
+    return rows
 
 
 def neighbors(world: World, pos: np.ndarray, i: int) -> np.ndarray:
     """Node ``i``'s boolean neighbour row over all nodes (sensors then
     anchors) at positions ``pos``: within communication radius, ``i``
-    itself excluded."""
-    # Centres far apart overflow the squared distance to inf, which is
-    # still the right answer (not a neighbour).
-    with np.errstate(over="ignore"):
-        row = _lengths(pos[i] - pos) <= world.comm_radius
-    row[i] = False
-    return row
+    itself excluded.  A one-step block of the run's neighbour search."""
+    return _neighbor_rows(world, pos[None], np.array([i]))[0]
 
 
-def _updaters(world: World, start: int, stop: int) -> list[int]:
+def _updaters(world: World, start: int, stop: int) -> np.ndarray:
     """The sensor that fuses at each of steps ``start..stop-1``, or -1 when
     the step idles.  Each step draws from ``default_rng([rng_seed, k, 1])``:
     when ``update_prob < 1`` a ``uniform()`` decides whether it idles, then
@@ -276,7 +290,86 @@ def _updaters(world: World, start: int, stop: int) -> list[int]:
     who = streams.integers(world.rng_seed, start, 1, block, world.n)
     if gated:
         who[streams.doubles(block[:, 0]) >= world.update_prob] = -1
-    return who.tolist()
+    return who
+
+
+class _Rows(NamedTuple):
+    """The updates of a block of steps.  Step ``t`` is of kind ``kinds[t]``;
+    a fusing step replaces its sensor's row by ``p_rows[t]`` and its anchor
+    row by ``b_rows[t]``.  Steps from ``feasible`` on were not built: that
+    step's weights do not fit, for the reason ``fault``."""
+
+    kinds: list[UpdateKind]
+    p_rows: np.ndarray
+    b_rows: np.ndarray
+    feasible: int
+    fault: str
+
+
+_KINDS = (
+    UpdateKind.IDLE,
+    UpdateKind.NO_NEIGHBORS,
+    UpdateKind.STOCHASTIC_UPDATE,
+    UpdateKind.SUB_STOCHASTIC_UPDATE,
+)
+
+
+def _fusion_rows(world: World, track: np.ndarray, who: np.ndarray, params: Params) -> _Rows:
+    """The fusion rows of a block of steps, computed together: at step ``t``
+    the nodes are at ``track[t]`` and sensor ``who[t]`` fuses (-1 idles).
+
+    The fusing sensor's group is itself and its sensor neighbours.  With
+    ``a`` anchors heard, each gets ``anchor_total / a`` for ``anchor_total
+    = max(alpha * a, 1 - beta2)``, and each group member ``(1 -
+    anchor_total) / group``; without anchors the group may hold at most
+    ``floor(1/beta1)`` members.
+    """
+    n = world.n
+    idle = who < 0
+    near = _neighbor_rows(world, track, who)
+    members = near[:, :n]
+    members[np.arange(len(who)), who] = True  # the fusing sensor joins its group
+    near[idle] = False
+    anchors = near[:, n:].sum(axis=1)
+    group = members.sum(axis=1)
+    kind = np.select([idle, anchors > 0, group > 1], [0, 3, 2], 1)  # indices into _KINDS
+    anchor_total = np.where(anchors > 0, np.maximum(params.alpha * anchors, 1.0 - params.beta2), 0.0)
+    # Idle steps have an empty group; their weights are never read.
+    p_weight = (1.0 - anchor_total) / np.maximum(group, 1)
+    b_weight = anchor_total / np.maximum(anchors, 1)
+    fit = int(np.floor(1.0 / params.beta1))
+    unfit = np.flatnonzero(((kind == 2) & (group > fit)) | (anchor_total > 1.0))
+    feasible, fault = len(who), ""
+    if unfit.size:
+        feasible = int(unfit[0])
+        if anchors[feasible]:
+            fault = (
+                f"cannot give each of {int(anchors[feasible])} anchors weight alpha = "
+                f"{params.alpha} within one unit of row mass"
+            )
+        else:
+            fault = (
+                f"{int(group[feasible])} sensors share the row but only floor(1/beta1) = "
+                f"{fit} weights of at least beta1 = {params.beta1} fit in one row"
+            )
+    return _Rows(
+        kinds=[_KINDS[c] for c in kind.tolist()],
+        p_rows=np.where(members, p_weight[:, None], 0.0),
+        b_rows=np.where(near[:, n:], b_weight[:, None], 0.0),
+        feasible=feasible,
+        fault=fault,
+    )
+
+
+def _update(n: int, rows: _Rows, t: int, i: int, identity: SystemMatrix) -> SystemMatrix:
+    """Step ``t``'s update from its block's ``rows``, with sensor ``i``
+    fusing; ``identity`` serves the steps that change nothing."""
+    if t == rows.feasible:
+        raise InfeasibleWeights(rows.fault)
+    kind = rows.kinds[t]
+    if kind is UpdateKind.IDLE or kind is UpdateKind.NO_NEIGHBORS:
+        return identity
+    return row_update(n, i, rows.p_rows[t], rows.b_rows[t])
 
 
 def build_update(
@@ -284,7 +377,8 @@ def build_update(
 ) -> tuple[SystemMatrix, StepRecord]:
     """Build the row of sensor ``i``, which fuses at step ``k``, from its
     neighbours at positions ``pos``; ``i = -1`` is an idle step and builds
-    the identity.  A run draws ``i`` from stream 1 of step ``k``; nothing
+    the identity.  A run draws ``i`` from stream 1 of step ``k`` and builds
+    the rows of a whole block of steps as this one-step block does; nothing
     is drawn here.
 
     Raises :class:`DimensionMismatch` when ``i`` lies outside ``-1..n-1``,
@@ -295,37 +389,9 @@ def build_update(
     n, s = world.n, world.s
     if not -1 <= i < n:
         raise DimensionMismatch(f"fusing sensor {i} outside range(-1, {n})")
-    if i == -1:
-        return identity_step(n, s), StepRecord(k, None, UpdateKind.IDLE)
-    row = neighbors(world, pos, i)
-    sensor_nbrs = np.nonzero(row[:n])[0]
-    anchor_nbrs = np.nonzero(row[n:])[0]
-    if sensor_nbrs.size == 0 and anchor_nbrs.size == 0:
-        return identity_step(n, s), StepRecord(k, i, UpdateKind.NO_NEIGHBORS)
-
-    p_row = np.zeros(n)
-    b_row = np.zeros(s)
-    group = np.concatenate(([i], sensor_nbrs))  # self plus sensor neighbors
-    a = anchor_nbrs.size
-    if a == 0:
-        fit = int(np.floor(1.0 / params.beta1))
-        if group.size > fit:
-            raise InfeasibleWeights(
-                f"{group.size} sensors share the row but only floor(1/beta1) = "
-                f"{fit} weights of at least beta1 = {params.beta1} fit in one row"
-            )
-        anchor_total, kind = 0.0, UpdateKind.STOCHASTIC_UPDATE
-    else:
-        anchor_total = max(params.alpha * a, 1.0 - params.beta2)
-        if anchor_total > 1.0:
-            raise InfeasibleWeights(
-                f"cannot give each of {a} anchors weight alpha = {params.alpha} "
-                "within one unit of row mass"
-            )
-        b_row[anchor_nbrs] = anchor_total / a
-        kind = UpdateKind.SUB_STOCHASTIC_UPDATE
-    p_row[group] = (1.0 - anchor_total) / group.size
-    return row_update(n, i, p_row, b_row), StepRecord(k, i, kind)
+    rows = _fusion_rows(world, pos[None], np.array([i]), params)
+    m = _update(n, rows, 0, i, identity_step(n, s))
+    return m, StepRecord(k, None if i == -1 else i, rows.kinds[0])
 
 
 @dataclass(frozen=True)
@@ -386,16 +452,30 @@ class SimResult:
 DRAW_BLOCK = 1024
 
 
-def _step_draws(world: World, horizon: int) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Each step's index, motion displacements and fusing sensor, computed
-    one block of steps at a time.  Stream 0 of step ``k`` holds its motion
-    (:func:`_displacements`) and stream 1 its fusing sensor
-    (:func:`_updaters`)."""
+def _updates(
+    world: World, params: Params, horizon: int, positions: np.ndarray | None
+) -> Iterator[tuple[int, SystemMatrix]]:
+    """Each step's index and update, one block of ``DRAW_BLOCK`` steps at a
+    time.  A block's motion runs step by step into its track of positions
+    (a view of ``positions`` when they are recorded), since each projection
+    depends on the previous position; then :func:`_fusion_rows` builds all
+    of the block's rows at once.  A step with infeasible weights raises
+    when it is reached, after every earlier step has been run."""
+    n, total = world.n, world.n + world.s
+    identity = identity_step(n, world.s)
+    pos = world.pos
     for start in range(0, horizon, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, horizon)
-        block = zip(_displacements(world, start, stop), _updaters(world, start, stop))
-        for k, (disp, i) in enumerate(block, start):
-            yield k, disp, i
+        if positions is None:
+            track = np.empty((stop - start, total, 2))
+        else:
+            track = positions[start + 1 : stop + 1]
+        for t, disp in enumerate(_displacements(world, start, stop)):
+            pos = _project(world, np.add(pos, disp, out=track[t]))
+        who = _updaters(world, start, stop)
+        rows = _fusion_rows(world, track, who, params)
+        for t, i in enumerate(who.tolist()):
+            yield start + t, _update(n, rows, t, i, identity)
 
 
 def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
@@ -415,12 +495,12 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     world = config.world
     params = config.params
     n, s = world.n, world.s
-    pos, x = world.pos, world.x
+    x = world.x
     states = _history(config.horizon, (n,))
     states[0] = x
     positions = _history(config.horizon, (n + s, 2)) if config.record_positions else None
     if positions is not None:
-        positions[0] = pos
+        positions[0] = world.pos
     slices: list[Slice] = []
     slice_inputs: list[np.ndarray] = []
     events: list[SliceEvent] = []
@@ -429,9 +509,7 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     anchor_identity = np.eye(s)
     target = None if config.stop_when_error_below is None else float(world.u[0])
     steps_run = 0
-    for k, disp, i in _step_draws(world, config.horizon):
-        pos = _project(world, pos + disp)
-        m, _ = build_update(world, pos, k, i, params)
+    for k, m in _updates(world, params, config.horizon, positions):
         x = m.apply(x, world.u)
         state, evs = push(state, m, params, strict=config.strict, k=k)
         n_accum = m.apply(n_accum, anchor_identity)
@@ -442,8 +520,6 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
                 n_accum = np.zeros((n, s))
         events.extend(evs)
         states[k + 1] = x
-        if positions is not None:
-            positions[k + 1] = pos
         steps_run = k + 1
         if target is not None and np.max(np.abs(x - target)) <= (
             config.stop_when_error_below

@@ -687,6 +687,10 @@ class TestConfigHandling:
             ("products", {"n": 10**20, "horizon": 0}),
             # ... and is refused before any draw, which it would overflow too.
             ("products", {"n": 10**20, "horizon": 3}),
+            # The default initial states (745 GiB) cannot be allocated.
+            ("lf", {"n": 10**11, "horizon": 5}),
+            # n overflows a 64-bit index; the config never set x0.
+            ("lf", {"n": 10**19, "horizon": 5}),
         ],
     )
     def test_run_too_large_for_memory_exits_runtime_with_one_line(
@@ -737,6 +741,7 @@ class TestConfigHandling:
             ("certify", {"case2": {"cap": 5}}, SLICE_LOG, "case2"),
             ("lf", {"update_prob": 1.5}, SLICE_LOG, "update_prob"),
             ("lf", {"n": 0}, SLICE_LOG, "at least one sensor"),
+            ("lf", {"n": -1}, SLICE_LOG, "at least one sensor"),
             ("lf", {"comm_radius": "a*innermost"}, SLICE_LOG, "comm_radius"),
         ],
         ids=[
@@ -763,6 +768,7 @@ class TestConfigHandling:
             "case2-without-subset",
             "lf-update_prob-above-one",
             "lf-n-zero",
+            "lf-n-negative",
             "lf-comm_radius-bad-factor",
         ],
     )

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicekit import (
     ConfigError,
     DimensionMismatch,
     InfeasibleWeights,
     LeaderFollowerConfig,
+    SliceKitError,
     Params,
     UpdateKind,
     World,
     build_update,
     demo_world,
+    identity_step,
     neighbors,
     row_update,
     run_leader_follower,
@@ -411,16 +418,65 @@ class TestRunLeaderFollower:
         assert res.positions.shape == (51, 5, 2)
 
 
+class ReferenceRun(NamedTuple):
+    states: np.ndarray
+    positions: np.ndarray
+    events: list
+    slice_inputs: list
+    error: Exception | None
+
+
+def reference_update(world, pos, i, params):
+    """Sensor ``i``'s update at positions ``pos``, one step on its own:
+    neighbours within communication radius, then equal weights over the
+    group of the sensor and its sensor neighbours after the anchors heard
+    take ``max(alpha * a, 1 - beta2)`` between them."""
+    n, s = world.n, world.s
+    if i == -1:
+        return identity_step(n, s)
+    near = np.linalg.norm(pos - pos[i], axis=1) <= world.comm_radius
+    near[i] = False
+    group = [i] + [j for j in range(n) if near[j]]
+    anchors = [j for j in range(s) if near[n + j]]
+    if len(group) == 1 and not anchors:
+        return identity_step(n, s)
+    b_row = np.zeros(s)
+    if anchors:
+        anchor_total = max(params.alpha * len(anchors), 1.0 - params.beta2)
+        if anchor_total > 1.0:
+            raise InfeasibleWeights(
+                f"cannot give each of {len(anchors)} anchors weight alpha = "
+                f"{params.alpha} within one unit of row mass"
+            )
+        b_row[anchors] = anchor_total / len(anchors)
+    else:
+        anchor_total = 0.0
+        fit = int(np.floor(1.0 / params.beta1))
+        if len(group) > fit:
+            raise InfeasibleWeights(
+                f"{len(group)} sensors share the row but only floor(1/beta1) = "
+                f"{fit} weights of at least beta1 = {params.beta1} fit in one row"
+            )
+    p_row = np.zeros(n)
+    p_row[group] = (1.0 - anchor_total) / len(group)
+    return row_update(n, i, p_row, b_row)
+
+
 def reference_run(config):
-    """The run loop with a fresh ``default_rng`` per step and stream, as the
-    simulator drew before it computed each block of steps' draws at once.
-    Only the draws are its own; rows come from ``build_update``.  Returns
-    the states, positions and (kind, k, row) events."""
+    """The run loop written out one step at a time: a fresh ``default_rng``
+    per step and stream, as the simulator drew before it computed each block
+    of steps' draws at once, and each step's row from
+    :func:`reference_update`.  Returns the states, positions, (kind, k,
+    row, row sum) events and slice inputs of the steps run, and the error
+    that ended the run, if one did."""
     world, params = config.world, config.params
-    total = world.n + world.s
+    n, s = world.n, world.s
+    total = n + s
     pos, x = world.pos, world.x
-    states, positions, events = [x], [pos], []
-    state = SliceState(n=world.n)
+    states, positions, events, slice_inputs = [x], [pos], [], []
+    state = SliceState(n=n)
+    n_accum = np.zeros((n, s))
+    error = None
     for k in range(config.horizon):
         rng = np.random.default_rng([world.rng_seed, k, 0])
         angles = rng.uniform(0.0, 2.0 * np.pi, size=total)
@@ -435,26 +491,85 @@ def reference_run(config):
         if world.update_prob < 1.0 and rng.uniform() >= world.update_prob:
             i = -1
         else:
-            i = int(rng.integers(world.n))
-        m, _ = build_update(world, pos, k, i, params)
-        x = m.apply(x, world.u)
-        state, evs = push(state, m, params, strict=config.strict, k=k)
-        events += [(ev.kind, ev.k, ev.row) for ev in evs]
+            i = int(rng.integers(n))
+        try:
+            m = reference_update(world, pos, i, params)
+            x = m.apply(x, world.u)
+            state, evs = push(state, m, params, strict=config.strict, k=k)
+        except SliceKitError as exc:
+            error = exc
+            break
+        n_accum = m.apply(n_accum, np.eye(s))
+        for ev in evs:
+            if ev.slice is not None:
+                slice_inputs.append(n_accum)
+                n_accum = np.zeros((n, s))
+        events += [(ev.kind, ev.k, ev.row, ev.row_sum_after) for ev in evs]
         states.append(x)
         positions.append(pos)
         stop = config.stop_when_error_below
         if stop is not None and np.max(np.abs(x - world.u[0])) <= stop:
             break
-    return np.array(states), np.array(positions), events
+    return ReferenceRun(np.array(states), np.array(positions), events, slice_inputs, error)
 
 
 def assert_same_run(config):
-    states, positions, events = reference_run(config)
+    """The run of ``config`` equals :func:`reference_run` bit for bit; a run
+    the reference ends with an error raises the same error, and runs the
+    same steps before it.  Returns the reference run."""
+    ref = reference_run(config)
+    if ref.error is not None:
+        with pytest.raises(type(ref.error)) as info:
+            run_leader_follower(config)
+        assert str(info.value) == str(ref.error)
+        config = dataclasses.replace(config, horizon=len(ref.states) - 1)
     res = run_leader_follower(config)
-    assert res.steps_run == len(states) - 1
-    assert np.array_equal(res.states, states)
-    assert np.array_equal(res.positions, positions)
-    assert [(ev.kind, ev.k, ev.row) for ev in res.events] == events
+    assert res.steps_run == len(ref.states) - 1
+    assert np.array_equal(res.states, ref.states)
+    assert np.array_equal(res.positions, ref.positions)
+    assert [(ev.kind, ev.k, ev.row, ev.row_sum_after) for ev in res.events] == ref.events
+    assert len(res.slice_inputs) == len(ref.slice_inputs)
+    for got, want in zip(res.slice_inputs, ref.slice_inputs):
+        assert np.array_equal(got, want)
+    return ref
+
+
+@st.composite
+def random_runs(draw):
+    """Runs of random worlds: 1 to 8 sensors and 1 to 3 anchors in random
+    disks, at horizons around the draw block's edges, with weight floors
+    that some neighbourhoods cannot meet.  Everything but the run's seed
+    comes from a NumPy generator on a drawn seed, which spreads the worlds
+    wider than Hypothesis's own draws, which favour the smallest values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, s = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    # Sensors share a small square and anchors lie anywhere in a larger one,
+    # so that groups fuse with and without anchors.
+    centers = np.vstack([rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-2.5, 2.5, (s, 2))])
+    world = World(
+        pos=centers.copy(),
+        center=centers,
+        radius=rng.uniform(0.0, 1.5, n + s),
+        x=rng.uniform(-5.0, 5.0, n),
+        u=np.full(s, rng.uniform(-5.0, 5.0)),
+        comm_radius=rng.uniform(0.3, 3.0),
+        sigma=rng.uniform(0.0, 1.5),
+        rng_seed=draw(st.integers(0, 2**64)),
+        update_prob=rng.choice([1.0, 0.0, rng.uniform()]),
+    )
+    params = Params(
+        beta1=rng.choice([0.05, 0.3, 0.45], p=[0.6, 0.2, 0.2]),
+        beta2=rng.choice([0.7, 0.0, rng.uniform(0.0, 0.9)]),
+        alpha=rng.uniform(0.05, 0.6),
+    )
+    return LeaderFollowerConfig(
+        world=world,
+        params=params,
+        horizon=int(rng.choice([0, 1, 5, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])),
+        strict=bool(rng.integers(2)),
+        record_positions=True,
+        stop_when_error_below=rng.choice([None, 1e-3]),
+    )
 
 
 class TestBlockDraws:
@@ -482,6 +597,29 @@ class TestBlockDraws:
         assert_same_run(cfg)
         assert DRAW_BLOCK < run_leader_follower(cfg).steps_run < 100_000
 
+    @pytest.mark.parametrize("seed, steps", [(1, 698), (2, 3637)])
+    def test_late_infeasible_step_matches_per_step_reference(self, seed, steps):
+        # The middle sensor seldom hears both others with no anchor in
+        # range; that group of 3 is too large for beta1 = 0.4.  The run
+        # fails at that step, in the first draw block or the fourth, after
+        # running every step before it.
+        centers = np.array([[0.0, 0.0], [1.6, 0.0], [-1.6, 0.0], [40.0, 0.0]])
+        w = World(
+            pos=centers.copy(), center=centers, radius=np.array([1.0, 1.0, 1.0, 0.5]),
+            x=np.zeros(3), u=np.array([3.0]), comm_radius=0.8, sigma=0.5, rng_seed=seed,
+        )
+        cfg = LeaderFollowerConfig(
+            world=w, params=Params(beta1=0.4, beta2=0.7), horizon=4000, record_positions=True
+        )
+        ref = assert_same_run(cfg)
+        assert isinstance(ref.error, InfeasibleWeights)
+        assert len(ref.states) - 1 == steps
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(random_runs())
+    def test_random_worlds_match_per_step_reference(self, config):
+        assert_same_run(config)
+
     def test_demo_run_builds_no_generator(self, monkeypatch):
         built = []
         real = np.random.default_rng
@@ -496,20 +634,20 @@ class TestBlockDraws:
         assert built == []
 
 
-class TestOneStepPath:
-    """The run builds every step's row through the public ``build_update``."""
+class TestBlockRows:
+    """The run builds every step's row in its block's ``_fusion_rows`` call."""
 
     @pytest.mark.parametrize("update_prob, idle", [(1.0, 0), (0.5, 423), (0.0, 800)])
-    def test_run_builds_each_row_through_build_update(self, monkeypatch, update_prob, idle):
+    def test_run_builds_each_row_in_its_block(self, monkeypatch, update_prob, idle):
         kinds = []
-        real = ddf_sim.build_update
+        real = ddf_sim._fusion_rows
 
         def counting(*args):
-            m, rec = real(*args)
-            kinds.append(rec.update_kind)
-            return m, rec
+            rows = real(*args)
+            kinds.extend(rows.kinds)
+            return rows
 
-        monkeypatch.setattr(ddf_sim, "build_update", counting)
+        monkeypatch.setattr(ddf_sim, "_fusion_rows", counting)
         w = demo_world(n=4, u=3.0, seed=100, update_prob=update_prob)
         res = run_leader_follower(LeaderFollowerConfig(world=w, params=PARAMS, horizon=800))
         counts = {kind: kinds.count(kind) for kind in UpdateKind}

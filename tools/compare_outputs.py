@@ -11,11 +11,13 @@ shared by both trees:
 
 - the 32 lf_demo configs, plus variants of the first one that reach what
   lf_demo never does: idling steps (``update_prob`` 0.5), 3 and 5
-  sensors, two sensors and two anchors in given ``regions``, a seed of
-  two 32-bit words, horizons 1, 257 and 1500 (block edges of the random
-  draws), the permissive engine (``strict`` false), and the two
-  infeasible-weight failures (a sensor group too large for ``beta1``, two
-  anchors too many for ``alpha``), which exit 4;
+  sensors, two sensors and two anchors in given ``regions``, seven sensors
+  and three anchors in overlapping ``regions`` (rows hearing several
+  anchors, sensor groups of three), a seed of two 32-bit words, horizons
+  1, 257 and 1500 (block edges of the random draws), the permissive engine
+  (``strict`` false), and the two infeasible-weight failures (a sensor
+  group too large for ``beta1``, two anchors too many for ``alpha``), which
+  exit 4;
 - the 10 certify_growth logs, plus three configs on the first log that
   certify by case i, certify by case ii, and certify nothing, and three
   more logs for the case-iii search: the ``gamma1`` = 0.5 schedule of
@@ -97,12 +99,30 @@ TWO_ANCHOR_REGIONS = {
     },
 }
 
+# Seven sensors and three anchors in given regions that overlap: fusion rows
+# hear up to three anchors at once, with alpha binding from two anchors on,
+# and anchor-free sensor groups reach three members.  Every group and anchor
+# count stays feasible at beta1 = 0.05 and alpha = 0.15.
+CROWDED_REGIONS = {
+    "n": 7,
+    "alpha": 0.15,
+    "comm_radius": 1.5,
+    "regions": {
+        "sensors": [
+            [0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [0.0, 0.9, 0.8], [0.0, -0.9, 0.8],
+            [2.4, 0.0, 0.8], [3.4, 0.6, 0.8], [3.2, -0.6, 0.8],
+        ],
+        "anchors": [[0.0, 0.0, 0.6], [1.0, 0.8, 0.6], [-1.0, -0.8, 0.6]],
+    },
+}
+
 # Overrides of the first lf_demo config.
 LF_VARIANTS = {
     "idle": {"update_prob": 0.5},
     "n3": {"n": 3},
     "n5": {"n": 5},
     "regions": TWO_ANCHOR_REGIONS,
+    "crowded_regions": CROWDED_REGIONS,
     "seed_2words": {"seed": 2**40 + 3},
     "h1": {"horizon": 1},
     "h257": {"horizon": 257},
