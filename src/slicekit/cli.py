@@ -306,6 +306,8 @@ def _products_plot_script() -> str:
 
 def _build_world(config: ExperimentConfig) -> World:
     n = config.value("n", _int, 4)
+    if n < 1:
+        raise ConfigError("need at least one sensor")
     u = config.value("u", _real, 3.0)
     sigma = config.value("sigma", _real, 0.2)
     update_prob = config.value("update_prob", _real, 1.0)
@@ -313,8 +315,6 @@ def _build_world(config: ExperimentConfig) -> World:
         "comm_radius", lambda v: v if isinstance(v, str) else _real(v), "1.5*innermost"
     )
     if config.get("x0") is None:
-        if n < 1:
-            raise ConfigError("need at least one sensor")
         try:
             x0 = np.zeros(n)
         except ValueError as exc:  # too large even to index: out of memory too

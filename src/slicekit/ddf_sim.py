@@ -328,7 +328,8 @@ def _fusion_rows(world: World, track: np.ndarray, who: np.ndarray, params: Param
     idle = who < 0
     near = _neighbor_rows(world, track, who)
     members = near[:, :n]
-    members[np.arange(len(who)), who] = True  # the fusing sensor joins its group
+    # The fusing sensor joins its group; idle rows (who = -1) are cleared.
+    members[np.arange(len(who)), who] = True
     near[idle] = False
     anchors = near[:, n:].sum(axis=1)
     group = members.sum(axis=1)

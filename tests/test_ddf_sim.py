@@ -131,6 +131,11 @@ class TestWorld:
         with pytest.raises(ConfigError, match="non-negative"):
             demo_world(seed=-1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_demo_world_needs_a_sensor(self, n):
+        with pytest.raises(ConfigError, match="at least one sensor"):
+            demo_world(n=n)
+
     def test_no_sensors_rejected(self):
         with pytest.raises(ConfigError, match="at least one sensor"):
             World(

@@ -100,9 +100,9 @@ TWO_ANCHOR_REGIONS = {
 }
 
 # Seven sensors and three anchors in given regions that overlap: fusion rows
-# hear up to three anchors at once, with alpha binding from two anchors on,
-# and anchor-free sensor groups reach three members.  Every group and anchor
-# count stays feasible at beta1 = 0.05 and alpha = 0.15.
+# hear up to three anchors at once (alpha = 0.15 binds at three, where
+# 3 * alpha > 1 - beta2), and anchor-free sensor groups reach three members.
+# Every group and anchor count stays feasible at beta1 = 0.05.
 CROWDED_REGIONS = {
     "n": 7,
     "alpha": 0.15,
