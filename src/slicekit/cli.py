@@ -368,14 +368,12 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
         params=config.params,
         horizon=config.value("horizon", _int, 200),
         strict=config.value("strict", _flag, True),
-        record_positions=True,
     )
     result = run_leader_follower(run_cfg)
 
     out = config.make_out_dir()
     write_trajectory_csv(result.states, out / "trajectory.csv")
-    if result.positions is not None:
-        write_positions_csv(result.positions, out / "positions.csv")
+    write_positions_csv(result.positions, out / "positions.csv")
     write_slice_log(result.slices, out / "slices.csv")
     write_event_log(result.events, out / "events.csv")
     checks = map(steady_state_check, (s.product for s in result.slices), result.slice_inputs)

@@ -28,8 +28,7 @@ runs step by step, since each projection depends on the previous position.
 The neighbour rows and fusion weights depend on the positions and the fusing
 sensor but not on the states, so one NumPy pass computes them for every step
 of the block.  Only wrapping each row as an update, advancing the states and
-feeding the slice engine remain per step.  :func:`neighbors` and
-:func:`build_update` are one-step blocks of the same computation.
+feeding the slice engine remain per step.
 """
 
 from __future__ import annotations
@@ -52,13 +51,10 @@ from .tables import write_table
 __all__ = [
     "World",
     "UpdateKind",
-    "StepRecord",
     "LeaderFollowerConfig",
     "SimResult",
     "demo_world",
     "resolve_comm_radius",
-    "neighbors",
-    "build_update",
     "run_leader_follower",
     "steady_state_check",
     "write_trajectory_csv",
@@ -166,15 +162,6 @@ class UpdateKind(enum.Enum):
     IDLE = "idle"
 
 
-@dataclass
-class StepRecord:
-    """What happened at one step."""
-
-    k: int
-    updating_sensor: int | None
-    update_kind: UpdateKind
-
-
 def demo_world(
     n: int = 4,
     u: float = 3.0,
@@ -273,13 +260,6 @@ def _neighbor_rows(world: World, track: np.ndarray, nodes: np.ndarray) -> np.nda
     return rows
 
 
-def neighbors(world: World, pos: np.ndarray, i: int) -> np.ndarray:
-    """Node ``i``'s boolean neighbour row over all nodes (sensors then
-    anchors) at positions ``pos``: within communication radius, ``i``
-    itself excluded.  A one-step block of the run's neighbour search."""
-    return _neighbor_rows(world, pos[None], np.array([i]))[0]
-
-
 def _updaters(world: World, start: int, stop: int) -> np.ndarray:
     """The sensor that fuses at each of steps ``start..stop-1``, or -1 when
     the step idles.  Each step draws from ``default_rng([rng_seed, k, 1])``:
@@ -373,28 +353,6 @@ def _update(n: int, rows: _Rows, t: int, i: int, identity: SystemMatrix) -> Syst
     return row_update(n, i, rows.p_rows[t], rows.b_rows[t])
 
 
-def build_update(
-    world: World, pos: np.ndarray, k: int, i: int, params: Params
-) -> tuple[SystemMatrix, StepRecord]:
-    """Build the row of sensor ``i``, which fuses at step ``k``, from its
-    neighbours at positions ``pos``; ``i = -1`` is an idle step and builds
-    the identity.  A run draws ``i`` from stream 1 of step ``k`` and builds
-    the rows of a whole block of steps as this one-step block does; nothing
-    is drawn here.
-
-    Raises :class:`DimensionMismatch` when ``i`` lies outside ``-1..n-1``,
-    and :class:`InfeasibleWeights` when an anchor-free neighborhood is too
-    large for the weight floor (more than ``floor(1/beta1)`` members) or
-    when the anchor floor cannot fit inside one unit of row mass.
-    """
-    n, s = world.n, world.s
-    if not -1 <= i < n:
-        raise DimensionMismatch(f"fusing sensor {i} outside range(-1, {n})")
-    rows = _fusion_rows(world, pos[None], np.array([i]), params)
-    m = _update(n, rows, 0, i, identity_step(n, s))
-    return m, StepRecord(k, None if i == -1 else i, rows.kinds[0])
-
-
 @dataclass(frozen=True)
 class LeaderFollowerConfig:
     """Everything one simulation run needs, checked when built.
@@ -409,7 +367,6 @@ class LeaderFollowerConfig:
     params: Params
     horizon: int
     strict: bool = True
-    record_positions: bool = False
     stop_when_error_below: float | None = None
 
     def __post_init__(self) -> None:
@@ -434,14 +391,14 @@ class LeaderFollowerConfig:
 class SimResult:
     """Run outputs: per-step states (row 0 is the initial state), completed
     slices with their accumulated input matrices, the engine event log, the
-    optional position history (row 0 is the start layout), and the number
-    of steps executed."""
+    position history (row 0 is the start layout), and the number of steps
+    executed."""
 
     states: np.ndarray
     slices: list[Slice]
     slice_inputs: list[np.ndarray]
     events: list[SliceEvent]
-    positions: np.ndarray | None
+    positions: np.ndarray
 
     @property
     def steps_run(self) -> int:
@@ -454,23 +411,20 @@ DRAW_BLOCK = 1024
 
 
 def _updates(
-    world: World, params: Params, horizon: int, positions: np.ndarray | None
+    world: World, params: Params, horizon: int, positions: np.ndarray
 ) -> Iterator[tuple[int, SystemMatrix]]:
     """Each step's index and update, one block of ``DRAW_BLOCK`` steps at a
     time.  A block's motion runs step by step into its track of positions
-    (a view of ``positions`` when they are recorded), since each projection
-    depends on the previous position; then :func:`_fusion_rows` builds all
-    of the block's rows at once.  A step with infeasible weights raises
-    when it is reached, after every earlier step has been run."""
-    n, total = world.n, world.n + world.s
+    (a view of ``positions``), since each projection depends on the
+    previous position; then :func:`_fusion_rows` builds all of the block's
+    rows at once.  A step with infeasible weights raises when it is
+    reached, after every earlier step has been run."""
+    n = world.n
     identity = identity_step(n, world.s)
     pos = world.pos
     for start in range(0, horizon, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, horizon)
-        if positions is None:
-            track = np.empty((stop - start, total, 2))
-        else:
-            track = positions[start + 1 : stop + 1]
+        track = positions[start + 1 : stop + 1]
         for t, disp in enumerate(_displacements(world, start, stop)):
             pos = _project(world, np.add(pos, disp, out=track[t]))
         who = _updaters(world, start, stop)
@@ -499,9 +453,8 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     x = world.x
     states = _history(config.horizon, (n,))
     states[0] = x
-    positions = _history(config.horizon, (n + s, 2)) if config.record_positions else None
-    if positions is not None:
-        positions[0] = world.pos
+    positions = _history(config.horizon, (n + s, 2))
+    positions[0] = world.pos
     slices: list[Slice] = []
     slice_inputs: list[np.ndarray] = []
     events: list[SliceEvent] = []
@@ -526,15 +479,12 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
             config.stop_when_error_below
         ):
             break
-    states = states[: steps_run + 1]
-    if positions is not None:
-        positions = positions[: steps_run + 1]
     return SimResult(
-        states=states,
+        states=states[: steps_run + 1],
         slices=slices,
         slice_inputs=slice_inputs,
         events=events,
-        positions=positions,
+        positions=positions[: steps_run + 1],
     )
 
 

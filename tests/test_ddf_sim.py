@@ -19,10 +19,8 @@ from slicekit import (
     Params,
     UpdateKind,
     World,
-    build_update,
     demo_world,
     identity_step,
-    neighbors,
     row_update,
     run_leader_follower,
     steady_state_check,
@@ -161,9 +159,7 @@ class TestWorld:
 
 def run_positions(world, horizon):
     """The position history of a run of ``world`` (row 0 the start layout)."""
-    cfg = LeaderFollowerConfig(
-        world=world, params=PARAMS, horizon=horizon, record_positions=True
-    )
+    cfg = LeaderFollowerConfig(world=world, params=PARAMS, horizon=horizon)
     return run_leader_follower(cfg).positions
 
 
@@ -213,20 +209,27 @@ def all_pairs_adjacency(pos, comm_radius):
     return adj
 
 
+def neighbor_rows(world, pos):
+    """Every node's neighbour row at positions ``pos``, from one
+    ``_neighbor_rows`` call whose steps visit the nodes in turn."""
+    nodes = np.arange(len(pos))
+    return ddf_sim._neighbor_rows(world, np.broadcast_to(pos, (len(pos), *pos.shape)), nodes)
+
+
 class TestNeighbors:
     def test_symmetric_without_self_edges(self):
         w = demo_world(n=4, u=3.0, seed=5)
-        adj = np.array([neighbors(w, w.pos, i) for i in range(w.n + w.s)])
+        adj = neighbor_rows(w, w.pos)
         assert adj.shape == (5, 5)
         assert np.array_equal(adj, adj.T)
         assert not np.any(np.diag(adj))
 
     def test_radius_threshold(self):
         w = tiny_world(comm_radius=0.99)
-        assert not neighbors(w, w.pos, 0)[1]
+        assert not neighbor_rows(w, w.pos)[0, 1]
         w = tiny_world(comm_radius=1.01)
-        assert neighbors(w, w.pos, 0)[1]
-        assert neighbors(w, w.pos, 1)[0]
+        assert neighbor_rows(w, w.pos)[0, 1]
+        assert neighbor_rows(w, w.pos)[1, 0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_match_all_pairs_reference(self, seed):
@@ -246,32 +249,37 @@ class TestNeighbors:
         )
         reference = all_pairs_adjacency(pos, radius)
         assert reference[1, 4] and reference[4, 1]
-        for i in range(n + s):
-            assert np.array_equal(neighbors(w, pos, i), reference[i])
+        assert np.array_equal(neighbor_rows(w, pos), reference)
 
 
-class TestBuildUpdate:
+def one_step(world, pos, i, params):
+    """The update and kind of one step at positions ``pos`` with sensor
+    ``i`` fusing (-1 idles), built as a one-step block of the run's rows."""
+    rows = ddf_sim._fusion_rows(world, pos[None], np.array([i]), params)
+    return ddf_sim._update(world.n, rows, 0, i, identity_step(world.n, world.s)), rows.kinds[0]
+
+
+class TestFusionRows:
     def test_anchor_only_row_oracle(self):
         # [DERIVED] w_a = max(0.1, 0.3) = 0.3, self keeps 0.7
         w = tiny_world()
-        m, rec = build_update(w, w.pos, 0, 0, PARAMS)
-        assert rec.update_kind is UpdateKind.SUB_STOCHASTIC_UPDATE
-        assert rec.k == 0 and rec.updating_sensor == 0
+        m, kind = one_step(w, w.pos, 0, PARAMS)
+        assert kind is UpdateKind.SUB_STOCHASTIC_UPDATE
         assert m.p[0, 0] == pytest.approx(0.7)
         assert m.b[0, 0] == pytest.approx(0.3)
 
     def test_isolated_sensor_yields_identity(self):
         w = tiny_world(comm_radius=0.1)
-        m, rec = build_update(w, w.pos, 0, 0, PARAMS)
-        assert rec.update_kind is UpdateKind.NO_NEIGHBORS
+        m, kind = one_step(w, w.pos, 0, PARAMS)
+        assert kind is UpdateKind.NO_NEIGHBORS
         assert m.is_identity()
         assert m.updated_row is None
 
     def test_reads_the_given_positions(self):
         # The start layout is out of range; the positions passed in are not.
         w = tiny_world(comm_radius=0.6)
-        m, rec = build_update(w, np.array([[0.5, 0.0], [0.0, 0.0]]), 0, 0, PARAMS)
-        assert rec.update_kind is UpdateKind.SUB_STOCHASTIC_UPDATE
+        m, kind = one_step(w, np.array([[0.5, 0.0], [0.0, 0.0]]), 0, PARAMS)
+        assert kind is UpdateKind.SUB_STOCHASTIC_UPDATE
         assert m.b[0, 0] == pytest.approx(0.3)
 
     @pytest.mark.parametrize("i, group", [(0, [0, 1]), (1, [0, 1, 2]), (2, [1, 2])])
@@ -286,9 +294,9 @@ class TestBuildUpdate:
             comm_radius=1.5,
             rng_seed=1,
         )
-        m, rec = build_update(w, w.pos, 7, i, PARAMS)
-        assert rec.update_kind is UpdateKind.STOCHASTIC_UPDATE
-        assert rec.k == 7 and rec.updating_sensor == i and m.updated_row == i
+        m, kind = one_step(w, w.pos, i, PARAMS)
+        assert kind is UpdateKind.STOCHASTIC_UPDATE
+        assert m.updated_row == i
         expected = np.zeros(3)
         expected[group] = 1.0 / len(group)
         assert np.array_equal(m.p_row, expected)
@@ -306,7 +314,7 @@ class TestBuildUpdate:
             comm_radius=2.0,
             rng_seed=0,
         )
-        m, _ = build_update(w, w.pos, 0, 0, params)
+        m, _ = one_step(w, w.pos, 0, params)
         # alpha * 3 = 0.6 > 1 - beta2 = 0.3, so each anchor gets exactly alpha
         assert np.allclose(m.b[0], 0.2)
         assert m.p[0, 0] == pytest.approx(0.4)
@@ -324,7 +332,7 @@ class TestBuildUpdate:
             rng_seed=0,
         )
         with pytest.raises(InfeasibleWeights):
-            build_update(w, w.pos, 0, 0, params)
+            one_step(w, w.pos, 0, params)
 
     def test_crowded_sensor_group_is_infeasible(self):
         params = Params(beta1=0.4, beta2=0.7)
@@ -341,21 +349,13 @@ class TestBuildUpdate:
             rng_seed=0,
         )
         with pytest.raises(InfeasibleWeights):
-            build_update(w, w.pos, 0, 0, params)
+            one_step(w, w.pos, 0, params)
 
     def test_idle_step_builds_identity(self):
         w = tiny_world()
-        m, rec = build_update(w, w.pos, 3, -1, PARAMS)
-        assert rec.update_kind is UpdateKind.IDLE
-        assert rec.k == 3 and rec.updating_sensor is None
+        m, kind = one_step(w, w.pos, -1, PARAMS)
+        assert kind is UpdateKind.IDLE
         assert m.is_identity() and m.updated_row is None
-
-    @pytest.mark.parametrize("i", [-5, -2, 1, 2, 10])
-    def test_fusing_sensor_out_of_range_rejected(self, i):
-        # Node 1 is the anchor; no index past the one sensor fuses.
-        w = tiny_world()
-        with pytest.raises(DimensionMismatch, match=rf"^fusing sensor {i} outside range\(-1, 1\)$"):
-            build_update(w, w.pos, 0, i, PARAMS)
 
 
 class TestRunLeaderFollower:
@@ -413,13 +413,9 @@ class TestRunLeaderFollower:
             assert check.ok
             assert check.residual <= 1e-10
 
-    def test_positions_recorded_on_request(self):
+    def test_default_run_records_positions(self):
         w = demo_world(n=4, u=3.0, seed=0)
-        cfg = LeaderFollowerConfig(
-            world=w, params=PARAMS, horizon=50, record_positions=True
-        )
-        res = run_leader_follower(cfg)
-        assert res.positions is not None
+        res = run_leader_follower(LeaderFollowerConfig(world=w, params=PARAMS, horizon=50))
         assert res.positions.shape == (51, 5, 2)
 
 
@@ -572,7 +568,6 @@ def random_runs(draw):
         params=params,
         horizon=int(rng.choice([0, 1, 5, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])),
         strict=bool(rng.integers(2)),
-        record_positions=True,
         stop_when_error_below=rng.choice([None, 1e-3]),
     )
 
@@ -589,15 +584,12 @@ class TestBlockDraws:
     )
     def test_run_matches_per_step_generators(self, horizon, n, update_prob, seed):
         w = demo_world(n=n, u=3.0, seed=seed, sigma=0.6, update_prob=update_prob)
-        assert_same_run(
-            LeaderFollowerConfig(world=w, params=PARAMS, horizon=horizon, record_positions=True)
-        )
+        assert_same_run(LeaderFollowerConfig(world=w, params=PARAMS, horizon=horizon))
 
     def test_early_stop_matches_per_step_generators(self):
         w = demo_world(n=4, u=3.0, seed=0)
         cfg = LeaderFollowerConfig(
-            world=w, params=PARAMS, horizon=100_000, record_positions=True,
-            stop_when_error_below=1e-2,
+            world=w, params=PARAMS, horizon=100_000, stop_when_error_below=1e-2
         )
         assert_same_run(cfg)
         assert DRAW_BLOCK < run_leader_follower(cfg).steps_run < 100_000
@@ -613,9 +605,7 @@ class TestBlockDraws:
             pos=centers.copy(), center=centers, radius=np.array([1.0, 1.0, 1.0, 0.5]),
             x=np.zeros(3), u=np.array([3.0]), comm_radius=0.8, sigma=0.5, rng_seed=seed,
         )
-        cfg = LeaderFollowerConfig(
-            world=w, params=Params(beta1=0.4, beta2=0.7), horizon=4000, record_positions=True
-        )
+        cfg = LeaderFollowerConfig(world=w, params=Params(beta1=0.4, beta2=0.7), horizon=4000)
         ref = assert_same_run(cfg)
         assert isinstance(ref.error, InfeasibleWeights)
         assert len(ref.states) - 1 == steps

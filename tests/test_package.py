@@ -22,10 +22,13 @@ EARLIER_EXPORTS = [
     "case3_length_cap", "certify_case1", "certify_case2", "certify_case3",
     "search_case3", "format_certificate", "write_certificate",
     "random_product_sequence", "worst_case_slice_sequence", "case3_lengths",
-    "World", "UpdateKind", "StepRecord", "LeaderFollowerConfig", "SimResult",
-    "demo_world", "neighbors", "build_update", "run_leader_follower",
-    "steady_state_check",
+    "World", "UpdateKind", "LeaderFollowerConfig", "SimResult",
+    "demo_world", "run_leader_follower", "steady_state_check",
 ]
+
+# Simulator wrappers removed once the run built every row in blocks; only
+# tests called them.
+REMOVED = ("StepRecord", "neighbors", "build_update")
 
 
 def test_all_is_the_module_lists_in_order():
@@ -49,5 +52,11 @@ def test_star_import_binds_exactly_the_list():
 
 
 def test_earlier_exports_are_kept():
-    assert len(EARLIER_EXPORTS) == 57
+    assert len(EARLIER_EXPORTS) == 54
     assert set(EARLIER_EXPORTS) <= set(slicekit.__all__)
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in slicekit.__all__
+        assert not hasattr(ddf_sim, name)
