@@ -358,6 +358,26 @@ class TestFusionRows:
         assert m.is_identity() and m.updated_row is None
 
 
+class TestUpdaters:
+    """The run draws its fusing sensors itself, so none lies outside
+    ``-1..n-1`` and no one-step range check is needed."""
+
+    @pytest.mark.parametrize(
+        "n, update_prob, seed",
+        [(1, 1.0, 0), (1, 0.5, 3), (4, 1.0, 2**32 + 7), (5, 0.5, 11), (5, 0.0, 2**64 + 1)],
+    )
+    def test_fusing_sensors_lie_in_range(self, n, update_prob, seed):
+        w = demo_world(n=n, u=3.0, seed=seed, update_prob=update_prob)
+        horizon, cut = 2 * DRAW_BLOCK + 3, DRAW_BLOCK - 1
+        who = ddf_sim._updaters(w, 0, horizon)
+        assert who.shape == (horizon,)
+        lo, hi = (-1 if update_prob < 1 else 0), (n if update_prob > 0 else 0)
+        assert set(who.tolist()) == set(range(lo, hi))
+        # A step's draw does not depend on where its block starts.
+        split = [ddf_sim._updaters(w, 0, cut), ddf_sim._updaters(w, cut, horizon)]
+        assert np.array_equal(who, np.concatenate(split))
+
+
 class TestRunLeaderFollower:
     def test_fixed_point_stays_put(self):
         w = demo_world(n=4, u=3.0, seed=0, x0=np.full(4, 3.0))
