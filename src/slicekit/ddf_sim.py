@@ -44,7 +44,7 @@ import numpy as np
 
 from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
-from .matrix_core import Params, SystemMatrix, identity_step, row_update
+from .matrix_core import Params, SystemMatrix, identity_step
 from .slice_engine import Slice, SliceEvent, SliceState, push
 from .tables import write_table
 
@@ -350,7 +350,8 @@ def _update(n: int, rows: _Rows, t: int, i: int, identity: SystemMatrix) -> Syst
     kind = rows.kinds[t]
     if kind is UpdateKind.IDLE or kind is UpdateKind.NO_NEIGHBORS:
         return identity
-    return row_update(n, i, rows.p_rows[t], rows.b_rows[t])
+    b_row = rows.b_rows[t]
+    return SystemMatrix._trusted(n, len(b_row), i, rows.p_rows[t], b_row)
 
 
 @dataclass(frozen=True)
@@ -464,9 +465,11 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     target = None if config.stop_when_error_below is None else float(world.u[0])
     steps_run = 0
     for k, m in _updates(world, params, config.horizon, positions):
-        x = m.apply(x, world.u)
+        # An identity step (idle, or no neighbours) leaves x and N as they are.
+        if m.updated_row is not None:
+            x = m.apply(x, world.u)
+            n_accum = m.apply(n_accum, anchor_identity)
         state, evs = push(state, m, params, strict=config.strict, k=k)
-        n_accum = m.apply(n_accum, anchor_identity)
         for ev in evs:
             if ev.slice is not None:
                 slices.append(ev.slice)

@@ -70,13 +70,15 @@ def random_product_sequence(
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     max_support = min(n, int(math.floor(1.0 / params.beta1)))
+    identity = identity_step(n)
+    no_anchors = np.zeros(0)
     out: list[SystemMatrix] = []
     for _ in range(horizon):
         form = int(cdf.searchsorted(rng.random(), side="right"))  # rng.choice(3, p=probs)
         if form == 0 and max_support < 2:
             form = 1
         if form == 2:
-            out.append(identity_step(n))
+            out.append(identity)
             continue
         row = int(rng.integers(n))
         if form == 0:
@@ -91,7 +93,7 @@ def random_product_sequence(
         else:
             mass = params.beta2 * float(rng.uniform(0.0, 1.0))
             p_row[support] = mass * _flat_dirichlet(rng, d)
-        out.append(row_update(n, row, p_row))
+        out.append(SystemMatrix._trusted(n, 0, row, p_row, no_anchors))
     return out
 
 

@@ -83,9 +83,11 @@ class SystemMatrix:
 
     ``updated_row`` is None for identity steps, which carry no row.  The
     anchor block is carried even in pure product studies (s = 0 there) so
-    one type serves both analyses.  Rows holding NaN or infinity are
-    rejected.  Instances are treated as immutable; the arrays must not be
-    mutated after construction.
+    one type serves both analyses.  The constructor copies both rows and
+    rejects a wrong shape or a row holding NaN or infinity; rows the
+    library builds itself come through :meth:`_trusted` instead.
+    Instances are treated as immutable; the arrays must not be mutated
+    after construction.
     """
 
     n: int
@@ -111,6 +113,19 @@ class SystemMatrix:
                 raise AssumptionViolated(f"{name} holds a non-finite entry: {row}")
             object.__setattr__(self, name, row)
 
+    @classmethod
+    def _trusted(
+        cls, n: int, s: int, updated_row: int, p_row: np.ndarray, b_row: np.ndarray
+    ) -> SystemMatrix:
+        """The update of row ``updated_row`` to the float rows ``p_row`` and
+        ``b_row``, taken as given: no copy and no shape or finiteness check,
+        for rows the library has just built from finite values.  Strict
+        :func:`~slicekit.slice_engine.push` still refuses a row of the wrong
+        shape or with a non-finite entry."""
+        m = object.__new__(cls)
+        vars(m).update(n=n, s=s, updated_row=updated_row, p_row=p_row, b_row=b_row)
+        return m
+
     @cached_property
     def p(self) -> np.ndarray:
         """The dense n x n sensor block, built on first use."""
@@ -130,11 +145,7 @@ class SystemMatrix:
     def is_identity(self, tol: float = 1e-12) -> bool:
         """True when the step leaves the state untouched."""
         i = self.updated_row
-        if i is None:
-            return True
-        dev = np.abs(self.p_row)
-        dev[i] = abs(self.p_row[i] - 1.0)
-        return bool(dev.max() <= tol and np.all(np.abs(self.b_row) <= tol))
+        return i is None or _unit_row(self.p_row.tolist(), self.b_row.tolist(), i, tol)
 
     def apply(self, a: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         """``P a``, plus ``B u`` when ``u`` is given, for a vector or a
@@ -174,6 +185,16 @@ def row_update(
     return SystemMatrix(n, len(b_row) if s is None else s, row, p_row, b_row)
 
 
+def _unit_row(p: list[float], b: list[float], i: int, tol: float) -> bool:
+    """Whether sensor row ``p`` is row ``i`` of the identity and anchor row
+    ``b`` zero, within ``tol``; written so that NaN is never within it."""
+    if not abs(p[i] - 1.0) <= tol:
+        return False
+    return all(abs(v) <= tol for j, v in enumerate(p) if j != i) and all(
+        abs(v) <= tol for v in b
+    )
+
+
 def validate_update(m: SystemMatrix, params: Params) -> tuple[str, ...]:
     """The admissibility rules one update fails; empty means admissible.
     Only the updated row is examined: every other row is the identity's by
@@ -183,48 +204,66 @@ def validate_update(m: SystemMatrix, params: Params) -> tuple[str, ...]:
     sensor part sums to one (within ``tol``) is an anchor-free fusion: it
     carries no anchor weight, keeps a self-weight, and every nonzero weight
     lies in [beta1, 1).  Any other non-identity row keeps its sensor sum at
-    or below beta2 and every used anchor weight at or above alpha.
+    or below beta2 and every used anchor weight at or above alpha.  A row
+    of the wrong shape, or holding NaN or infinity, fails on that alone.
     """
+    return _screen(m, params)[2]
+
+
+def _screen(m: SystemMatrix, params: Params) -> tuple[bool, float, tuple[str, ...]]:
+    """Whether ``m`` is an identity step, its sensor row sum (0 without a
+    row, NaN for a row refused on its shape or a non-finite entry), and the
+    rules it fails (see :func:`validate_update`), from one look at the row.
+    The per-entry rules run on Python floats; the two row sums stay NumPy
+    sums, which add pairwise from 8 terms on."""
     i = m.updated_row
     if i is None:
-        return ()
-    tol = params.tol
+        return True, 0.0, ()
     p_row, b_row = m.p_row, m.b_row
-    fails: list[str] = []
-    if p_row.min() < -tol or b_row.min(initial=0.0) < -tol:
-        fails.append("negative entry")
+    if not 0 <= i < m.n or p_row.shape != (m.n,) or b_row.shape != (m.s,):
+        return False, math.nan, (
+            f"row {i} of shapes {p_row.shape} and {b_row.shape} does not fit "
+            f"{m.n} sensors and {m.s} anchors",
+        )
+    p, b = p_row.tolist(), b_row.tolist()
+    # Python sums, unlike NumPy's, add inf and -inf without a warning.
+    if not math.isfinite(sum(p) + sum(b)) and not all(map(math.isfinite, p + b)):
+        return False, math.nan, (f"row {i} holds a non-finite entry",)
     p_sum = float(p_row.sum())
     total = p_sum + float(b_row.sum())
+    tol = params.tol
+    fails: list[str] = []
+    if min(p) < -tol or min(b, default=0.0) < -tol:
+        fails.append("negative entry")
     if total > 1.0 + tol:
         fails.append(f"row {i} sums to {total!r} > 1 + tol")
-    if m.is_identity(tol):
-        return tuple(fails)
+    if _unit_row(p, b, i, tol):
+        return True, p_sum, tuple(fails)
 
     if p_sum >= 1.0 - tol:
-        if b_row.max(initial=0.0) > tol:
+        if max(b, default=0.0) > tol:
             fails.append(
                 "anchor weight present on a row whose sensor part sums to 1"
             )
         if abs(p_sum - 1.0) > tol:
             fails.append(f"sensor row sum {p_sum!r} != 1")
-        if p_row[i] <= tol:
+        if p[i] <= tol:
             fails.append("self-weight is zero")
-        for j in np.nonzero(p_row > tol)[0]:
-            w = float(p_row[j])
-            if w < params.beta1 - tol:
-                fails.append(f"weight {w!r} at column {j} below beta1={params.beta1}")
-            if w >= 1.0 - tol:
-                fails.append(f"weight {w!r} at column {j} reaches 1")
+        for j, w in enumerate(p):
+            if w > tol:
+                if w < params.beta1 - tol:
+                    fails.append(f"weight {w!r} at column {j} below beta1={params.beta1}")
+                if w >= 1.0 - tol:
+                    fails.append(f"weight {w!r} at column {j} reaches 1")
     else:
         if p_sum > params.beta2 + tol:
             fails.append(f"sensor row sum {p_sum!r} exceeds beta2={params.beta2}")
-        for j in np.nonzero(b_row > tol)[0]:
-            w = float(b_row[j])
-            if w < params.alpha - tol:
+        for j, w in enumerate(b):
+            if tol < w < params.alpha - tol:
                 fails.append(
                     f"anchor weight {w!r} at column {j} below alpha={params.alpha}"
                 )
-    return tuple(fails)
+    return False, p_sum, tuple(fails)
 
 
 def inf_norm(a: np.ndarray) -> float | np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import slice_norm_bound
 from .errors import AssumptionViolated
-from .matrix_core import Params, SystemMatrix, inf_norm, validate_update
+from .matrix_core import Params, SystemMatrix, _screen, inf_norm
 from .tables import write_table
 
 __all__ = [
@@ -132,23 +132,29 @@ def push(
     """Feed one matrix into the engine, mutating ``state`` in place.
 
     Identity steps are skipped.  In strict mode the matrix must pass
-    :func:`validate_update` (raising :class:`AssumptionViolated` otherwise);
-    permissive mode accepts any row of matching shape, so rule-violating
-    rows are observable rather than fatal.  Only the updated row of the
-    running product moves, so only that row's sum and informed status are
-    recomputed.  A single push can emit several events: opening the slice,
-    a success when the row becomes newly informed, and completion.
+    :func:`~slicekit.matrix_core.validate_update`'s rules, checked in the
+    same look at the row as the identity test (raising
+    :class:`AssumptionViolated` otherwise); permissive mode accepts any row
+    of matching shape, so rule-violating rows are observable rather than
+    fatal.  Only the updated row of the running product moves, so only
+    that row's sum and informed status are recomputed.  A single push can
+    emit several events: opening the slice, a success when the row becomes
+    newly informed, and completion.
     """
     if m.n != state.n:
         raise AssumptionViolated(
             f"matrix is {m.n}x{m.n} but the engine tracks {state.n} rows"
         )
-    if m.is_identity(params.tol):
-        return state, [SliceEvent(SliceEventKind.SKIPPED, k=k)]
     if strict:
-        fails = validate_update(m, params)
-        if fails:
-            raise AssumptionViolated(f"update failed validation: {'; '.join(fails)}")
+        identity, p_sum, fails = _screen(m, params)
+    else:
+        identity, fails = m.is_identity(params.tol), ()
+    if identity:
+        return state, [SliceEvent(SliceEventKind.SKIPPED, k=k)]
+    if fails:
+        raise AssumptionViolated(f"update failed validation: {'; '.join(fails)}")
+    if not strict:
+        p_sum = float(m.p_row.sum())
 
     this_k = state.next_k
     state.next_k += 1
@@ -160,7 +166,7 @@ def push(
     row_sum = float(state.j[i].sum())
 
     # Direct sub-stochastic updates stamp g for their row, successes stamp h.
-    if float(m.p_row.sum()) < 1.0 - params.tol:
+    if p_sum < 1.0 - params.tol:
         state.g[i] = state.k_local
 
     events: list[SliceEvent] = []

@@ -12,6 +12,7 @@ from slicekit import (
     DimensionMismatch,
     NegativeEntry,
     Params,
+    SystemMatrix,
     identity_step,
     inf_norm,
     random_product_sequence,
@@ -201,6 +202,237 @@ class TestValidateUpdate:
             "row 0 sums to 1.4 > 1 + tol",
             "anchor weight present on a row whose sensor part sums to 1",
             "sensor row sum 1.2 != 1",
+        )
+
+
+def reference_is_identity(m, tol=1e-12):
+    """``SystemMatrix.is_identity`` as NumPy reductions, the form it had
+    before the rules moved onto Python floats; a test-only oracle."""
+    i = m.updated_row
+    if i is None:
+        return True
+    dev = np.abs(m.p_row)
+    dev[i] = abs(m.p_row[i] - 1.0)
+    return bool(dev.max() <= tol and np.all(np.abs(m.b_row) <= tol))
+
+
+def reference_validate_update(m, params):
+    """``validate_update`` as NumPy reductions, the form it had before the
+    rules moved onto Python floats; a test-only oracle for finite rows."""
+    i = m.updated_row
+    if i is None:
+        return ()
+    tol = params.tol
+    p_row, b_row = m.p_row, m.b_row
+    fails = []
+    if p_row.min() < -tol or b_row.min(initial=0.0) < -tol:
+        fails.append("negative entry")
+    p_sum = float(p_row.sum())
+    total = p_sum + float(b_row.sum())
+    if total > 1.0 + tol:
+        fails.append(f"row {i} sums to {total!r} > 1 + tol")
+    if reference_is_identity(m, tol):
+        return tuple(fails)
+
+    if p_sum >= 1.0 - tol:
+        if b_row.max(initial=0.0) > tol:
+            fails.append(
+                "anchor weight present on a row whose sensor part sums to 1"
+            )
+        if abs(p_sum - 1.0) > tol:
+            fails.append(f"sensor row sum {p_sum!r} != 1")
+        if p_row[i] <= tol:
+            fails.append("self-weight is zero")
+        for j in np.nonzero(p_row > tol)[0]:
+            w = float(p_row[j])
+            if w < params.beta1 - tol:
+                fails.append(f"weight {w!r} at column {j} below beta1={params.beta1}")
+            if w >= 1.0 - tol:
+                fails.append(f"weight {w!r} at column {j} reaches 1")
+    else:
+        if p_sum > params.beta2 + tol:
+            fails.append(f"sensor row sum {p_sum!r} exceeds beta2={params.beta2}")
+        for j in np.nonzero(b_row > tol)[0]:
+            w = float(b_row[j])
+            if w < params.alpha - tol:
+                fails.append(
+                    f"anchor weight {w!r} at column {j} below alpha={params.alpha}"
+                )
+    return tuple(fails)
+
+
+def boundaries(params):
+    """The values each entry is compared with, as the rules compute them."""
+    tol = params.tol
+    return (
+        tol, -tol, params.beta1 - tol, params.beta1, 1.0 - tol, 1.0 + tol,
+        params.beta2, params.beta2 + tol, params.alpha - tol, params.alpha,
+    )
+
+
+def nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+@st.composite
+def finite_rows(draw):
+    """``(params, n, s, i, p_row, b_row)``: a finite row of one of the
+    three kinds (or raw weights), then perturbed by sign flips, zeros and
+    entries set within one ulp of a rule's boundary, the change in the
+    last case optionally moved onto another sensor so the row keeps its sum."""
+    params = Params(
+        beta1=draw(st.floats(0.01, 0.5)),
+        beta2=draw(st.floats(0.0, 0.95)),
+        alpha=draw(st.floats(0.01, 1.0)),
+        tol=draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3])),
+    )
+    n, s = draw(st.integers(1, 16)), draw(st.integers(0, 3))
+    i = draw(st.integers(0, n - 1))
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=n + s, max_size=n + s)))
+    p, b = w[:n], w[n:]
+    kind = draw(st.sampled_from(["stochastic", "sub-stochastic", "identity", "raw"]))
+    if kind == "stochastic":
+        p = p / p.sum() if p.sum() > 0 else np.eye(n)[i]
+        b = np.zeros(s)
+    elif kind == "sub-stochastic":
+        p = p * (params.beta2 / p.sum()) if p.sum() > 0 else p
+        b = b * ((1.0 - params.beta2) / b.sum()) if b.sum() > 0 else b
+    elif kind == "identity":
+        p, b = np.eye(n)[i], np.zeros(s)
+    row = np.concatenate([p, b])
+    edges = boundaries(params)
+    for j, how, ulps, k in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n + s - 1),
+                st.sampled_from(["flip", "zero", "edge"]),
+                st.integers(-1, 1),
+                st.integers(-1, n - 1),
+            ),
+            max_size=4,
+        )
+    ):
+        if how == "flip":
+            row[j] = -row[j]
+        elif how == "zero":
+            row[j] = 0.0
+        else:
+            old, row[j] = row[j], nudge(draw(st.sampled_from(edges)), ulps)
+            if k >= 0 and k != j:
+                row[k] += old - row[j]
+    return params, n, s, i, row[:n], row[n:]
+
+
+def assert_same_fields(trusted, public):
+    assert (trusted.n, trusted.s, trusted.updated_row) == (
+        public.n, public.s, public.updated_row,
+    )
+    for name in ("p_row", "b_row", "p", "b"):
+        a, b = getattr(trusted, name), getattr(public, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestFloatRules:
+    """``is_identity`` and ``validate_update`` run on Python floats; they
+    must agree with the NumPy reductions they replaced on every finite row,
+    and the trusted constructor must build what the public one builds."""
+
+    @given(finite_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_match_the_numpy_rules(self, row):
+        params, n, s, i, p_row, b_row = row
+        public = row_update(n, i, p_row, b_row, s=s)
+        trusted = SystemMatrix._trusted(n, s, i, p_row.copy(), b_row.copy())
+        assert_same_fields(trusted, public)
+        for tol in (params.tol, 1e-12):
+            expected = reference_is_identity(public, tol)
+            assert public.is_identity(tol) is expected
+            assert trusted.is_identity(tol) is expected
+        expected = reference_validate_update(public, params)
+        assert validate_update(public, params) == expected
+        assert validate_update(trusted, params) == expected
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3])
+    def test_entries_at_each_boundary(self, tol, ulps):
+        params = Params(beta1=0.05, beta2=0.7, alpha=0.1, tol=tol)
+        for w in (nudge(edge, ulps) for edge in boundaries(params)):
+            for p_row, b_row in (
+                ([1.0 - w, w], []),  # a fusion weight beside the self-weight
+                ([w, 1.0 - w], []),  # the self-weight
+                ([w, 0.0], []),  # a lone self-weight, the identity's near 1
+                ([0.0, w], []),
+                ([0.3, 0.0], [w]),  # an anchor weight
+                ([w, 0.0], [0.3]),
+            ):
+                m = row_update(2, 0, p_row, b_row, s=len(b_row))
+                assert m.is_identity(tol) is reference_is_identity(m, tol)
+                assert validate_update(m, params) == reference_validate_update(m, params)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_generated_rows_match_their_public_build(self, n):
+        params = Params(beta1=0.05, beta2=0.7)
+        rows = 0
+        for m in random_product_sequence(n, params, 300, rng=n):
+            if m.updated_row is None:
+                continue
+            rows += 1
+            public = row_update(n, m.updated_row, m.p_row, m.b_row)
+            assert_same_fields(m, public)
+            assert m.is_identity() is reference_is_identity(public)
+            assert validate_update(m, params) == reference_validate_update(public, params) == ()
+        assert rows > 150
+
+    def test_sums_stay_numpy_sums(self):
+        # From 8 terms on NumPy adds pairwise, so the printed total is
+        # NumPy's, not the left-to-right one (which would read 1.0000000000000002).
+        p_row = np.full(10, 0.1)
+        assert sum(p_row.tolist()) != float(p_row.sum())
+        m = row_update(10, 0, p_row)
+        assert validate_update(m, PARAMS) == reference_validate_update(m, PARAMS)
+
+    def test_finite_row_whose_sum_overflows_keeps_its_rules(self):
+        m = row_update(2, 0, [1e308, 1e308])
+        with np.errstate(over="ignore"):
+            fails = validate_update(m, PARAMS)
+            assert fails == reference_validate_update(m, PARAMS)
+        assert fails == (
+            "row 0 sums to inf > 1 + tol",
+            "sensor row sum inf != 1",
+            "weight 1e+308 at column 0 reaches 1",
+            "weight 1e+308 at column 1 reaches 1",
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("j", range(4))
+    def test_non_finite_entry_fails_alone(self, bad, j):
+        # a row of 3 sensors and 1 anchor, non-finite at sensor or anchor j
+        row = np.array([1.0, 0.0, 0.0, 0.0])
+        row[j] = bad
+        m = SystemMatrix._trusted(3, 1, 0, row[:3], row[3:])
+        assert not m.is_identity()
+        assert not reference_is_identity(m)
+        assert validate_update(m, PARAMS) == ("row 0 holds a non-finite entry",)
+
+    def test_row_mutated_to_nan_after_construction_fails(self):
+        m = row_update(3, 0, [0.5, 0.1, 0.0])
+        m.p_row[0] = np.nan
+        assert validate_update(m, PARAMS) == ("row 0 holds a non-finite entry",)
+
+    @pytest.mark.parametrize(
+        "row, p_row, b_row",
+        [(0, [0.5, 0.5, 0.0], []), (0, [0.5, 0.5], [0.0]), (2, [0.5, 0.5], [])],
+    )
+    def test_misshapen_row_fails_alone(self, row, p_row, b_row):
+        m = SystemMatrix._trusted(2, 0, row, np.array(p_row), np.array(b_row))
+        assert validate_update(m, PARAMS) == (
+            f"row {row} of shapes {np.shape(p_row)} and {np.shape(b_row)} "
+            "does not fit 2 sensors and 0 anchors",
         )
 
 

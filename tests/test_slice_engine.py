@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from slicekit import (
     AssumptionViolated,
+    DimensionMismatch,
     Params,
     Slice,
     SliceEvent,
     SliceEventKind,
     SliceState,
+    SystemMatrix,
     identity_step,
     inf_norm,
     push,
@@ -23,6 +25,7 @@ from slicekit import (
     row_update,
     run_sequence,
     slice_norm_bound,
+    validate_update,
     write_event_log,
     write_slice_log,
 )
@@ -217,6 +220,100 @@ class TestPush:
         takeover = stoch_update(2, 0, [0.0, 1.0])
         state, _ = push(state, takeover, PARAMS, strict=False)
         assert state.informed == set()  # row 0 lost its discount
+
+
+    def test_identity_within_tol_is_skipped_before_its_sum_is_checked(self):
+        # each entry is within tol = 2**-9 of the identity's, the total not
+        params = Params(beta1=0.05, beta2=0.7, tol=2.0**-9)
+        m = row_update(2, 0, [1.0 + 3 * 2.0**-11, 3 * 2.0**-11])
+        assert m.is_identity(params.tol)
+        assert validate_update(m, params) == ("row 0 sums to 1.0029296875 > 1 + tol",)
+        for strict in (True, False):
+            _, events = push(SliceState(n=2), m, params, strict=strict)
+            assert [ev.kind for ev in events] == [SliceEventKind.SKIPPED]
+
+    def test_sensor_sum_of_exactly_one_minus_tol_is_not_sub_stochastic(self):
+        params = Params(beta1=0.05, beta2=0.7, tol=0.25)
+        state, events = push(SliceState(n=2), row_update(2, 0, [0.5, 0.25]), params)
+        assert [ev.kind for ev in events] == [SliceEventKind.ABSORBED]
+        assert state.g == {} and state.h == {}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("j", range(3))
+    def test_strict_mode_refuses_a_non_finite_trusted_row(self, bad, j):
+        # sensors 0-1 then one anchor; the row is bad at position j
+        row = np.array([0.5, 0.2, 0.3])
+        row[j] = bad
+        m = SystemMatrix._trusted(2, 1, 0, row[:2], row[2:])
+        with pytest.raises(AssumptionViolated, match="non-finite entry"):
+            push(SliceState(n=2), m, PARAMS)
+
+    def test_strict_mode_refuses_a_row_mutated_to_nan(self):
+        m = row_update(3, 0, [0.5, 0.1, 0.0])
+        m.p_row[0] = np.nan
+        with pytest.raises(AssumptionViolated, match="non-finite entry"):
+            push(SliceState(n=3), m, PARAMS)
+
+
+ROW_VALUES = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def refused_rows(draw):
+    """``(n, s, row, p_row, b_row)`` with shapes near the right ones and
+    values that may be non-finite."""
+    n, s = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    row = draw(st.integers(-1, n))
+
+    def near(size):
+        shape = draw(st.sampled_from([(size,), (size + 1,), (max(size - 1, 0),), (size, 1), ()]))
+        count = int(np.prod(shape, dtype=int))
+        values = draw(st.lists(ROW_VALUES, min_size=count, max_size=count))
+        return np.array(values, dtype=float).reshape(shape)
+
+    return n, s, row, near(n), near(s)
+
+
+class TestStrictRefusesWhatTheConstructorRefuses:
+    """Rows built by the library skip the constructor's checks, so strict
+    :func:`push` must refuse on its own every row the constructor would."""
+
+    @pytest.mark.parametrize(
+        "n, s, row, p_row, b_row",
+        [
+            (2, 0, 0, [0.5, 0.5, 0.0], []),  # p_row too long
+            (2, 0, 0, [1.0], []),  # p_row too short
+            (2, 0, 0, [[0.5], [0.5]], []),  # p_row not a vector
+            (2, 1, 0, [0.5, 0.2], []),  # b_row too short
+            (2, 0, 0, [0.5, 0.5], [0.0]),  # b_row too long
+            (2, 0, 2, [0.5, 0.5], []),  # row past the end
+            (2, 0, -1, [0.5, 0.5], []),  # negative row
+            (2, 0, 0, [0.0, 1.0, 0.0], []),  # misshapen but identity-like at 1
+            (2, 1, 0, [np.nan, 0.5], [0.2]),
+            (2, 1, 0, [0.5, 0.2], [np.inf]),
+            (2, 1, 1, [0.5, -np.inf], [0.2]),
+            (2, 1, 0, [np.inf, -np.inf], [0.2]),
+        ],
+    )
+    def test_listed_rows(self, n, s, row, p_row, b_row):
+        p_row, b_row = np.array(p_row, dtype=float), np.array(b_row, dtype=float)
+        with pytest.raises((DimensionMismatch, AssumptionViolated)):
+            SystemMatrix(n, s, row, p_row, b_row)
+        with pytest.raises(AssumptionViolated, match="^update failed validation"):
+            push(SliceState(n=n), SystemMatrix._trusted(n, s, row, p_row, b_row), PARAMS)
+
+    @given(refused_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_random_rows(self, drawn):
+        n, s, row, p_row, b_row = drawn
+        try:
+            SystemMatrix(n, s, row, p_row, b_row)
+        except (DimensionMismatch, AssumptionViolated):
+            pass
+        else:
+            return
+        with pytest.raises(AssumptionViolated, match="^update failed validation"):
+            push(SliceState(n=n), SystemMatrix._trusted(n, s, row, p_row, b_row), PARAMS)
 
 
 class TestRunSequence:
