@@ -389,12 +389,14 @@ class TestFloatRules:
         assert rows > 150
 
     def test_sums_stay_numpy_sums(self):
-        # From 8 terms on NumPy adds pairwise, so the printed total is
-        # NumPy's, not the left-to-right one (which would read 1.0000000000000002).
+        # Ten weights of 0.1 sum to 1.0 pairwise (NumPy, from 8 terms on)
+        # but to 0.9999999999999999 left to right; at tol = 0 the second
+        # would make the row sub-stochastic and over beta2.
+        params = Params(beta1=0.05, beta2=0.7, tol=0.0)
         p_row = np.full(10, 0.1)
-        assert sum(p_row.tolist()) != float(p_row.sum())
+        assert sum(p_row.tolist()) < float(p_row.sum()) == 1.0
         m = row_update(10, 0, p_row)
-        assert validate_update(m, PARAMS) == reference_validate_update(m, PARAMS)
+        assert validate_update(m, params) == reference_validate_update(m, params) == ()
 
     def test_finite_row_whose_sum_overflows_keeps_its_rules(self):
         m = row_update(2, 0, [1e308, 1e308])

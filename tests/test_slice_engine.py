@@ -221,7 +221,6 @@ class TestPush:
         state, _ = push(state, takeover, PARAMS, strict=False)
         assert state.informed == set()  # row 0 lost its discount
 
-
     def test_identity_within_tol_is_skipped_before_its_sum_is_checked(self):
         # each entry is within tol = 2**-9 of the identity's, the total not
         params = Params(beta1=0.05, beta2=0.7, tol=2.0**-9)
