@@ -24,8 +24,11 @@ fusing sensor from ``default_rng([rng_seed, k, 1])``, so every step is
 reproducible on its own.  A run computes those draws for a block of
 ``DRAW_BLOCK`` steps at once (:mod:`slicekit.streams`), bit for bit, without
 building the generators.  It then takes the block in two passes.  The motion
-runs step by step, since each projection depends on the previous position.
-The neighbour rows and fusion weights depend on the positions and the fusing
+runs step by step, since each projection depends on the previous position,
+on Python floats: per node ``x + dx - cx``, ``sqrt(ox*ox + oy*oy)`` and, past
+the edge, ``cx + ox * (r / d)``.  NumPy evaluates the same IEEE operations,
+unfused and in that order, for two components, so every bit is kept.  The
+neighbour rows and fusion weights depend on the positions and the fusing
 sensor but not on the states, so one NumPy pass computes them for every step
 of the block.  Only wrapping each row as an update, advancing the states and
 feeding the slice engine remain per step.
@@ -37,6 +40,7 @@ import enum
 import numbers
 import operator
 from dataclasses import dataclass
+from math import sqrt
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -229,18 +233,6 @@ def _displacements(world: World, start: int, stop: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1) * step_len[..., None]
 
 
-def _project(world: World, new_pos: np.ndarray) -> np.ndarray:
-    """Move every node of ``new_pos`` that left its region back onto the
-    region's edge, in place."""
-    offset = new_pos - world.center
-    dist = _lengths(offset)
-    over = dist > world.radius
-    if over.any():
-        scale = world.radius[over] / dist[over]
-        new_pos[over] = world.center[over] + offset[over] * scale[:, None]
-    return new_pos
-
-
 def _lengths(vectors: np.ndarray) -> np.ndarray:
     """Euclidean length of each vector along the last axis, summed as
     ``numpy.linalg.norm`` sums it, without that function's dispatch."""
@@ -415,19 +407,33 @@ def _updates(
     world: World, params: Params, horizon: int, positions: np.ndarray
 ) -> Iterator[tuple[int, SystemMatrix]]:
     """Each step's index and update, one block of ``DRAW_BLOCK`` steps at a
-    time.  A block's motion runs step by step into its track of positions
-    (a view of ``positions``), since each projection depends on the
-    previous position; then :func:`_fusion_rows` builds all of the block's
-    rows at once.  A step with infeasible weights raises when it is
-    reached, after every earlier step has been run."""
+    time.  A block's motion runs step by step on Python floats into
+    ``positions``; then :func:`_fusion_rows` builds all of the block's rows
+    at once.  A step with infeasible weights raises when it is reached,
+    after every earlier step has been run."""
     n = world.n
     identity = identity_step(n, world.s)
-    pos = world.pos
+    disks = [(cx, cy, r) for (cx, cy), r in zip(world.center.tolist(), world.radius.tolist())]
+    pos = world.pos.ravel().tolist()
     for start in range(0, horizon, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, horizon)
+        moves = iter(_displacements(world, start, stop).ravel().tolist())
+        walk = []
+        for _ in range(start, stop):
+            last = iter(pos)
+            pos = []
+            # zip ends at the last disk first, so a step takes only its moves.
+            for (cx, cy, r), x, y, dx, dy in zip(disks, last, last, moves, moves):
+                x, y = x + dx, y + dy
+                ox, oy = x - cx, y - cy
+                d = sqrt(ox * ox + oy * oy)
+                if d > r:
+                    sc = r / d
+                    x, y = cx + ox * sc, cy + oy * sc
+                pos += x, y
+            walk += pos
         track = positions[start + 1 : stop + 1]
-        for t, disp in enumerate(_displacements(world, start, stop)):
-            pos = _project(world, np.add(pos, disp, out=track[t]))
+        track[...] = np.reshape(walk, track.shape)
         who = _updaters(world, start, stop)
         rows = _fusion_rows(world, track, who, params)
         for t, i in enumerate(who.tolist()):
@@ -509,15 +515,20 @@ def steady_state_check(
     return SteadyStateCheck(residual <= tol, residual)
 
 
+def _frame_rows(history: np.ndarray) -> Iterator[tuple]:
+    """``(k, i, *history[k, i])`` for each frame ``k`` and entry ``i``."""
+    for start in range(0, len(history), DRAW_BLOCK):
+        block = np.asarray(history[start : start + DRAW_BLOCK])
+        k = np.repeat(np.arange(start, start + len(block)), block.shape[1]).tolist()
+        i = list(range(block.shape[1])) * len(block)
+        yield from zip(k, i, *block.reshape(len(k), -1).T.tolist())
+
+
 def write_trajectory_csv(states: np.ndarray, path: str | Path) -> None:
     """CSV ``k,sensor,state`` with k = 0 the initial state."""
-    frames = enumerate(np.asarray(states))
-    rows = ((k, i, v) for k, frame in frames for i, v in enumerate(frame.tolist()))
-    write_table(path, "k,sensor,state", "%d,%d,%.17g", rows)
+    write_table(path, "k,sensor,state", "%d,%d,%.17g", _frame_rows(states))
 
 
 def write_positions_csv(positions: np.ndarray, path: str | Path) -> None:
     """CSV ``k,node,x,y``; nodes are sensors 0..n-1 then anchors."""
-    frames = enumerate(np.asarray(positions))
-    rows = ((k, i, x, y) for k, frame in frames for i, (x, y) in enumerate(frame.tolist()))
-    write_table(path, "k,node,x,y", "%d,%d,%.17g,%.17g", rows)
+    write_table(path, "k,node,x,y", "%d,%d,%.17g,%.17g", _frame_rows(positions))

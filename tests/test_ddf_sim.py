@@ -592,6 +592,60 @@ def random_runs(draw):
     )
 
 
+def disk_world(disks, starts=None, sigma=0.6, comm_radius=1.5, seed=5):
+    """Sensors in all but the last of ``disks`` (rows of cx, cy, r) and one
+    anchor in the last, starting at their centres or at ``starts``."""
+    disks = np.array(disks, dtype=float)
+    return World(
+        pos=disks[:, :2].copy() if starts is None else np.array(starts, dtype=float),
+        center=disks[:, :2],
+        radius=disks[:, 2],
+        x=np.linspace(-1.0, 1.0, len(disks) - 1),
+        u=np.array([3.0]),
+        comm_radius=comm_radius,
+        sigma=sigma,
+        rng_seed=seed,
+    )
+
+
+def guard_sigma(radius):
+    """The largest ``sigma`` that :class:`World`'s overflow guard admits for
+    regions of ``radius``."""
+    limit = float(np.sqrt(np.finfo(float).max / 2))
+    sigma = limit / radius - 1.0
+    while (1.0 + sigma) * radius > limit:
+        sigma = float(np.nextafter(sigma, 0.0))
+    return sigma
+
+
+# Worlds where projecting back onto the edge is hardest to get bit for bit.
+PROJECTION_WORLDS = {
+    # A sensor and the anchor pinned to their centres, next to moving sensors.
+    "zero_radius": lambda: disk_world(
+        [[0.5, 0.0, 0.0], [-0.6, 0.0, 0.8], [0.0, 0.9, 0.5], [0.0, 0.0, 0.0]]
+    ),
+    # Every node starts exactly on its edge: (3, 4) * r / 5, (0, -r), (r, 0).
+    "start_on_edge": lambda: disk_world(
+        [[4.0, 0.0, 5.0], [0.0, 0.0, 1.0], [-2.5, 0.0, 2.5], [1.0, 1.0, 1.0]],
+        starts=[[7.0, 4.0], [0.0, -1.0], [0.0, 0.0], [2.0, 1.0]],
+        comm_radius=3.0,
+    ),
+    # sigma = 1.5 carries most nodes past the edge of disks of radius 1e10.
+    "huge_disks": lambda: disk_world(
+        [[2e10, 0.0, 1e10], [-2e10, 0.0, 1e10], [0.0, 2e10, 1e10], [0.0, 0.0, 1e10]],
+        sigma=1.5,
+        comm_radius=3e10,
+    ),
+    # Moves reach just under sqrt(max / 2), where squared lengths would
+    # overflow.
+    "overflow_guard": lambda: disk_world(
+        [[2.5e150, 0.0, 1e150], [-2.5e150, 0.0, 1e150], [0.0, 0.0, 1e150]],
+        sigma=guard_sigma(1e150),
+        comm_radius=3e150,
+    ),
+}
+
+
 class TestBlockDraws:
     """Runs draw each step's randomness for a block of steps at once; every
     draw must equal that of the step's own ``default_rng``."""
@@ -629,6 +683,17 @@ class TestBlockDraws:
         ref = assert_same_run(cfg)
         assert isinstance(ref.error, InfeasibleWeights)
         assert len(ref.states) - 1 == steps
+
+    @pytest.mark.parametrize("name", sorted(PROJECTION_WORLDS))
+    def test_projection_matches_per_step_reference(self, name):
+        world = PROJECTION_WORLDS[name]()
+        ref = assert_same_run(
+            LeaderFollowerConfig(world=world, params=PARAMS, horizon=DRAW_BLOCK + 1)
+        )
+        moved = ref.positions[1:] - world.center
+        on_edge = np.hypot(moved[..., 0], moved[..., 1]) >= world.radius * (1 - 1e-12)
+        assert on_edge[:, world.radius > 0].mean() > 0.1
+        assert np.all(ref.positions[:, world.radius == 0] == world.center[world.radius == 0])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(random_runs())
@@ -743,3 +808,23 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,node,x,y"
         assert len(lines) == 1 + 6
+
+    @pytest.mark.parametrize("frames", [1, DRAW_BLOCK, DRAW_BLOCK + 2])
+    def test_rows_match_one_format_per_entry(self, tmp_path, frames):
+        # The writers take a block of frames into Python floats at a time;
+        # across the block edge every line equals one ``%`` per entry.
+        rng = np.random.default_rng(frames)
+        positions = rng.normal(size=(frames, 3, 2)) * 10.0 ** rng.integers(-300, 300, (frames, 3, 2))
+        states = positions[:, :, 0]
+        write_positions_csv(positions, tmp_path / "positions.csv")
+        write_trajectory_csv(states, tmp_path / "trajectory.csv")
+        want_positions = "k,node,x,y\r\n" + "".join(
+            "%d,%d,%.17g,%.17g\r\n" % (k, i, x, y)
+            for k, frame in enumerate(positions)
+            for i, (x, y) in enumerate(frame)
+        )
+        want_states = "k,sensor,state\r\n" + "".join(
+            "%d,%d,%.17g\r\n" % (k, i, v) for k, frame in enumerate(states) for i, v in enumerate(frame)
+        )
+        assert (tmp_path / "positions.csv").read_bytes() == want_positions.encode()
+        assert (tmp_path / "trajectory.csv").read_bytes() == want_states.encode()

@@ -6,10 +6,11 @@ from __future__ import annotations
 import csv
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicekit.tables import write_table
+from slicekit.tables import BLOCK_ROWS, write_table
 
 EDGE_FLOATS = [
     0.0,
@@ -50,3 +51,31 @@ def test_matches_csv_writer_byte_for_byte(tmp_path_factory, rows):
     table_rows = ((k, "" if row is None else row, value, ok) for k, row, value, ok in rows)
     assert write_table(path, "k,row,value,ok", "%d,%s,%.17g,%d", table_rows) == path
     assert path.read_bytes() == csv_writer_bytes(rows)
+
+
+def edge_rows(count):
+    """``count`` rows of the same shape as ``ROWS``' that cycle through
+    ``EDGE_FLOATS`` and absent fields, from a generator."""
+    for j in range(count):
+        row = None if j % 3 == 0 else j % 100
+        yield j - 2**62, row, EDGE_FLOATS[j % len(EDGE_FLOATS)], j % 2 == 0
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+)
+def test_block_edges_match_per_row_format_and_csv_writer(tmp_path, count):
+    # Rows are formatted a block at a time; across every block edge the
+    # bytes equal one ``%`` per row and csv.writer's.
+    fmt = "%d,%s,%.17g,%d"
+
+    def table_rows():
+        for k, row, value, ok in edge_rows(count):
+            yield k, "" if row is None else row, value, ok
+
+    write_table(tmp_path / "t.csv", "k,row,value,ok", fmt, table_rows())
+    per_row = "".join(fmt % row + "\r\n" for row in table_rows())
+    got = (tmp_path / "t.csv").read_bytes()
+    assert got == ("k,row,value,ok\r\n" + per_row).encode()
+    assert got == csv_writer_bytes(list(edge_rows(count)))
+    assert got.count(b"\r\n") == count + 1

@@ -13,7 +13,9 @@ shared by both trees:
   lf_demo never does: idling steps (``update_prob`` 0.5), 3 and 5
   sensors, two sensors and two anchors in given ``regions``, seven sensors
   and three anchors in overlapping ``regions`` (rows hearing several
-  anchors, sensor groups of three), a seed of two 32-bit words, horizons
+  anchors, sensor groups of three), two sensors and two anchors whose
+  motion projects back onto the edge on most steps (``sigma`` 1.5 on disks
+  of radius 1e10, one anchor in a region of radius 0), a seed of two 32-bit words, horizons
   1, 257 and 1500 (block edges of the random draws), the permissive engine
   (``strict`` false), and the two infeasible-weight failures (a sensor
   group too large for ``beta1``, two anchors too many for ``alpha``), which
@@ -116,6 +118,19 @@ CROWDED_REGIONS = {
     },
 }
 
+# Two sensors and two anchors where the motion projects on most steps:
+# sigma = 1.5 carries a node on its edge past it more often than not, on
+# disks of radius 1e10, and one anchor sits in a region of radius 0.
+HUGE_REGIONS = {
+    "n": 2,
+    "sigma": 1.5,
+    "comm_radius": 3e10,
+    "regions": {
+        "sensors": [[2e10, 0.0, 1e10], [-2e10, 0.0, 1e10]],
+        "anchors": [[0.0, 0.0, 0.0], [0.0, 2e10, 1e10]],
+    },
+}
+
 # Overrides of the first lf_demo config.
 LF_VARIANTS = {
     "idle": {"update_prob": 0.5},
@@ -123,6 +138,7 @@ LF_VARIANTS = {
     "n5": {"n": 5},
     "regions": TWO_ANCHOR_REGIONS,
     "crowded_regions": CROWDED_REGIONS,
+    "huge_regions": HUGE_REGIONS,
     "seed_2words": {"seed": 2**40 + 3},
     "h1": {"horizon": 1},
     "h257": {"horizon": 257},
