@@ -814,7 +814,8 @@ class TestCsvWriters:
         # The writers take a block of frames into Python floats at a time;
         # across the block edge every line equals one ``%`` per entry.
         rng = np.random.default_rng(frames)
-        positions = rng.normal(size=(frames, 3, 2)) * 10.0 ** rng.integers(-300, 300, (frames, 3, 2))
+        scale = 10.0 ** rng.integers(-300, 300, (frames, 3, 2))
+        positions = rng.normal(size=(frames, 3, 2)) * scale
         states = positions[:, :, 0]
         write_positions_csv(positions, tmp_path / "positions.csv")
         write_trajectory_csv(states, tmp_path / "trajectory.csv")
@@ -824,7 +825,9 @@ class TestCsvWriters:
             for i, (x, y) in enumerate(frame)
         )
         want_states = "k,sensor,state\r\n" + "".join(
-            "%d,%d,%.17g\r\n" % (k, i, v) for k, frame in enumerate(states) for i, v in enumerate(frame)
+            "%d,%d,%.17g\r\n" % (k, i, v)
+            for k, frame in enumerate(states)
+            for i, v in enumerate(frame)
         )
         assert (tmp_path / "positions.csv").read_bytes() == want_positions.encode()
         assert (tmp_path / "trajectory.csv").read_bytes() == want_states.encode()

@@ -15,11 +15,11 @@ shared by both trees:
   and three anchors in overlapping ``regions`` (rows hearing several
   anchors, sensor groups of three), two sensors and two anchors whose
   motion projects back onto the edge on most steps (``sigma`` 1.5 on disks
-  of radius 1e10, one anchor in a region of radius 0), a seed of two 32-bit words, horizons
-  1, 257 and 1500 (block edges of the random draws), the permissive engine
-  (``strict`` false), and the two infeasible-weight failures (a sensor
-  group too large for ``beta1``, two anchors too many for ``alpha``), which
-  exit 4;
+  of radius 1e10, one anchor in a region of radius 0), a seed of two 32-bit
+  words, horizons 1, 257 and 1500 (block edges of the random draws), the
+  permissive engine (``strict`` false), and the two infeasible-weight
+  failures (a sensor group too large for ``beta1``, two anchors too many
+  for ``alpha``), which exit 4;
 - the 10 certify_growth logs, plus three configs on the first log that
   certify by case i, certify by case ii, and certify nothing, and three
   more logs for the case-iii search: the ``gamma1`` = 0.5 schedule of
