@@ -24,14 +24,16 @@ fusing sensor from ``default_rng([rng_seed, k, 1])``, so every step is
 reproducible on its own.  A run computes those draws for a block of
 ``DRAW_BLOCK`` steps at once (:mod:`slicekit.streams`), bit for bit, without
 building the generators.  It then takes the block in two passes.  The motion
-runs step by step, since each projection depends on the previous position,
-on Python floats: per node ``x + dx - cx``, ``sqrt(ox*ox + oy*oy)`` and, past
-the edge, ``cx + ox * (r / d)``.  NumPy evaluates the same IEEE operations,
-unfused and in that order, for two components, so every bit is kept.  The
-neighbour rows and fusion weights depend on the positions and the fusing
-sensor but not on the states, so one NumPy pass computes them for every step
-of the block.  Only wrapping each row as an update, advancing the states and
-feeding the slice engine remain per step.
+runs step by step, since each projection depends on the previous position.
+A world of up to ``FLOAT_MOTION_NODES`` nodes moves on Python floats: per
+node ``x + dx - cx``, ``sqrt(ox*ox + oy*oy)`` and, past the edge,
+``cx + ox * (r / d)``; a larger one moves with one NumPy pass over all nodes
+per step.  Both evaluate the same IEEE operations, unfused and in that order,
+for two components, so they agree bit for bit.  The neighbour rows and
+fusion weights depend on the positions and the fusing sensor but not on the
+states, so one NumPy pass computes them for every step of the block.  Only
+wrapping each row as an update, advancing the states and feeding the slice
+engine remain per step.
 """
 
 from __future__ import annotations
@@ -233,6 +235,18 @@ def _displacements(world: World, start: int, stop: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1) * step_len[..., None]
 
 
+def _project(world: World, new_pos: np.ndarray) -> np.ndarray:
+    """Move every node of ``new_pos`` that left its region back onto the
+    region's edge, in place."""
+    offset = new_pos - world.center
+    dist = _lengths(offset)
+    over = dist > world.radius
+    if over.any():
+        scale = world.radius[over] / dist[over]
+        new_pos[over] = world.center[over] + offset[over] * scale[:, None]
+    return new_pos
+
+
 def _lengths(vectors: np.ndarray) -> np.ndarray:
     """Euclidean length of each vector along the last axis, summed as
     ``numpy.linalg.norm`` sums it, without that function's dispatch."""
@@ -402,38 +416,52 @@ class SimResult:
 # draws take whatever the horizon.
 DRAW_BLOCK = 1024
 
+# The most nodes a world may have to move on Python floats.  The float loop
+# costs about 0.35 us per node and step, a NumPy pass about 9 us per step
+# plus 0.1 us per node; they meet near 40 nodes (x86_64, Python 3.11, NumPy
+# 2.4).
+FLOAT_MOTION_NODES = 32
+
+
+def _move(world: World, disp: np.ndarray, pos: np.ndarray, track: np.ndarray) -> None:
+    """Write into ``track[t]`` the positions after step ``t``'s
+    displacements ``disp[t]``, starting from ``pos``, each node that left its
+    region moved back onto the region's edge."""
+    if world.n + world.s > FLOAT_MOTION_NODES:
+        for t, step in enumerate(disp):
+            pos = _project(world, np.add(pos, step, out=track[t]))
+        return
+    disks = [(cx, cy, r) for (cx, cy), r in zip(world.center.tolist(), world.radius.tolist())]
+    frames = track.reshape(len(track), -1)
+    pos = pos.ravel().tolist()
+    for t, step in enumerate(disp.reshape(len(disp), -1)):
+        last, moves = iter(pos), iter(step.tolist())
+        pos = []
+        for (cx, cy, r), x, y, dx, dy in zip(disks, last, last, moves, moves):
+            x, y = x + dx, y + dy
+            ox, oy = x - cx, y - cy
+            d = sqrt(ox * ox + oy * oy)
+            if d > r:
+                sc = r / d
+                x, y = cx + ox * sc, cy + oy * sc
+            pos += x, y
+        frames[t] = pos
+
 
 def _updates(
     world: World, params: Params, horizon: int, positions: np.ndarray
 ) -> Iterator[tuple[int, SystemMatrix]]:
     """Each step's index and update, one block of ``DRAW_BLOCK`` steps at a
-    time.  A block's motion runs step by step on Python floats into
-    ``positions``; then :func:`_fusion_rows` builds all of the block's rows
-    at once.  A step with infeasible weights raises when it is reached,
-    after every earlier step has been run."""
+    time.  A block's motion runs step by step (:func:`_move`) into its track
+    of positions, a view of ``positions``; then :func:`_fusion_rows` builds
+    all of the block's rows at once.  A step with infeasible weights raises
+    when it is reached, after every earlier step has been run."""
     n = world.n
     identity = identity_step(n, world.s)
-    disks = [(cx, cy, r) for (cx, cy), r in zip(world.center.tolist(), world.radius.tolist())]
-    pos = world.pos.ravel().tolist()
     for start in range(0, horizon, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, horizon)
-        moves = iter(_displacements(world, start, stop).ravel().tolist())
-        walk = []
-        for _ in range(start, stop):
-            last = iter(pos)
-            pos = []
-            # zip ends at the last disk first, so a step takes only its moves.
-            for (cx, cy, r), x, y, dx, dy in zip(disks, last, last, moves, moves):
-                x, y = x + dx, y + dy
-                ox, oy = x - cx, y - cy
-                d = sqrt(ox * ox + oy * oy)
-                if d > r:
-                    sc = r / d
-                    x, y = cx + ox * sc, cy + oy * sc
-                pos += x, y
-            walk += pos
         track = positions[start + 1 : stop + 1]
-        track[...] = np.reshape(walk, track.shape)
+        _move(world, _displacements(world, start, stop), positions[start], track)
         who = _updaters(world, start, stop)
         rows = _fusion_rows(world, track, who, params)
         for t, i in enumerate(who.tolist()):
@@ -515,13 +543,18 @@ def steady_state_check(
     return SteadyStateCheck(residual <= tol, residual)
 
 
+# Table rows the CSV writers take into Python numbers at a time.
+FRAME_ROWS = 4096
+
+
 def _frame_rows(history: np.ndarray) -> Iterator[tuple]:
     """``(k, i, *history[k, i])`` for each frame ``k`` and entry ``i``."""
-    for start in range(0, len(history), DRAW_BLOCK):
-        block = np.asarray(history[start : start + DRAW_BLOCK])
-        k = np.repeat(np.arange(start, start + len(block)), block.shape[1]).tolist()
-        i = list(range(block.shape[1])) * len(block)
-        yield from zip(k, i, *block.reshape(len(k), -1).T.tolist())
+    entries = history.shape[1]
+    flat = np.reshape(history, (len(history) * entries, -1))
+    for start in range(0, len(flat), FRAME_ROWS):
+        block = flat[start : start + FRAME_ROWS]
+        k, i = np.divmod(np.arange(start, start + len(block)), entries)
+        yield from zip(k.tolist(), i.tolist(), *block.T.tolist())
 
 
 def write_trajectory_csv(states: np.ndarray, path: str | Path) -> None:

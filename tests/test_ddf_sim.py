@@ -684,8 +684,11 @@ class TestBlockDraws:
         assert isinstance(ref.error, InfeasibleWeights)
         assert len(ref.states) - 1 == steps
 
+    @pytest.mark.parametrize("float_nodes", [0, ddf_sim.FLOAT_MOTION_NODES])
     @pytest.mark.parametrize("name", sorted(PROJECTION_WORLDS))
-    def test_projection_matches_per_step_reference(self, name):
+    def test_projection_matches_per_step_reference(self, monkeypatch, name, float_nodes):
+        # At 0 every world moves with NumPy passes, else on Python floats.
+        monkeypatch.setattr(ddf_sim, "FLOAT_MOTION_NODES", float_nodes)
         world = PROJECTION_WORLDS[name]()
         ref = assert_same_run(
             LeaderFollowerConfig(world=world, params=PARAMS, horizon=DRAW_BLOCK + 1)
@@ -694,6 +697,22 @@ class TestBlockDraws:
         on_edge = np.hypot(moved[..., 0], moved[..., 1]) >= world.radius * (1 - 1e-12)
         assert on_edge[:, world.radius > 0].mean() > 0.1
         assert np.all(ref.positions[:, world.radius == 0] == world.center[world.radius == 0])
+
+    @pytest.mark.parametrize("extra, numpy_steps", [(0, 0), (1, 40)])
+    def test_motion_form_follows_node_count(self, monkeypatch, extra, numpy_steps):
+        # Up to FLOAT_MOTION_NODES nodes move on floats; one more, with NumPy.
+        calls = []
+        real = ddf_sim._project
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ddf_sim, "_project", counting)
+        n = ddf_sim.FLOAT_MOTION_NODES - 1 + extra
+        w = demo_world(n=n, u=3.0, seed=4, sigma=0.6)
+        assert_same_run(LeaderFollowerConfig(world=w, params=PARAMS, horizon=40))
+        assert len(calls) == numpy_steps
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(random_runs())

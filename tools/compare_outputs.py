@@ -11,7 +11,8 @@ shared by both trees:
 
 - the 32 lf_demo configs, plus variants of the first one that reach what
   lf_demo never does: idling steps (``update_prob`` 0.5), 3 and 5
-  sensors, two sensors and two anchors in given ``regions``, seven sensors
+  sensors, 40 sensors (more nodes than ``ddf_sim.FLOAT_MOTION_NODES``, so
+  they move with NumPy passes, not on floats), two sensors and two anchors in given ``regions``, seven sensors
   and three anchors in overlapping ``regions`` (rows hearing several
   anchors, sensor groups of three), two sensors and two anchors whose
   motion projects back onto the edge on most steps (``sigma`` 1.5 on disks
@@ -136,6 +137,7 @@ LF_VARIANTS = {
     "idle": {"update_prob": 0.5},
     "n3": {"n": 3},
     "n5": {"n": 5},
+    "n40": {"n": 40},
     "regions": TWO_ANCHOR_REGIONS,
     "crowded_regions": CROWDED_REGIONS,
     "huge_regions": HUGE_REGIONS,

@@ -7,18 +7,22 @@ Usage, from any directory:
 ``--root`` is the checkout whose ``src/`` is imported (default: this one).
 Each point runs ``slicekit.cli.main`` in this process, with its writers,
 three times into a fresh output directory, after one untimed run of the
-mode's smallest point.  The points are:
+sweep's smallest point.  The sweeps are:
 
 - ``products``: n = 4, 16, 64, 256 at horizon 1 000, default weights,
   strict, seed 1;
 - ``lf``: the demo world (n = 4, u = 3) at horizon 10^3, 10^4, 10^5,
   seed 1;
+- ``lf_nodes``: the demo world at n = 4, 16, 64, 256 sensors (one anchor
+  more), horizon 2 000, seed 1; the motion runs on Python floats up to
+  ``ddf_sim.FLOAT_MOTION_NODES`` nodes and with NumPy passes above, so
+  points lie on both sides;
 - ``certify``: length-only slice logs of 10^3, 10^4, 10^5 entries, the
   case-iii schedule ``floor(cap(i) + 1e-9)`` at ``gamma1`` = 0.5 and
   ``gamma2`` = 1e-3 for i = 1..N, in reverse order, default weights.
 
 The inputs are built here, not by the checkout under test, and their
-SHA-256 is recorded per mode, so two checkouts compared on the same inputs
+SHA-256 is recorded per sweep, so two checkouts compared on the same inputs
 show the same digests.  The JSON report on stdout holds, per point, every
 wall time, their median and the exit codes, plus the commit, the SHA-256 of
 ``src/`` (each ``src/**/*.py`` in sorted order, its path relative to
@@ -56,10 +60,12 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 BETA1, BETA2 = 0.05, 0.7
 GAMMA1, GAMMA2 = 0.5, 1e-3
+# Each sweep: the CLI mode it runs, its axis and the axis' values.
 POINTS = {
-    "products": ("n", [4, 16, 64, 256]),
-    "lf": ("horizon", [10**3, 10**4, 10**5]),
-    "certify": ("entries", [10**3, 10**4, 10**5]),
+    "products": ("products", "n", [4, 16, 64, 256]),
+    "lf": ("lf", "horizon", [10**3, 10**4, 10**5]),
+    "lf_nodes": ("lf", "n", [4, 16, 64, 256]),
+    "certify": ("certify", "entries", [10**3, 10**4, 10**5]),
 }
 
 
@@ -74,18 +80,20 @@ def growth_lengths(count: int) -> list[int]:
     return lengths
 
 
-def write_inputs(mode: str, directory: Path) -> tuple[list[tuple[int, list[str]]], str]:
-    """Write ``mode``'s inputs under ``directory``; return each point's value
+def write_inputs(name: str, directory: Path) -> tuple[list[tuple[int, list[str]]], str]:
+    """Write sweep ``name``'s inputs under ``directory``; return each point's value
     and CLI argv (without ``--out``), and the SHA-256 of every input byte."""
     directory.mkdir(parents=True, exist_ok=True)
-    _, values = POINTS[mode]
+    mode, _, values = POINTS[name]
     files, points = [], []
     for value in values:
-        config = directory / f"{mode}_{value}.json"
-        if mode == "products":
+        config = directory / f"{name}_{value}.json"
+        if name == "products":
             payload = {"mode": mode, "n": value, "horizon": 1000, "seed": 1}
-        elif mode == "lf":
+        elif name == "lf":
             payload = {"mode": mode, "n": 4, "u": 3.0, "horizon": value, "seed": 1}
+        elif name == "lf_nodes":
+            payload = {"mode": mode, "n": value, "u": 3.0, "horizon": 2000, "seed": 1}
         else:
             log = directory / f"growth_{value}.csv"
             rows = enumerate(reversed(growth_lengths(value)))
@@ -137,11 +145,11 @@ def run_once(main, argv: list[str], out: Path) -> tuple[float, int]:
 
 
 def sweep(main, work: Path) -> tuple[dict, bool]:
-    """Every mode's points, timed; ``ok`` is false if any run exited nonzero."""
+    """Every sweep's points, timed; ``ok`` is false if any run exited nonzero."""
     report, ok = {}, True
-    for mode in POINTS:
-        points, digest = write_inputs(mode, work / "inputs")
-        axis, _ = POINTS[mode]
+    for name in POINTS:
+        points, digest = write_inputs(name, work / "inputs")
+        _, axis, _ = POINTS[name]
         run_once(main, points[0][1], work / "out")  # warm-up, untimed
         rows = []
         for value, argv in points:
@@ -151,9 +159,9 @@ def sweep(main, work: Path) -> tuple[dict, bool]:
             times = [round(t, 4) for t, _ in runs]
             rows.append({axis: value, "median_s": statistics.median(times), "runs_s": times,
                          "exit_codes": codes})
-            print(f"{mode} {axis}={value}: median {statistics.median(times):.3f} s "
+            print(f"{name} {axis}={value}: median {statistics.median(times):.3f} s "
                   f"(runs {times}, exit {codes})", file=sys.stderr)
-        report[mode] = {"inputs_sha256": digest, "points": rows}
+        report[name] = {"inputs_sha256": digest, "points": rows}
     return report, ok
 
 
@@ -169,8 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     if Path(slicekit.__file__).resolve().parent != root / "src" / "slicekit":
         sys.exit(f"error: slicekit was imported from {slicekit.__file__}, not {root}")
     with tempfile.TemporaryDirectory(prefix="scaling_") as tmp:
-        modes, ok = sweep(cli_main, Path(tmp))
-    print(json.dumps({**metadata(root), "repeats": REPEATS, "modes": modes}, indent=1))
+        sweeps, ok = sweep(cli_main, Path(tmp))
+    print(json.dumps({**metadata(root), "repeats": REPEATS, "sweeps": sweeps}, indent=1))
     return 0 if ok else 1
 
 
