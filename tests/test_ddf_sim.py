@@ -28,6 +28,7 @@ from slicekit import (
 from slicekit import ddf_sim
 from slicekit.ddf_sim import (
     DRAW_BLOCK,
+    FRAME_ROWS,
     resolve_comm_radius,
     write_positions_csv,
     write_trajectory_csv,
@@ -828,10 +829,13 @@ class TestCsvWriters:
         assert lines[0] == "k,node,x,y"
         assert len(lines) == 1 + 6
 
-    @pytest.mark.parametrize("frames", [1, DRAW_BLOCK, DRAW_BLOCK + 2])
+    @pytest.mark.parametrize(
+        "frames", [1, FRAME_ROWS // 3, FRAME_ROWS // 3 + 1, 2 * FRAME_ROWS // 3 + 1]
+    )
     def test_rows_match_one_format_per_entry(self, tmp_path, frames):
-        # The writers take a block of frames into Python floats at a time;
-        # across the block edge every line equals one ``%`` per entry.
+        # The writers take FRAME_ROWS rows (here frames of 3 entries) into
+        # Python numbers at a time; across every edge, which falls inside a
+        # frame, each line equals one ``%`` per entry.
         rng = np.random.default_rng(frames)
         scale = 10.0 ** rng.integers(-300, 300, (frames, 3, 2))
         positions = rng.normal(size=(frames, 3, 2)) * scale

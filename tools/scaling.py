@@ -28,7 +28,7 @@ wall time, their median and the exit codes, plus the commit, the SHA-256 of
 ``src/`` (each ``src/**/*.py`` in sorted order, its path relative to
 ``src/`` then its bytes, as ``perfbench/run.py`` records it), and the
 Python and NumPy versions; stderr gets one progress line per point.  The
-whole sweep takes about 20 s on a 2-vCPU machine.  Exits 1 if any run
+whole sweep takes about 30 s on a 2-vCPU machine.  Exits 1 if any run
 exits nonzero.
 """
 
