@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -409,7 +409,8 @@ def search_case3(lengths: Sequence[int], params: Params) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
-    """Render a certificate as a structured text document."""
+    """Render a certificate as a structured text document; the assignment
+    table is formatted with one ``%`` over its rows' fields in order."""
     lines = [
         f"verdict: {cert.verdict.value}",
         f"case: {cert.case_used.value if cert.case_used else 'none'}",
@@ -434,12 +435,12 @@ def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
             lines.append(f"witness {key}: {value}")
     if trace_csv is not None:
         lines.append(f"trace_csv: {trace_csv}")
+    text = "\n".join(lines) + "\n"
     assignment = cert.witnesses.get("assignment")
     if assignment:
-        lines.append("assignment:")
-        lines.append("i,slice_index,length,cap")
-        lines.extend(map("%d,%d,%d,%.17g".__mod__, assignment))
-    return "\n".join(lines) + "\n"
+        text += "assignment:\ni,slice_index,length,cap\n"
+        text += "%d,%d,%d,%.17g\n" * len(assignment) % tuple(chain.from_iterable(assignment))
+    return text
 
 
 def write_certificate(cert: Certificate, directory: str | Path) -> Path:

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .generators import random_product_sequence
 from .matrix_core import Params, SystemMatrix, inf_norm, spectral_radius
-from .slice_engine import read_slice_log, run_sequence, write_event_log, write_slice_log
+from .slice_engine import read_slice_lengths, run_sequence, write_event_log, write_slice_log
 from .tables import write_table
 
 __all__ = ["ExperimentConfig", "cmd_products", "cmd_leader_follower", "cmd_certify", "main"]
@@ -452,7 +452,7 @@ def cmd_certify(config: ExperimentConfig) -> int:
     if not log_path.exists():
         raise ConfigError(f"slice log {log_path} does not exist")
     try:
-        lengths = [rec["length"] for rec in read_slice_log(log_path)]
+        lengths = read_slice_lengths(log_path)
     except KeyError as exc:
         raise ConfigError(f"slice log {log_path} has no {exc} column") from exc
     except (IndexError, OSError, ValueError, csv.Error) as exc:

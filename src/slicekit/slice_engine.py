@@ -13,7 +13,8 @@ full product factors exactly into slice products.
 Row bookkeeping drives the norm bounds downstream: ``h[i]`` records the
 1-based within-slice index at which row i first became sub-stochastic and
 ``g[i]`` the index of the last update whose own sensor row was
-sub-stochastic at row i.
+sub-stochastic at row i.  The slice log records each slice's window, norm
+and bound; a certificate needs only the lengths, the one column read back.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -40,7 +42,7 @@ __all__ = [
     "run_sequence",
     "RunResult",
     "write_slice_log",
-    "read_slice_log",
+    "read_slice_lengths",
     "write_event_log",
 ]
 
@@ -233,10 +235,8 @@ def run_sequence(
 # Logs
 # ---------------------------------------------------------------------------
 
-# Slice log columns in file order, each with the type it is read back as.
-_SLICE_LOG_COLUMNS = dict(
-    slice_index=int, start_k=int, end_k=int, length=int, norm=float, bound=float
-)
+# Slice log columns in file order.
+_SLICE_LOG_COLUMNS = ("slice_index", "start_k", "end_k", "length", "norm", "bound")
 
 
 def write_slice_log(slices: Sequence[Slice], path: str | Path) -> Path:
@@ -245,14 +245,22 @@ def write_slice_log(slices: Sequence[Slice], path: str | Path) -> Path:
     return write_table(path, ",".join(_SLICE_LOG_COLUMNS), "%d,%d,%d,%d,%.17g,%.17g", rows)
 
 
-def read_slice_log(path: str | Path) -> list[dict]:
-    """Parse a slice log back into one dictionary per non-blank row, holding
-    the log columns the file has, each converted to its type."""
+def read_slice_lengths(path: str | Path) -> list[int]:
+    """The ``length`` of each non-blank row of a slice log, the only cell read.
+    A bad length raises ``ValueError``, a row short of a log column its header
+    names ``IndexError``, and a missing ``length`` column ``KeyError``."""
     with Path(path).open(newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, [])
-        have = [(c, header.index(c), t) for c, t in _SLICE_LOG_COLUMNS.items() if c in header]
-        return [{c: t(row[j]) for c, j, t in have} for row in rows if row]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(filter(None, reader))
+    if not rows:
+        return []
+    if "length" not in header:
+        raise KeyError("length")
+    last = max(header.index(c) for c in _SLICE_LOG_COLUMNS if c in header)
+    if min(map(len, rows)) <= last:
+        raise IndexError(f"a row has fewer than the {last + 1} fields its header names")
+    return list(map(int, map(itemgetter(header.index("length")), rows)))
 
 
 def write_event_log(events: Sequence[SliceEvent], path: str | Path) -> Path:

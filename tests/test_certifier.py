@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
+    Certificate,
     CertificateCase,
     InvalidLength,
     InvalidSubset,
@@ -464,6 +466,21 @@ class TestCertificateOutput:
         text = format_certificate(cert)
         assert "verdict: certified" in text
         assert "witness N: 3" in text
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 1000])
+    def test_assignment_block_matches_one_format_per_row(self, size):
+        # Caps at the ends of the float range and with 17 significant digits.
+        caps = [5e-324, 1e300, 0.1, 1 / 3, math.pi, math.nextafter(1.0, 2.0), 12345.678901234567]
+        rows = tuple(
+            (i + 1, (7 * i) % size, 1 + i * 2**40, caps[i % len(caps)]) for i in range(size)
+        )
+        head = Certificate(Verdict.CERTIFIED, CertificateCase.CASE_III, {"gamma1": 1.0}, None, size)
+        cert = replace(head, witnesses={"gamma1": 1.0, "assignment": rows})
+        block = "".join("%d,%d,%d,%.17g\n" % row for row in rows)
+        expected = format_certificate(head)
+        if rows:
+            expected += "assignment:\ni,slice_index,length,cap\n" + block
+        assert format_certificate(cert) == expected
 
     def test_write_produces_text_and_trace(self, tmp_path):
         cert = certify_case3(case3_lengths(3, 1.0, 1.0, PARAMS), 1.0, 1.0, PARAMS)

@@ -498,6 +498,37 @@ class TestCertify:
         assert code == EXIT_NOT_CERTIFIED
         assert "error:" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "log_text, lengths",
+        [
+            ("", []),
+            ("slice_index,start_k,end_k,length,norm,bound\n", []),
+            ("a,b\n", []),
+            (SLICE_LOG.replace(",0.5,", ",abc,"), [5]),
+            (
+                "slice_index,start_k,end_k,length,norm,bound,extra\r\n"
+                '0,0,4,"5",0.5,0.9,x\r\n\r\n1,5,7,3,0.5,0.9,y\r\n\r\n',
+                [5, 3],
+            ),
+        ],
+        ids=["empty-file", "header-only", "no-length-no-rows", "norm-not-a-number", "crlf-quoted-extra"],
+    )
+    def test_log_certifies_as_its_lengths_alone(self, tmp_path, capsys, log_text, lengths):
+        # Only the length column is read: each log gives the exit code and
+        # certificate of a log holding its lengths and nothing else.
+        outputs = []
+        for name, text in (("log", log_text), ("plain", "length\n" + "".join(f"{v}\n" for v in lengths))):
+            (tmp_path / f"{name}.csv").write_bytes(text.encode())
+            cfg = write_config(tmp_path / f"{name}.json", {"mode": "certify", "slice_log": f"{name}.csv"})
+            capsys.readouterr()
+            code = main(["certify", "--config", cfg, "--out", str(tmp_path / name)])
+            assert "error:" not in capsys.readouterr().err
+            outputs.append((code, (tmp_path / name / "certificate.txt").read_text()))
+        assert outputs[0] == outputs[1]
+        code, text = outputs[0]
+        assert code in ((EXIT_OK, EXIT_NOT_CERTIFIED) if lengths else (EXIT_NOT_CERTIFIED,))
+        assert f"horizon: {len(lengths)}\n" in text
+
     def test_growth_log_certifies_by_case_iii(self, tmp_path):
         # Lengths on the gamma1 = 1 caps, shuffled: only the last gamma1 of
         # the grid certifies, through a matching that undoes the shuffle.

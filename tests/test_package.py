@@ -17,7 +17,7 @@ EARLIER_EXPORTS = [
     "inf_norm", "spectral_radius",
     "row_bound", "slice_norm_bound", "slice_norm_gap", "log_slice_norm_gap",
     "Slice", "SliceEvent", "SliceEventKind", "SliceState", "RunResult", "push",
-    "run_sequence", "write_slice_log", "read_slice_log", "write_event_log",
+    "run_sequence", "write_slice_log", "write_event_log",
     "Verdict", "CertificateCase", "BoundTrace", "Certificate", "bound_trace",
     "case3_length_cap", "certify_case1", "certify_case2", "certify_case3",
     "search_case3", "format_certificate", "write_certificate",
@@ -26,9 +26,15 @@ EARLIER_EXPORTS = [
     "demo_world", "run_leader_follower", "steady_state_check",
 ]
 
-# Simulator wrappers removed once the run built every row in blocks; only
-# tests called them.
-REMOVED = ("StepRecord", "neighbors", "build_update")
+# Names removed with their module: the simulator wrappers, once the run
+# built every row in blocks (only tests called them), and the slice-log
+# reader, once certify read only the lengths (read_slice_lengths).
+REMOVED = (
+    (ddf_sim, "StepRecord"),
+    (ddf_sim, "neighbors"),
+    (ddf_sim, "build_update"),
+    (slice_engine, "read_slice_log"),
+)
 
 
 def test_all_is_the_module_lists_in_order():
@@ -52,11 +58,11 @@ def test_star_import_binds_exactly_the_list():
 
 
 def test_earlier_exports_are_kept():
-    assert len(EARLIER_EXPORTS) == 54
+    assert len(EARLIER_EXPORTS) == 53
     assert set(EARLIER_EXPORTS) <= set(slicekit.__all__)
 
 
 def test_removed_names_are_gone():
-    for name in REMOVED:
+    for module, name in REMOVED:
         assert name not in slicekit.__all__
-        assert not hasattr(ddf_sim, name)
+        assert not hasattr(module, name)

@@ -20,7 +20,7 @@ from slicekit import (
     inf_norm,
     push,
     random_product_sequence,
-    read_slice_log,
+    read_slice_lengths,
     row_bound,
     row_update,
     run_sequence,
@@ -456,12 +456,49 @@ class TestLogs:
         assert slices
         path = tmp_path / "slices.csv"
         write_slice_log(slices, path)
-        rows = read_slice_log(path)
-        assert len(rows) == len(slices)
-        for s, row in zip(slices, rows):
-            assert row["slice_index"] == s.index
-            assert row["length"] == s.length
-            assert row["norm"] == pytest.approx(s.norm, abs=1e-15)
+        assert read_slice_lengths(path) == [s.length for s in slices]
+
+    @pytest.mark.parametrize(
+        "text, lengths",
+        [
+            ("", []),
+            ("slice_index,start_k,end_k,length,norm,bound\n", []),
+            ("a,b\n", []),
+            ("a,b\n\n\n", []),
+            ("length\n3\n4\n", [3, 4]),
+            # Only length is converted: the other cells may read anything.
+            ("slice_index,start_k,end_k,length,norm,bound\n0,0,4,5,abc,\n", [5]),
+            # CRLF endings, blank lines, a quoted length, an unknown column.
+            (
+                'slice_index,start_k,end_k,length,norm,bound,extra\r\n'
+                '0,0,4,"5",0.5,0.9,x\r\n\r\n1,5,7,3,0.5,0.9,y\r\n\r\n',
+                [5, 3],
+            ),
+            # A short row is refused only when short of a named column.
+            ("length,extra\n5\n", [5]),
+        ],
+    )
+    def test_read_slice_lengths(self, tmp_path, text, lengths):
+        path = tmp_path / "slices.csv"
+        path.write_bytes(text.encode())
+        assert read_slice_lengths(path) == lengths
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("length\n5\nx\n", ValueError),
+            ("length\n5.0\n", ValueError),
+            ("slice_index,start_k,end_k,length,norm,bound\n0,0,4,5,0.5\n", IndexError),
+            ("slice_index,length\n0\n", IndexError),
+            ("a,b\n1,2\n", KeyError),
+            (" length\n5\n", KeyError),
+        ],
+    )
+    def test_read_slice_lengths_refuses(self, tmp_path, text, error):
+        path = tmp_path / "slices.csv"
+        path.write_text(text)
+        with pytest.raises(error):
+            read_slice_lengths(path)
 
     def test_event_log_header(self, tmp_path):
         mats = [identity_step(2), sub_update(2, 0, 0.5)]

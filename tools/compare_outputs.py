@@ -28,7 +28,10 @@ shared by both trees:
   longest slice one longer, which no ``gamma1`` certifies; and the
   ``gamma1`` = 1 schedule at ``beta1`` = 0.999, whose caps are in the
   thousands (the two schedules come from this checkout's
-  ``slicekit.generators.case3_lengths``);
+  ``slicekit.generators.case3_lengths``); the first log again as a
+  six-column log with CRLF endings, an extra unknown column, its first
+  length quoted and a trailing blank line; and the ``slices.csv`` that the
+  products op ``products_n4_seed0`` (below) writes, certified as written;
 - the first products_n16 config at seeds 0-4;
 - products at seeds 0-4 with default weights at n = 4, horizon 200; n = 1,
   horizon 50; n = 16, horizon 129, which crosses two 64-step block edges of
@@ -72,6 +75,18 @@ CERTIFY_OUTCOMES = {
     "case2": {"case2": {"cap": 5, "subset": [0, 1, 2], "infinite_family": True}},
     "none": {"beta1": 0.01, "case1_cap": 4},
 }
+
+
+def six_column_log(lengths: list[int]) -> str:
+    """``lengths`` as a slice log in the column order ``slices.csv`` has,
+    plus an unknown column, with CRLF endings, the first length quoted and
+    a trailing blank line."""
+    rows, end = [], -1
+    for t, v in enumerate(lengths):
+        length = f'"{v}"' if t == 0 else v
+        rows.append(f"{t},{end + 1},{end + v},{length},0.5,0.9,x\r\n")
+        end += v
+    return "slice_index,start_k,end_k,length,norm,bound,extra\r\n" + "".join(rows) + "\r\n"
 
 
 def certify_logs(first_log: list[int]) -> dict[str, tuple[list[int], dict]]:
@@ -175,8 +190,9 @@ print(json.dumps({"file": slicekit.__file__, "codes": codes}))
 """
 
 
-def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
-    """Materialise the inputs under ``inputs`` and name one op per run."""
+def build_ops(inputs: Path, out_root: Path) -> list[tuple[str, list[str]]]:
+    """Materialise the inputs under ``inputs`` and name one op per run; an
+    op that reads another op's output finds it under ``out_root``."""
     ops = []
     pools = {}
     for name in ("lf_demo", "certify_growth"):
@@ -199,6 +215,12 @@ def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
         path = directory / f"config_{variant}.json"
         path.write_text(json.dumps({**base, "slice_log": log, **overrides}) + "\n")
         ops.append((f"certify_{variant}", ["certify", "--config", str(path)]))
+    (directory / "log_six_column.csv").write_bytes(
+        six_column_log(pools["certify_growth"][0]["_lengths"]).encode()
+    )
+    path = directory / "config_six_column.json"
+    path.write_text(json.dumps({**base, "slice_log": "log_six_column.csv"}) + "\n")
+    ops.append(("certify_six_column", ["certify", "--config", str(path)]))
     argvs, _, _ = materialise(WORKLOADS["products_n16"], SEED, inputs / "products_n16")
     ops += [(f"products_n16_seed{s}", [*argvs[0], "--seed", str(s)]) for s in PRODUCTS_SEEDS]
     for variant, payload in PRODUCTS_VARIANTS.items():
@@ -208,6 +230,10 @@ def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
             (f"products_{variant}_seed{s}", ["products", "--config", str(path), "--seed", str(s)])
             for s in PRODUCTS_SEEDS
         ]
+    path = inputs / "certify_products_n4_seed0.json"
+    log = out_root / "products_n4_seed0" / "slices.csv"
+    path.write_text(json.dumps({"mode": "certify", "slice_log": str(log)}) + "\n")
+    ops.append(("certify_products_n4_seed0", ["certify", "--config", str(path)]))
     return ops
 
 
@@ -240,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change_root", type=Path)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
-        ops = build_ops(Path(tmp) / "inputs")
         out_root = Path(tmp) / "out"
+        ops = build_ops(Path(tmp) / "inputs", out_root)
         parent_codes, parent_files = run_tree(args.parent_root, ops, out_root)
         change_codes, change_files = run_tree(args.change_root, ops, out_root)
     differ = sorted(
