@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -252,36 +253,42 @@ def _per_k_rows(
 
     While some row has never been updated it is still ``e_i``, so 1 is an
     eigenvalue and ``rho <= inf_norm = 1`` gives ``rho = 1.0`` without an
-    eigensolve.  The products are gathered in blocks; each block is normed
-    by one :func:`inf_norm` call, and its steps with every row updated share
-    one :func:`spectral_radius` call.  The whole block is checked first, so
-    that a non-finite entry raises :class:`AssumptionViolated` and a
-    negative one :class:`NegativeEntry` on the unit-row steps too.
+    eigensolve.  An identity step leaves ``J`` as it was, bit for bit, so
+    it is not applied and its radius is the previous step's, carried
+    across block edges too.  The products are gathered in blocks; each
+    block is normed by one :func:`inf_norm` call, and its non-identity
+    steps with every row updated share one :func:`spectral_radius` call,
+    made only for a block that holds such a step.  The whole block is
+    checked first, so that a non-finite entry raises
+    :class:`AssumptionViolated` and a negative one :class:`NegativeEntry`
+    on the other steps too.
     """
     n = start.shape[0]
     size = max(1, min(_RHO_BLOCK, _RHO_BLOCK_ENTRIES // (n * n), len(matrices)))
     block = np.empty((size, n, n))
     touched: set[int] = set()
     j = start
+    rho = 1.0  # the unit-row rule's radius until every row is updated
     for k0 in range(0, len(matrices), size):
         chunk = matrices[k0 : k0 + size]
-        untouched = 0  # a prefix: rows once updated stay updated
+        fresh = []  # a new J with every row updated: solve it
         for t, m in enumerate(chunk):
-            j = m.apply(j)
-            block[t] = j
             if m.updated_row is not None:
+                j = m.apply(j)
                 touched.add(m.updated_row)
-            untouched += len(touched) < n
+                if len(touched) == n:
+                    fresh.append(t)
+            block[t] = j
         stack = block[: len(chunk)]
         if not np.all(np.isfinite(stack)):
             raise AssumptionViolated("a running product holds a non-finite entry")
         if np.any(stack < 0):
             raise NegativeEntry("a running product holds a negative entry")
-        norms = inf_norm(stack)
-        radii = np.ones(len(chunk))
-        if untouched < len(chunk):
-            radii[untouched:] = spectral_radius(stack[untouched:])
-        yield from zip(range(k0, k0 + len(chunk)), norms.tolist(), radii.tolist())
+        norms = inf_norm(stack).tolist()
+        radii = dict(zip(fresh, spectral_radius(stack[fresh]).tolist())) if fresh else {}
+        for t, norm in enumerate(norms):
+            rho = radii.get(t, rho)
+            yield k0 + t, norm, rho
 
 
 def _products_plot_script() -> str:
@@ -504,7 +511,9 @@ def cmd_certify(config: ExperimentConfig) -> int:
     return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="slicekit",
         description=(

@@ -13,11 +13,12 @@ Three families:
 * the slice-length schedule ``floor(cap(i))`` that tracks the case-iii
   growth caps as tightly as integers allow.
 
-The random protocol's draws reproduce ``rng.choice(3, p=...)`` and
-``rng.dirichlet(np.ones(d))`` bit for bit without calling them, so a seed
-gives the same sequence as those calls would; the draw order (form, row,
-support size, support, then the sub-stochastic mass before the weights) is
-fixed, and changing it changes every sequence.
+The random protocol's draws reproduce ``rng.choice(3, p=...)``,
+``rng.uniform(0.0, 1.0)`` and ``rng.dirichlet(np.ones(d))`` bit for bit
+without calling them, so a seed gives the same sequence as those calls
+would; the draw order (form, row, support size, support, then the
+sub-stochastic mass before the weights) is fixed, and changing it changes
+every sequence.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ def random_product_sequence(
         else:
             d = int(rng.integers(1, n + 1))
         idx = rng.choice(n - 1, d - 1, replace=False)
-        support = np.concatenate(([row], idx + (idx >= row)))
+        support = [row, *(idx + (idx >= row)).tolist()]
         p_row = np.zeros(n)
         if form == 0:
             p_row[support] = params.beta1 + (1.0 - d * params.beta1) * _flat_dirichlet(rng, d)
         else:
-            mass = params.beta2 * float(rng.uniform(0.0, 1.0))
+            mass = params.beta2 * rng.random()  # rng.uniform(0.0, 1.0): 0 + 1 * u
             p_row[support] = mass * _flat_dirichlet(rng, d)
         out.append(SystemMatrix._trusted(n, 0, row, p_row, no_anchors))
     return out

@@ -22,7 +22,15 @@ from slicekit import (
     row_update,
     spectral_radius,
 )
-from slicekit.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_RUNTIME, _per_k_rows, main
+from slicekit.cli import (
+    EXIT_CONFIG,
+    EXIT_NOT_CERTIFIED,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    _per_k_rows,
+    build_parser,
+    main,
+)
 
 SLICE_LOG = "slice_index,start_k,end_k,length,norm,bound\n0,0,4,5,0.5,0.9\n"
 TWO_ENTRY_LOG = SLICE_LOG + "1,5,9,5,0.5,0.9\n"
@@ -121,6 +129,31 @@ class TestProducts:
         )
         assert (out_a / "per_k.csv").read_text() != (out_b / "per_k.csv").read_text()
 
+    def test_the_reused_parser_keeps_no_state_between_calls(self, tmp_path):
+        config_out = tmp_path / "config_out"
+        cfg = write_config(
+            tmp_path / "p.json",
+            {"mode": "products", "n": 4, "horizon": 120, "seed": 0, "out_dir": str(config_out)},
+        )
+        build_parser.cache_clear()
+        first = tmp_path / "first"
+        assert main(["products", "--config", cfg, "--out", str(first)]) == EXIT_OK
+        # A call that fails after parsing --seed and --out, then one that
+        # sets both, must leave nothing behind for a call that sets neither.
+        with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(["products", "--config", cfg, "--seed", "5", "--out", "x", "--bogus"])
+        assert exc.value.code == 2
+        seeded = tmp_path / "seeded"
+        assert main(["products", "--config", cfg, "--seed", "5", "--out", str(seeded)]) == EXIT_OK
+        assert main(["products", "--config", cfg]) == EXIT_OK
+        assert build_parser() is build_parser()
+        per_k = (first / "per_k.csv").read_bytes()
+        assert (config_out / "per_k.csv").read_bytes() == per_k
+        assert (seeded / "per_k.csv").read_bytes() != per_k
+        echoed = json.loads((config_out / "run_config.json").read_text())
+        assert echoed["seed"] == 0 and echoed["out_dir"] == str(config_out)
+        assert not (tmp_path / "x").exists()
+
 
 PARAMS = Params(beta1=0.05, beta2=0.7)
 
@@ -132,6 +165,29 @@ def dense_per_k(matrices, n):
         j = m.apply(j)
         rows.append((k, inf_norm(j), spectral_radius(j)))
     return rows
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The number of matrices in each ``np.linalg.eigvals`` call, in order."""
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        sizes.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return sizes
+
+
+def fresh_steps(matrices, n):
+    """The steps that update a row once every row has been updated."""
+    return [
+        k
+        for k, (m, seen) in enumerate(zip(matrices, accumulate_touched(matrices)))
+        if seen == n and m.updated_row is not None
+    ]
 
 
 def accumulate_touched(matrices):
@@ -202,26 +258,36 @@ class TestPerKRows:
         matrices = random_product_sequence(6, PARAMS, 129, rng=np.random.default_rng(3))
         assert written == dense_per_k(matrices, 6)
 
-    def test_no_eigensolve_while_a_row_is_untouched(self, monkeypatch):
-        solved = []
-        eigvals = np.linalg.eigvals
-
-        def counting(a):
-            solved.append(len(a))
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
+    def test_no_eigensolve_while_a_row_is_untouched(self, solved):
         matrices = random_product_sequence(256, PARAMS, 300, rng=np.random.default_rng(1))
         rows = list(_per_k_rows(matrices, np.eye(256)))
         assert solved == [] and [rho for _, _, rho in rows] == [1.0] * 300
 
         matrices = random_product_sequence(4, PARAMS, 200, rng=np.random.default_rng(1))
         full = [k for k, seen in enumerate(accumulate_touched(matrices)) if seen == 4]
-        assert 0 < len(full) < 200
+        fresh = fresh_steps(matrices, 4)
+        assert 0 < len(fresh) < len(full) < 200
         list(_per_k_rows(matrices, np.eye(4)))
-        # One call per 64-step block holding a fully updated step, each
-        # solving only those steps.
-        assert len(solved) == len({k // 64 for k in full}) and sum(solved) == len(full)
+        # One call per 64-step block holding a fully updated non-identity
+        # step, each solving only those steps.
+        assert len(solved) == len({k // 64 for k in fresh}) and sum(solved) == len(fresh)
+
+    def test_identity_steps_carry_the_radius_across_blocks(self, solved):
+        matrices = random_product_sequence(
+            4, PARAMS, 320, rng=np.random.default_rng(1484),
+            p_stochastic=0.05, p_substochastic=0.05, p_identity=0.9,
+        )
+        fresh = fresh_steps(matrices, 4)
+        blocks = {k // 64 for k in fresh}
+        # Every row is updated by step 127, and steps 128-191 are all
+        # identity steps: block 2 solves nothing and carries block 1's last
+        # radius in, and block 3 carries it on until its first update.
+        assert fresh[0] < 128 and 2 not in blocks and {1, 3} <= blocks
+        rows = list(_per_k_rows(matrices, np.eye(4)))
+        assert len(solved) == len(blocks) and sum(solved) == len(fresh)
+        assert rows == dense_per_k(matrices, 4)
+        carried = {rho for _, _, rho in rows[127 : min(k for k in fresh if k >= 192)]}
+        assert len(carried) == 1 and carried != {1.0}
 
     @pytest.mark.parametrize(
         "rows, error",

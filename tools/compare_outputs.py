@@ -36,12 +36,15 @@ shared by both trees:
 - products at seeds 0-4 with default weights at n = 4, horizon 200; n = 1,
   horizon 50; n = 16, horizon 129, which crosses two 64-step block edges of
   ``per_k.csv``'s spectral radius; and n = 64, horizon 600, where every
-  seed updates all 64 rows and so reaches the stacked ``eigvals``.
+  seed updates all 64 rows and so reaches the stacked ``eigvals``;
+- products at n = 8, horizon 400, seeds 0-4, with ``p_identity`` 0.9 over
+  the default 1/3 and 1/3: long runs of identity steps after every row is
+  updated, each carrying the spectral radius of the step before.
 
-Each tree runs every op through ``slicekit.cli.main`` in its own subprocess,
-importing ``slicekit`` from that tree's ``src/``.  The trees run one after
-the other into the same output root, so paths recorded in the outputs
-(``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
+That makes 94 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
+trees run one after the other into the same output root, so paths recorded
+in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
 only one tree wrote, is listed, and so is every op whose exit code differs.
 Exits 1 when anything differs and 0 otherwise.
 """
@@ -173,6 +176,7 @@ PRODUCTS_VARIANTS = {
     "n1": {"n": 1, "horizon": 50},
     "n16_h129": {"n": 16, "horizon": 129},
     "n64_h600": {"n": 64, "horizon": 600},
+    "idle": {"n": 8, "horizon": 400, "p_identity": 0.9},
 }
 
 # Runs a JSON list of (name, argv) ops from stdin through slicekit.cli.main,
