@@ -19,6 +19,8 @@ certification routes are implemented:
   (shortest slice to smallest cap) is optimal by an exchange argument.
   :func:`search_case3` tries each gamma1 of ``DEFAULT_GAMMA1_GRID`` at the
   rate floor ``gamma2 = MIN_GAMMA2``; a larger gamma2 only shrinks the caps.
+  :func:`certify_case3` computes the caps in growing chunks and stops at
+  the first chunk holding a rank that surely fails.
 
 Cases i and ii are the gamma1 = 0 specializations of case iii.  All traces
 are accumulated in log space so verdict-relevant signs survive slice
@@ -298,17 +300,33 @@ def certify_case3(
     Greedy matching: sort observed lengths and caps ascending and pair them
     rank by rank.  If any rank fails, no injective assignment exists (the
     k-th smallest cap cannot cover the k-th smallest length); if all ranks
-    pass, the pairing itself is the witness assignment.
+    pass, the pairing itself is the witness assignment.  The caps come in
+    chunks of positions 1-8, then up to 8 times those done; the scan stops
+    at the first rank t above the largest of caps 1..t+1, which is at least
+    the (t+1)-th smallest cap, so that rank fails the sorted check too.
     """
     arr = _length_array(lengths)
     horizon = int(arr.size)
     if horizon == 0:
         return _not_certified(0, ["no completed slices in the sample"])
-    cap_list = _case3_caps(range(1, horizon + 1), gamma1, gamma2, params)
-    caps = np.array(cap_list)
+    sorted_lengths = np.sort(arr)
+    caps = np.empty(horizon)
+    done = 0
+    while done < horizon:
+        stop = min(max(8, 8 * done), horizon)
+        caps[done:stop] = _case3_caps(range(done + 1, stop + 1), gamma1, gamma2, params)
+        largest = np.maximum.accumulate(caps[:stop])
+        failures = np.flatnonzero(sorted_lengths[:stop] > largest + CAP_FEASIBILITY_TOL)
+        if failures.size:
+            t = int(failures[0])
+            return _not_certified(
+                horizon,
+                [f"rank {t}: length {int(sorted_lengths[t])} exceeds "
+                 f"{float(largest[t])!r}, the largest cap at positions 1..{t + 1}"],
+            )
+        done = stop
     by_length = np.argsort(arr, kind="stable")
     by_cap = np.argsort(caps, kind="stable")  # identity when caps nondecreasing
-    sorted_lengths = arr[by_length]
     sorted_caps = caps[by_cap]
     failures = np.nonzero(sorted_lengths > sorted_caps + CAP_FEASIBILITY_TOL)[0]
     if failures.size:
@@ -326,7 +344,7 @@ def certify_case3(
     assignment[by_cap] = by_length
     assigned = arr[assignment]
     matched = tuple(
-        zip(range(1, horizon + 1), assignment.tolist(), assigned.tolist(), cap_list)
+        zip(range(1, horizon + 1), assignment.tolist(), assigned.tolist(), caps.tolist())
     )
     return Certificate(
         verdict=Verdict.CERTIFIED,
@@ -341,56 +359,17 @@ def certify_case3(
     )
 
 
-# NumPy's vectorised power, expm1 and log are not libm's, so a cap from
-# :func:`_screen_fails` can differ from :func:`case3_length_cap` in the last
-# bits.  With NumPy 2.4.6 on x86-64 the gap was at most 2 ulps of the cap's
-# scale (see ``_screen_fails``) over 2 960 138 caps from 300 random weight
-# sets, beta1 up to 1 - 1e-9 and i up to 2e4.  The guard is this fraction of
-# the scale, at least 4 500 of its ulps.
-_SCREEN_GUARD = 1e-12
-
-
-def _screen_fails(
-    sorted_lengths: np.ndarray, positions: np.ndarray, gamma1: float, params: Params
-) -> bool:
-    """Whether the exact caps at the rate floor surely fail some rank.
-
-    True only when every cap is defined in NumPy and a sorted length exceeds
-    its sorted NumPy cap by more than the feasibility tolerance plus the
-    guard, ``_SCREEN_GUARD`` times the largest scale
-    ``(|ln budget_i| + |ln(1 - beta2)|) / |ln beta1| + |cap_i|``.  Sorting
-    is 1-Lipschitz in the sup norm, so the exact caps then fail that rank
-    as well, or are undefined somewhere; either way :func:`certify_case3`
-    would not certify.
-    """
-    log_anchor_room = math.log1p(-params.beta2)
-    log_beta1 = math.log(params.beta1)
-    with np.errstate(all="ignore"):
-        budgets = -np.expm1(-MIN_GAMMA2 * positions ** -gamma1)
-        if not np.all(budgets < 1.0 - params.beta2):
-            return False
-        log_budgets = np.log(budgets)
-        caps = (log_budgets - log_anchor_room) / log_beta1 + 1.0
-        scale = (np.abs(log_budgets) + abs(log_anchor_room)) / abs(log_beta1) + np.abs(caps)
-        slack = CAP_FEASIBILITY_TOL + _SCREEN_GUARD * np.max(scale, initial=0.0)
-        return bool(np.any(sorted_lengths > np.sort(caps) + slack))
-
-
 def search_case3(lengths: Sequence[int], params: Params) -> Certificate:
     """Return the first gamma1 of the grid that certifies at the rate floor
     ``MIN_GAMMA2``, skipping any whose caps are undefined; not certified
     when none does.
 
-    A NumPy screen (:func:`_screen_fails`) first drops each gamma1 whose
-    caps clearly fail; every other gamma1 goes to :func:`certify_case3`, so
-    verdicts and certificates come from the exact scalar caps alone.
+    Each gamma1 goes to :func:`certify_case3`, which stops at the first
+    chunk of caps holding a failing rank, so verdicts and certificates come
+    from the exact scalar caps alone.
     """
     lengths = _length_array(lengths)
-    sorted_lengths = np.sort(lengths)
-    positions = np.arange(1.0, lengths.size + 1.0)
     for g1 in DEFAULT_GAMMA1_GRID:
-        if _screen_fails(sorted_lengths, positions, g1, params):
-            continue
         try:
             cert = certify_case3(lengths, g1, MIN_GAMMA2, params)
         except MeaninglessBound:

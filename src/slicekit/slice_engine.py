@@ -133,30 +133,25 @@ def push(
 ) -> tuple[SliceState, list[SliceEvent]]:
     """Feed one matrix into the engine, mutating ``state`` in place.
 
-    Identity steps are skipped.  In strict mode the matrix must pass
-    :func:`~slicekit.matrix_core.validate_update`'s rules, checked in the
-    same look at the row as the identity test (raising
-    :class:`AssumptionViolated` otherwise); permissive mode accepts any row
-    of matching shape, so rule-violating rows are observable rather than
-    fatal.  Only the updated row of the running product moves, so only
-    that row's sum and informed status are recomputed.  A single push can
-    emit several events: opening the slice, a success when the row becomes
-    newly informed, and completion.
+    Identity steps are skipped.  Both modes check
+    :func:`~slicekit.matrix_core.validate_update`'s rules in the same look
+    at the row as the identity test.  In strict mode a failed rule raises
+    :class:`AssumptionViolated`; permissive mode ignores the failures, so
+    rule-violating rows are observable rather than fatal.  Only the updated
+    row of the running product moves, so only that row's sum and informed
+    status are recomputed.  A single push can emit several events: opening
+    the slice, a success when the row becomes newly informed, and
+    completion.
     """
     if m.n != state.n:
         raise AssumptionViolated(
             f"matrix is {m.n}x{m.n} but the engine tracks {state.n} rows"
         )
-    if strict:
-        identity, p_sum, fails = _screen(m, params)
-    else:
-        identity, fails = m.is_identity(params.tol), ()
+    identity, p_sum, fails = _screen(m, params)
     if identity:
         return state, [SliceEvent(SliceEventKind.SKIPPED, k=k)]
-    if fails:
+    if fails and strict:
         raise AssumptionViolated(f"update failed validation: {'; '.join(fails)}")
-    if not strict:
-        p_sum = float(m.p_row.sum())
 
     this_k = state.next_k
     state.next_k += 1

@@ -29,12 +29,12 @@ from slicekit import (
     slice_norm_bound,
     write_certificate,
 )
+from slicekit import certifier
 from slicekit.certifier import (
     CAP_FEASIBILITY_TOL,
     DEFAULT_GAMMA1_GRID,
     MIN_GAMMA2,
     _case3_caps,
-    _screen_fails,
 )
 
 PARAMS = Params(beta1=0.05, beta2=0.3)
@@ -367,34 +367,81 @@ class TestScreenedSearch:
         for name in ("lengths", "products", "neg_log_sums"):
             assert getattr(cert.trace, name).tobytes() == getattr(trace, name).tobytes()
 
-    @given(_boundary_inputs())
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_screen_keeps_every_certifying_gamma1(self, case):
-        params, lengths = case
-        sorted_lengths = np.sort(np.array(lengths, dtype=np.int64))
-        positions = np.arange(1.0, len(lengths) + 1.0)
-        for g1 in DEFAULT_GAMMA1_GRID:
-            try:
-                certifies = _scalar_rank_check(lengths, g1, params) is not None
-            except MeaninglessBound:
-                continue
-            if certifies:
-                assert not _screen_fails(sorted_lengths, positions, g1, params)
-
     def test_screen_keeps_a_length_inside_the_tolerance(self):
         # The constant gamma1 = 0 cap is 5 - 5e-10 here, so only the
-        # tolerance lets a length of 5 through; the guard alone is ~2e-11.
+        # tolerance lets a length of 5 through.
         params = Params(beta1=0.5, beta2=1.0 + math.expm1(-MIN_GAMMA2) * 0.5 ** (5e-10 - 4.0))
         assert 5.0 - CAP_FEASIBILITY_TOL < case3_length_cap(1, 0.0, MIN_GAMMA2, params) < 5.0 - 1e-10
         lengths = np.array([5, 5, 5])
-        assert not _screen_fails(lengths, np.arange(1.0, 4.0), 0.0, params)
         cert = search_case3(lengths, params)
         assert cert.certified and cert.witnesses["gamma1"] == 0.0
 
-    def test_screen_drops_a_clear_failure(self):
-        lengths = np.array([50, 60, 70])
-        positions = np.arange(1.0, 4.0)
-        assert all(_screen_fails(lengths, positions, g1, PARAMS) for g1 in DEFAULT_GAMMA1_GRID)
+
+def _counting_caps(monkeypatch):
+    """Wrap ``_case3_caps`` in the certifier so that every position it
+    computes is recorded, in order; returns the record."""
+    seen: list[int] = []
+
+    def counted(positions, gamma1, gamma2, params):
+        seen.extend(positions)
+        return _case3_caps(positions, gamma1, gamma2, params)
+
+    monkeypatch.setattr(certifier, "_case3_caps", counted)
+    return seen
+
+
+class TestEarlyReturn:
+    """``certify_case3`` computes the caps in chunks of positions 1-8,
+    9-64, 65-512, ... and stops after the chunk holding the first rank that
+    fails against the running maximum of the caps."""
+
+    @pytest.mark.parametrize("rank", [0, 7, 8, 63, 64, 300, 511, 512, 999])
+    def test_stops_after_the_chunk_holding_the_failing_rank(self, monkeypatch, rank):
+        # gamma1 = 0 gives every position the same cap, so raising the
+        # lengths from sorted rank ``rank`` on makes it the first failure.
+        schedule = case3_lengths(1000, 0.0, MIN_GAMMA2, WIDE)
+        lengths = schedule[:rank] + [v + 1 for v in schedule[rank:]]
+        seen = _counting_caps(monkeypatch)
+        cert = certify_case3(lengths[::-1], 0.0, MIN_GAMMA2, WIDE)
+        assert not cert.certified
+        assert cert.notes[0].startswith(f"rank {rank}: ")
+        chunk_end = next(end for end in (8, 64, 512, 1000) if rank < end)
+        assert seen == list(range(1, chunk_end + 1))
+
+    @pytest.mark.parametrize("count", [1, 8, 9, 64, 65, 600])
+    def test_a_certifying_scan_computes_each_position_once(self, monkeypatch, count):
+        lengths = case3_lengths(count, 1.0, MIN_GAMMA2, PARAMS)
+        seen = _counting_caps(monkeypatch)
+        cert = certify_case3(lengths[::-1], 1.0, MIN_GAMMA2, PARAMS)
+        assert cert.certified
+        assert seen == list(range(1, count + 1))
+
+    def test_caps_out_of_order_reach_the_sorted_check(self, monkeypatch):
+        # Each length is at most the largest cap up to its rank, but the
+        # sorted caps 3, 3, 5 cannot cover 3, 4, 4.
+        monkeypatch.setattr(
+            certifier, "_case3_caps", lambda positions, *_: [[5.0, 3.0, 3.0][i - 1] for i in positions]
+        )
+        cert = certify_case3([4, 3, 4], 1.0, MIN_GAMMA2, PARAMS)
+        assert not cert.certified
+        assert cert.notes == (
+            "rank 1: 1 length(s) exceed their caps, first at length 4 vs cap 3.0 (position i=3)",
+        )
+
+    def test_a_length_at_cap_plus_tolerance_passes(self, monkeypatch):
+        caps = [3.0 - CAP_FEASIBILITY_TOL, 4.0 - CAP_FEASIBILITY_TOL]
+        assert [cap + CAP_FEASIBILITY_TOL for cap in caps] == [3.0, 4.0]
+        monkeypatch.setattr(certifier, "_case3_caps", lambda positions, *_: [caps[i - 1] for i in positions])
+        cert = certify_case3([4, 3], 1.0, MIN_GAMMA2, PARAMS)
+        assert cert.certified
+        assert cert.witnesses["assignment"] == ((1, 1, 3, caps[0]), (2, 0, 4, caps[1]))
+
+    def test_undefined_cap_at_the_first_position_raises(self):
+        params = Params(beta1=0.05, beta2=0.9995)
+        lengths = [1] * 100
+        for g1 in DEFAULT_GAMMA1_GRID:
+            with pytest.raises(MeaninglessBound):
+                certify_case3(lengths, g1, MIN_GAMMA2, params)
 
 
 class TestCapList:

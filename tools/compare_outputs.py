@@ -22,15 +22,17 @@ shared by both trees:
   failures (a sensor group too large for ``beta1``, two anchors too many
   for ``alpha``), which exit 4;
 - the 10 certify_growth logs, plus three configs on the first log that
-  certify by case i, certify by case ii, and certify nothing, and three
+  certify by case i, certify by case ii, and certify nothing, and four
   more logs for the case-iii search: the ``gamma1`` = 0.5 schedule of
   2 000 slices in reverse, which certifies at 0.5; the first log with its
-  longest slice one longer, which no ``gamma1`` certifies; and the
-  ``gamma1`` = 1 schedule at ``beta1`` = 0.999, whose caps are in the
-  thousands (the two schedules come from this checkout's
-  ``slicekit.generators.case3_lengths``); the first log again as a
-  six-column log with CRLF endings, an extra unknown column, its first
-  length quoted and a trailing blank line; and the ``slices.csv`` that the
+  longest slice one longer, which no ``gamma1`` certifies; the
+  ``gamma1`` = 0 schedule of 1 000 slices with its longest slice one
+  longer, which ``gamma1`` = 0 rejects only at its top rank, after every
+  cap, and 0.25 certifies; and the ``gamma1`` = 1 schedule at ``beta1`` =
+  0.999, whose caps are in the thousands (the three schedules come from
+  this checkout's ``slicekit.generators.case3_lengths``); the first log
+  again as a six-column log with CRLF endings, an extra unknown column,
+  its first length quoted and a trailing blank line; and the ``slices.csv`` that the
   products op ``products_n4_seed0`` (below) writes, certified as written;
 - the first products_n16 config at seeds 0-4;
 - products at seeds 0-4 with default weights at n = 4, horizon 200; n = 1,
@@ -41,7 +43,7 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 94 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 95 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -97,6 +99,8 @@ def certify_logs(first_log: list[int]) -> dict[str, tuple[list[int], dict]]:
     overrides of the first certify_growth config that go with them."""
     bumped = list(first_log)
     bumped[bumped.index(max(bumped))] += 1
+    late_reject = case3_lengths(1000, 0.0, MIN_GAMMA2, Params(BETA1, BETA2))
+    late_reject[late_reject.index(max(late_reject))] += 1
     return {
         # Every length is at most 4, so case i at cap 3 fails first.
         "gamma1_half": (
@@ -104,6 +108,8 @@ def certify_logs(first_log: list[int]) -> dict[str, tuple[list[int], dict]]:
             {"case1_cap": 3},
         ),
         "bumped": (bumped, {}),
+        # gamma1 = 0 fails only at the top rank, after every cap; 0.25 certifies.
+        "late_reject": (late_reject, {}),
         "beta1_0999": (
             case3_lengths(1000, 1.0, MIN_GAMMA2, Params(0.999, BETA2)),
             {"beta1": 0.999},
