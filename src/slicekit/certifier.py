@@ -261,9 +261,10 @@ def _case3_caps(
 ) -> list[float]:
     """:func:`case3_length_cap` at each of ``positions``, bit for bit, with
     the arguments checked and the constant logs taken once; raises at the
-    first position whose cap is undefined."""
-    if positions and min(positions) < 1:
-        raise InvalidSubset(f"position index must be >= 1, got {min(positions)}")
+    first position whose cap is undefined.  ``positions`` ascend, so only
+    the first is checked against 1."""
+    if positions and positions[0] < 1:
+        raise InvalidSubset(f"position index must be >= 1, got {positions[0]}")
     if not 0.0 <= gamma1 <= 1.0:
         raise ValueError(f"gamma1 must lie in [0, 1], got {gamma1}")
     if gamma2 <= 0.0:

@@ -31,9 +31,14 @@ node ``x + dx - cx``, ``sqrt(ox*ox + oy*oy)`` and, past the edge,
 per step.  Both evaluate the same IEEE operations, unfused and in that order,
 for two components, so they agree bit for bit.  The neighbour rows and
 fusion weights depend on the positions and the fusing sensor but not on the
-states, so one NumPy pass computes them for every step of the block.  Only
-wrapping each row as an update, advancing the states and feeding the slice
-engine remain per step.
+states, so one NumPy pass computes them for every step of the block, and
+one more screens those rows against the weight rules
+(:func:`~slicekit.matrix_core._screen_block`).  Per step there remain only
+wrapping the row as an update, advancing ``x`` and ``N`` in place and
+feeding the slice engine: a cleared row straight into its window
+(:func:`~slicekit.slice_engine._absorb`), an identity step as a skipped
+event, and any other row through :func:`~slicekit.slice_engine.push`,
+which refuses it with its own message or, when permissive, absorbs it.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ import numpy as np
 
 from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
-from .matrix_core import Params, SystemMatrix, identity_step
-from .slice_engine import Slice, SliceEvent, SliceState, push
+from .matrix_core import Params, SystemMatrix, _screen_block, identity_step
+from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _absorb, push
 from .tables import write_table
 
 __all__ = [
@@ -450,12 +455,15 @@ def _move(world: World, disp: np.ndarray, pos: np.ndarray, track: np.ndarray) ->
 
 def _updates(
     world: World, params: Params, horizon: int, positions: np.ndarray
-) -> Iterator[tuple[int, SystemMatrix]]:
+) -> Iterator[tuple[int, SystemMatrix, float | None]]:
     """Each step's index and update, one block of ``DRAW_BLOCK`` steps at a
-    time.  A block's motion runs step by step (:func:`_move`) into its track
-    of positions, a view of ``positions``; then :func:`_fusion_rows` builds
-    all of the block's rows at once.  A step with infeasible weights raises
-    when it is reached, after every earlier step has been run."""
+    time, with the update's sensor row sum when the block screen clears it
+    (None otherwise).  A block's motion runs step by step (:func:`_move`)
+    into its track of positions, a view of ``positions``; then
+    :func:`_fusion_rows` builds all of the block's rows at once and
+    :func:`~slicekit.matrix_core._screen_block` screens them together.  A
+    step with infeasible weights raises when it is reached, after every
+    earlier step has been run."""
     n = world.n
     identity = identity_step(n, world.s)
     for start in range(0, horizon, DRAW_BLOCK):
@@ -464,8 +472,12 @@ def _updates(
         _move(world, _displacements(world, start, stop), positions[start], track)
         who = _updaters(world, start, stop)
         rows = _fusion_rows(world, track, who, params)
-        for t, i in enumerate(who.tolist()):
-            yield start + t, _update(n, rows, t, i, identity)
+        # Idle rows and rows from the infeasible step on are screened too,
+        # but only fused rows up to it become updates that read a verdict.
+        clear, p_sums = _screen_block(rows.p_rows, rows.b_rows, who, params)
+        sums = [p if ok else None for ok, p in zip(clear.tolist(), p_sums.tolist())]
+        for t, (i, p_sum) in enumerate(zip(who.tolist(), sums)):
+            yield start + t, _update(n, rows, t, i, identity), p_sum
 
 
 def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
@@ -480,12 +492,13 @@ def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
 def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     """Run the full loop from the world's start state: motion, update
     construction, state advance, slice tracking, and per-slice input
-    accumulation ``N <- P N + B``.  The loop owns the positions, the states
-    and the step index; the world itself never changes."""
+    accumulation ``N <- P N + B``, whose updated rows are written in place.
+    The loop owns the positions, the states and the step index; the world
+    itself never changes."""
     world = config.world
     params = config.params
     n, s = world.n, world.s
-    x = world.x
+    x, u = world.x.copy(), world.u
     states = _history(config.horizon, (n,))
     states[0] = x
     positions = _history(config.horizon, (n + s, 2))
@@ -498,12 +511,19 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     anchor_identity = np.eye(s)
     target = None if config.stop_when_error_below is None else float(world.u[0])
     steps_run = 0
-    for k, m in _updates(world, params, config.horizon, positions):
+    for k, m, p_sum in _updates(world, params, config.horizon, positions):
+        i = m.updated_row
         # An identity step (idle, or no neighbours) leaves x and N as they are.
-        if m.updated_row is not None:
-            x = m.apply(x, world.u)
-            n_accum = m.apply(n_accum, anchor_identity)
-        state, evs = push(state, m, params, strict=config.strict, k=k)
+        if i is None:
+            evs = [SliceEvent(SliceEventKind.SKIPPED, k=k)]
+        else:
+            p_row, b_row = m.p_row, m.b_row
+            x[i] = p_row @ x + b_row @ u
+            n_accum[i] = p_row @ n_accum + b_row @ anchor_identity
+            if p_sum is None:
+                _, evs = push(state, m, params, strict=config.strict, k=k)
+            else:
+                evs = _absorb(state, m, p_sum, params, k)
         for ev in evs:
             if ev.slice is not None:
                 slices.append(ev.slice)

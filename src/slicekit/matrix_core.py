@@ -266,6 +266,41 @@ def _screen(m: SystemMatrix, params: Params) -> tuple[bool, float, tuple[str, ..
     return False, p_sum, tuple(fails)
 
 
+def _screen_block(
+    p_rows: np.ndarray, b_rows: np.ndarray, rows: np.ndarray, params: Params
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_screen` for a block of updates in one NumPy pass: row ``t``
+    updates sensor ``rows[t]`` to ``p_rows[t]`` and its anchor row to
+    ``b_rows[t]``.  Returns whether each row is clear, that is not a unit
+    row and failing no rule, and each row's sensor sum.
+
+    The rules are :func:`_screen`'s on the same floats, written as tests a
+    row passes, so NaN and infinity fail them; a row that is not clear
+    needs :func:`_screen` for its verdict and its message.  ``p_sum`` is
+    ``p_rows.sum(axis=1)``, equal bit for bit to each row's own sum."""
+    tol = params.tol
+    at = np.arange(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_sum = p_rows.sum(axis=1)
+        total = p_sum + b_rows.sum(axis=1)
+    own = p_rows[at, rows]
+    dev = np.abs(p_rows)
+    dev[at, rows] = np.abs(own - 1.0)
+    b_small = (np.abs(b_rows) <= tol).all(axis=1)
+    unit = (dev <= tol).all(axis=1) & b_small
+    admissible = (
+        (p_rows >= -tol).all(axis=1) & (b_rows >= -tol).all(axis=1) & (total <= 1.0 + tol)
+    )
+    # An anchor-free fusion: each weight is at most tol or in [beta1, 1).
+    weights = (p_rows <= tol) | ((p_rows >= params.beta1 - tol) & (p_rows < 1.0 - tol))
+    fusion = b_small & (np.abs(p_sum - 1.0) <= tol) & (own > tol) & weights.all(axis=1)
+    # Anchored: each used anchor weight at least alpha.
+    anchors = (b_rows <= tol) | (b_rows >= params.alpha - tol)
+    anchored = (p_sum <= params.beta2 + tol) & anchors.all(axis=1)
+    clear = admissible & ~unit & np.where(p_sum >= 1.0 - tol, fusion, anchored)
+    return clear, p_sum
+
+
 def inf_norm(a: np.ndarray) -> float | np.ndarray:
     """Maximum absolute row sum (0 without entries), per matrix of a stack ``(..., n, m)``."""
     a = _as_matrix(a, "a")

@@ -22,16 +22,17 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import slice_norm_bound
 from .errors import AssumptionViolated
-from .matrix_core import Params, SystemMatrix, _screen, inf_norm
-from .tables import write_table
+from .matrix_core import Params, SystemMatrix, _screen, _screen_block, inf_norm
+from .tables import BLOCK_ROWS, write_table
 
 __all__ = [
     "Slice",
@@ -93,10 +94,11 @@ class SliceState:
     """Mutable engine state between pushes (single-owner, sequential).
 
     ``j`` is the running product over the sensor block for the window under
-    construction, ``informed`` the rows of ``j`` currently sub-stochastic,
-    ``k_local`` the 1-based count of matrices held in the window,
-    ``start_k``/``next_k`` positions in the non-identity subsequence, and
-    ``completed`` the number of slices finalized so far.
+    construction, updated in place one row at a time, ``informed`` the rows
+    of ``j`` currently sub-stochastic, ``k_local`` the 1-based count of
+    matrices held in the window, ``start_k``/``next_k`` positions in the
+    non-identity subsequence, and ``completed`` the number of slices
+    finalized so far.
     """
 
     n: int
@@ -137,11 +139,8 @@ def push(
     :func:`~slicekit.matrix_core.validate_update`'s rules in the same look
     at the row as the identity test.  In strict mode a failed rule raises
     :class:`AssumptionViolated`; permissive mode ignores the failures, so
-    rule-violating rows are observable rather than fatal.  Only the updated
-    row of the running product moves, so only that row's sum and informed
-    status are recomputed.  A single push can emit several events: opening
-    the slice, a success when the row becomes newly informed, and
-    completion.
+    rule-violating rows are observable rather than fatal.  Every other row
+    goes to :func:`_absorb`, which updates ``state.j`` in place.
     """
     if m.n != state.n:
         raise AssumptionViolated(
@@ -152,15 +151,27 @@ def push(
         return state, [SliceEvent(SliceEventKind.SKIPPED, k=k)]
     if fails and strict:
         raise AssumptionViolated(f"update failed validation: {'; '.join(fails)}")
+    return state, _absorb(state, m, p_sum, params, k)
 
+
+def _absorb(
+    state: SliceState, m: SystemMatrix, p_sum: float, params: Params, k: int | None
+) -> list[SliceEvent]:
+    """Hold the non-identity update ``m`` of sensor row sum ``p_sum`` in the
+    window, as :func:`push` does once the row is screened.  Only the updated
+    row of the running product moves, in place, so only that row's sum and
+    informed status are recomputed.  One update can emit several events:
+    opening the slice, a success when the row becomes newly informed, and
+    completion, whose slice holds a copy of the product."""
     this_k = state.next_k
     state.next_k += 1
     if state.start_k is None:
         state.start_k = this_k
 
     i = m.updated_row
-    state.j = m.apply(state.j)
-    row_sum = float(state.j[i].sum())
+    j = state.j
+    j[i] = m.p_row @ j
+    row_sum = float(j[i].sum())
 
     # Direct sub-stochastic updates stamp g for their row, successes stamp h.
     if p_sum < 1.0 - params.tol:
@@ -183,16 +194,16 @@ def push(
     if len(state.informed) == state.n:
         finished = Slice(
             index=state.completed,
-            product=state.j.copy(),
+            product=j.copy(),
             start_k=state.start_k,
             end_k=this_k,
-            norm=inf_norm(state.j),
+            norm=inf_norm(j),
             bound=slice_norm_bound(state.k_local, params),
         )
         state.completed += 1
         state.reset_window()
         events.append(SliceEvent(SliceEventKind.COMPLETED, k=k, slice=finished))
-    return state, events
+    return events
 
 
 class RunResult(NamedTuple):
@@ -201,29 +212,72 @@ class RunResult(NamedTuple):
     state: SliceState
 
 
+# Matrices :func:`run_sequence` screens together; it bounds the rows held.
+SCREEN_ROWS = 1024
+
+
 def run_sequence(
     matrices: Iterable[SystemMatrix],
     params: Params,
     strict: bool = True,
 ) -> RunResult:
-    """Drive a whole sequence through :func:`push`.
+    """Drive a whole sequence through the engine, as :func:`push` one
+    matrix at a time would.
 
-    Returns the completed slices in order, the full event log (events carry
-    the raw input index), and the residual state of the open window."""
+    Each block of ``SCREEN_ROWS`` matrices is screened at once
+    (:func:`~slicekit.matrix_core._screen_block`) over the rows that fit the
+    first matrix's sizes; a clear row goes straight to :func:`_absorb` and
+    every other matrix to :func:`push`, which skips, refuses or absorbs it
+    with its own message.  Returns the completed slices in order, the full
+    event log (events carry the raw input index), and the residual state of
+    the open window."""
     slices: list[Slice] = []
     events: list[SliceEvent] = []
+    matrices = iter(matrices)
     state: SliceState | None = None
-    for k, m in enumerate(matrices):
+    base = 0
+    while block := list(islice(matrices, SCREEN_ROWS)):
         if state is None:
-            state = SliceState(n=m.n)
-        state, evs = push(state, m, params, strict=strict, k=k)
-        for ev in evs:
-            if ev.slice is not None:
-                slices.append(ev.slice)
-        events.extend(evs)
+            state = SliceState(n=block[0].n)
+            n, s = block[0].n, block[0].s
+        fits = [t for t, m in enumerate(block) if _fits(m, n, s)]
+        clear, p_sums = _screen_block(
+            np.array([block[t].p_row for t in fits], dtype=float).reshape(len(fits), n),
+            np.array([block[t].b_row for t in fits], dtype=float).reshape(len(fits), s),
+            np.array([block[t].updated_row for t in fits], dtype=int),
+            params,
+        )
+        sums: list[float | None] = [None] * len(block)
+        for t, ok, p_sum in zip(fits, clear.tolist(), p_sums.tolist()):
+            if ok:
+                sums[t] = p_sum
+        for t, (m, p_sum) in enumerate(zip(block, sums), start=base):
+            if p_sum is None:
+                _, evs = push(state, m, params, strict=strict, k=t)
+            else:
+                evs = _absorb(state, m, p_sum, params, t)
+            for ev in evs:
+                if ev.slice is not None:
+                    slices.append(ev.slice)
+            events.extend(evs)
+        base += len(block)
     if state is None:
         state = SliceState(n=0)
     return RunResult(slices, events, state)
+
+
+def _fits(m: SystemMatrix, n: int, s: int) -> bool:
+    """Whether ``m`` updates a row of n sensors and s anchors with rows of
+    those lengths, so that its rows stack with the block's."""
+    i = m.updated_row
+    return (
+        i is not None
+        and m.n == n
+        and m.s == s
+        and 0 <= i < n
+        and m.p_row.shape == (n,)
+        and m.b_row.shape == (s,)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +313,22 @@ def read_slice_lengths(path: str | Path) -> list[int]:
 
 
 def write_event_log(events: Sequence[SliceEvent], path: str | Path) -> Path:
-    """CSV with one line per engine event; absent fields are left empty."""
-    rows = (
-        (
-            "" if ev.k is None else ev.k,
-            ev.kind.value,
-            "" if ev.row is None else ev.row,
-            "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
-        )
-        for ev in events
-    )
-    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", rows)
+    """CSV with one line per engine event; absent fields are left empty.
+    The ``row_sum_after`` floats of each ``BLOCK_ROWS`` events are formatted
+    as ``%.17g`` with one ``%``."""
+    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", _event_rows(events))
+
+
+def _event_rows(events: Sequence[SliceEvent]) -> Iterator[tuple]:
+    """The event log's fields, each row sum already formatted."""
+    for start in range(0, len(events), BLOCK_ROWS):
+        block = events[start : start + BLOCK_ROWS]
+        sums = [ev.row_sum_after for ev in block if ev.row_sum_after is not None]
+        text = iter(("%.17g," * len(sums) % tuple(sums)).split(","))
+        for ev in block:
+            yield (
+                "" if ev.k is None else ev.k,
+                ev.kind.value,
+                "" if ev.row is None else ev.row,
+                "" if ev.row_sum_after is None else next(text),
+            )

@@ -149,6 +149,14 @@ class TestLengthCap:
         with pytest.raises(ValueError):
             case3_length_cap(1, 1.0, 0.0, PARAMS)
 
+    @pytest.mark.parametrize("i", [0, -3])
+    def test_position_below_one_is_named(self, i):
+        # Only the first of the ascending positions is checked; a lone
+        # position is its own first.
+        with pytest.raises(InvalidSubset) as exc:
+            case3_length_cap(i, 1.0, 1.0, PARAMS)
+        assert str(exc.value) == f"position index must be >= 1, got {i}"
+
 
 class TestCase3:
     def test_generated_lengths_round_trip(self):

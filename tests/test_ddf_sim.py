@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
+    AssumptionViolated,
     ConfigError,
     DimensionMismatch,
     InfeasibleWeights,
@@ -854,3 +855,97 @@ class TestCsvWriters:
         )
         assert (tmp_path / "positions.csv").read_bytes() == want_positions.encode()
         assert (tmp_path / "trajectory.csv").read_bytes() == want_states.encode()
+
+
+def corrupt_first_block(monkeypatch, how, at=5):
+    """Make the first draw block's first fused row from step ``at`` on
+    inadmissible (``how``: "over-beta2" or "nan"); returns a list that
+    receives that row's update as ``SystemMatrix._trusted`` builds it."""
+    real, hit = ddf_sim._fusion_rows, []
+
+    def corrupted(world, track, who, params):
+        rows = real(world, track, who, params)
+        if not hit:
+            fused = (UpdateKind.STOCHASTIC_UPDATE, UpdateKind.SUB_STOCHASTIC_UPDATE)
+            t = next(t for t in range(at, len(who)) if rows.kinds[t] in fused)
+            i = int(who[t])
+            if how == "nan":
+                rows.p_rows[t, i] = np.nan
+            else:
+                rows.p_rows[t] = 0.0
+                rows.p_rows[t, i] = params.beta2 + 0.05
+                rows.b_rows[t] = (1.0 - rows.p_rows[t, i]) / world.s
+                rows.kinds[t] = UpdateKind.SUB_STOCHASTIC_UPDATE
+            hit.append(ddf_sim.SystemMatrix._trusted(
+                world.n, world.s, i, rows.p_rows[t], rows.b_rows[t]
+            ))
+        return rows
+
+    monkeypatch.setattr(ddf_sim, "_fusion_rows", corrupted)
+    return hit
+
+
+class TestEngineFeed:
+    """The run screens each draw block's rows at once and absorbs the clear
+    ones directly; it must feed the engine as :func:`push` per step would."""
+
+    @pytest.mark.parametrize("how", ["over-beta2", "nan"])
+    def test_refuses_with_the_text_of_a_lone_push(self, monkeypatch, how):
+        hit = corrupt_first_block(monkeypatch, how)
+        cfg = LeaderFollowerConfig(world=demo_world(n=4, seed=2), params=PARAMS, horizon=50)
+        with pytest.raises(AssumptionViolated) as run:
+            run_leader_follower(cfg)
+        with pytest.raises(AssumptionViolated) as lone:
+            push(SliceState(n=4), hit[0], PARAMS)
+        assert str(run.value) == str(lone.value)
+        assert str(run.value).startswith("update failed validation")
+
+    @pytest.mark.parametrize(
+        "how, strict", [(None, True), (None, False), ("over-beta2", False), ("nan", False)]
+    )
+    def test_events_match_a_push_per_step(self, monkeypatch, how, strict):
+        if how is not None:
+            corrupt_first_block(monkeypatch, how)
+        updates, real = [], ddf_sim._update
+
+        def recorded(*args):
+            updates.append(real(*args))
+            return updates[-1]
+
+        monkeypatch.setattr(ddf_sim, "_update", recorded)
+        w = demo_world(n=3, seed=7, update_prob=0.8)
+        cfg = LeaderFollowerConfig(world=w, params=PARAMS, horizon=DRAW_BLOCK + 50, strict=strict)
+        res = run_leader_follower(cfg)
+        state, want = SliceState(n=3), []
+        for k, m in enumerate(updates):
+            want += push(state, m, PARAMS, strict=strict, k=k)[1]
+        assert len(updates) == cfg.horizon
+
+        def fields(events):
+            return [
+                (e.kind, e.k, e.row, None if e.row_sum_after is None else e.row_sum_after.hex())
+                for e in events
+            ]
+
+        assert fields(res.events) == fields(want)
+        slices = [e.slice for e in want if e.slice is not None]
+        assert len(res.slices) == len(slices)
+        assert len(slices) > 2 or how == "nan"  # NaN stays in the product
+        for got, ref in zip(res.slices, slices):
+            assert got.product.tobytes() == ref.product.tobytes()
+
+    def test_slice_arrays_stay_independent(self):
+        cfg = LeaderFollowerConfig(world=demo_world(n=4, seed=1), params=PARAMS, horizon=3000)
+        res = run_leader_follower(cfg)
+        arrays = [sl.product for sl in res.slices] + res.slice_inputs
+        assert len(res.slices) > 2
+        kept = [a.copy() for a in arrays]
+        # Overwriting the later slices' arrays leaves the earlier ones as
+        # they were, and no array shares memory with another or the states.
+        for a in arrays[len(arrays) // 2 :]:
+            a[...] = np.nan
+        for a, b in zip(arrays[: len(arrays) // 2], kept):
+            assert a.tobytes() == b.tobytes()
+        for t, a in enumerate(arrays):
+            assert not np.shares_memory(a, res.states)
+            assert not any(np.shares_memory(a, b) for b in arrays[t + 1 :])

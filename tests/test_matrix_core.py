@@ -20,6 +20,7 @@ from slicekit import (
     spectral_radius,
     validate_update,
 )
+from slicekit.matrix_core import _screen, _screen_block
 
 PARAMS = Params(beta1=0.05, beta2=0.7, alpha=0.1)
 
@@ -436,6 +437,189 @@ class TestFloatRules:
             f"row {row} of shapes {np.shape(p_row)} and {np.shape(b_row)} "
             "does not fit 2 sensors and 0 anchors",
         )
+
+
+def sum_to(p, j, target):
+    """``p`` with entry ``j`` moved so that ``p.sum()`` is ``target`` where a
+    few corrections reach it (otherwise within an ulp or so of it); a row
+    holding NaN or an infinity is returned as it is."""
+    p = p.copy()
+    for _ in range(8 if np.isfinite(p).all() else 0):
+        miss = target - float(p.sum())
+        if miss == 0.0:
+            break
+        p[j] += miss
+    return p
+
+
+@st.composite
+def screen_blocks(draw):
+    """``(params, n, s, rows, p_rows, b_rows)``: a block of single-row
+    updates sharing ``params`` and sizes, each row of one of the kinds the
+    rules tell apart, then moved near a boundary: entries at ``beta1 - tol``,
+    ``1 - tol``, ``-tol`` or ``alpha - tol`` give or take an ulp, a sensor
+    sum at ``1 +- tol`` or ``beta2 + tol`` give or take an ulp, a unit row
+    perturbed within ``tol``, or an entry set to NaN, an infinity or -0.0."""
+    params = Params(
+        beta1=draw(st.floats(0.01, 0.5)),
+        beta2=draw(st.floats(0.0, 0.95)),
+        alpha=draw(st.floats(0.01, 1.0)),
+        tol=draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3])),
+    )
+    tol = params.tol
+    n = draw(st.one_of(st.integers(1, 6), st.integers(7, 24)))
+    s = draw(st.sampled_from([0, 1, 2, 3]))
+    entry_edges = (params.beta1 - tol, 1.0 - tol, -tol, params.alpha - tol, tol, -0.0, 0.0)
+    sum_edges = (1.0 + tol, 1.0 - tol, params.beta2 + tol)
+    rows, p_rows, b_rows = [], [], []
+    for _ in range(draw(st.integers(0, 12))):
+        i = draw(st.integers(0, n - 1))
+        weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+        p = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        b = np.array(draw(st.lists(weight, min_size=s, max_size=s)))
+        kind = draw(st.sampled_from(
+            ["fusion", "anchored", "stochastic", "sub-stochastic", "unit", "raw"]
+        ))
+        if kind in ("fusion", "anchored"):
+            # A fusion rule's row: equal weights over a group holding i and,
+            # when anchored, equal anchor weights totalling at least 1 - beta2.
+            group = [i] + draw(st.lists(st.integers(0, n - 1), max_size=3))
+            heard = draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=s)) if s else []
+            share = 0.0
+            if kind == "anchored" and heard:
+                share = max(params.alpha * len(set(heard)), 1.0 - params.beta2)
+            p, b = np.zeros(n), np.zeros(s)
+            p[group] = (1.0 - share) / len(set(group))
+            b[heard] = share / max(len(set(heard)), 1)
+        elif kind == "stochastic":
+            p = p / p.sum() if p.sum() > 0 else np.eye(n)[i]
+            b = np.zeros(s)
+        elif kind == "sub-stochastic":
+            p = p * (params.beta2 / p.sum()) if p.sum() > 0 else p
+            b = b * ((1.0 - params.beta2) / b.sum()) if b.sum() > 0 else b
+        elif kind == "unit":
+            jitter = st.floats(-tol, tol) if tol else st.just(0.0)
+            p = np.eye(n)[i] + np.array(draw(st.lists(jitter, min_size=n, max_size=n)))
+            b = np.array(draw(st.lists(jitter, min_size=s, max_size=s)))
+        for how, j, ulps, keep in draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["entry"] * 3 + ["sum"] * 3 + ["total"] * 2 + ["non-finite"]),
+                    st.integers(0, n + s - 1),
+                    st.integers(-1, 1),
+                    st.booleans(),
+                ),
+                max_size=3,
+            )
+        ):
+            row = np.concatenate([p, b])
+            if how == "entry":
+                old, row[j] = row[j], nudge(draw(st.sampled_from(entry_edges)), ulps)
+                # Optionally move the change onto the largest other entry of
+                # the same block, so that the row keeps its sums and can
+                # stay clear with an entry at a boundary.
+                block = [t for t in (range(n) if j < n else range(n, n + s)) if t != j]
+                if keep and block and np.isfinite(row[block + [j]]).all() and np.isfinite(old):
+                    k = max(block, key=lambda t: row[t])
+                    row[k] += old - row[j]
+            elif how == "non-finite":
+                row[j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            p, b = row[:n], row[n:]
+            if how == "sum":
+                p = sum_to(p, j % n, nudge(draw(st.sampled_from(sum_edges)), ulps))
+            elif how == "total":
+                # The row total, p.sum() + b.sum(), at 1 + tol give or take an ulp.
+                target = nudge(1.0 + tol, ulps)
+                if s:
+                    b = sum_to(b, j % s, target - float(p.sum()))
+                else:
+                    p = sum_to(p, j % n, target)
+        rows.append(i)
+        p_rows.append(p)
+        b_rows.append(b)
+    return (
+        params, n, s, np.array(rows, dtype=int),
+        np.array(p_rows, dtype=float).reshape(len(rows), n),
+        np.array(b_rows, dtype=float).reshape(len(rows), s),
+    )
+
+
+class TestScreenBlock:
+    """``_screen_block`` decides in one pass what ``_screen`` decides per
+    row: a row is clear exactly when ``_screen`` finds it no identity and
+    failing no rule, and its sensor sum has the same bits."""
+
+    @given(screen_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scalar_screen(self, block):
+        params, n, s, rows, p_rows, b_rows = block
+        clear, p_sum = _screen_block(p_rows, b_rows, rows, params)
+        assert clear.shape == p_sum.shape == rows.shape
+        for t, i in enumerate(rows.tolist()):
+            m = SystemMatrix._trusted(n, s, i, p_rows[t].copy(), b_rows[t].copy())
+            with np.errstate(over="ignore", invalid="ignore"):
+                identity, want, fails = _screen(m, params)
+                own = float(p_rows[t].sum())
+            assert bool(clear[t]) is (not identity and fails == ())
+            assert float(p_sum[t]).hex() == own.hex()
+            if not np.isnan(want):
+                assert float(p_sum[t]).hex() == want.hex()
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3])
+    def test_entries_at_each_boundary(self, tol):
+        params = Params(beta1=0.05, beta2=0.7, alpha=0.1, tol=tol)
+        cases = []
+        for w in (nudge(edge, ulps) for edge in boundaries(params) for ulps in (-1, 0, 1)):
+            for p_row, b_row in (
+                ([w, 0.5, 0.5 - w], [0.0]),  # the self-weight
+                ([0.5, w, 0.5 - w], [0.0]),  # a fusion weight
+                ([1.0 - w, w, 0.0], [0.0]),
+                ([w, 1.0 - w, 0.0], [0.0]),
+                ([w, 0.0, 0.0], [0.0]),  # a lone self-weight, the identity's near 1
+                ([w, 0.0, 0.0], [0.3]),
+                ([0.3, 0.0, 0.0], [w]),  # an anchor weight
+                ([0.3, 0.0, 0.0], [1.0 - w]),
+                ([0.35, w, 0.0], [0.3]),  # sums near beta2 and 1
+            ):
+                cases.append((np.array(p_row), np.array(b_row)))
+        p_rows = np.array([p for p, _ in cases])
+        b_rows = np.array([b for _, b in cases])
+        clear, p_sum = _screen_block(p_rows, b_rows, np.zeros(len(cases), dtype=int), params)
+        verdicts = []
+        for t, (p_row, b_row) in enumerate(cases):
+            identity, want, fails = _screen(SystemMatrix._trusted(3, 1, 0, p_row, b_row), params)
+            assert bool(clear[t]) is (not identity and fails == ())
+            assert float(p_sum[t]).hex() == want.hex()
+            verdicts.append(bool(clear[t]))
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_unit_row_passing_every_rule_is_not_clear(self):
+        # Eleven entries at exactly -tol bring the sum under beta2 + tol, so
+        # this row within tol of e_0 fails no rule; it is the identity, though.
+        params = Params(beta1=0.05, beta2=0.99, tol=1e-3)
+        p_row = np.full(12, -params.tol)
+        p_row[0] = 1.0 - params.tol / 2
+        identity, _, fails = _screen(SystemMatrix._trusted(12, 0, 0, p_row, np.zeros(0)), params)
+        assert identity and fails == ()
+        clear, _ = _screen_block(p_row[None], np.zeros((1, 0)), np.array([0]), params)
+        assert clear.tolist() == [False]
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 64, 257])
+    def test_sums_match_each_row_sum(self, n):
+        rng = np.random.default_rng(n)
+        p_rows = rng.dirichlet(np.ones(n), size=200) * rng.uniform(0.5, 1.0, (200, 1))
+        _, p_sum = _screen_block(p_rows, np.zeros((200, 0)), np.zeros(200, dtype=int), PARAMS)
+        assert [v.hex() for v in p_sum.tolist()] == [float(r.sum()).hex() for r in p_rows]
+
+    def test_generated_rows_are_clear(self):
+        ms = [m for m in random_product_sequence(8, PARAMS, 300, rng=3) if m.updated_row is not None]
+        clear, _ = _screen_block(
+            np.array([m.p_row for m in ms]),
+            np.zeros((len(ms), 0)),
+            np.array([m.updated_row for m in ms]),
+            PARAMS,
+        )
+        assert len(ms) > 150 and clear.all()
 
 
 class TestArithmetic:

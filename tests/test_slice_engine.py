@@ -29,6 +29,7 @@ from slicekit import (
     write_event_log,
     write_slice_log,
 )
+from slicekit import slice_engine
 
 PARAMS = Params(beta1=0.05, beta2=0.7)
 LOOSE = Params(beta1=0.3, beta2=0.5)
@@ -384,6 +385,133 @@ class TestRunSequence:
         assert np.max(np.abs(concat - direct)) <= 3 * len(mats) * 1e-12
 
 
+def push_loop(mats, params, strict=True):
+    """:func:`run_sequence` written as the plain loop of :func:`push` it
+    replaces; a test-only reference."""
+    slices, events, state = [], [], None
+    for k, m in enumerate(mats):
+        if state is None:
+            state = SliceState(n=m.n)
+        _, evs = push(state, m, params, strict=strict, k=k)
+        slices += [ev.slice for ev in evs if ev.slice is not None]
+        events += evs
+    return slices, events, state
+
+
+def run_fields(slices, events, state):
+    """Everything a run returns, as comparable values with float bits."""
+
+    def bits(v):
+        return None if v is None else float(v).hex()
+
+    return (
+        [(ev.kind, ev.k, ev.row, bits(ev.row_sum_after)) for ev in events],
+        [
+            (sl.index, sl.start_k, sl.end_k, bits(sl.norm), bits(sl.bound), sl.product.tobytes())
+            for sl in slices
+        ],
+        [ev.slice for ev in events if ev.slice is not None] == slices,
+        (
+            state.n, state.j.tobytes(), state.informed, state.h, state.g,
+            state.start_k, state.next_k, state.completed,
+        ),
+    )
+
+
+def mixed_sequence(n, params, horizon, rng):
+    """Generated rows with, at random steps, a row of two anchors, an
+    identity step over one anchor and a generated row rebuilt by
+    ``_trusted`` on a strided view: rows :func:`run_sequence` sends to
+    :func:`push` because their sizes differ from the first matrix's, and a
+    row it screens."""
+    out = []
+    for m in random_product_sequence(n, params, horizon, rng=rng):
+        roll = rng.integers(6)
+        i = int(rng.integers(n))
+        if roll == 0:
+            p_row = np.zeros(n)
+            p_row[i] = params.beta2 / 2
+            out.append(row_update(n, i, p_row, b_row=[0.25, 0.25]))
+        elif roll == 1:
+            out.append(identity_step(n, 1))
+        elif roll == 2 and m.updated_row is not None:
+            wide = np.repeat(m.p_row, 2)
+            out.append(SystemMatrix._trusted(n, 0, m.updated_row, wide[::2], np.zeros(0)))
+        else:
+            out.append(m)
+    return out
+
+
+class TestRunSequenceScreensBlocks:
+    """``run_sequence`` screens a block of rows at once and absorbs the
+    clear ones directly; it must return what a loop of :func:`push` does,
+    across block edges, in both modes, on rows that do not fit the block."""
+
+    @pytest.mark.parametrize("block", [1, 3, 64, None])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_push_loop(self, monkeypatch, block, seed):
+        if block is not None:
+            monkeypatch.setattr(slice_engine, "SCREEN_ROWS", block)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        for strict, mats in (
+            (True, random_product_sequence(n, PARAMS, 300, rng=rng)),
+            (True, mixed_sequence(n, PARAMS, 300, rng)),
+            (False, permissive_sequence(n, PARAMS, 300, rng)),
+        ):
+            want = run_fields(*push_loop(mats, PARAMS, strict))
+            assert run_fields(*run_sequence(mats, PARAMS, strict)) == want
+            assert run_fields(*run_sequence(iter(mats), PARAMS, strict)) == want
+
+    def test_block_edges_at_the_default_size(self):
+        size = slice_engine.SCREEN_ROWS
+        mats = random_product_sequence(2, LOOSE, 2 * size + 3, rng=9)
+        assert run_fields(*run_sequence(mats, LOOSE)) == run_fields(*push_loop(mats, LOOSE))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            row_update(3, 1, [0.2, 0.5, 0.1], b_row=[0.2]),  # sensor sum 0.8 > beta2
+            SystemMatrix._trusted(3, 1, 1, np.array([0.2, np.nan, 0.1]), np.array([0.2])),
+            SystemMatrix._trusted(3, 1, 1, np.array([0.2, 0.5]), np.array([0.3])),
+            # Rows the block screen would clear, were their sizes not checked.
+            SystemMatrix._trusted(3, 1, -1, np.array([0.2, 0.3, 0.1]), np.array([0.4])),
+            SystemMatrix._trusted(3, 1, 3, np.array([0.2, 0.3, 0.1]), np.array([0.4])),
+            SystemMatrix._trusted(3, 2, 1, np.array([0.2, 0.3, 0.1]), np.array([0.4])),
+            SystemMatrix._trusted(4, 1, 1, np.array([0.2, 0.3, 0.1]), np.array([0.4])),
+        ],
+        ids=["over-beta2", "nan", "wrong-shape", "row-minus-one", "row-past-end", "anchors",
+             "sensors"],
+    )
+    def test_refuses_with_the_text_of_a_lone_push(self, bad):
+        with pytest.raises(AssumptionViolated) as lone:
+            push(SliceState(n=3), bad, PARAMS)
+        good = [row_update(3, k % 3, [0.3, 0.3, 0.1], b_row=[0.3]) for k in range(6)]
+        for mats in (good[:3] + [bad] + good[3:], good + [bad], [bad] + good):
+            with pytest.raises(AssumptionViolated) as run:
+                run_sequence(mats, PARAMS)
+            with pytest.raises(AssumptionViolated) as loop:
+                push_loop(mats, PARAMS)
+            assert str(run.value) == str(loop.value)
+            # The leading row sets the engine's size; after it, a row is
+            # refused as it is alone.
+            if mats[0] is not bad:
+                assert str(run.value) == str(lone.value)
+
+    def test_earlier_slices_survive_later_updates(self):
+        mats = random_product_sequence(3, LOOSE, 200, rng=4)
+        slices, _, state = run_sequence(mats, LOOSE)
+        assert len(slices) >= 2
+        before = [sl.product.copy() for sl in slices]
+        # The open window's product is updated in place from here on.
+        for m in random_product_sequence(3, LOOSE, 200, rng=5):
+            push(state, m, LOOSE)
+        state.j[:] = np.nan
+        for sl, product in zip(slices, before):
+            assert sl.product.tobytes() == product.tobytes()
+            assert not np.shares_memory(sl.product, state.j)
+
+
 class TestRowBoundsAgainstRealizedSums:
     """Replay completed slices and check each product row against the
     closed-form row bound built from the recorded h, g, and beta4 values."""
@@ -508,6 +636,31 @@ class TestLogs:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,event,row,row_sum_after"
         assert len(lines) == 1 + len(events)
+
+
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+    def test_event_log_matches_one_format_per_row(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        floats = [0.1, 1.0, -0.0, 5e-324, 1e300, 0.3333333333333333, 2.5, np.nan]
+        events = []
+        for k in range(count):
+            kind = list(SliceEventKind)[k % len(SliceEventKind)]
+            value = floats[int(rng.integers(len(floats)))] if rng.integers(3) else None
+            row = int(rng.integers(4)) if value is not None or rng.integers(2) else None
+            events.append(SliceEvent(kind, k=None if k % 7 == 3 else k, row=row,
+                                     row_sum_after=value))
+        path = tmp_path / "events.csv"
+        write_event_log(events, path)
+        want = "k,event,row,row_sum_after\r\n" + "".join(
+            "%s,%s,%s,%s\r\n" % (
+                "" if ev.k is None else ev.k,
+                ev.kind.value,
+                "" if ev.row is None else ev.row,
+                "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
+            )
+            for ev in events
+        )
+        assert path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
