@@ -249,7 +249,9 @@ def _per_k_rows(
 ) -> Iterator[tuple[int, float, float]]:
     """``(k, inf_norm(J), spectral_radius(J))`` for each running product
     ``J = P_k ... P_0 start``, bit for bit, where ``start`` is the identity
-    and every update row sums to at most one, as generated rows do.
+    and every update row sums to at most one, as generated rows do.  ``J``
+    is one copy of ``start``, whose updated row is written in place, so
+    ``start`` itself is left as it was.
 
     While some row has never been updated it is still ``e_i``, so 1 is an
     eigenvalue and ``rho <= inf_norm = 1`` gives ``rho = 1.0`` without an
@@ -267,15 +269,16 @@ def _per_k_rows(
     size = max(1, min(_RHO_BLOCK, _RHO_BLOCK_ENTRIES // (n * n), len(matrices)))
     block = np.empty((size, n, n))
     touched: set[int] = set()
-    j = start
+    j = start.copy()
     rho = 1.0  # the unit-row rule's radius until every row is updated
     for k0 in range(0, len(matrices), size):
         chunk = matrices[k0 : k0 + size]
         fresh = []  # a new J with every row updated: solve it
         for t, m in enumerate(chunk):
-            if m.updated_row is not None:
-                j = m.apply(j)
-                touched.add(m.updated_row)
+            i = m.updated_row
+            if i is not None:
+                j[i] = m.p_row @ j
+                touched.add(i)
                 if len(touched) == n:
                     fresh.append(t)
             block[t] = j

@@ -34,11 +34,12 @@ fusion weights depend on the positions and the fusing sensor but not on the
 states, so one NumPy pass computes them for every step of the block, and
 one more screens those rows against the weight rules
 (:func:`~slicekit.matrix_core._screen_block`).  Per step there remain only
-wrapping the row as an update, advancing ``x`` and ``N`` in place and
-feeding the slice engine: a cleared row straight into its window
+advancing ``x`` and ``N`` in place by the fused row and feeding the slice
+engine: a cleared row straight into its window
 (:func:`~slicekit.slice_engine._absorb`), an identity step as a skipped
-event, and any other row through :func:`~slicekit.slice_engine.push`,
-which refuses it with its own message or, when permissive, absorbs it.
+event, and any other row, wrapped as an update, through
+:func:`~slicekit.slice_engine.push`, which refuses it with its own message
+or, when permissive, absorbs it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
-from .matrix_core import Params, SystemMatrix, _screen_block, identity_step
+from .matrix_core import Params, SystemMatrix, _screen_block
 from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _absorb, push
 from .tables import write_table
 
@@ -353,18 +354,6 @@ def _fusion_rows(world: World, track: np.ndarray, who: np.ndarray, params: Param
     )
 
 
-def _update(n: int, rows: _Rows, t: int, i: int, identity: SystemMatrix) -> SystemMatrix:
-    """Step ``t``'s update from its block's ``rows``, with sensor ``i``
-    fusing; ``identity`` serves the steps that change nothing."""
-    if t == rows.feasible:
-        raise InfeasibleWeights(rows.fault)
-    kind = rows.kinds[t]
-    if kind is UpdateKind.IDLE or kind is UpdateKind.NO_NEIGHBORS:
-        return identity
-    b_row = rows.b_rows[t]
-    return SystemMatrix._trusted(n, len(b_row), i, rows.p_rows[t], b_row)
-
-
 @dataclass(frozen=True)
 class LeaderFollowerConfig:
     """Everything one simulation run needs, checked when built.
@@ -455,17 +444,18 @@ def _move(world: World, disp: np.ndarray, pos: np.ndarray, track: np.ndarray) ->
 
 def _updates(
     world: World, params: Params, horizon: int, positions: np.ndarray
-) -> Iterator[tuple[int, SystemMatrix, float | None]]:
-    """Each step's index and update, one block of ``DRAW_BLOCK`` steps at a
-    time, with the update's sensor row sum when the block screen clears it
-    (None otherwise).  A block's motion runs step by step (:func:`_move`)
-    into its track of positions, a view of ``positions``; then
-    :func:`_fusion_rows` builds all of the block's rows at once and
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, float | None]]:
+    """Each step's update as ``(k, i, p_row, b_row, p_sum)``, one block of
+    ``DRAW_BLOCK`` steps at a time: sensor ``i`` fuses to the sensor row
+    ``p_row`` and the anchor row ``b_row``, of sensor row sum ``p_sum`` when
+    the block screen clears the row (None otherwise).  ``i`` is -1 for a
+    step that changes nothing (idle, or no neighbours); its rows are not
+    read.  A block's motion runs step by step (:func:`_move`) into its
+    track of positions, a view of ``positions``; then :func:`_fusion_rows`
+    builds all of the block's rows at once and
     :func:`~slicekit.matrix_core._screen_block` screens them together.  A
-    step with infeasible weights raises when it is reached, after every
-    earlier step has been run."""
-    n = world.n
-    identity = identity_step(n, world.s)
+    step with infeasible weights raises :class:`InfeasibleWeights` when it
+    is reached, after every earlier step has been run."""
     for start in range(0, horizon, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, horizon)
         track = positions[start + 1 : stop + 1]
@@ -473,11 +463,15 @@ def _updates(
         who = _updaters(world, start, stop)
         rows = _fusion_rows(world, track, who, params)
         # Idle rows and rows from the infeasible step on are screened too,
-        # but only fused rows up to it become updates that read a verdict.
+        # but only the verdicts of fused rows up to it are read.
         clear, p_sums = _screen_block(rows.p_rows, rows.b_rows, who, params)
         sums = [p if ok else None for ok, p in zip(clear.tolist(), p_sums.tolist())]
-        for t, (i, p_sum) in enumerate(zip(who.tolist(), sums)):
-            yield start + t, _update(n, rows, t, i, identity), p_sum
+        for t, (kind, i, p_sum) in enumerate(zip(rows.kinds, who.tolist(), sums)):
+            if t == rows.feasible:
+                raise InfeasibleWeights(rows.fault)
+            if kind is UpdateKind.IDLE or kind is UpdateKind.NO_NEIGHBORS:
+                i = -1
+            yield start + t, i, rows.p_rows[t], rows.b_rows[t], p_sum
 
 
 def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
@@ -490,11 +484,13 @@ def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
 
 
 def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
-    """Run the full loop from the world's start state: motion, update
-    construction, state advance, slice tracking, and per-slice input
+    """Run the full loop from the world's start state: motion, fusion rows
+    (:func:`_updates`), state advance, slice tracking, and per-slice input
     accumulation ``N <- P N + B``, whose updated rows are written in place.
-    The loop owns the positions, the states and the step index; the world
-    itself never changes."""
+    Only a row the block screen did not clear is wrapped as a
+    :class:`~slicekit.matrix_core.SystemMatrix`, for
+    :func:`~slicekit.slice_engine.push`.  The loop owns the positions, the
+    states and the step index; the world itself never changes."""
     world = config.world
     params = config.params
     n, s = world.n, world.s
@@ -511,19 +507,18 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     anchor_identity = np.eye(s)
     target = None if config.stop_when_error_below is None else float(world.u[0])
     steps_run = 0
-    for k, m, p_sum in _updates(world, params, config.horizon, positions):
-        i = m.updated_row
+    for k, i, p_row, b_row, p_sum in _updates(world, params, config.horizon, positions):
         # An identity step (idle, or no neighbours) leaves x and N as they are.
-        if i is None:
+        if i < 0:
             evs = [SliceEvent(SliceEventKind.SKIPPED, k=k)]
         else:
-            p_row, b_row = m.p_row, m.b_row
             x[i] = p_row @ x + b_row @ u
             n_accum[i] = p_row @ n_accum + b_row @ anchor_identity
             if p_sum is None:
+                m = SystemMatrix._trusted(n, s, i, p_row, b_row)
                 _, evs = push(state, m, params, strict=config.strict, k=k)
             else:
-                evs = _absorb(state, m, p_sum, params, k)
+                evs = _absorb(state, i, p_row, p_sum, params, k)
         for ev in evs:
             if ev.slice is not None:
                 slices.append(ev.slice)

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import slice_norm_bound
 from .errors import AssumptionViolated
 from .matrix_core import Params, SystemMatrix, _screen, _screen_block, inf_norm
-from .tables import BLOCK_ROWS, write_table
+from .tables import write_table
 
 __all__ = [
     "Slice",
@@ -151,26 +151,26 @@ def push(
         return state, [SliceEvent(SliceEventKind.SKIPPED, k=k)]
     if fails and strict:
         raise AssumptionViolated(f"update failed validation: {'; '.join(fails)}")
-    return state, _absorb(state, m, p_sum, params, k)
+    return state, _absorb(state, m.updated_row, m.p_row, p_sum, params, k)
 
 
 def _absorb(
-    state: SliceState, m: SystemMatrix, p_sum: float, params: Params, k: int | None
+    state: SliceState, i: int, p_row: np.ndarray, p_sum: float, params: Params, k: int | None
 ) -> list[SliceEvent]:
-    """Hold the non-identity update ``m`` of sensor row sum ``p_sum`` in the
-    window, as :func:`push` does once the row is screened.  Only the updated
-    row of the running product moves, in place, so only that row's sum and
-    informed status are recomputed.  One update can emit several events:
-    opening the slice, a success when the row becomes newly informed, and
-    completion, whose slice holds a copy of the product."""
+    """Hold the non-identity update of sensor row ``i`` to ``p_row``, of row
+    sum ``p_sum``, in the window, as :func:`push` does once the row is
+    screened.  Only row ``i`` of the running product moves, in place, so
+    only that row's sum and informed status are recomputed.  One update can
+    emit several events: opening the slice, a success when the row becomes
+    newly informed, and completion, whose slice takes the product array
+    itself, since the next window starts on a fresh one."""
     this_k = state.next_k
     state.next_k += 1
     if state.start_k is None:
         state.start_k = this_k
 
-    i = m.updated_row
     j = state.j
-    j[i] = m.p_row @ j
+    j[i] = p_row @ j
     row_sum = float(j[i].sum())
 
     # Direct sub-stochastic updates stamp g for their row, successes stamp h.
@@ -194,7 +194,7 @@ def _absorb(
     if len(state.informed) == state.n:
         finished = Slice(
             index=state.completed,
-            product=j.copy(),
+            product=j,
             start_k=state.start_k,
             end_k=this_k,
             norm=inf_norm(j),
@@ -255,7 +255,7 @@ def run_sequence(
             if p_sum is None:
                 _, evs = push(state, m, params, strict=strict, k=t)
             else:
-                evs = _absorb(state, m, p_sum, params, t)
+                evs = _absorb(state, m.updated_row, m.p_row, p_sum, params, t)
             for ev in evs:
                 if ev.slice is not None:
                     slices.append(ev.slice)
@@ -313,22 +313,14 @@ def read_slice_lengths(path: str | Path) -> list[int]:
 
 
 def write_event_log(events: Sequence[SliceEvent], path: str | Path) -> Path:
-    """CSV with one line per engine event; absent fields are left empty.
-    The ``row_sum_after`` floats of each ``BLOCK_ROWS`` events are formatted
-    as ``%.17g`` with one ``%``."""
-    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", _event_rows(events))
-
-
-def _event_rows(events: Sequence[SliceEvent]) -> Iterator[tuple]:
-    """The event log's fields, each row sum already formatted."""
-    for start in range(0, len(events), BLOCK_ROWS):
-        block = events[start : start + BLOCK_ROWS]
-        sums = [ev.row_sum_after for ev in block if ev.row_sum_after is not None]
-        text = iter(("%.17g," * len(sums) % tuple(sums)).split(","))
-        for ev in block:
-            yield (
-                "" if ev.k is None else ev.k,
-                ev.kind.value,
-                "" if ev.row is None else ev.row,
-                "" if ev.row_sum_after is None else next(text),
-            )
+    """CSV with one line per engine event; absent fields are left empty."""
+    rows = (
+        (
+            "" if ev.k is None else ev.k,
+            ev.kind.value,
+            "" if ev.row is None else ev.row,
+            "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
+        )
+        for ev in events
+    )
+    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", rows)

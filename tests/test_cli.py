@@ -73,6 +73,16 @@ class TestProducts:
         assert per_k[0] == "k,inf_norm,spectral_radius"
         assert len(per_k) == 1 + 120
 
+    def test_cumulative_products_start_from_the_empty_product(self, tmp_path, products_config):
+        # per_k.csv's running products come from the same start, which
+        # they must leave as it was: the first slice times it is itself.
+        out = tmp_path / "out"
+        assert main(["products", "--config", products_config, "--out", str(out)]) == EXIT_OK
+        rows = (out / "slice_boundaries.csv").read_text().splitlines()
+        assert rows[0] == "t,end_k,length,slice_norm,cumulative_norm" and len(rows) > 2
+        first = rows[1].split(",")
+        assert first[3] == first[4]
+
     def test_zero_horizon_gives_empty_logs(self, tmp_path):
         cfg = write_config(
             tmp_path / "p.json", {"mode": "products", "n": 3, "horizon": 0}

@@ -17,6 +17,7 @@ from slicekit import (
     InfeasibleWeights,
     LeaderFollowerConfig,
     SliceKitError,
+    SystemMatrix,
     Params,
     UpdateKind,
     World,
@@ -254,11 +255,25 @@ class TestNeighbors:
         assert np.array_equal(neighbor_rows(w, pos), reference)
 
 
+FUSED = (UpdateKind.STOCHASTIC_UPDATE, UpdateKind.SUB_STOCHASTIC_UPDATE)
+
+
+def row_as_update(world, rows, t, i):
+    """Step ``t``'s update from its block's fusion ``rows``, with sensor
+    ``i`` fusing: the fused row as ``SystemMatrix._trusted`` wraps it, and
+    the identity step for any other kind."""
+    if rows.kinds[t] in FUSED:
+        return SystemMatrix._trusted(world.n, world.s, i, rows.p_rows[t], rows.b_rows[t])
+    return identity_step(world.n, world.s)
+
+
 def one_step(world, pos, i, params):
     """The update and kind of one step at positions ``pos`` with sensor
     ``i`` fusing (-1 idles), built as a one-step block of the run's rows."""
     rows = ddf_sim._fusion_rows(world, pos[None], np.array([i]), params)
-    return ddf_sim._update(world.n, rows, 0, i, identity_step(world.n, world.s)), rows.kinds[0]
+    if rows.feasible == 0:
+        raise InfeasibleWeights(rows.fault)
+    return row_as_update(world, rows, 0, i), rows.kinds[0]
 
 
 class TestFusionRows:
@@ -648,6 +663,17 @@ PROJECTION_WORLDS = {
 }
 
 
+def late_infeasible_config(seed):
+    """A run whose middle sensor seldom hears both others with no anchor in
+    range; that group of 3 is too large for beta1 = 0.4."""
+    centers = np.array([[0.0, 0.0], [1.6, 0.0], [-1.6, 0.0], [40.0, 0.0]])
+    w = World(
+        pos=centers.copy(), center=centers, radius=np.array([1.0, 1.0, 1.0, 0.5]),
+        x=np.zeros(3), u=np.array([3.0]), comm_radius=0.8, sigma=0.5, rng_seed=seed,
+    )
+    return LeaderFollowerConfig(world=w, params=Params(beta1=0.4, beta2=0.7), horizon=4000)
+
+
 class TestBlockDraws:
     """Runs draw each step's randomness for a block of steps at once; every
     draw must equal that of the step's own ``default_rng``."""
@@ -672,17 +698,9 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("seed, steps", [(1, 698), (2, 3637)])
     def test_late_infeasible_step_matches_per_step_reference(self, seed, steps):
-        # The middle sensor seldom hears both others with no anchor in
-        # range; that group of 3 is too large for beta1 = 0.4.  The run
-        # fails at that step, in the first draw block or the fourth, after
-        # running every step before it.
-        centers = np.array([[0.0, 0.0], [1.6, 0.0], [-1.6, 0.0], [40.0, 0.0]])
-        w = World(
-            pos=centers.copy(), center=centers, radius=np.array([1.0, 1.0, 1.0, 0.5]),
-            x=np.zeros(3), u=np.array([3.0]), comm_radius=0.8, sigma=0.5, rng_seed=seed,
-        )
-        cfg = LeaderFollowerConfig(world=w, params=Params(beta1=0.4, beta2=0.7), horizon=4000)
-        ref = assert_same_run(cfg)
+        # The run fails at that step, in the first draw block or the
+        # fourth, after running every step before it.
+        ref = assert_same_run(late_infeasible_config(seed))
         assert isinstance(ref.error, InfeasibleWeights)
         assert len(ref.states) - 1 == steps
 
@@ -866,8 +884,7 @@ def corrupt_first_block(monkeypatch, how, at=5):
     def corrupted(world, track, who, params):
         rows = real(world, track, who, params)
         if not hit:
-            fused = (UpdateKind.STOCHASTIC_UPDATE, UpdateKind.SUB_STOCHASTIC_UPDATE)
-            t = next(t for t in range(at, len(who)) if rows.kinds[t] in fused)
+            t = next(t for t in range(at, len(who)) if rows.kinds[t] in FUSED)
             i = int(who[t])
             if how == "nan":
                 rows.p_rows[t, i] = np.nan
@@ -906,13 +923,15 @@ class TestEngineFeed:
     def test_events_match_a_push_per_step(self, monkeypatch, how, strict):
         if how is not None:
             corrupt_first_block(monkeypatch, how)
-        updates, real = [], ddf_sim._update
+        updates, real = [], ddf_sim._fusion_rows
 
-        def recorded(*args):
-            updates.append(real(*args))
-            return updates[-1]
+        def recorded(world, track, who, params):
+            rows = real(world, track, who, params)
+            assert rows.feasible == len(who)
+            updates.extend(row_as_update(world, rows, t, i) for t, i in enumerate(who.tolist()))
+            return rows
 
-        monkeypatch.setattr(ddf_sim, "_update", recorded)
+        monkeypatch.setattr(ddf_sim, "_fusion_rows", recorded)
         w = demo_world(n=3, seed=7, update_prob=0.8)
         cfg = LeaderFollowerConfig(world=w, params=PARAMS, horizon=DRAW_BLOCK + 50, strict=strict)
         res = run_leader_follower(cfg)
@@ -933,6 +952,33 @@ class TestEngineFeed:
         assert len(slices) > 2 or how == "nan"  # NaN stays in the product
         for got, ref in zip(res.slices, slices):
             assert got.product.tobytes() == ref.product.tobytes()
+
+    def test_early_stop_never_reaches_a_later_refused_row(self, monkeypatch):
+        # The block screen has seen the corrupted row, which push refuses,
+        # but the run stops before it and must return normally.
+        cfg = LeaderFollowerConfig(
+            world=demo_world(n=2, seed=0), params=PARAMS, horizon=DRAW_BLOCK,
+            stop_when_error_below=1e-2,
+        )
+        steps = run_leader_follower(cfg).steps_run
+        assert steps < DRAW_BLOCK - 100
+        hit = corrupt_first_block(monkeypatch, "over-beta2", at=steps)
+        assert run_leader_follower(cfg).steps_run == steps
+        with pytest.raises(AssumptionViolated):
+            push(SliceState(n=2), hit[0], PARAMS)
+
+    @pytest.mark.parametrize("at, error", [(5, AssumptionViolated), (699, InfeasibleWeights)])
+    def test_refused_and_infeasible_rows_raise_in_step_order(self, monkeypatch, at, error):
+        # Seed 1's run meets infeasible weights at step 698 of its first
+        # draw block; the corrupted row comes before or after it.
+        hit = corrupt_first_block(monkeypatch, "over-beta2", at=at)
+        with pytest.raises(error) as run:
+            run_leader_follower(late_infeasible_config(1))
+        assert len(hit) == 1
+        if error is AssumptionViolated:
+            with pytest.raises(AssumptionViolated) as lone:
+                push(SliceState(n=3), hit[0], Params(beta1=0.4, beta2=0.7))
+            assert str(run.value) == str(lone.value)
 
     def test_slice_arrays_stay_independent(self):
         cfg = LeaderFollowerConfig(world=demo_world(n=4, seed=1), params=PARAMS, horizon=3000)

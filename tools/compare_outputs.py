@@ -37,13 +37,16 @@ shared by both trees:
 - the first products_n16 config at seeds 0-4;
 - products at seeds 0-4 with default weights at n = 4, horizon 200; n = 1,
   horizon 50; n = 16, horizon 129, which crosses two 64-step block edges of
-  ``per_k.csv``'s spectral radius; and n = 64, horizon 600, where every
-  seed updates all 64 rows and so reaches the stacked ``eigvals``;
+  ``per_k.csv``'s spectral radius; n = 64, horizon 600, where every
+  seed updates all 64 rows and so reaches the stacked ``eigvals``; and
+  n = 96, horizon 1 200, whose blocks the entry cap of ``per_k.csv``'s
+  spectral radius cuts to 56 steps, and where every seed reaches the
+  stacked ``eigvals`` too;
 - products at n = 8, horizon 400, seeds 0-4, with ``p_identity`` 0.9 over
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 95 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 100 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -182,6 +185,7 @@ PRODUCTS_VARIANTS = {
     "n1": {"n": 1, "horizon": 50},
     "n16_h129": {"n": 16, "horizon": 129},
     "n64_h600": {"n": 64, "horizon": 600},
+    "n96_h1200": {"n": 96, "horizon": 1200},
     "idle": {"n": 8, "horizon": 400, "p_identity": 0.9},
 }
 
