@@ -20,7 +20,7 @@ certification routes are implemented:
   :func:`search_case3` tries each gamma1 of ``DEFAULT_GAMMA1_GRID`` at the
   rate floor ``gamma2 = MIN_GAMMA2``; a larger gamma2 only shrinks the caps.
   :func:`certify_case3` computes the caps in growing chunks and stops at
-  the first chunk holding a rank that surely fails.
+  the first chunk holding a slice longer than its own position's cap.
 
 Cases i and ii are the gamma1 = 0 specializations of case iii.  All traces
 are accumulated in log space so verdict-relevant signs survive slice
@@ -150,10 +150,10 @@ def certify_case1(
     (beta2 - 1) < 1``.
     """
     arr = _length_array(lengths).tolist()
-    if not arr:
-        return _not_certified(0, ["no completed slices in the sample"])
     if n_cap < 1:
         raise InvalidLength(f"cap must be >= 1, got {n_cap}")
+    if not arr:
+        return _not_certified(0, ["no completed slices in the sample"])
     offenders = [(t, L) for t, L in enumerate(arr) if L > n_cap]
     if offenders:
         t, L = offenders[0]
@@ -196,10 +196,10 @@ def certify_case2(
     """
     arr = _length_array(lengths).tolist()
     horizon = len(arr)
-    if not arr:
-        return _not_certified(0, ["no completed slices in the sample"])
     if infinite_subset_cap < 1:
         raise InvalidLength(f"cap must be >= 1, got {infinite_subset_cap}")
+    if not arr:
+        return _not_certified(0, ["no completed slices in the sample"])
     idx = list(int(t) for t in subset)
     if len(set(idx)) != len(idx):
         raise InvalidSubset("subset contains duplicate indices")
@@ -298,13 +298,14 @@ def certify_case3(
 ) -> Certificate:
     """Certify under the growing per-position length caps.
 
-    Greedy matching: sort observed lengths and caps ascending and pair them
-    rank by rank.  If any rank fails, no injective assignment exists (the
-    k-th smallest cap cannot cover the k-th smallest length); if all ranks
-    pass, the pairing itself is the witness assignment.  The caps come in
-    chunks of positions 1-8, then up to 8 times those done; the scan stops
-    at the first rank t above the largest of caps 1..t+1, which is at least
-    the (t+1)-th smallest cap, so that rank fails the sorted check too.
+    Greedy matching: the caps are nondecreasing in position, so the slice of
+    sorted rank t goes to position t + 1.  If any rank fails, no injective
+    assignment exists (the k-th smallest cap cannot cover the k-th smallest
+    length); if all ranks pass, the pairing itself is the witness
+    assignment, and every witness length is within its own cap whatever
+    the caps' order.  The caps come in chunks of positions 1-8, then up to
+    8 times those done, and the scan stops at the first chunk holding a
+    failing rank.
     """
     arr = _length_array(lengths)
     horizon = int(arr.size)
@@ -316,36 +317,18 @@ def certify_case3(
     while done < horizon:
         stop = min(max(8, 8 * done), horizon)
         caps[done:stop] = _case3_caps(range(done + 1, stop + 1), gamma1, gamma2, params)
-        largest = np.maximum.accumulate(caps[:stop])
-        failures = np.flatnonzero(sorted_lengths[:stop] > largest + CAP_FEASIBILITY_TOL)
+        failures = np.flatnonzero(sorted_lengths[done:stop] > caps[done:stop] + CAP_FEASIBILITY_TOL)
         if failures.size:
-            t = int(failures[0])
+            t = done + int(failures[0])
             return _not_certified(
                 horizon,
-                [f"rank {t}: length {int(sorted_lengths[t])} exceeds "
-                 f"{float(largest[t])!r}, the largest cap at positions 1..{t + 1}"],
+                [f"rank {t}: length {int(sorted_lengths[t])} exceeds the cap "
+                 f"{float(caps[t])!r} at position i={t + 1}"],
             )
         done = stop
     by_length = np.argsort(arr, kind="stable")
-    by_cap = np.argsort(caps, kind="stable")  # identity when caps nondecreasing
-    sorted_caps = caps[by_cap]
-    failures = np.nonzero(sorted_lengths > sorted_caps + CAP_FEASIBILITY_TOL)[0]
-    if failures.size:
-        t = int(failures[0])
-        return _not_certified(
-            horizon,
-            [
-                f"rank {t}: {int(failures.size)} length(s) exceed their caps, "
-                f"first at length {int(sorted_lengths[t])} vs cap "
-                f"{float(sorted_caps[t])!r} (position i={int(by_cap[t]) + 1})"
-            ],
-        )
-    # assignment[i-1] = slice index matched to position i
-    assignment = np.empty(horizon, dtype=int)
-    assignment[by_cap] = by_length
-    assigned = arr[assignment]
     matched = tuple(
-        zip(range(1, horizon + 1), assignment.tolist(), assigned.tolist(), caps.tolist())
+        zip(range(1, horizon + 1), by_length.tolist(), sorted_lengths.tolist(), caps.tolist())
     )
     return Certificate(
         verdict=Verdict.CERTIFIED,
@@ -355,7 +338,7 @@ def certify_case3(
             "gamma2": float(gamma2),
             "assignment": matched,
         },
-        trace=bound_trace(assigned, params),
+        trace=bound_trace(sorted_lengths, params),
         horizon=horizon,
     )
 

@@ -468,45 +468,40 @@ def cmd_certify(config: ExperimentConfig) -> int:
     except (IndexError, OSError, ValueError, csv.Error) as exc:
         raise ConfigError(f"cannot read slice log {log_path}: {exc}") from exc
 
-    attempts: list[Certificate] = []
-    cert: Certificate | None = None
+    def case2() -> Certificate:
+        meta = config.get("case2")
+        if not isinstance(meta, dict) or "cap" not in meta or "subset" not in meta:
+            raise ConfigError("case2 metadata needs 'cap' and 'subset'")
+        return certify_case2(
+            lengths,
+            _value(meta, "cap", _int, None),
+            _value(meta, "subset", lambda v: [_int(t) for t in v], None),
+            config.params,
+            subset_declared_infinite=_value(meta, "infinite_family", _flag, False),
+        )
 
+    routes = []
+    if config.get("case1_cap") is not None:
+        routes.append(lambda: certify_case1(lengths, config.value("case1_cap", _int, None), config.params))
+    if config.get("case2") is not None:
+        routes.append(case2)
+    routes.append(lambda: search_case3(lengths, config.params))
+    attempts: list[Certificate] = []
     # The routes check their inputs; a bad cap, subset or logged length is
     # a fault of the config or the log, not of the run.
     try:
-        if config.get("case1_cap") is not None:
-            candidate = certify_case1(
-                lengths, config.value("case1_cap", _int, None), config.params
-            )
-            attempts.append(candidate)
-            if candidate.certified:
-                cert = candidate
-        if cert is None and config.get("case2") is not None:
-            meta = config.get("case2")
-            if not isinstance(meta, dict) or "cap" not in meta or "subset" not in meta:
-                raise ConfigError("case2 metadata needs 'cap' and 'subset'")
-            candidate = certify_case2(
-                lengths,
-                _value(meta, "cap", _int, None),
-                _value(meta, "subset", lambda v: [_int(t) for t in v], None),
-                config.params,
-                subset_declared_infinite=_value(meta, "infinite_family", _flag, False),
-            )
-            attempts.append(candidate)
-            if candidate.certified:
-                cert = candidate
-        if cert is None:
-            candidate = search_case3(lengths, config.params)
-            attempts.append(candidate)
-            if candidate.certified:
-                cert = candidate
+        for route in routes:
+            attempts.append(route())
+            if attempts[-1].certified:
+                break
     except (InvalidLength, InvalidSubset) as exc:
         raise ConfigError(f"cannot certify {log_path}: {exc}") from exc
 
     out = config.make_out_dir()
-    if cert is None:
-        # The last attempt is always search_case3's not-certified result.
-        cert = replace(attempts[-1], notes=tuple(note for c in attempts for note in c.notes))
+    cert = attempts[-1]
+    if not cert.certified:
+        # The last attempt is search_case3's not-certified result.
+        cert = replace(cert, notes=tuple(note for c in attempts for note in c.notes))
     write_certificate(cert, out)
     _echo_config(config)
     case = cert.case_used.value if cert.case_used else "none"

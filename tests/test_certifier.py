@@ -71,6 +71,8 @@ class TestCase1:
             certify_case1([0], 5, WIDE)
         with pytest.raises(InvalidLength):
             certify_case1([3], 0, WIDE)
+        with pytest.raises(InvalidLength):
+            certify_case1([], 0, WIDE)
 
 
 class TestCase2:
@@ -97,6 +99,10 @@ class TestCase2:
         cert = certify_case2([], 5, [], WIDE)
         assert not cert.certified and cert.horizon == 0
         assert cert.notes == ("no completed slices in the sample",)
+
+    def test_cap_below_one_raises_on_an_empty_record(self):
+        with pytest.raises(InvalidLength):
+            certify_case2([], 0, [], WIDE)
 
     def test_empty_subset_is_not_certified(self):
         cert = certify_case2([3, 3], 4, [], WIDE)
@@ -140,6 +146,19 @@ class TestLengthCap:
         assert case3_length_cap(i, gamma1, gamma2, PARAMS) <= case3_length_cap(
             i + 1, gamma1, gamma2, PARAMS
         ) + 1e-12
+
+    @pytest.mark.parametrize(
+        "beta1, beta2, gamma2",
+        [(0.05, 0.7, MIN_GAMMA2), (0.999, 0.7, MIN_GAMMA2), (0.05, 0.3, MIN_GAMMA2), (0.05, 0.3, 1.0)],
+        ids=["certify_growth", "beta1_0999", "criterion_7_floor", "criterion_7"],
+    )
+    def test_grid_caps_are_nondecreasing_without_slack(self, beta1, beta2, gamma2):
+        # certify_case3 pairs sorted rank t with position t + 1 alone, which
+        # is the optimal matching only while the caps never step down.
+        params = Params(beta1=beta1, beta2=beta2)
+        for g1 in DEFAULT_GAMMA1_GRID:
+            caps = _case3_caps(range(1, 200_001), g1, gamma2, params)
+            assert (np.diff(caps) >= 0).all(), g1
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidSubset):
@@ -400,8 +419,8 @@ def _counting_caps(monkeypatch):
 
 class TestEarlyReturn:
     """``certify_case3`` computes the caps in chunks of positions 1-8,
-    9-64, 65-512, ... and stops after the chunk holding the first rank that
-    fails against the running maximum of the caps."""
+    9-64, 65-512, ... and stops after the chunk holding the first rank whose
+    length exceeds the cap at its own position."""
 
     @pytest.mark.parametrize("rank", [0, 7, 8, 63, 64, 300, 511, 512, 999])
     def test_stops_after_the_chunk_holding_the_failing_rank(self, monkeypatch, rank):
@@ -424,17 +443,24 @@ class TestEarlyReturn:
         assert cert.certified
         assert seen == list(range(1, count + 1))
 
-    def test_caps_out_of_order_reach_the_sorted_check(self, monkeypatch):
-        # Each length is at most the largest cap up to its rank, but the
-        # sorted caps 3, 3, 5 cannot cover 3, 4, 4.
+    def test_caps_out_of_order_fail_at_the_first_rank_over_its_own_cap(self, monkeypatch):
+        # Rank 1's length 4 is under the cap 5 at position 1 but over its
+        # own cap 3 at position 2.
         monkeypatch.setattr(
             certifier, "_case3_caps", lambda positions, *_: [[5.0, 3.0, 3.0][i - 1] for i in positions]
         )
         cert = certify_case3([4, 3, 4], 1.0, MIN_GAMMA2, PARAMS)
         assert not cert.certified
-        assert cert.notes == (
-            "rank 1: 1 length(s) exceed their caps, first at length 4 vs cap 3.0 (position i=3)",
-        )
+        assert cert.notes == ("rank 1: length 4 exceeds the cap 3.0 at position i=2",)
+
+    def test_caps_out_of_order_certify_when_each_rank_fits_its_own_cap(self, monkeypatch):
+        caps = [5.0, 3.0, 4.0]
+        monkeypatch.setattr(certifier, "_case3_caps", lambda positions, *_: [caps[i - 1] for i in positions])
+        cert = certify_case3([4, 3, 2], 1.0, MIN_GAMMA2, PARAMS)
+        assert cert.certified
+        rows = cert.witnesses["assignment"]
+        assert rows == ((1, 2, 2, 5.0), (2, 1, 3, 3.0), (3, 0, 4, 4.0))
+        assert all(length <= cap + CAP_FEASIBILITY_TOL for _, _, length, cap in rows)
 
     def test_a_length_at_cap_plus_tolerance_passes(self, monkeypatch):
         caps = [3.0 - CAP_FEASIBILITY_TOL, 4.0 - CAP_FEASIBILITY_TOL]

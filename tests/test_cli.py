@@ -624,6 +624,19 @@ class TestCertify:
         rows = text.split("i,slice_index,length,cap\n")[1].splitlines()
         assert sorted(int(row.split(",")[1]) for row in rows) == list(range(40))
 
+    @pytest.mark.parametrize("case1_cap, code", [(5, EXIT_OK), (4, EXIT_CONFIG)])
+    def test_case2_is_read_only_when_case1_fails(self, tmp_path, case1_cap, code):
+        # The one-slice log's length is 5; the case2 metadata lacks 'subset'.
+        (tmp_path / "slices.csv").write_text(SLICE_LOG)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"mode": "certify", "slice_log": "slices.csv", "case1_cap": case1_cap, "case2": {"cap": 5}},
+        )
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == code
+        if code == EXIT_OK:
+            assert "case: case_i\n" in (out / "certificate.txt").read_text()
+
     @pytest.mark.parametrize("key", ["gamma1_grid", "gamma2_grid"])
     def test_removed_grid_keys_are_refused(self, tmp_path, capsys, slice_log, key):
         cfg = write_config(
@@ -730,11 +743,14 @@ class TestConfigHandling:
             ("products", {"horizon": 0, "p_identity": float("inf")}),
             ("products", {"p_identity": float("inf")}),
             ("products", {"p_stochastic": 1e308, "p_substochastic": 1e308}),
+            ("certify", {"slice_log": "header_only.csv", "case1_cap": 0}),
+            ("certify", {"slice_log": "header_only.csv", "case2": {"cap": 0, "subset": []}}),
         ],
     )
     def test_bad_values_exit_config_with_one_line(self, tmp_path, capsys, mode, payload):
         log = tmp_path / "slices.csv"
         log.write_text(SLICE_LOG)
+        (tmp_path / "header_only.csv").write_text(SLICE_LOG.splitlines()[0] + "\n")
         cfg = write_config(
             tmp_path / "c.json",
             {"mode": mode, "slice_log": str(log), "horizon": 5, **payload},

@@ -21,8 +21,10 @@ shared by both trees:
   permissive engine (``strict`` false), and the two infeasible-weight
   failures (a sensor group too large for ``beta1``, two anchors too many
   for ``alpha``), which exit 4;
-- the 10 certify_growth logs, plus three configs on the first log that
-  certify by case i, certify by case ii, and certify nothing, and four
+- the 10 certify_growth logs, plus five configs on the first log that
+  certify by case i, certify by case ii, certify nothing, certify by case
+  ii after case i fails, and certify nothing after all three routes fail
+  (the certificate merges their notes), and four
   more logs for the case-iii search: the ``gamma1`` = 0.5 schedule of
   2 000 slices in reverse, which certifies at 0.5; the first log with its
   longest slice one longer, which no ``gamma1`` certifies; the
@@ -46,7 +48,7 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 100 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 102 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -82,6 +84,10 @@ CERTIFY_OUTCOMES = {
     "case1": {"case1_cap": 5},
     "case2": {"case2": {"cap": 5, "subset": [0, 1, 2], "infinite_family": True}},
     "none": {"beta1": 0.01, "case1_cap": 4},
+    "case1_then_case2": {
+        "case1_cap": 3, "case2": {"cap": 5, "subset": [0, 1, 2], "infinite_family": True}
+    },
+    "every_route_fails": {"beta1": 0.01, "case1_cap": 4, "case2": {"cap": 5, "subset": [0, 1, 2]}},
 }
 
 
