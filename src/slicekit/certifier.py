@@ -102,6 +102,12 @@ def _length_array(lengths: Sequence[int]) -> np.ndarray:
     return arr
 
 
+def _check_cap(cap: int) -> None:
+    """Refuse a cap below 1 or beyond int64, as :func:`_length_array` does lengths."""
+    if not 1 <= cap <= np.iinfo(np.int64).max:
+        raise InvalidLength(f"cap must be >= 1 and fit in 64 bits, got {cap}")
+
+
 def bound_trace(lengths: Sequence[int], params: Params) -> BoundTrace:
     """Trace the certified contraction along ``lengths`` in the given order."""
     arr = _length_array(lengths)
@@ -150,8 +156,7 @@ def certify_case1(
     (beta2 - 1) < 1``.
     """
     arr = _length_array(lengths).tolist()
-    if n_cap < 1:
-        raise InvalidLength(f"cap must be >= 1, got {n_cap}")
+    _check_cap(n_cap)
     if not arr:
         return _not_certified(0, ["no completed slices in the sample"])
     offenders = [(t, L) for t, L in enumerate(arr) if L > n_cap]
@@ -196,13 +201,12 @@ def certify_case2(
     """
     arr = _length_array(lengths).tolist()
     horizon = len(arr)
-    if infinite_subset_cap < 1:
-        raise InvalidLength(f"cap must be >= 1, got {infinite_subset_cap}")
-    if not arr:
-        return _not_certified(0, ["no completed slices in the sample"])
+    _check_cap(infinite_subset_cap)
     idx = list(int(t) for t in subset)
     if len(set(idx)) != len(idx):
         raise InvalidSubset("subset contains duplicate indices")
+    if not arr:
+        return _not_certified(0, ["no completed slices in the sample"])
     bad = [t for t in idx if not 0 <= t < horizon]
     if bad:
         raise InvalidSubset(f"subset indices out of range: {bad}")

@@ -33,13 +33,12 @@ for two components, so they agree bit for bit.  The neighbour rows and
 fusion weights depend on the positions and the fusing sensor but not on the
 states, so one NumPy pass computes them for every step of the block, and
 one more screens those rows against the weight rules
-(:func:`~slicekit.matrix_core._screen_block`).  Per step there remain only
-advancing ``x`` and ``N`` in place by the fused row and feeding the slice
-engine: a cleared row straight into its window
-(:func:`~slicekit.slice_engine._absorb`), an identity step as a skipped
-event, and any other row, wrapped as an update, through
-:func:`~slicekit.slice_engine.push`, which refuses it with its own message
-or, when permissive, absorbs it.
+(:func:`~slicekit.matrix_core._screen_block`).  The run loop then advances
+``x`` and ``N`` in place by each fused row and feeds the slice engine: a
+cleared row straight into its window (:func:`~slicekit.slice_engine._absorb`),
+an identity step as a skipped event, and any other row, wrapped as an
+update, through :func:`~slicekit.slice_engine.push`, which refuses it with
+its own message or, when permissive, absorbs it.
 """
 
 from __future__ import annotations
@@ -442,38 +441,6 @@ def _move(world: World, disp: np.ndarray, pos: np.ndarray, track: np.ndarray) ->
         frames[t] = pos
 
 
-def _updates(
-    world: World, params: Params, horizon: int, positions: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, float | None]]:
-    """Each step's update as ``(k, i, p_row, b_row, p_sum)``, one block of
-    ``DRAW_BLOCK`` steps at a time: sensor ``i`` fuses to the sensor row
-    ``p_row`` and the anchor row ``b_row``, of sensor row sum ``p_sum`` when
-    the block screen clears the row (None otherwise).  ``i`` is -1 for a
-    step that changes nothing (idle, or no neighbours); its rows are not
-    read.  A block's motion runs step by step (:func:`_move`) into its
-    track of positions, a view of ``positions``; then :func:`_fusion_rows`
-    builds all of the block's rows at once and
-    :func:`~slicekit.matrix_core._screen_block` screens them together.  A
-    step with infeasible weights raises :class:`InfeasibleWeights` when it
-    is reached, after every earlier step has been run."""
-    for start in range(0, horizon, DRAW_BLOCK):
-        stop = min(start + DRAW_BLOCK, horizon)
-        track = positions[start + 1 : stop + 1]
-        _move(world, _displacements(world, start, stop), positions[start], track)
-        who = _updaters(world, start, stop)
-        rows = _fusion_rows(world, track, who, params)
-        # Idle rows and rows from the infeasible step on are screened too,
-        # but only the verdicts of fused rows up to it are read.
-        clear, p_sums = _screen_block(rows.p_rows, rows.b_rows, who, params)
-        sums = [p if ok else None for ok, p in zip(clear.tolist(), p_sums.tolist())]
-        for t, (kind, i, p_sum) in enumerate(zip(rows.kinds, who.tolist(), sums)):
-            if t == rows.feasible:
-                raise InfeasibleWeights(rows.fault)
-            if kind is UpdateKind.IDLE or kind is UpdateKind.NO_NEIGHBORS:
-                i = -1
-            yield start + t, i, rows.p_rows[t], rows.b_rows[t], p_sum
-
-
 def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
     """Room for ``horizon + 1`` frames of shape ``frame``; a history too
     large even to index is out of memory too."""
@@ -484,13 +451,16 @@ def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
 
 
 def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
-    """Run the full loop from the world's start state: motion, fusion rows
-    (:func:`_updates`), state advance, slice tracking, and per-slice input
-    accumulation ``N <- P N + B``, whose updated rows are written in place.
-    Only a row the block screen did not clear is wrapped as a
-    :class:`~slicekit.matrix_core.SystemMatrix`, for
-    :func:`~slicekit.slice_engine.push`.  The loop owns the positions, the
-    states and the step index; the world itself never changes."""
+    """Run the full loop from the world's start state, one block of
+    ``DRAW_BLOCK`` steps at a time: motion (:func:`_move`), fusion rows
+    (:func:`_fusion_rows`) and one block screen, then per step the state
+    advance, slice tracking and per-slice input accumulation ``N <- P N +
+    B``, all in place.  Only a row the block screen did not clear is wrapped
+    as a :class:`~slicekit.matrix_core.SystemMatrix`, for
+    :func:`~slicekit.slice_engine.push`.  A step with infeasible weights
+    raises :class:`InfeasibleWeights` only once the loop reaches it.  The
+    loop owns the positions, the states and the step index; the world
+    itself never changes."""
     world = config.world
     params = config.params
     n, s = world.n, world.s
@@ -504,33 +474,47 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     events: list[SliceEvent] = []
     state = SliceState(n=n)
     n_accum = np.zeros((n, s))
-    anchor_identity = np.eye(s)
-    target = None if config.stop_when_error_below is None else float(world.u[0])
+    limit = config.stop_when_error_below
     steps_run = 0
-    for k, i, p_row, b_row, p_sum in _updates(world, params, config.horizon, positions):
-        # An identity step (idle, or no neighbours) leaves x and N as they are.
-        if i < 0:
-            evs = [SliceEvent(SliceEventKind.SKIPPED, k=k)]
-        else:
-            x[i] = p_row @ x + b_row @ u
-            n_accum[i] = p_row @ n_accum + b_row @ anchor_identity
-            if p_sum is None:
-                m = SystemMatrix._trusted(n, s, i, p_row, b_row)
-                _, evs = push(state, m, params, strict=config.strict, k=k)
+    for start in range(0, config.horizon, DRAW_BLOCK):
+        stop = min(start + DRAW_BLOCK, config.horizon)
+        track = positions[start + 1 : stop + 1]
+        _move(world, _displacements(world, start, stop), positions[start], track)
+        who = _updaters(world, start, stop)
+        rows = _fusion_rows(world, track, who, params)
+        # Idle rows and rows from the infeasible step on are screened too,
+        # but only the verdicts of fused rows up to it are read.
+        clear, p_sums = _screen_block(rows.p_rows, rows.b_rows, who, params)
+        verdicts = zip(rows.kinds, who.tolist(), clear.tolist(), p_sums.tolist())
+        for t, (kind, i, ok, p_sum) in enumerate(verdicts):
+            if t == rows.feasible:
+                raise InfeasibleWeights(rows.fault)
+            k = start + t
+            # An identity step (idle, or no neighbours) leaves x and N as they are.
+            if kind is UpdateKind.IDLE or kind is UpdateKind.NO_NEIGHBORS:
+                evs = [SliceEvent(SliceEventKind.SKIPPED, k=k)]
             else:
-                evs = _absorb(state, i, p_row, p_sum, params, k)
-        for ev in evs:
-            if ev.slice is not None:
-                slices.append(ev.slice)
-                slice_inputs.append(n_accum)
-                n_accum = np.zeros((n, s))
-        events.extend(evs)
-        states[k + 1] = x
-        steps_run = k + 1
-        if target is not None and np.max(np.abs(x - target)) <= (
-            config.stop_when_error_below
-        ):
-            break
+                p_row, b_row = rows.p_rows[t], rows.b_rows[t]
+                x[i] = p_row @ x + b_row @ u
+                n_accum[i] = p_row @ n_accum + b_row
+                if ok:
+                    evs = _absorb(state, i, p_row, p_sum, params, k)
+                else:
+                    m = SystemMatrix._trusted(n, s, i, p_row, b_row)
+                    _, evs = push(state, m, params, strict=config.strict, k=k)
+            for ev in evs:
+                if ev.slice is not None:
+                    slices.append(ev.slice)
+                    slice_inputs.append(n_accum)
+                    n_accum = np.zeros((n, s))
+            events.extend(evs)
+            states[k + 1] = x
+            steps_run = k + 1
+            if limit is not None and np.max(np.abs(x - u[0])) <= limit:
+                break
+        else:
+            continue
+        break
     return SimResult(
         states=states[: steps_run + 1],
         slices=slices,

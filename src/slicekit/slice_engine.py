@@ -226,11 +226,11 @@ def run_sequence(
 
     Each block of ``SCREEN_ROWS`` matrices is screened at once
     (:func:`~slicekit.matrix_core._screen_block`) over the rows that fit the
-    first matrix's sizes; a clear row goes straight to :func:`_absorb` and
-    every other matrix to :func:`push`, which skips, refuses or absorbs it
-    with its own message.  Returns the completed slices in order, the full
-    event log (events carry the raw input index), and the residual state of
-    the open window."""
+    first matrix's sizes; one loop then sends each clear row straight to
+    :func:`_absorb` and every other matrix to :func:`push`, which skips,
+    refuses or absorbs it with its own message.  Returns the completed
+    slices in order, the full event log (events carry the raw input index),
+    and the residual state of the open window."""
     slices: list[Slice] = []
     events: list[SliceEvent] = []
     matrices = iter(matrices)
@@ -247,15 +247,12 @@ def run_sequence(
             np.array([block[t].updated_row for t in fits], dtype=int),
             params,
         )
-        sums: list[float | None] = [None] * len(block)
-        for t, ok, p_sum in zip(fits, clear.tolist(), p_sums.tolist()):
-            if ok:
-                sums[t] = p_sum
-        for t, (m, p_sum) in enumerate(zip(block, sums), start=base):
-            if p_sum is None:
-                _, evs = push(state, m, params, strict=strict, k=t)
+        cleared = {t: p_sum for t, ok, p_sum in zip(fits, clear.tolist(), p_sums.tolist()) if ok}
+        for t, m in enumerate(block):
+            if t in cleared:
+                evs = _absorb(state, m.updated_row, m.p_row, cleared[t], params, base + t)
             else:
-                evs = _absorb(state, m.updated_row, m.p_row, p_sum, params, t)
+                _, evs = push(state, m, params, strict=strict, k=base + t)
             for ev in evs:
                 if ev.slice is not None:
                     slices.append(ev.slice)

@@ -74,6 +74,12 @@ class TestCase1:
         with pytest.raises(InvalidLength):
             certify_case1([], 0, WIDE)
 
+    @pytest.mark.parametrize("lengths", [[], [3]])
+    def test_cap_beyond_int64_raises(self, lengths):
+        # Past the float range the cap would overflow the norm bound.
+        with pytest.raises(InvalidLength, match="cap must be >= 1"):
+            certify_case1(lengths, 10**400, WIDE)
+
 
 class TestCase2:
     def test_capped_subfamily_certifies(self):
@@ -104,6 +110,11 @@ class TestCase2:
         with pytest.raises(InvalidLength):
             certify_case2([], 0, [], WIDE)
 
+    @pytest.mark.parametrize("lengths", [[], [3]])
+    def test_cap_beyond_int64_raises(self, lengths):
+        with pytest.raises(InvalidLength, match="cap must be >= 1"):
+            certify_case2(lengths, 10**400, range(len(lengths)), WIDE)
+
     def test_empty_subset_is_not_certified(self):
         cert = certify_case2([3, 3], 4, [], WIDE)
         assert not cert.certified
@@ -111,6 +122,9 @@ class TestCase2:
     def test_duplicate_or_out_of_range_subset_rejected(self):
         with pytest.raises(InvalidSubset):
             certify_case2([3, 3], 4, [0, 0], WIDE)
+        # A duplicate is a fault of the subset alone, whatever the log holds.
+        with pytest.raises(InvalidSubset):
+            certify_case2([], 5, [0, 0], WIDE)
         with pytest.raises(InvalidSubset):
             certify_case2([3, 3], 4, [5], WIDE)
 

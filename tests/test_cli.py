@@ -745,6 +745,17 @@ class TestConfigHandling:
             ("products", {"p_stochastic": 1e308, "p_substochastic": 1e308}),
             ("certify", {"slice_log": "header_only.csv", "case1_cap": 0}),
             ("certify", {"slice_log": "header_only.csv", "case2": {"cap": 0, "subset": []}}),
+            ("certify", {"case1_cap": 10**400}),
+            ("certify", {"slice_log": "header_only.csv", "case1_cap": 10**400}),
+            ("certify", {"case2": {"cap": 10**400, "subset": [0], "infinite_family": True}}),
+            (
+                "certify",
+                {
+                    "slice_log": "header_only.csv",
+                    "case2": {"cap": 10**400, "subset": [], "infinite_family": True},
+                },
+            ),
+            ("certify", {"slice_log": "header_only.csv", "case2": {"cap": 3, "subset": [0, 0]}}),
         ],
     )
     def test_bad_values_exit_config_with_one_line(self, tmp_path, capsys, mode, payload):

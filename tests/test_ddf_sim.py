@@ -967,6 +967,18 @@ class TestEngineFeed:
         with pytest.raises(AssumptionViolated):
             push(SliceState(n=2), hit[0], PARAMS)
 
+    def test_early_stop_never_reaches_a_later_infeasible_step(self):
+        # Seed 1's run meets infeasible weights at step 698 of its first
+        # draw block; from this start it stops earlier and must return.
+        base = late_infeasible_config(1)
+        with pytest.raises(InfeasibleWeights):
+            run_leader_follower(base)
+        w = dataclasses.replace(base.world, x=np.array([3.0, 2.5, 3.5]))
+        res = run_leader_follower(dataclasses.replace(base, world=w, stop_when_error_below=0.1))
+        within = np.max(np.abs(res.states[1:] - 3.0), axis=1) <= 0.1
+        assert 0 < res.steps_run < 698
+        assert int(np.argmax(within)) + 1 == res.steps_run
+
     @pytest.mark.parametrize("at, error", [(5, AssumptionViolated), (699, InfeasibleWeights)])
     def test_refused_and_infeasible_rows_raise_in_step_order(self, monkeypatch, at, error):
         # Seed 1's run meets infeasible weights at step 698 of its first

@@ -10,8 +10,9 @@ the parent commit and this checkout.  The inputs come from
 shared by both trees:
 
 - the 32 lf_demo configs, plus variants of the first one that reach what
-  lf_demo never does: idling steps (``update_prob`` 0.5), 3 and 5
-  sensors, 40 sensors (more nodes than ``ddf_sim.FLOAT_MOTION_NODES``, so
+  lf_demo never does: idling steps (``update_prob`` 0.5, also over a
+  horizon of 1500, so that idle steps fall on both sides of a block edge
+  of the random draws), 3 and 5 sensors, 40 sensors (more nodes than ``ddf_sim.FLOAT_MOTION_NODES``, so
   they move with NumPy passes, not on floats), two sensors and two anchors in given ``regions``, seven sensors
   and three anchors in overlapping ``regions`` (rows hearing several
   anchors, sensor groups of three), two sensors and two anchors whose
@@ -37,7 +38,8 @@ shared by both trees:
   its first length quoted and a trailing blank line; and the ``slices.csv`` that the
   products op ``products_n4_seed0`` (below) writes, certified as written;
 - the first products_n16 config at seeds 0-4;
-- products at seeds 0-4 with default weights at n = 4, horizon 200; n = 1,
+- products at seeds 0-4 with default weights at n = 4, horizon 200; n = 6,
+  horizon 129, run by the permissive engine (``strict`` false); n = 1,
   horizon 50; n = 16, horizon 129, which crosses two 64-step block edges of
   ``per_k.csv``'s spectral radius; n = 64, horizon 600, where every
   seed updates all 64 rows and so reaches the stacked ``eigvals``; and
@@ -48,7 +50,7 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 102 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 108 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -168,6 +170,7 @@ HUGE_REGIONS = {
 # Overrides of the first lf_demo config.
 LF_VARIANTS = {
     "idle": {"update_prob": 0.5},
+    "idle_h1500": {"update_prob": 0.5, "horizon": 1500},
     "n3": {"n": 3},
     "n5": {"n": 5},
     "n40": {"n": 40},
@@ -188,6 +191,7 @@ LF_VARIANTS = {
 # Products configs beyond products_n16, each run at PRODUCTS_SEEDS.
 PRODUCTS_VARIANTS = {
     "n4": {"n": 4, "horizon": 200},
+    "n6_permissive": {"n": 6, "horizon": 129, "strict": False},
     "n1": {"n": 1, "horizon": 50},
     "n16_h129": {"n": 16, "horizon": 129},
     "n64_h600": {"n": 64, "horizon": 600},
