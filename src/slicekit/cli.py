@@ -6,7 +6,9 @@ certification of recorded slice logs.
 All outputs are CSV or plain text, written without timestamps so a fixed
 seed reproduces byte-identical files.  Plots are emitted as gnuplot scripts
 over the CSVs rather than rendered in-process, keeping the package free of
-plotting dependencies.  Exit codes: 0 on success, 2 on configuration
+plotting dependencies.  Each mode's config keys, with their readers and
+defaults, are declared once in :data:`CONFIG_KEYS`; any other key is a
+configuration error.  Exit codes: 0 on success, 2 on configuration
 errors, 3 when certification was requested but not achieved, 4 when a run
 fails after its configuration was accepted (an ``OSError`` while writing the
 outputs included).
@@ -22,18 +24,11 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .certifier import (
-    Certificate,
-    certify_case1,
-    certify_case2,
-    search_case3,
-    write_certificate,
-    MIN_GAMMA2,
-)
+from .certifier import Certificate, certify_case1, certify_case2, search_case3, write_certificate
 from .ddf_sim import (
     LeaderFollowerConfig,
     World,
@@ -45,12 +40,7 @@ from .ddf_sim import (
     write_trajectory_csv,
 )
 from .errors import (
-    AssumptionViolated,
-    ConfigError,
-    InvalidLength,
-    InvalidSubset,
-    NegativeEntry,
-    SliceKitError,
+    AssumptionViolated, ConfigError, InvalidLength, InvalidSubset, NegativeEntry, SliceKitError
 )
 from .generators import random_product_sequence
 from .matrix_core import Params, SystemMatrix, inf_norm, spectral_radius
@@ -67,7 +57,9 @@ EXIT_RUNTIME = 4
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed configuration file plus command-line overrides."""
+    """A parsed configuration file plus command-line overrides.  A key's
+    value is read as ``config[key]``, with the reader and default that
+    :data:`CONFIG_KEYS` declares for the mode."""
 
     mode: str
     raw: dict
@@ -93,36 +85,26 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        file_mode = raw.get("mode")
-        if file_mode is not None and file_mode != mode:
-            raise ConfigError(
-                f"config declares mode {file_mode!r} but the command is {mode!r}"
-            )
-        seed = _value(raw, "seed", _int, 0) if seed_override is None else seed_override
+        keys = CONFIG_KEYS[mode]
+        file_mode = _read(raw, keys, "mode")
+        if file_mode not in (None, mode):
+            raise ConfigError(f"config declares mode {file_mode!r} but the command is {mode!r}")
+        _refuse_undeclared(raw, keys, mode)
+        seed = _read(raw, keys, "seed") if seed_override is None else seed_override
         if seed < 0:
             raise ConfigError("seed must be non-negative")
-        config_out = _value(raw, "out_dir", _text, "out")
+        config_out = _read(raw, keys, "out_dir")
         out_dir = Path(out_override if out_override is not None else config_out)
         try:
-            params = Params(
-                beta1=_value(raw, "beta1", _real, 0.05),
-                beta2=_value(raw, "beta2", _real, 0.7),
-                alpha=_value(raw, "alpha", _real, 0.1),
-                tol=_value(raw, "tol", _real, 1e-12),
-            )
+            params = Params(**{k: _read(raw, keys, k) for k in ("beta1", "beta2", "alpha", "tol")})
         except ValueError as exc:
             raise ConfigError(f"bad weight parameters: {exc}") from exc
         return cls(
             mode=mode, raw=raw, seed=seed, out_dir=out_dir, params=params, config_dir=path.parent
         )
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.raw.get(key, default)
-
-    def value(self, key: str, kind: Callable[[Any], Any], default: Any) -> Any:
-        """``kind(raw[key])``, or ``kind(default)`` when the key is absent;
-        a value ``kind`` cannot convert raises :class:`ConfigError`."""
-        return _value(self.raw, key, kind, default)
+    def __getitem__(self, key: str) -> Any:
+        return _read(self.raw, CONFIG_KEYS[self.mode], key)
 
     def make_out_dir(self) -> Path:
         """Create the output directory; a path that cannot be a directory
@@ -134,14 +116,33 @@ class ExperimentConfig:
         return self.out_dir
 
 
-def _value(
-    mapping: Mapping[str, Any], key: str, kind: Callable[[Any], Any], default: Any
-) -> Any:
-    value = mapping.get(key, default)
+def _read(raw: Mapping[str, Any], keys: Mapping[str, tuple], key: str) -> Any:
+    """``raw[key]`` read as ``keys`` declares it, or its default when absent;
+    JSON null reads as absent where that default is None.  A section is
+    read key by key, and needs its keys without a default.  A value the
+    reader refuses raises :class:`ConfigError`."""
+    kind, default = keys[key]
+    value = raw.get(key, default)
+    if value is None and default is None:
+        return None
     try:
-        return kind(value)
+        if not isinstance(kind, dict):
+            return kind(value)
+        needed = [k for k, (_, d) in kind.items() if d is None]
+        if not isinstance(value, dict) or any(value.get(k) is None for k in needed):
+            raise TypeError("expected an object holding " + " and ".join(map(repr, needed)))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value {value!r} for {key!r}: {exc}") from exc
+    return {k: _read(value, kind, k) for k in kind}
+
+
+def _refuse_undeclared(raw: Mapping, keys: Mapping, mode: str, prefix: str = "") -> None:
+    """Refuse the first key of ``raw``, or of a section in it, that ``keys`` does not declare."""
+    for key, value in raw.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key {prefix + key!r} for {mode}")
+        if isinstance(keys[key][0], dict) and isinstance(value, dict):
+            _refuse_undeclared(value, keys[key][0], mode, f"{prefix}{key}.")
 
 
 def _flag(value: Any) -> bool:
@@ -183,23 +184,57 @@ def _text(value: Any) -> str:
     return value
 
 
+# Every key each mode reads: key -> (reader, default).  A section, a JSON
+# object inside the config, has a table of its own in place of a reader.
+# ExperimentConfig.load refuses any key, top-level or in a section, that is
+# not declared here.
+_COMMON_KEYS = {
+    "mode": (_text, None), "seed": (_int, 0), "out_dir": (_text, "out"),
+    "beta1": (_real, 0.05), "beta2": (_real, 0.7), "alpha": (_real, 0.1), "tol": (_real, 1e-12),
+}
+_RUN_KEYS = {"n": (_int, 4), "horizon": (_int, 200), "strict": (_flag, True)}
+_DISKS = (lambda rows: np.array([_reals(row) for row in rows]), None)  # rows of [cx, cy, r]
+CONFIG_KEYS: dict[str, dict[str, tuple]] = {
+    "products": {
+        **_COMMON_KEYS,
+        **_RUN_KEYS,
+        "p_stochastic": (_real, 1.0 / 3.0),
+        "p_substochastic": (_real, 1.0 / 3.0),
+        "p_identity": (_real, 1.0 / 3.0),
+    },
+    "lf": {
+        **_COMMON_KEYS,
+        **_RUN_KEYS,
+        "u": (_real, 3.0),
+        "sigma": (_real, 0.2),
+        "update_prob": (_real, 1.0),
+        "comm_radius": (lambda v: v if isinstance(v, str) else _real(v), "1.5*innermost"),
+        "x0": (_reals, None),
+        "regions": ({"sensors": _DISKS, "anchors": _DISKS}, None),
+    },
+    "certify": {
+        **_COMMON_KEYS,
+        "slice_log": (_text, ""),
+        "case1_cap": (_int, None),
+        "case2": ({
+            "cap": (_int, None),
+            "subset": (lambda v: [_int(t) for t in v], None),
+            "infinite_family": (_flag, False),
+        }, None),
+    },
+}
+
+
 def _echo_config(config: ExperimentConfig) -> None:
-    resolved = dict(config.raw)
-    resolved["mode"] = config.mode
-    resolved["seed"] = config.seed
-    resolved["out_dir"] = str(config.out_dir)
-    (config.out_dir / "run_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n"
-    )
+    echo = {**config.raw, "mode": config.mode, "seed": config.seed, "out_dir": str(config.out_dir)}
+    (config.out_dir / "run_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_products(config: ExperimentConfig) -> int:
     """Generate a random product sequence, slice it, and log norms."""
-    n = config.value("n", _int, 4)
-    horizon = config.value("horizon", _int, 200)
+    n, horizon, strict = config["n"], config["horizon"], config["strict"]
     if n < 1 or horizon < 0:
         raise ConfigError(f"need n >= 1 and horizon >= 0, got n={n}, horizon={horizon}")
-    strict = config.value("strict", _flag, True)
     try:
         start = np.eye(n)  # the empty product
     except ValueError as exc:  # too large even to index: out of memory too
@@ -210,9 +245,9 @@ def cmd_products(config: ExperimentConfig) -> int:
             config.params,
             horizon,
             rng=np.random.default_rng(config.seed),
-            p_stochastic=config.value("p_stochastic", _real, 1.0 / 3.0),
-            p_substochastic=config.value("p_substochastic", _real, 1.0 / 3.0),
-            p_identity=config.value("p_identity", _real, 1.0 / 3.0),
+            p_stochastic=config["p_stochastic"],
+            p_substochastic=config["p_substochastic"],
+            p_identity=config["p_identity"],
         )
     except ValueError as exc:
         raise ConfigError(f"bad form weights: {exc}") from exc
@@ -315,42 +350,24 @@ def _products_plot_script() -> str:
 
 
 def _build_world(config: ExperimentConfig) -> World:
-    n = config.value("n", _int, 4)
+    n = config["n"]
     if n < 1:
         raise ConfigError("need at least one sensor")
-    u = config.value("u", _real, 3.0)
-    sigma = config.value("sigma", _real, 0.2)
-    update_prob = config.value("update_prob", _real, 1.0)
-    comm = config.value(
-        "comm_radius", lambda v: v if isinstance(v, str) else _real(v), "1.5*innermost"
-    )
-    if config.get("x0") is None:
+    u, sigma, update_prob, comm = (config[k] for k in ("u", "sigma", "update_prob", "comm_radius"))
+    x0 = config["x0"]
+    if x0 is None:
         try:
             x0 = np.zeros(n)
         except ValueError as exc:  # too large even to index: out of memory too
             raise MemoryError(str(exc)) from None
-    else:
-        x0 = config.value("x0", _reals, None)
     if x0.shape != (n,):
         raise ConfigError(f"x0 must hold {n} initial states, got shape {x0.shape}")
-    regions = config.get("regions")
+    regions = config["regions"]
     if regions is None:
         return demo_world(
-            n=n,
-            u=u,
-            seed=config.seed,
-            sigma=sigma,
-            comm_radius=comm,
-            x0=x0,
-            update_prob=update_prob,
+            n=n, u=u, seed=config.seed, sigma=sigma, comm_radius=comm, x0=x0, update_prob=update_prob
         )
-    try:
-        sensors = np.array([_reals(row) for row in regions["sensors"]])
-        anchors = np.array([_reals(row) for row in regions["anchors"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            "regions must hold 'sensors' and 'anchors' lists of [cx, cy, r]"
-        ) from exc
+    sensors, anchors = regions["sensors"], regions["anchors"]
     if sensors.ndim != 2 or sensors.shape[1] != 3 or sensors.shape[0] != n:
         raise ConfigError(f"regions.sensors must be {n} rows of [cx, cy, r]")
     if anchors.ndim != 2 or anchors.shape[1] != 3 or anchors.shape[0] < 1:
@@ -374,10 +391,7 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
     and the per-slice steady-state identity residuals."""
     world = _build_world(config)
     run_cfg = LeaderFollowerConfig(
-        world=world,
-        params=config.params,
-        horizon=config.value("horizon", _int, 200),
-        strict=config.value("strict", _flag, True),
+        world=world, params=config.params, horizon=config["horizon"], strict=config["strict"]
     )
     result = run_leader_follower(run_cfg)
 
@@ -448,12 +462,7 @@ def cmd_certify(config: ExperimentConfig) -> int:
     the growth-cap scan over gamma1 at the rate floor (always).  The first
     certifying case wins.
     """
-    # Refused, not ignored: a config that asked for a stronger rate must not
-    # quietly get the floor.
-    for key in ("gamma1_grid", "gamma2_grid"):
-        if key in config.raw:
-            raise ConfigError(f"{key!r} was removed; case iii uses gamma2 = {MIN_GAMMA2}")
-    log_value = config.value("slice_log", _text, "")
+    log_value = config["slice_log"]
     if not log_value:
         raise ConfigError("certify needs 'slice_log' pointing at a slice CSV")
     log_path = Path(log_value)
@@ -469,21 +478,12 @@ def cmd_certify(config: ExperimentConfig) -> int:
         raise ConfigError(f"cannot read slice log {log_path}: {exc}") from exc
 
     def case2() -> Certificate:
-        meta = config.get("case2")
-        if not isinstance(meta, dict) or "cap" not in meta or "subset" not in meta:
-            raise ConfigError("case2 metadata needs 'cap' and 'subset'")
-        return certify_case2(
-            lengths,
-            _value(meta, "cap", _int, None),
-            _value(meta, "subset", lambda v: [_int(t) for t in v], None),
-            config.params,
-            subset_declared_infinite=_value(meta, "infinite_family", _flag, False),
-        )
+        cap, subset, infinite = config["case2"].values()
+        return certify_case2(lengths, cap, subset, config.params, subset_declared_infinite=infinite)
 
-    routes = []
-    if config.get("case1_cap") is not None:
-        routes.append(lambda: certify_case1(lengths, config.value("case1_cap", _int, None), config.params))
-    if config.get("case2") is not None:
+    case1_cap = config["case1_cap"]
+    routes = [] if case1_cap is None else [lambda: certify_case1(lengths, case1_cap, config.params)]
+    if config.raw.get("case2") is not None:  # read only when its route runs
         routes.append(case2)
     routes.append(lambda: search_case3(lengths, config.params))
     attempts: list[Certificate] = []

@@ -23,6 +23,7 @@ from slicekit import (
     spectral_radius,
 )
 from slicekit.cli import (
+    CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_NOT_CERTIFIED,
     EXIT_OK,
@@ -39,6 +40,11 @@ TWO_ENTRY_LOG = SLICE_LOG + "1,5,9,5,0.5,0.9\n"
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def base_config(mode, log):
+    """A small config for ``mode`` holding only keys that mode declares."""
+    return {"mode": mode, **({"slice_log": str(log)} if mode == "certify" else {"horizon": 5})}
 
 
 @pytest.fixture
@@ -532,14 +538,17 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
     @pytest.mark.parametrize("config_dir", [5, "elsewhere"])
-    def test_config_dir_key_does_not_move_the_log(self, tmp_path, config_dir):
+    def test_config_dir_key_does_not_move_the_log(self, tmp_path, capsys, config_dir):
+        # An undeclared key: refused before the log is looked for.
         (tmp_path / "elsewhere").mkdir()
         (tmp_path / "slices.csv").write_text(SLICE_LOG)
         cfg = write_config(
             tmp_path / "c.json",
             {"mode": "certify", "slice_log": "slices.csv", "case1_cap": 5, "_config_dir": config_dir},
         )
-        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["error: unknown key '_config_dir' for certify"]
 
     def test_missing_log_exits_config(self, tmp_path):
         cfg = write_config(
@@ -762,14 +771,14 @@ class TestConfigHandling:
         log = tmp_path / "slices.csv"
         log.write_text(SLICE_LOG)
         (tmp_path / "header_only.csv").write_text(SLICE_LOG.splitlines()[0] + "\n")
-        cfg = write_config(
-            tmp_path / "c.json",
-            {"mode": mode, "slice_log": str(log), "horizon": 5, **payload},
-        )
+        cfg = write_config(tmp_path / "c.json", {**base_config(mode, log), **payload})
         capsys.readouterr()
         assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        # Only the removed grid keys are undeclared; every other case
+        # reaches the value it is about.
+        assert ("unknown key" in err[0]) == any(key not in CONFIG_KEYS[mode] for key in payload)
 
     def test_integral_float_is_an_integer(self, tmp_path):
         outputs = []
@@ -797,9 +806,7 @@ class TestConfigHandling:
         # write fails.
         log = tmp_path / "slices.csv"
         log.write_text(SLICE_LOG)
-        cfg = write_config(
-            tmp_path / "c.json", {"mode": mode, "slice_log": str(log), "horizon": 5}
-        )
+        cfg = write_config(tmp_path / "c.json", base_config(mode, log))
         (tmp_path / "o" / blocked).mkdir(parents=True)
         capsys.readouterr()
         assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
@@ -913,13 +920,54 @@ class TestConfigHandling:
         monkeypatch.chdir(tmp_path)
         log = tmp_path / "slices.csv"
         log.write_text(log_text)
-        cfg = write_config(
-            tmp_path / "c.json", {"mode": mode, "slice_log": str(log), **payload}
-        )
+        cfg = write_config(tmp_path / "c.json", {**base_config(mode, log), **payload})
         capsys.readouterr()
         assert main([mode, "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+        assert "unknown key" not in err[0]
+
+    @pytest.mark.parametrize(
+        "mode, payload, named",
+        [
+            ("products", {"horizn": 5, "nn": 3}, "horizn"),
+            ("lf", {"horizn": 5}, "horizn"),
+            ("certify", {"horizn": 5}, "horizn"),
+            ("products", {"slice_log": "slices.csv"}, "slice_log"),
+            ("certify", {"case2": {"cap": 5, "subset": [0], "infinite_famly": True}}, "case2.infinite_famly"),
+            (
+                "lf",
+                {
+                    "n": 1,
+                    "regions": {"sensors": [[0, 0, 1]], "anchors": [[1, 0, 1]], "anchor": [[3, 0, 1]]},
+                },
+                "regions.anchor",
+            ),
+        ],
+        ids=["products", "lf", "certify", "another-mode", "case2-nested", "regions-nested"],
+    )
+    def test_undeclared_key_exits_config_with_one_line(self, tmp_path, capsys, mode, payload, named):
+        # Refused before anything runs or is written, even where the rest of
+        # the config is valid.
+        log = tmp_path / "slices.csv"
+        log.write_text(SLICE_LOG)
+        cfg = write_config(tmp_path / "c.json", {**base_config(mode, log), **payload})
+        capsys.readouterr()
+        assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown key {named!r} for {mode}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", ["products", "lf", "certify"])
+    def test_each_mode_declares_its_keys(self, mode):
+        # A key dropped, renamed or added fails here until MODE_KEYS agrees.
+        sections = {
+            "lf": {"regions": {"sensors", "anchors"}},
+            "certify": {"case2": {"cap", "subset", "infinite_family"}},
+        }
+        keys = CONFIG_KEYS[mode]
+        assert set(keys) == {"mode", *MODE_KEYS[mode], *COMMON_KEYS}
+        nested = {key: set(kind) for key, (kind, _) in keys.items() if isinstance(kind, dict)}
+        assert nested == sections.get(mode, {})
 
 
 MODE_KEYS = {
@@ -927,7 +975,14 @@ MODE_KEYS = {
     "lf": ["n", "horizon", "strict", "u", "sigma", "update_prob", "comm_radius", "x0", "regions"],
     "certify": ["slice_log", "case1_cap", "case2"],
 }
-COMMON_KEYS = ["seed", "beta1", "beta2", "alpha", "tol", "out_dir", "_config_dir"]
+COMMON_KEYS = ["seed", "beta1", "beta2", "alpha", "tol", "out_dir"]
+# Keys a mode does not declare, one of them another mode's: drawn now and
+# then, so that the refusal is fuzzed as well.
+STRAY_KEYS = {
+    "products": ["u", "_config_dir"],
+    "lf": ["case2", "horizn"],
+    "certify": ["n", "gamma1_grid"],
+}
 NESTED_KEYS = ["sensors", "anchors", "cap", "subset", "infinite_family"]
 
 # Numbers stay within [-3, 6] (plus NaN and +-inf) and strings within two
@@ -955,14 +1010,11 @@ class TestNeverTracebacks:
     )
     @given(data=st.data())
     def test_fuzzed_config_exits_cleanly(self, tmp_path, mode, data):
-        keys = st.sampled_from(MODE_KEYS[mode] + COMMON_KEYS)
+        keys = st.sampled_from(MODE_KEYS[mode] + COMMON_KEYS + STRAY_KEYS[mode])
         payload = data.draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
         log = tmp_path / "slices.csv"
         log.write_text(SLICE_LOG)
-        cfg = write_config(
-            tmp_path / "c.json",
-            {"mode": mode, "slice_log": str(log), "horizon": 5, **payload},
-        )
+        cfg = write_config(tmp_path / "c.json", {**base_config(mode, log), **payload})
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main([mode, "--config", cfg, "--out", str(tmp_path / "o")])
@@ -973,3 +1025,5 @@ class TestNeverTracebacks:
             assert lines == []
         else:
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        if set(payload) & set(STRAY_KEYS[mode]):
+            assert code == EXIT_CONFIG and lines[0].startswith("error: unknown key"), lines
