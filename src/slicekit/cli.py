@@ -21,6 +21,7 @@ import csv
 import functools
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
@@ -32,9 +33,9 @@ from .certifier import Certificate, certify_case1, certify_case2, search_case3, 
 from .ddf_sim import (
     LeaderFollowerConfig,
     World,
+    _blocks,
     demo_world,
     resolve_comm_radius,
-    run_leader_follower,
     steady_state_check,
     write_positions_csv,
     write_trajectory_csv,
@@ -90,10 +91,12 @@ class ExperimentConfig:
         if file_mode not in (None, mode):
             raise ConfigError(f"config declares mode {file_mode!r} but the command is {mode!r}")
         _refuse_undeclared(raw, keys, mode)
-        seed = _read(raw, keys, "seed") if seed_override is None else seed_override
+        # The file's values are read even where an override wins, so that a
+        # bad one is refused either way.
+        config_seed, config_out = _read(raw, keys, "seed"), _read(raw, keys, "out_dir")
+        seed = seed_override if seed_override is not None else config_seed
         if seed < 0:
             raise ConfigError("seed must be non-negative")
-        config_out = _read(raw, keys, "out_dir")
         out_dir = Path(out_override if out_override is not None else config_out)
         try:
             params = Params(**{k: _read(raw, keys, k) for k in ("beta1", "beta2", "alpha", "tol")})
@@ -388,28 +391,46 @@ def _build_world(config: ExperimentConfig) -> World:
 
 def cmd_leader_follower(config: ExperimentConfig) -> int:
     """Run the mobile fusion protocol and log states, positions, slices,
-    and the per-slice steady-state identity residuals."""
+    and the per-slice steady-state identity residuals.
+
+    The trajectory, the positions and the event log are written a draw
+    block at a time, as the run yields them, so memory stays flat along the
+    horizon; the rest is written at the end.  The output directory is made
+    when the first block arrives: a run that fails in its first block
+    writes nothing, and one that fails later keeps the rows of the blocks
+    before."""
     world = _build_world(config)
     run_cfg = LeaderFollowerConfig(
         world=world, params=config.params, horizon=config["horizon"], strict=config["strict"]
     )
-    result = run_leader_follower(run_cfg)
-
-    out = config.make_out_dir()
-    write_trajectory_csv(result.states, out / "trajectory.csv")
-    write_positions_csv(result.positions, out / "positions.csv")
-    write_slice_log(result.slices, out / "slices.csv")
-    write_event_log(result.events, out / "events.csv")
-    checks = map(steady_state_check, (s.product for s in result.slices), result.slice_inputs)
-    rows = ((s.index, c.residual, c.ok) for s, c in zip(result.slices, checks))
+    out = config.out_dir
+    slices, slice_inputs = [], []
+    with ExitStack() as files:
+        for block in _blocks(run_cfg):
+            if block.k0 == 0:
+                config.make_out_dir()
+                names = ("trajectory.csv", "positions.csv", "events.csv")
+                trajectory, positions, events = (
+                    files.enter_context((out / name).open("w", newline="")) for name in names
+                )
+            write_trajectory_csv(block.states, trajectory, block.k0)
+            write_positions_csv(block.positions, positions, block.k0)
+            write_event_log(block.events, events)
+            slices += block.slices
+            slice_inputs += block.slice_inputs
+    write_slice_log(slices, out / "slices.csv")
+    checks = map(steady_state_check, (s.product for s in slices), slice_inputs)
+    rows = ((s.index, c.residual, c.ok) for s, c in zip(slices, checks))
     write_table(out / "steady_state.csv", "slice_index,residual,ok", "%d,%.17g,%d", rows)
     (out / "plot_states.gp").write_text(_states_plot_script(world))
     (out / "plot_trajectories.gp").write_text(_trajectories_plot_script(world))
     _echo_config(config)
+    # A run yields one block at least; the last ends at the last step run.
+    steps_run = block.k0 + len(block.states) - 1
     print(
-        f"lf: {result.steps_run} steps, {len(result.slices)} completed "
+        f"lf: {steps_run} steps, {len(slices)} completed "
         f"slice(s), final spread "
-        f"{np.max(np.abs(result.states[-1] - world.u[0])):.3e}; outputs in {out}"
+        f"{np.max(np.abs(block.states[-1] - world.u[0])):.3e}; outputs in {out}"
     )
     return EXIT_OK
 

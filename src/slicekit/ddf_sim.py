@@ -39,6 +39,15 @@ cleared row straight into its window (:func:`~slicekit.slice_engine._absorb`),
 an identity step as a skipped event, and any other row, wrapped as an
 update, through :func:`~slicekit.slice_engine.push`, which refuses it with
 its own message or, when permissive, absorbs it.
+
+The run is a stream of blocks (:func:`_blocks`): each yields its frames of
+states and positions, its events and the slices it completed, so a caller
+that writes each block as it comes, as the ``lf`` command does, holds one
+block at a time whatever the horizon.  :func:`run_leader_follower` collects
+the blocks into one :class:`SimResult`.  The CSV writers take a block too,
+appending to an open file: a frame's node index is literal text of the
+format, its step index is formatted once per frame, and each distinct state
+value of a block once.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ import operator
 from dataclasses import dataclass
 from math import sqrt
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -57,7 +66,7 @@ from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params, SystemMatrix, _screen_block
 from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _absorb, push
-from .tables import write_table
+from .tables import write_lines
 
 __all__ = [
     "World",
@@ -357,7 +366,8 @@ def _fusion_rows(world: World, track: np.ndarray, who: np.ndarray, params: Param
 class LeaderFollowerConfig:
     """Everything one simulation run needs, checked when built.
 
-    ``horizon`` is a non-negative integer.  ``stop_when_error_below``, when
+    ``horizon`` is an integer from 0 to ``2**63``, the steps whose draws
+    :func:`slicekit.streams.words` computes.  ``stop_when_error_below``, when
     set, is finite and non-negative, needs all anchors to share one value,
     and ends the run early once every sensor is within that distance of the
     anchor value; the step count actually executed is reported back.
@@ -373,6 +383,10 @@ class LeaderFollowerConfig:
         horizon = _integer("horizon", self.horizon)
         if horizon < 0:
             raise ConfigError(f"horizon must be >= 0, got {horizon}")
+        if horizon > 2**63:
+            raise ConfigError(
+                f"horizon must be at most 2**63, where the per-step draws end; got {horizon}"
+            )
         object.__setattr__(self, "horizon", horizon)
         stop = self.stop_when_error_below
         if stop is not None and (
@@ -425,9 +439,9 @@ def _move(world: World, disp: np.ndarray, pos: np.ndarray, track: np.ndarray) ->
             pos = _project(world, np.add(pos, step, out=track[t]))
         return
     disks = [(cx, cy, r) for (cx, cy), r in zip(world.center.tolist(), world.radius.tolist())]
-    frames = track.reshape(len(track), -1)
+    frames = track.reshape(len(track), 2 * len(disks))
     pos = pos.ravel().tolist()
-    for t, step in enumerate(disp.reshape(len(disp), -1)):
+    for t, step in enumerate(disp.reshape(len(disp), 2 * len(disks))):
         last, moves = iter(pos), iter(step.tolist())
         pos = []
         for (cx, cy, r), x, y, dx, dy in zip(disks, last, last, moves, moves):
@@ -450,41 +464,60 @@ def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
         raise MemoryError(str(exc)) from None
 
 
-def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
-    """Run the full loop from the world's start state, one block of
-    ``DRAW_BLOCK`` steps at a time: motion (:func:`_move`), fusion rows
-    (:func:`_fusion_rows`) and one block screen, then per step the state
-    advance, slice tracking and per-slice input accumulation ``N <- P N +
-    B``, all in place.  Only a row the block screen did not clear is wrapped
-    as a :class:`~slicekit.matrix_core.SystemMatrix`, for
-    :func:`~slicekit.slice_engine.push`.  A step with infeasible weights
-    raises :class:`InfeasibleWeights` only once the loop reaches it.  The
-    loop owns the positions, the states and the step index; the world
-    itself never changes."""
+class _Block(NamedTuple):
+    """What one draw block of a run adds, in step order: the state and
+    position frames from frame ``k0`` on, the engine's events, and the
+    slices completed, each with its accumulated input matrix ``N_t``."""
+
+    k0: int
+    states: np.ndarray
+    positions: np.ndarray
+    events: list[SliceEvent]
+    slices: list[Slice]
+    slice_inputs: list[np.ndarray]
+
+
+def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
+    """Run the full loop from the world's start state and yield each block
+    of ``DRAW_BLOCK`` steps once it has run: motion (:func:`_move`), fusion
+    rows (:func:`_fusion_rows`) and one block screen, then per step the
+    state advance, slice tracking and per-slice input accumulation ``N <- P
+    N + B``, all in place.  Only a row the block screen did not clear is
+    wrapped as a :class:`~slicekit.matrix_core.SystemMatrix`, for
+    :func:`~slicekit.slice_engine.push`.
+
+    The first block's frames start at frame 0, the start state, so a run
+    of horizon 0 yields that frame alone.  An early stop ends the last
+    block at its step.  A step with infeasible weights raises
+    :class:`InfeasibleWeights` only once the loop reaches it, after the
+    blocks before it were yielded.  The loop owns the positions, the states
+    and the step index; the world itself never changes."""
     world = config.world
     params = config.params
     n, s = world.n, world.s
     x, u = world.x.copy(), world.u
-    states = _history(config.horizon, (n,))
-    states[0] = x
-    positions = _history(config.horizon, (n + s, 2))
-    positions[0] = world.pos
-    slices: list[Slice] = []
-    slice_inputs: list[np.ndarray] = []
-    events: list[SliceEvent] = []
+    pos = world.pos
     state = SliceState(n=n)
     n_accum = np.zeros((n, s))
     limit = config.stop_when_error_below
-    steps_run = 0
-    for start in range(0, config.horizon, DRAW_BLOCK):
+    for start in range(0, max(config.horizon, 1), DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, config.horizon)
-        track = positions[start + 1 : stop + 1]
-        _move(world, _displacements(world, start, stop), positions[start], track)
+        # Row 0 holds the frame before the block's first step.
+        states = np.empty((stop - start + 1, n))
+        states[0] = x
+        positions = np.empty((stop - start + 1, n + s, 2))
+        positions[0] = pos
+        track = positions[1:]
+        _move(world, _displacements(world, start, stop), pos, track)
         who = _updaters(world, start, stop)
         rows = _fusion_rows(world, track, who, params)
         # Idle rows and rows from the infeasible step on are screened too,
         # but only the verdicts of fused rows up to it are read.
         clear, p_sums = _screen_block(rows.p_rows, rows.b_rows, who, params)
+        events: list[SliceEvent] = []
+        slices: list[Slice] = []
+        slice_inputs: list[np.ndarray] = []
+        ran, stopped = stop - start, False
         verdicts = zip(rows.kinds, who.tolist(), clear.tolist(), p_sums.tolist())
         for t, (kind, i, ok, p_sum) in enumerate(verdicts):
             if t == rows.feasible:
@@ -508,19 +541,49 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
                     slice_inputs.append(n_accum)
                     n_accum = np.zeros((n, s))
             events.extend(evs)
-            states[k + 1] = x
-            steps_run = k + 1
+            states[t + 1] = x
             if limit is not None and np.max(np.abs(x - u[0])) <= limit:
+                ran, stopped = t + 1, True
                 break
-        else:
-            continue
-        break
+        head = 0 if start == 0 else 1
+        yield _Block(
+            start + head,
+            states[head : ran + 1],
+            positions[head : ran + 1],
+            events,
+            slices,
+            slice_inputs,
+        )
+        if stopped:
+            return
+        pos = positions[-1]
+
+
+def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
+    """Run the full loop (:func:`_blocks`) and collect its blocks: the
+    state and position histories, the completed slices with their input
+    matrices, and the event log.  Room for the whole horizon is taken
+    first, so a history too large for memory fails before any step."""
+    n, s = config.world.n, config.world.s
+    states = _history(config.horizon, (n,))
+    positions = _history(config.horizon, (n + s, 2))
+    slices: list[Slice] = []
+    slice_inputs: list[np.ndarray] = []
+    events: list[SliceEvent] = []
+    end = 0
+    for block in _blocks(config):
+        end = block.k0 + len(block.states)
+        states[block.k0 : end] = block.states
+        positions[block.k0 : end] = block.positions
+        slices += block.slices
+        slice_inputs += block.slice_inputs
+        events += block.events
     return SimResult(
-        states=states[: steps_run + 1],
+        states=states[:end],
         slices=slices,
         slice_inputs=slice_inputs,
         events=events,
-        positions=positions[: steps_run + 1],
+        positions=positions[:end],
     )
 
 
@@ -542,25 +605,45 @@ def steady_state_check(
     return SteadyStateCheck(residual <= tol, residual)
 
 
-# Table rows the CSV writers take into Python numbers at a time.
+# Table rows the CSV writers format with one ``%``, in whole frames (one
+# frame at least); it bounds the text and the Python objects held at once.
 FRAME_ROWS = 4096
 
 
-def _frame_rows(history: np.ndarray) -> Iterator[tuple]:
-    """``(k, i, *history[k, i])`` for each frame ``k`` and entry ``i``."""
-    entries = history.shape[1]
-    flat = np.reshape(history, (len(history) * entries, -1))
-    for start in range(0, len(flat), FRAME_ROWS):
-        block = flat[start : start + FRAME_ROWS]
-        k, i = np.divmod(np.arange(start, start + len(block)), entries)
-        yield from zip(k.tolist(), i.tolist(), *block.T.tolist())
+def _frame_lines(k0: int, cells: np.ndarray, cell_fmt: str) -> Iterator[str]:
+    """The table lines of frames ``k0, k0 + 1, ...``: entry ``i`` of frame
+    ``k`` reads ``k,i,`` and then ``cell_fmt`` applied to ``cells[k - k0,
+    i]``.  Each frame's ``k`` is formatted once and each ``i`` is literal
+    text of the format, so only the cells are formatted per row."""
+    frames, entries, width = cells.shape
+    frame_fmt = "".join(f"%s,{i},{cell_fmt}\r\n" for i in range(entries))
+    step = max(1, FRAME_ROWS // max(entries, 1))
+    for lo in range(0, frames, step):
+        chunk = cells[lo : lo + step]
+        fields = np.empty((len(chunk), entries, 1 + width), dtype=object)
+        frame_ks = range(k0 + lo, k0 + lo + len(chunk))
+        fields[:, :, 0] = np.array(list(map(str, frame_ks)), dtype=object)[:, None]
+        fields[:, :, 1:] = chunk
+        yield frame_fmt * len(chunk) % tuple(fields.ravel().tolist())
 
 
-def write_trajectory_csv(states: np.ndarray, path: str | Path) -> None:
-    """CSV ``k,sensor,state`` with k = 0 the initial state."""
-    write_table(path, "k,sensor,state", "%d,%d,%.17g", _frame_rows(states))
+def write_trajectory_csv(states: np.ndarray, path: str | Path | TextIO, k0: int = 0) -> None:
+    """CSV ``k,sensor,state`` with k = 0 the initial state; ``states`` holds
+    the frames from ``k0`` on.  ``path`` may be a text file open for
+    writing, to append a block of frames to (:func:`~slicekit.tables.write_lines`).
+
+    Each distinct value is formatted once.  Values are told apart by their
+    bits, so that ``0.0`` and ``-0.0`` keep their own text."""
+    states = np.ascontiguousarray(states, dtype=float)
+    bits, where = np.unique(states.view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    cells = texts[where.reshape(states.shape)][..., None]
+    write_lines(path, "k,sensor,state", _frame_lines(k0, cells, "%s"))
 
 
-def write_positions_csv(positions: np.ndarray, path: str | Path) -> None:
-    """CSV ``k,node,x,y``; nodes are sensors 0..n-1 then anchors."""
-    write_table(path, "k,node,x,y", "%d,%d,%.17g,%.17g", _frame_rows(positions))
+def write_positions_csv(positions: np.ndarray, path: str | Path | TextIO, k0: int = 0) -> None:
+    """CSV ``k,node,x,y``; nodes are sensors 0..n-1 then anchors, and
+    ``positions`` holds the frames from ``k0`` on (``path`` as for
+    :func:`write_trajectory_csv`)."""
+    cells = np.asarray(positions, dtype=float)
+    write_lines(path, "k,node,x,y", _frame_lines(k0, cells, "%.17g,%.17g"))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -309,12 +309,19 @@ def read_slice_lengths(path: str | Path) -> list[int]:
     return list(map(int, map(itemgetter(header.index("length")), rows)))
 
 
-def write_event_log(events: Sequence[SliceEvent], path: str | Path) -> Path:
-    """CSV with one line per engine event; absent fields are left empty."""
+# The text of each event kind in the event log.  A dict lookup costs less
+# than the enum's ``value`` descriptor, once per event.
+_EVENT_TEXT = {kind: kind.value for kind in SliceEventKind}
+
+
+def write_event_log(events: Sequence[SliceEvent], path: str | Path | TextIO) -> Path:
+    """CSV with one line per engine event; absent fields are left empty.
+    ``path`` may be a text file open for writing, to append a block of
+    events to (:func:`~slicekit.tables.write_lines`)."""
     rows = (
         (
             "" if ev.k is None else ev.k,
-            ev.kind.value,
+            _EVENT_TEXT[ev.kind],
             "" if ev.row is None else ev.row,
             "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
         )

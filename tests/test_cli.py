@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -13,13 +14,17 @@ from hypothesis import strategies as st
 
 from slicekit import (
     AssumptionViolated,
+    LeaderFollowerConfig,
     NegativeEntry,
     Params,
     case3_lengths,
+    demo_world,
+    ddf_sim,
     identity_step,
     inf_norm,
     random_product_sequence,
     row_update,
+    run_leader_follower,
     spectral_radius,
 )
 from slicekit.cli import (
@@ -448,6 +453,78 @@ class TestLeaderFollower:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: radius")
 
+    def test_signed_zero_states_keep_their_text(self, tmp_path):
+        # The writer formats each distinct state once, told apart by its
+        # bits: -0.0 and 0.0 keep the text one '%.17g' each gives them.
+        x0 = [-0.0, 0.0, 1.5, -0.0]
+        cfg = write_config(tmp_path / "lf.json", {"mode": "lf", "n": 4, "horizon": 60, "x0": x0})
+        out = tmp_path / "out"
+        assert main(["lf", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        res = run_leader_follower(LeaderFollowerConfig(
+            world=demo_world(n=4, x0=x0), params=Params(beta1=0.05, beta2=0.7), horizon=60
+        ))
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[1:5] == ["0,0,-0", "0,1,0", "0,2,1.5", "0,3,-0"]
+        assert lines[1:] == [
+            "%d,%d,%.17g" % (k, i, v)
+            for k, frame in enumerate(res.states.tolist())
+            for i, v in enumerate(frame)
+        ]
+        # Both zeros last past the first frame, so one block holds both.
+        assert min(sum(line.endswith(z) for line in lines[5:]) for z in (",0", ",-0")) > 0
+
+    def test_memory_stays_flat_along_the_horizon(self, tmp_path, monkeypatch):
+        # Blocks of 16 steps: ten times the horizon holds ten times the
+        # blocks but only one at a time.
+        monkeypatch.setattr(ddf_sim, "DRAW_BLOCK", 16)
+
+        def peak(horizon):
+            cfg = write_config(tmp_path / f"{horizon}.json", {"mode": "lf", "horizon": horizon})
+            tracemalloc.start()
+            try:
+                with redirect_stdout(io.StringIO()):
+                    assert main(["lf", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(160)  # builds the parser and warms NumPy's caches
+        short, long = peak(160), peak(1600)
+        assert len((tmp_path / "o" / "trajectory.csv").read_text().splitlines()) == 1 + 1601 * 4
+        assert long <= 1.3 * short
+
+    def test_failure_after_the_first_block_keeps_the_blocks_before(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # At beta1 = 0.6 no two sensors fit in one row.  Seed 1 meets such a
+        # group in its third block of 16 steps: the two blocks before it
+        # stay written, as whole frames, and nothing of the end is.
+        monkeypatch.setattr(ddf_sim, "DRAW_BLOCK", 16)
+        config = {"mode": "lf", "n": 4, "horizon": 400, "seed": 1, "beta1": 0.6}
+        cfg = write_config(tmp_path / "lf.json", config)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["lf", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: 2 sensors share the row")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "events.csv", "positions.csv", "trajectory.csv"
+        ]
+        config["horizon"] = 32
+        assert main(["lf", "--config", write_config(tmp_path / "h32.json", config),
+                     "--out", str(tmp_path / "h32")]) == EXIT_OK
+        for name in ("trajectory.csv", "positions.csv", "events.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "h32" / name).read_bytes()
+
+    def test_failure_in_the_first_block_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ddf_sim, "DRAW_BLOCK", 16)
+        config = {"mode": "lf", "n": 4, "horizon": 400, "seed": 0, "beta1": 0.6}
+        cfg = write_config(tmp_path / "lf.json", config)
+        capsys.readouterr()
+        assert main(["lf", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_regions_exit_config(self, tmp_path):
         cfg = write_config(
             tmp_path / "lf.json",
@@ -684,6 +761,27 @@ class TestConfigHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "payload, flag, named",
+        [
+            ({"seed": "a", "horizon": 3}, ["--seed", "1"], "'seed'"),
+            ({"out_dir": 5, "horizon": 3}, ["--out", "o"], "'out_dir'"),
+        ],
+        ids=["seed", "out_dir"],
+    )
+    @pytest.mark.parametrize("mode", ["products", "lf"])
+    def test_overridden_values_are_still_read(
+        self, tmp_path, monkeypatch, capsys, mode, payload, flag, named
+    ):
+        # A command-line override wins, but the file's value must be valid too.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", {"mode": mode, **payload})
+        capsys.readouterr()
+        assert main([mode, "--config", cfg, *flag]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad value") and named in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_mode_mismatch(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"mode": "lf"})
         assert main(["products", "--config", cfg]) == EXIT_CONFIG
@@ -818,10 +916,6 @@ class TestConfigHandling:
         [
             # The n x n running product (728 TiB) cannot be allocated.
             ("products", {"n": 10_000_000, "horizon": 0}),
-            # The state history's size in bytes overflows a 64-bit index.
-            ("lf", {"horizon": 2**59}),
-            # The history's row count overflows a 64-bit index.
-            ("lf", {"horizon": 10**19}),
             # The running product's size in bytes overflows a 64-bit index.
             ("products", {"n": 3_000_000_000, "horizon": 0}),
             # n itself overflows a 64-bit index.
@@ -884,6 +978,7 @@ class TestConfigHandling:
             ("lf", {"n": 0}, SLICE_LOG, "at least one sensor"),
             ("lf", {"n": -1}, SLICE_LOG, "at least one sensor"),
             ("lf", {"comm_radius": "a*innermost"}, SLICE_LOG, "comm_radius"),
+            ("lf", {"horizon": 10**19}, SLICE_LOG, "horizon must be at most 2**63"),
         ],
         ids=[
             "slice_log-number",
@@ -911,6 +1006,7 @@ class TestConfigHandling:
             "lf-n-zero",
             "lf-n-negative",
             "lf-comm_radius-bad-factor",
+            "lf-horizon-past-the-draws",
         ],
     )
     def test_bad_inputs_exit_config_with_one_line(

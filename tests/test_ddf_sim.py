@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,8 @@ from slicekit.ddf_sim import (
     write_positions_csv,
     write_trajectory_csv,
 )
-from slicekit.slice_engine import SliceEventKind, SliceState, push
+from slicekit.cli import EXIT_OK, main
+from slicekit.slice_engine import SliceEventKind, SliceState, push, write_event_log
 
 PARAMS = Params(beta1=0.05, beta2=0.7, alpha=0.1)
 
@@ -776,6 +778,100 @@ class TestBlockRows:
         assert counts[UpdateKind.IDLE] == idle
 
 
+def slice_fields(slices):
+    return [
+        (sl.index, sl.start_k, sl.end_k, sl.norm, sl.bound, sl.product.tobytes()) for sl in slices
+    ]
+
+
+def event_fields(events):
+    return [
+        (e.kind, e.k, e.row, None if e.row_sum_after is None else e.row_sum_after.hex())
+        for e in events
+    ]
+
+
+class TestBlockStream:
+    """A run yields one block of frames, events and slices per draw block;
+    joined, the blocks are the collected :class:`SimResult`."""
+
+    def assert_blocks_join_to_the_run(self, cfg):
+        blocks = list(ddf_sim._blocks(cfg))
+        res = run_leader_follower(cfg)
+        assert blocks[0].k0 == 0
+        for before, after in zip(blocks, blocks[1:]):
+            assert after.k0 == before.k0 + len(before.states)
+        assert np.concatenate([b.states for b in blocks]).tobytes() == res.states.tobytes()
+        assert np.concatenate([b.positions for b in blocks]).tobytes() == res.positions.tobytes()
+        assert event_fields([e for b in blocks for e in b.events]) == event_fields(res.events)
+        assert slice_fields([s for b in blocks for s in b.slices]) == slice_fields(res.slices)
+        inputs = [n_t.tobytes() for b in blocks for n_t in b.slice_inputs]
+        assert inputs == [n_t.tobytes() for n_t in res.slice_inputs]
+        return blocks, res
+
+    @pytest.mark.parametrize(
+        "horizon", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 3]
+    )
+    def test_blocks_join_to_the_run(self, horizon):
+        cfg = LeaderFollowerConfig(
+            world=demo_world(n=4, seed=3, update_prob=0.8), params=PARAMS, horizon=horizon
+        )
+        blocks, res = self.assert_blocks_join_to_the_run(cfg)
+        assert len(blocks) == max(1, -(-horizon // DRAW_BLOCK))
+        assert res.steps_run == horizon
+        assert len(res.slices) > 0 or horizon < DRAW_BLOCK
+
+    def test_early_stop_inside_the_second_block(self):
+        cfg = LeaderFollowerConfig(
+            world=demo_world(n=4, seed=1), params=PARAMS, horizon=100_000,
+            stop_when_error_below=0.5,
+        )
+        blocks, res = self.assert_blocks_join_to_the_run(cfg)
+        assert len(blocks) == 2
+        assert DRAW_BLOCK < res.steps_run < 2 * DRAW_BLOCK
+        assert np.max(np.abs(res.states[-1] - 3.0)) <= 0.5 < np.max(np.abs(res.states[-2] - 3.0))
+
+    def test_infeasible_step_raises_after_the_blocks_before_it(self, monkeypatch):
+        # Seed 1 meets infeasible weights at step 698; in blocks of 100
+        # steps, the six blocks before its block are yielded first.
+        monkeypatch.setattr(ddf_sim, "DRAW_BLOCK", 100)
+        stream = ddf_sim._blocks(late_infeasible_config(1))
+        blocks = [next(stream) for _ in range(6)]
+        with pytest.raises(InfeasibleWeights):
+            next(stream)
+        assert blocks[-1].k0 + len(blocks[-1].states) == 601
+
+    def test_collected_run_takes_its_history_before_any_step(self, monkeypatch):
+        # A history too large for memory fails at once; the stream does not.
+        monkeypatch.setattr(ddf_sim, "_move", None)  # any step would fail
+        cfg = LeaderFollowerConfig(world=demo_world(n=4), params=PARAMS, horizon=2**59)
+        with pytest.raises(MemoryError):
+            run_leader_follower(cfg)
+
+    @pytest.mark.parametrize("horizon, ok", [(2**63, True), (2**63 + 1, False), (10**19, False)])
+    def test_horizon_ends_where_the_draws_end(self, horizon, ok):
+        if ok:
+            assert LeaderFollowerConfig(world=demo_world(), params=PARAMS, horizon=horizon)
+        else:
+            with pytest.raises(ConfigError, match=r"^horizon must be at most 2\*\*63"):
+                LeaderFollowerConfig(world=demo_world(), params=PARAMS, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [1, 2 * DRAW_BLOCK + 3])
+    def test_cli_streams_the_bytes_of_the_collected_writers(self, tmp_path, horizon):
+        config = {"mode": "lf", "n": 4, "horizon": horizon, "seed": 7, "update_prob": 0.9}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["lf", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == EXIT_OK
+        res = run_leader_follower(LeaderFollowerConfig(
+            world=demo_world(n=4, seed=7, update_prob=0.9), params=PARAMS, horizon=horizon
+        ))
+        write_trajectory_csv(res.states, tmp_path / "trajectory.csv")
+        write_positions_csv(res.positions, tmp_path / "positions.csv")
+        write_event_log(res.events, tmp_path / "events.csv")
+        for name in ("trajectory.csv", "positions.csv", "events.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 class TestLeaderFollowerConfig:
     @pytest.mark.parametrize("horizon", [-3, -1])
     def test_negative_horizon_rejected(self, horizon):
@@ -852,9 +948,9 @@ class TestCsvWriters:
         "frames", [1, FRAME_ROWS // 3, FRAME_ROWS // 3 + 1, 2 * FRAME_ROWS // 3 + 1]
     )
     def test_rows_match_one_format_per_entry(self, tmp_path, frames):
-        # The writers take FRAME_ROWS rows (here frames of 3 entries) into
-        # Python numbers at a time; across every edge, which falls inside a
-        # frame, each line equals one ``%`` per entry.
+        # The writers format whole frames, FRAME_ROWS rows at most (here
+        # frames of 3 entries), with one ``%``; across every edge each line
+        # equals one ``%`` per entry.
         rng = np.random.default_rng(frames)
         scale = 10.0 ** rng.integers(-300, 300, (frames, 3, 2))
         positions = rng.normal(size=(frames, 3, 2)) * scale
@@ -873,6 +969,42 @@ class TestCsvWriters:
         )
         assert (tmp_path / "positions.csv").read_bytes() == want_positions.encode()
         assert (tmp_path / "trajectory.csv").read_bytes() == want_states.encode()
+
+
+    @pytest.mark.parametrize("k0", [0, 5])
+    def test_memo_keeps_each_value_text(self, tmp_path, k0):
+        # One block that repeats values, signed zeros, subnormals and the
+        # extremes among them: each line is one ``%.17g`` of its own value.
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 1.5, 0.1, np.nan, np.inf, -np.inf]
+        rng = np.random.default_rng(k0)
+        states = np.array(edge)[rng.integers(len(edge), size=(300, 5))]
+        assert len(np.unique(states.view(np.int64))) == len(edge)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(states, path, k0)
+        want = "k,sensor,state\r\n" + "".join(
+            "%d,%d,%.17g\r\n" % (k0 + k, i, v)
+            for k, frame in enumerate(states.tolist())
+            for i, v in enumerate(frame)
+        )
+        assert path.read_bytes() == want.encode()
+        texts = {line.rsplit(b",", 1)[1] for line in path.read_bytes().splitlines()[1:]}
+        assert {b"0", b"-0", b"4.9406564584124654e-324", b"-1e+308"} <= texts
+
+    def test_blocks_appended_to_one_file_make_one_table(self, tmp_path):
+        rng = np.random.default_rng(1)
+        positions = rng.normal(size=(9, 3, 2))
+        states = np.round(positions[:, :, 0], 1)
+        write_positions_csv(positions, tmp_path / "positions.csv")
+        write_trajectory_csv(states, tmp_path / "trajectory.csv")
+        for name, write, history in (
+            ("positions.csv", write_positions_csv, positions),
+            ("trajectory.csv", write_trajectory_csv, states),
+        ):
+            with (tmp_path / f"blocks_{name}").open("w", newline="") as fh:
+                for k0, stop in ((0, 4), (4, 5), (5, 9)):
+                    write(history[k0:stop], fh, k0)
+            assert (tmp_path / f"blocks_{name}").read_bytes() == (tmp_path / name).read_bytes()
 
 
 def corrupt_first_block(monkeypatch, how, at=5):

@@ -18,7 +18,10 @@ shared by both trees:
   anchors, sensor groups of three), two sensors and two anchors whose
   motion projects back onto the edge on most steps (``sigma`` 1.5 on disks
   of radius 1e10, one anchor in a region of radius 0), a seed of two 32-bit
-  words, horizons 1, 257 and 1500 (block edges of the random draws), the
+  words, horizons 1, 257 and 1500 (block edges of the random draws) and
+  2049 (three draw blocks, so three streamed blocks of rows, the last one
+  step past a block edge), initial states ``[-0.0, 0.0, 1.5, -0.0]`` (both
+  zeros in one block, which the trajectory writer must keep apart), the
   permissive engine (``strict`` false), and the two infeasible-weight
   failures (a sensor group too large for ``beta1``, two anchors too many
   for ``alpha``), which exit 4;
@@ -50,7 +53,7 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 108 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 110 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -181,6 +184,8 @@ LF_VARIANTS = {
     "h1": {"horizon": 1},
     "h257": {"horizon": 257},
     "h1500": {"horizon": 1500},
+    "h2049": {"horizon": 2049},
+    "signed_zero": {"x0": [-0.0, 0.0, 1.5, -0.0]},
     "permissive": {"strict": False},
     # A sensor and one neighbour cannot both get beta1 = 0.6 in one row.
     "crowded": {"beta1": 0.6},
