@@ -77,7 +77,7 @@ class CertificateCase(enum.Enum):
     CASE_III = "case_iii"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundTrace:
     """Cumulative norm-bound trajectory over a slice-length sequence.
 

@@ -8,10 +8,10 @@ seed reproduces byte-identical files.  Plots are emitted as gnuplot scripts
 over the CSVs rather than rendered in-process, keeping the package free of
 plotting dependencies.  Each mode's config keys, with their readers and
 defaults, are declared once in :data:`CONFIG_KEYS`; any other key is a
-configuration error.  Exit codes: 0 on success, 2 on configuration
-errors, 3 when certification was requested but not achieved, 4 when a run
-fails after its configuration was accepted (an ``OSError`` while writing the
-outputs included).
+configuration error.  ``lf``'s world is built by :mod:`slicekit.ddf_sim`.
+Exit codes: 0 on success, 2 on configuration errors, 3 when certification
+was requested but not achieved, 4 when a run fails after its configuration
+was accepted (an ``OSError`` while writing the outputs included).
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .ddf_sim import (
     LeaderFollowerConfig,
     World,
     _blocks,
+    _disk_world,
     demo_world,
-    resolve_comm_radius,
     steady_state_check,
     write_positions_csv,
     write_trajectory_csv,
@@ -356,37 +356,16 @@ def _build_world(config: ExperimentConfig) -> World:
     n = config["n"]
     if n < 1:
         raise ConfigError("need at least one sensor")
-    u, sigma, update_prob, comm = (config[k] for k in ("u", "sigma", "update_prob", "comm_radius"))
-    x0 = config["x0"]
-    if x0 is None:
-        try:
-            x0 = np.zeros(n)
-        except ValueError as exc:  # too large even to index: out of memory too
-            raise MemoryError(str(exc)) from None
-    if x0.shape != (n,):
-        raise ConfigError(f"x0 must hold {n} initial states, got shape {x0.shape}")
+    kwargs = {k: config[k] for k in ("u", "sigma", "comm_radius", "x0", "update_prob")}
     regions = config["regions"]
     if regions is None:
-        return demo_world(
-            n=n, u=u, seed=config.seed, sigma=sigma, comm_radius=comm, x0=x0, update_prob=update_prob
-        )
+        return demo_world(n=n, seed=config.seed, **kwargs)
     sensors, anchors = regions["sensors"], regions["anchors"]
     if sensors.ndim != 2 or sensors.shape[1] != 3 or sensors.shape[0] != n:
         raise ConfigError(f"regions.sensors must be {n} rows of [cx, cy, r]")
     if anchors.ndim != 2 or anchors.shape[1] != 3 or anchors.shape[0] < 1:
         raise ConfigError("regions.anchors must be rows of [cx, cy, r]")
-    nodes = np.vstack([sensors, anchors])
-    return World(
-        pos=nodes[:, :2].copy(),
-        center=nodes[:, :2],
-        radius=nodes[:, 2],
-        x=x0,
-        u=np.full(anchors.shape[0], u),
-        comm_radius=resolve_comm_radius(comm, nodes[:, 2]),
-        sigma=sigma,
-        rng_seed=config.seed,
-        update_prob=update_prob,
-    )
+    return _disk_world(sensors, anchors, seed=config.seed, **kwargs)
 
 
 def cmd_leader_follower(config: ExperimentConfig) -> int:

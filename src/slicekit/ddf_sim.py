@@ -1,12 +1,14 @@
 """Leader-follower fusion over mobile agents in disk regions.
 
 ``n`` mobile sensors and ``s`` fixed-state mobile anchors each wander
-inside their own disk.  Per step: every agent takes an independent random
-step (uniform over the disk of radius ``sigma`` times its region radius,
-then projected back into the region); one uniformly chosen sensor fuses its
-neighborhood (nodes within communication radius); states advance by
-``x <- P x + B u``.  The fusion rule realizes exactly the admissible update
-forms:
+inside their own disk.  One builder, ``_disk_world``, makes every
+:class:`World` from rows of sensor and anchor disks, those of
+:func:`demo_world` and the ``lf`` command's ``regions`` alike.  Per step:
+every agent takes an independent random step (uniform over the disk of
+radius ``sigma`` times its region radius, then projected back into the
+region); one uniformly chosen sensor fuses its neighborhood (nodes within
+communication radius); states advance by ``x <- P x + B u``.  The fusion
+rule realizes exactly the admissible update forms:
 
 * no neighbors: keep the own value (identity row);
 * sensor neighbors only: equal weights over self and the sensor neighbors,
@@ -92,7 +94,7 @@ def _integer(name: str, value: object) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class World:
     """The validated input of a leader-follower run.
 
@@ -194,24 +196,41 @@ def demo_world(
     """The reference layout: one anchor disk at the origin (radius 1), an
     inner sensor pair overlapping it, and further pairs chained outward so
     only the inner pair can ever hear the anchor (outer disks stay more
-    than the communication radius away from the anchor disk)."""
+    than the communication radius away from the anchor disk), built by
+    :func:`_disk_world`.  An ``n`` too large to index raises :class:`MemoryError`."""
     if n < 1:
         raise ConfigError("need at least one sensor")
-    # Sensors 0..n-1, then the anchor (row n) at the origin with radius 1.
-    centers = np.zeros((n + 1, 2))
-    radii = np.full(n + 1, 1.2)
-    radii[n] = 1.0
-    for i in range(n):
-        side = 1.0 if i % 2 == 0 else -1.0
-        ring = i // 2
-        centers[i, 0] = side * (1.9 + 2.0 * ring)
+    # Rows of [cx, cy, r]: sensors 0..n-1, then the anchor at the origin.
+    try:
+        disks = np.zeros((n + 1, 3))
+    except ValueError as exc:  # too large even to index: out of memory too
+        raise MemoryError(str(exc)) from None
+    i = np.arange(n)
+    disks[:n, 0] = np.where(i % 2 == 0, 1.0, -1.0) * (1.9 + 2.0 * (i // 2))
+    disks[:, 2] = 1.2
+    disks[n, 2] = 1.0
+    return _disk_world(disks[:n], disks[n:], u, seed, sigma, comm_radius, x0, update_prob)
+
+
+def _disk_world(
+    sensors: np.ndarray, anchors: np.ndarray, u: float, seed: int, sigma: float,
+    comm_radius: float | str, x0: Sequence[float] | None, update_prob: float,
+) -> World:
+    """The world of sensor disks ``sensors`` and anchor disks ``anchors``,
+    rows of ``[cx, cy, r]``: nodes start at their disk centres, sensors at
+    ``x0`` (zeros when None, :class:`ConfigError` at another length), and
+    every anchor holds ``u``.  ``comm_radius`` is resolved over all disks."""
+    x0 = np.zeros(len(sensors)) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (len(sensors),):
+        raise ConfigError(f"x0 must hold {len(sensors)} initial states, got shape {x0.shape}")
+    nodes = np.vstack([sensors, anchors])
     return World(
-        pos=centers.copy(),
-        center=centers,
-        radius=radii,
-        x=np.zeros(n) if x0 is None else np.asarray(x0, dtype=float),
-        u=np.array([float(u)]),
-        comm_radius=resolve_comm_radius(comm_radius, radii),
+        pos=nodes[:, :2].copy(),
+        center=nodes[:, :2],
+        radius=nodes[:, 2],
+        x=x0,
+        u=np.full(len(anchors), float(u)),
+        comm_radius=resolve_comm_radius(comm_radius, nodes[:, 2]),
         sigma=sigma,
         rng_seed=seed,
         update_prob=update_prob,
@@ -362,7 +381,7 @@ def _fusion_rows(world: World, track: np.ndarray, who: np.ndarray, params: Param
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeaderFollowerConfig:
     """Everything one simulation run needs, checked when built.
 
@@ -401,7 +420,7 @@ class LeaderFollowerConfig:
             raise ConfigError("early stopping needs a single shared anchor value")
 
 
-@dataclass
+@dataclass(eq=False)
 class SimResult:
     """Run outputs: per-step states (row 0 is the initial state), completed
     slices with their accumulated input matrices, the engine event log, the

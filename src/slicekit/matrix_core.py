@@ -75,7 +75,7 @@ def _as_matrix(a: np.ndarray | Sequence, name: str = "matrix") -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemMatrix:
     """One update step on n sensors and s anchors: the identity, except
     that row ``updated_row`` of the sensor block is ``p_row`` (length n) and

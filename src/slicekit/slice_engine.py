@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Slice:
     """A completed slice: its product over the sensor block, the window it
     covers (indices into the non-identity subsequence, inclusive), and the
@@ -89,7 +89,7 @@ class SliceEvent:
     slice: Slice | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class SliceState:
     """Mutable engine state between pushes (single-owner, sequential).
 

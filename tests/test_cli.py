@@ -370,6 +370,25 @@ class TestLeaderFollower:
         out = tmp_path / "out"
         assert main(["lf", "--config", cfg, "--out", str(out)]) == EXIT_OK
 
+    def test_demo_disks_as_regions_write_the_demo_run(self, tmp_path):
+        # README's lf example spells the demo layout out as regions.  Both
+        # configs build their world the same way, over two draw blocks.
+        demo = {"mode": "lf", "n": 4, "u": 3.0, "horizon": ddf_sim.DRAW_BLOCK + 476, "seed": 1}
+        regions = {
+            "sensors": [[1.9, 0.0, 1.2], [-1.9, 0.0, 1.2], [3.9, 0.0, 1.2], [-3.9, 0.0, 1.2]],
+            "anchors": [[0.0, 0.0, 1.0]],
+        }
+        outs = []
+        for name, payload in (("demo", demo), ("regions", {**demo, "regions": regions})):
+            outs.append(tmp_path / name)
+            cfg = write_config(tmp_path / f"{name}.json", payload)
+            assert main(["lf", "--config", cfg, "--out", str(outs[-1])]) == EXIT_OK
+        for name in (
+            "trajectory.csv", "positions.csv", "events.csv", "slices.csv", "steady_state.csv",
+            "plot_states.gp", "plot_trajectories.gp",
+        ):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_trajectory_plot_draws_every_region(self, tmp_path):
         sensors = [[1.5, 0.0, 1.0], [-1.5, 0.25, 0.75]]
         anchors = [[0.0, 0.0, 0.8], [0.0, 2.5, 0.5]]

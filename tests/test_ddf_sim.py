@@ -76,6 +76,16 @@ class TestWorld:
             closest = np.linalg.norm(w.center[i]) - w.radius[i] - w.radius[w.n]
             assert closest < w.comm_radius
 
+    def test_demo_world_names_a_wrong_x0_length(self):
+        with pytest.raises(ConfigError, match=r"^x0 must hold 4 initial states, got shape \(2,\)"):
+            demo_world(n=4, x0=[1.0, 2.0])
+
+    @pytest.mark.parametrize("n", [2**62, 10**19])
+    def test_demo_world_too_large_to_index_is_out_of_memory(self, n):
+        # NumPy refuses both sizes before it allocates anything.
+        with pytest.raises(MemoryError):
+            demo_world(n=n)
+
     def test_out_of_region_position_rejected(self):
         with pytest.raises(ConfigError):
             tiny_world(pos=np.array([[5.0, 0.0], [0.0, 0.0]]))

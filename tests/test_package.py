@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
 import slicekit
 from slicekit import bounds, certifier, ddf_sim, errors, generators, matrix_core, slice_engine
 
@@ -66,3 +69,28 @@ def test_removed_names_are_gone():
     for module, name in REMOVED:
         assert name not in slicekit.__all__
         assert not hasattr(module, name)
+
+
+def _run_config():
+    return ddf_sim.LeaderFollowerConfig(ddf_sim.demo_world(), matrix_core.Params(0.05, 0.7), 5)
+
+
+# A factory per value type that holds arrays; each call builds a new instance
+# from the same arguments.
+ARRAY_VALUES = {
+    "SystemMatrix": lambda: matrix_core.row_update(3, 0, [0.5, 0.2, 0.0]),
+    "Slice": lambda: slice_engine.Slice(0, np.eye(2), 0, 1, 0.5, 0.9),
+    "SliceState": lambda: slice_engine.SliceState(n=2),
+    "BoundTrace": lambda: certifier.bound_trace([2, 3], matrix_core.Params(0.05, 0.7)),
+    "World": lambda: ddf_sim.demo_world(),
+    "LeaderFollowerConfig": _run_config,
+    "SimResult": lambda: ddf_sim.run_leader_follower(_run_config()),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_VALUES.values(), ids=ARRAY_VALUES)
+def test_array_holding_values_compare_by_identity(make):
+    x, twin = make(), make()
+    assert x in [x]
+    assert twin not in [x]
+    assert hash(x) == hash(x)

@@ -13,7 +13,8 @@ shared by both trees:
   lf_demo never does: idling steps (``update_prob`` 0.5, also over a
   horizon of 1500, so that idle steps fall on both sides of a block edge
   of the random draws), 3 and 5 sensors, 40 sensors (more nodes than ``ddf_sim.FLOAT_MOTION_NODES``, so
-  they move with NumPy passes, not on floats), two sensors and two anchors in given ``regions``, seven sensors
+  they move with NumPy passes, not on floats), two sensors and two anchors in given ``regions``, the
+  demo layout's own disks given as ``regions``, seven sensors
   and three anchors in overlapping ``regions`` (rows hearing several
   anchors, sensor groups of three), two sensors and two anchors whose
   motion projects back onto the edge on most steps (``sigma`` 1.5 on disks
@@ -53,7 +54,7 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 110 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 111 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -140,6 +141,15 @@ TWO_ANCHOR_REGIONS = {
     },
 }
 
+# The demo layout of the first lf_demo config (n = 4) given as regions; its
+# outputs, run_config.json aside, are those of the first lf_demo op.
+DEMO_REGIONS = {
+    "regions": {
+        "sensors": [[1.9, 0.0, 1.2], [-1.9, 0.0, 1.2], [3.9, 0.0, 1.2], [-3.9, 0.0, 1.2]],
+        "anchors": [[0.0, 0.0, 1.0]],
+    },
+}
+
 # Seven sensors and three anchors in given regions that overlap: fusion rows
 # hear up to three anchors at once (alpha = 0.15 binds at three, where
 # 3 * alpha > 1 - beta2), and anchor-free sensor groups reach three members.
@@ -178,6 +188,7 @@ LF_VARIANTS = {
     "n5": {"n": 5},
     "n40": {"n": 40},
     "regions": TWO_ANCHOR_REGIONS,
+    "demo_regions": DEMO_REGIONS,
     "crowded_regions": CROWDED_REGIONS,
     "huge_regions": HUGE_REGIONS,
     "seed_2words": {"seed": 2**40 + 3},
