@@ -26,14 +26,16 @@ fusing sensor from ``default_rng([rng_seed, k, 1])``, so every step is
 reproducible on its own.  A run computes those draws for a block of
 ``DRAW_BLOCK`` steps at once (:mod:`slicekit.streams`), bit for bit, without
 building the generators.  It then takes the block in two passes.  The motion
-runs step by step, since each projection depends on the previous position.
-A world of up to ``FLOAT_MOTION_NODES`` nodes moves on Python floats: per
-node ``x + dx - cx``, ``sqrt(ox*ox + oy*oy)`` and, past the edge,
-``cx + ox * (r / d)``; a larger one moves with one NumPy pass over all nodes
-per step.  Both evaluate the same IEEE operations, unfused and in that order,
-for two components, so they agree bit for bit.  The neighbour rows and
-fusion weights depend on the positions and the fusing sensor but not on the
-states, so one NumPy pass computes them for every step of the block, and
+runs step after step, since each projection depends on the previous
+position, but every node moves on its own.  A world of up to
+``FLOAT_MOTION_NODES`` nodes therefore moves node by node on Python floats:
+each node walks the whole block, per step ``x + dx - cx``,
+``sqrt(ox*ox + oy*oy)`` and, past the edge, ``cx + ox * (r / d)``; a larger
+one moves with one NumPy pass over all nodes per step.  Both evaluate the
+same IEEE operations, unfused and in that order, for two components, so
+they agree bit for bit.  The neighbour rows and fusion weights depend on the
+positions and the fusing sensor but not on the states, so one NumPy pass
+computes them for every step of the block, and
 one more screens those rows against the weight rules
 (:func:`~slicekit.matrix_core._screen_block`).  The run loop then advances
 ``x`` and ``N`` in place by each fused row and feeds the slice engine: a
@@ -442,36 +444,44 @@ class SimResult:
 # draws take whatever the horizon.
 DRAW_BLOCK = 1024
 
-# The most nodes a world may have to move on Python floats.  The float loop
-# costs about 0.35 us per node and step, a NumPy pass about 9 us per step
-# plus 0.1 us per node; they meet near 40 nodes (x86_64, Python 3.11, NumPy
-# 2.4).
-FLOAT_MOTION_NODES = 32
+# The most nodes a world may have to move on Python floats.  Per 1 024
+# demo-world steps (best of repeated runs; x86_64, Python 3.11, NumPy 2.4)
+# the node-major float loop takes 5.3 ms at 32 nodes, 8.3 at 56, 10.2 at 64
+# and 13.9 at 80, the NumPy passes 9.1, 9.8, 11.6 and 10.6 ms.  They meet
+# between 64 and 80 nodes.  The bound sits lower, since near that point
+# timings on a shared machine spread wider than the gap, and below 65, so
+# that tools/scaling.py's lf_nodes sweep (5, 17, 65 and 257 nodes) has
+# points on both sides.
+FLOAT_MOTION_NODES = 56
 
 
 def _move(world: World, disp: np.ndarray, pos: np.ndarray, track: np.ndarray) -> None:
     """Write into ``track[t]`` the positions after step ``t``'s
     displacements ``disp[t]``, starting from ``pos``, each node that left its
-    region moved back onto the region's edge."""
+    region moved back onto the region's edge.
+
+    Nodes move independently, so a world of up to ``FLOAT_MOTION_NODES``
+    nodes takes them one at a time: each node walks the whole block on
+    Python floats, from its ``dx`` and ``dy`` columns, and its ``x`` and
+    ``y`` columns of ``track`` are written once at the end."""
     if world.n + world.s > FLOAT_MOTION_NODES:
         for t, step in enumerate(disp):
             pos = _project(world, np.add(pos, step, out=track[t]))
         return
-    disks = [(cx, cy, r) for (cx, cy), r in zip(world.center.tolist(), world.radius.tolist())]
-    frames = track.reshape(len(track), 2 * len(disks))
-    pos = pos.ravel().tolist()
-    for t, step in enumerate(disp.reshape(len(disp), 2 * len(disks))):
-        last, moves = iter(pos), iter(step.tolist())
-        pos = []
-        for (cx, cy, r), x, y, dx, dy in zip(disks, last, last, moves, moves):
+    nodes = zip(world.center.tolist(), world.radius.tolist(), pos.tolist())
+    for j, ((cx, cy), r, (x, y)) in enumerate(nodes):
+        xs, ys = [], []
+        for dx, dy in zip(disp[:, j, 0].tolist(), disp[:, j, 1].tolist()):
             x, y = x + dx, y + dy
             ox, oy = x - cx, y - cy
             d = sqrt(ox * ox + oy * oy)
             if d > r:
                 sc = r / d
                 x, y = cx + ox * sc, cy + oy * sc
-            pos += x, y
-        frames[t] = pos
+            xs.append(x)
+            ys.append(y)
+        track[:, j, 0] = xs
+        track[:, j, 1] = ys
 
 
 def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:

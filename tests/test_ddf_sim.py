@@ -716,10 +716,11 @@ class TestBlockDraws:
         assert isinstance(ref.error, InfeasibleWeights)
         assert len(ref.states) - 1 == steps
 
-    @pytest.mark.parametrize("float_nodes", [0, ddf_sim.FLOAT_MOTION_NODES])
+    @pytest.mark.parametrize("float_nodes", [0, 32])
     @pytest.mark.parametrize("name", sorted(PROJECTION_WORLDS))
     def test_projection_matches_per_step_reference(self, monkeypatch, name, float_nodes):
-        # At 0 every world moves with NumPy passes, else on Python floats.
+        # At 0 every world moves with NumPy passes; at 32, more nodes than
+        # any of these worlds has, on Python floats.
         monkeypatch.setattr(ddf_sim, "FLOAT_MOTION_NODES", float_nodes)
         world = PROJECTION_WORLDS[name]()
         ref = assert_same_run(
@@ -763,6 +764,47 @@ class TestBlockDraws:
         w = demo_world(n=4, u=3.0, seed=100)
         run_leader_follower(LeaderFollowerConfig(world=w, params=PARAMS, horizon=800))
         assert built == []
+
+
+def move_bits(world, disp, float_nodes):
+    """The bits :func:`ddf_sim._move` writes for ``disp`` from the world's
+    start layout, with ``FLOAT_MOTION_NODES`` set to ``float_nodes``."""
+    track = np.full(disp.shape, np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ddf_sim, "FLOAT_MOTION_NODES", float_nodes)
+        ddf_sim._move(world, disp, world.pos, track)
+    return track.view(np.int64)
+
+
+def assert_move_forms_agree(world, steps):
+    """The NumPy passes (threshold 0) and the node-major float loop (a
+    threshold above every world here) write the same track bits."""
+    disp = ddf_sim._displacements(world, 0, steps)
+    numpy_bits = move_bits(world, disp, 0)
+    assert np.array_equal(numpy_bits, move_bits(world, disp, 10**6))
+    return numpy_bits
+
+
+class TestMove:
+    """The two forms of the motion, compared directly on one block."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(random_runs())
+    def test_forms_agree_on_random_worlds(self, config):
+        assert_move_forms_agree(config.world, config.horizon)
+
+    @pytest.mark.parametrize("name", sorted(PROJECTION_WORLDS))
+    def test_forms_agree_where_most_steps_project(self, name):
+        # zero_radius holds regions of radius 0 among moving ones.
+        assert_move_forms_agree(PROJECTION_WORLDS[name](), DRAW_BLOCK)
+
+    def test_forms_agree_on_a_zero_step_block(self):
+        bits = assert_move_forms_agree(demo_world(n=4, u=3.0, seed=1), 0)
+        assert bits.shape == (0, 5, 2)
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_forms_agree_on_demo_worlds(self, n):
+        assert_move_forms_agree(demo_world(n=n, u=3.0, seed=7, sigma=0.6), 300)
 
 
 class TestBlockRows:

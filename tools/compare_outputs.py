@@ -12,8 +12,10 @@ shared by both trees:
 - the 32 lf_demo configs, plus variants of the first one that reach what
   lf_demo never does: idling steps (``update_prob`` 0.5, also over a
   horizon of 1500, so that idle steps fall on both sides of a block edge
-  of the random draws), 3 and 5 sensors, 40 sensors (more nodes than ``ddf_sim.FLOAT_MOTION_NODES``, so
-  they move with NumPy passes, not on floats), two sensors and two anchors in given ``regions``, the
+  of the random draws), 3 and 5 sensors, 40 sensors (41 nodes, which move
+  node by node on floats), 72 sensors (more nodes than
+  ``ddf_sim.FLOAT_MOTION_NODES``, so they move with NumPy passes, not on
+  floats), two sensors and two anchors in given ``regions``, the
   demo layout's own disks given as ``regions``, seven sensors
   and three anchors in overlapping ``regions`` (rows hearing several
   anchors, sensor groups of three), two sensors and two anchors whose
@@ -54,7 +56,7 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 111 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 112 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -187,6 +189,7 @@ LF_VARIANTS = {
     "n3": {"n": 3},
     "n5": {"n": 5},
     "n40": {"n": 40},
+    "n72": {"n": 72},
     "regions": TWO_ANCHOR_REGIONS,
     "demo_regions": DEMO_REGIONS,
     "crowded_regions": CROWDED_REGIONS,
