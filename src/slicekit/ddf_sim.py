@@ -49,9 +49,11 @@ states and positions, its events and the slices it completed, so a caller
 that writes each block as it comes, as the ``lf`` command does, holds one
 block at a time whatever the horizon.  :func:`run_leader_follower` collects
 the blocks into one :class:`SimResult`.  The CSV writers take a block too,
-appending to an open file: a frame's node index is literal text of the
-format, its step index is formatted once per frame, and each distinct state
-value of a block once.
+appending to an open file.  In ``trajectory.csv`` a frame's node index is
+literal text of the format, its step index is formatted once per frame, and
+each distinct state value of a block once; ``positions.csv``, whose floats
+are all distinct, builds its lines in one byte grid
+(:func:`~slicekit.tables.frame_lines`).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params, SystemMatrix, _screen_block
 from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _absorb, push
-from .tables import write_lines
+from .tables import frame_lines, write_lines
 
 __all__ = [
     "World",
@@ -634,26 +636,29 @@ def steady_state_check(
     return SteadyStateCheck(residual <= tol, residual)
 
 
-# Table rows the CSV writers format with one ``%``, in whole frames (one
-# frame at least); it bounds the text and the Python objects held at once.
+# Table rows the CSV writers build at once, in whole frames (one frame at
+# least); it bounds the text and the objects held at once.
 FRAME_ROWS = 4096
 
 
-def _frame_lines(k0: int, cells: np.ndarray, cell_fmt: str) -> Iterator[str]:
-    """The table lines of frames ``k0, k0 + 1, ...``: entry ``i`` of frame
-    ``k`` reads ``k,i,`` and then ``cell_fmt`` applied to ``cells[k - k0,
-    i]``.  Each frame's ``k`` is formatted once and each ``i`` is literal
-    text of the format, so only the cells are formatted per row."""
-    frames, entries, width = cells.shape
-    frame_fmt = "".join(f"%s,{i},{cell_fmt}\r\n" for i in range(entries))
-    step = max(1, FRAME_ROWS // max(entries, 1))
-    for lo in range(0, frames, step):
-        chunk = cells[lo : lo + step]
-        fields = np.empty((len(chunk), entries, 1 + width), dtype=object)
-        frame_ks = range(k0 + lo, k0 + lo + len(chunk))
-        fields[:, :, 0] = np.array(list(map(str, frame_ks)), dtype=object)[:, None]
-        fields[:, :, 1:] = chunk
-        yield frame_fmt * len(chunk) % tuple(fields.ravel().tolist())
+def _frame_chunks(k0: int, cells: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each run of whole frames of ``cells``, ``FRAME_ROWS`` entries at
+    most, with the index of its first frame, for frames from ``k0`` on."""
+    step = max(1, FRAME_ROWS // max(cells.shape[1], 1))
+    return ((k0 + lo, cells[lo : lo + step]) for lo in range(0, len(cells), step))
+
+
+def _text_lines(k0: int, texts: np.ndarray) -> str:
+    """The table lines ``k,i,text`` of frames ``k0, k0 + 1, ...``, with
+    ``texts[k - k0, i]`` as the text.  Each frame's ``k`` is formatted once
+    and each ``i`` is literal text of the format, so that one ``%`` fills
+    in only the frames' indices and the texts."""
+    frames, entries = texts.shape
+    fields = np.empty((frames, entries, 2), dtype=object)
+    fields[:, :, 0] = np.array(list(map(str, range(k0, k0 + frames))), dtype=object)[:, None]
+    fields[:, :, 1] = texts
+    frame_fmt = "".join(f"%s,{i},%s\r\n" for i in range(entries))
+    return frame_fmt * frames % tuple(fields.ravel().tolist())
 
 
 def write_trajectory_csv(states: np.ndarray, path: str | Path | TextIO, k0: int = 0) -> None:
@@ -666,13 +671,18 @@ def write_trajectory_csv(states: np.ndarray, path: str | Path | TextIO, k0: int 
     states = np.ascontiguousarray(states, dtype=float)
     bits, where = np.unique(states.view(np.int64), return_inverse=True)
     texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-    cells = texts[where.reshape(states.shape)][..., None]
-    write_lines(path, "k,sensor,state", _frame_lines(k0, cells, "%s"))
+    chunks = _frame_chunks(k0, texts[where.reshape(states.shape)])
+    write_lines(path, "k,sensor,state", (_text_lines(k, chunk) for k, chunk in chunks))
 
 
 def write_positions_csv(positions: np.ndarray, path: str | Path | TextIO, k0: int = 0) -> None:
     """CSV ``k,node,x,y``; nodes are sensors 0..n-1 then anchors, and
     ``positions`` holds the frames from ``k0`` on (``path`` as for
-    :func:`write_trajectory_csv`)."""
-    cells = np.asarray(positions, dtype=float)
-    write_lines(path, "k,node,x,y", _frame_lines(k0, cells, "%.17g,%.17g"))
+    :func:`write_trajectory_csv`).
+
+    The lines of each ``FRAME_ROWS`` chunk are built in one byte grid
+    (:func:`~slicekit.tables.frame_lines`), since every position is a
+    distinct float: the ``%.17g`` of most of them comes from NumPy, byte
+    for byte Python's."""
+    chunks = _frame_chunks(k0, np.asarray(positions, dtype=float))
+    write_lines(path, "k,node,x,y", (frame_lines(k, chunk) for k, chunk in chunks))

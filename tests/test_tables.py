@@ -1,16 +1,27 @@
 """Byte-level checks of the shared CSV table writer against ``csv.writer``,
-the writer every table used before and whose bytes the outputs keep."""
+the writer every table used before and whose bytes the outputs keep, and of
+the frame-line builder's ``%.17g`` against Python's, value by value."""
 
 from __future__ import annotations
 
 import csv
 import io
+from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from slicekit.tables import BLOCK_ROWS, write_table
+from slicekit import Params, tables
+from slicekit.ddf_sim import (
+    LeaderFollowerConfig,
+    demo_world,
+    run_leader_follower,
+    write_positions_csv,
+)
+from slicekit.tables import BLOCK_ROWS, frame_lines, write_table
 
 EDGE_FLOATS = [
     0.0,
@@ -79,3 +90,124 @@ def test_block_edges_match_per_row_format_and_csv_writer(tmp_path, count):
     assert got == ("k,row,value,ok\r\n" + per_row).encode()
     assert got == csv_writer_bytes(list(edge_rows(count)))
     assert got.count(b"\r\n") == count + 1
+
+
+def g17_cells(values):
+    """The float cells ``frame_lines`` writes for ``values``, one per frame
+    of one entry, beside Python's ``'%.17g'`` of each."""
+    values = np.asarray(values, dtype=float).ravel()
+    lines = frame_lines(0, values.reshape(-1, 1, 1)).split("\r\n")
+    assert lines.pop() == ""
+    return [line.split(",")[2] for line in lines], ["%.17g" % v for v in values.tolist()]
+
+
+def around(value, steps=3):
+    """``value`` and the ``steps`` floats on each side of it."""
+    bits = np.array([value]).view(np.int64) + np.arange(-steps, steps + 1)
+    return bits.view(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.integers(0, 40), elements=FLOATS))
+def test_g17_matches_python_on_any_floats(values):
+    got, want = g17_cells(values)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.integers(1, 40), elements=st.floats(1e-4, 1e17)))
+def test_g17_matches_python_across_the_fast_range(values):
+    got, want = g17_cells(np.concatenate([values, -values]))
+    assert got == want
+
+
+@pytest.mark.parametrize("j", range(-5, 19))
+def test_g17_next_to_powers_of_ten(j):
+    # log10 may miss the exponent by one here, and rounding to 17 digits
+    # may carry into a new one.
+    values = around(float(f"1e{j}"))
+    got, want = g17_cells(np.concatenate([values, -values]))
+    assert got == want
+
+
+@pytest.mark.parametrize("p", range(2, 22))
+def test_g17_halfway_ties_round_to_even(p):
+    # An odd o / 2**p has p decimals, the last a 5; in [10**(17-p),
+    # 10**(18-p)) that is 18 significant digits, halfway between two of 17.
+    lo, hi = 10**17 // 5**p + 1, min(10**18 // 5**p, 2**53)
+    odd = np.random.default_rng(p).integers(lo // 2, hi // 2, 50) * 2 + 1
+    values = odd / 2.0**p
+    digits = [Decimal(v).as_tuple().digits for v in values.tolist()]
+    assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+    got, want = g17_cells(np.concatenate([values, -values]))
+    assert got == want
+
+
+@pytest.mark.parametrize("value", [2.0**53, 1e16, 1e17, 1e-4])
+def test_g17_at_the_range_edges(value):
+    values = around(value, 40)
+    got, want = g17_cells(np.concatenate([values, -values]))
+    assert got == want
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_g17_mends_an_exponent_estimate_one_off(monkeypatch, shift):
+    # A log10 off by half a decade misses the exponent by one, low or high,
+    # on about half the values, exact powers of ten among them.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    exponents = np.random.default_rng(3).uniform(-4, 17, 500)
+    values = np.concatenate([around(float(f"1e{j}")) for j in range(-4, 17)] + [10.0**exponents])
+    got, want = g17_cells(values)
+    assert got == want
+
+
+def test_python_formats_only_values_outside_the_fast_range(monkeypatch):
+    # 1e-4 <= |v| < 1e17 takes NumPy's digits; Python formats the rest.
+    asked = []
+
+    def python_g17(values):
+        asked.extend(values.tolist())
+        return real(values)
+
+    real = tables._python_g17
+    monkeypatch.setattr(tables, "_python_g17", python_g17)
+    below, above = np.nextafter(1e-4, 0), np.nextafter(1e17, 0)
+    values = [below, 1e-4, -1e-4, 1.0, above, -above, 1e17, -1e17, 0.0, np.inf]
+    got, want = g17_cells(values)
+    assert got == want
+    assert asked == [below, 1e17, -1e17, 0.0, np.inf]
+
+
+def positions_of_a_run(nodes):
+    """The positions of a demo-world run of ``nodes`` nodes, 40 steps."""
+    world = demo_world(n=nodes - 1, seed=nodes)
+    config = LeaderFollowerConfig(world=world, params=Params(0.05, 0.7, 0.1), horizon=40)
+    return run_leader_follower(config).positions
+
+
+def scattered_positions(nodes):
+    """Three frames of ``nodes`` nodes at scales from 1e-6 to 1e19, a -0.0
+    and a nan among them."""
+    rng = np.random.default_rng(nodes)
+    positions = rng.normal(size=(3, nodes, 2)) * 10.0 ** rng.integers(-6, 20, (3, nodes, 2))
+    positions[0, 0] = [-0.0, np.nan]
+    return positions
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [scattered_positions(1), scattered_positions(12), positions_of_a_run(12)],
+    ids=["1-node", "12-node", "12-node-run"],
+)
+@pytest.mark.parametrize("k0", [0, 9, 2**63 - 2])
+def test_positions_lines_match_one_format_per_row(tmp_path, k0, positions):
+    # Frame indices run past 2**63 - 1 and node indices to two digits.
+    write_positions_csv(positions, tmp_path / "positions.csv", k0)
+    want = "k,node,x,y\r\n" + "".join(
+        "%d,%d,%.17g,%.17g\r\n" % (k0 + k, i, x, y)
+        for k, frame in enumerate(positions.tolist())
+        for i, (x, y) in enumerate(frame)
+    )
+    # Line by line, so that a failure names its first wrong line quickly.
+    assert (tmp_path / "positions.csv").read_bytes().split(b"\n") == want.encode().split(b"\n")

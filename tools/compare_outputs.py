@@ -20,7 +20,12 @@ shared by both trees:
   and three anchors in overlapping ``regions`` (rows hearing several
   anchors, sensor groups of three), two sensors and two anchors whose
   motion projects back onto the edge on most steps (``sigma`` 1.5 on disks
-  of radius 1e10, one anchor in a region of radius 0), a seed of two 32-bit
+  of radius 1e10, one anchor in a region of radius 0), two sensors and an
+  anchor in regions centred at +-2e17 (positions print in exponent
+  notation, past the fast range of the positions writer's ``%.17g``), a
+  sensor in a disk of radius 1e-6 at the origin beside a sensor and an
+  anchor in disks of radius 1 (its coordinates stay below 1e-4, the other
+  end of that range), a seed of two 32-bit
   words, horizons 1, 257 and 1500 (block edges of the random draws) and
   2049 (three draw blocks, so three streamed blocks of rows, the last one
   step past a block edge), initial states ``[-0.0, 0.0, 1.5, -0.0]`` (both
@@ -56,7 +61,7 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 112 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 114 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -194,6 +199,24 @@ LF_VARIANTS = {
     "demo_regions": DEMO_REGIONS,
     "crowded_regions": CROWDED_REGIONS,
     "huge_regions": HUGE_REGIONS,
+    # Every coordinate at least 1e17, where ``%.17g`` switches to exponent
+    # notation.
+    "far_regions": {
+        "n": 2,
+        "regions": {
+            "sensors": [[2e17, 2e17, 1e16], [-2e17, -2e17, 1e16]],
+            "anchors": [[2e17, -2e17, 1e16]],
+        },
+    },
+    # One sensor's coordinates below 1e-4 (exponent notation again, or 0),
+    # beside two nodes in disks of radius 1, in the same blocks of rows.
+    "tiny_regions": {
+        "n": 2,
+        "regions": {
+            "sensors": [[0.0, 0.0, 1e-6], [1.5, 0.0, 1.0]],
+            "anchors": [[0.0, 1.5, 1.0]],
+        },
+    },
     "seed_2words": {"seed": 2**40 + 3},
     "h1": {"horizon": 1},
     "h257": {"horizon": 257},
