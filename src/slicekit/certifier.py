@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,7 +40,7 @@ import numpy as np
 from .bounds import log_slice_norm_gap, slice_norm_bound
 from .errors import InvalidLength, InvalidSubset, MeaninglessBound
 from .matrix_core import Params
-from .tables import write_table
+from .tables import column_lines, write_lines
 
 __all__ = [
     "Verdict",
@@ -377,7 +376,8 @@ def search_case3(lengths: Sequence[int], params: Params) -> Certificate:
 
 def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
     """Render a certificate as a structured text document; the assignment
-    table is formatted with one ``%`` over its rows' fields in order."""
+    table's lines ``%d,%d,%d,%.17g`` are built in NumPy byte grids
+    (:func:`~slicekit.tables.column_lines`), byte for byte Python's."""
     lines = [
         f"verdict: {cert.verdict.value}",
         f"case: {cert.case_used.value if cert.case_used else 'none'}",
@@ -404,24 +404,30 @@ def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
         lines.append(f"trace_csv: {trace_csv}")
     text = "\n".join(lines) + "\n"
     assignment = cert.witnesses.get("assignment")
-    if assignment:
-        text += "assignment:\ni,slice_index,length,cap\n"
-        text += "%d,%d,%d,%.17g\n" * len(assignment) % tuple(chain.from_iterable(assignment))
-    return text
+    if not assignment:
+        return text
+    block = column_lines("%d,%d,%d,%.17g", list(zip(*assignment)), "\n")
+    return "".join([text, "assignment:\ni,slice_index,length,cap\n", *block])
 
 
 def write_certificate(cert: Certificate, directory: str | Path) -> Path:
     """Write ``certificate.txt`` plus, when the certificate has a trace,
-    ``certificate_trace.csv``; returns the text path."""
+    ``certificate_trace.csv``, whose lines ``%d,%d,%.17g,%.17g`` are built
+    in NumPy byte grids (:func:`~slicekit.tables.column_lines`); without a
+    trace, a trace file left there by an earlier certificate is removed.
+    Returns the text path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    trace_name = None
-    if cert.trace is not None:
-        trace_name = "certificate_trace.csv"
-        tr = cert.trace
-        columns = (tr.lengths.tolist(), tr.products.tolist(), tr.neg_log_sums.tolist())
+    trace_path = directory / "certificate_trace.csv"
+    tr = cert.trace
+    if tr is None:
+        trace_path.unlink(missing_ok=True)
+    else:
+        columns = (np.arange(len(tr.lengths)), tr.lengths, tr.products, tr.neg_log_sums)
         header = "t,length,cumulative_product,neg_log_sum"
-        write_table(directory / trace_name, header, "%d,%d,%.17g,%.17g", zip(count(), *columns))
+        write_lines(trace_path, header, column_lines("%d,%d,%.17g,%.17g", columns, "\r\n"))
     text_path = directory / "certificate.txt"
-    text_path.write_text(format_certificate(cert, trace_csv=trace_name))
+    text_path.write_text(
+        format_certificate(cert, trace_csv=None if tr is None else trace_path.name)
+    )
     return text_path

@@ -72,7 +72,7 @@ from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params, SystemMatrix, _screen_block
 from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _absorb, push
-from .tables import frame_lines, write_lines
+from .tables import FRAME_ROWS, frame_lines, write_lines
 
 __all__ = [
     "World",
@@ -634,11 +634,6 @@ def steady_state_check(
     row_total = m_t.sum(axis=1) + n_t.reshape(m_t.shape[0], -1).sum(axis=1)
     residual = float(np.max(np.abs(row_total - 1.0)))
     return SteadyStateCheck(residual <= tol, residual)
-
-
-# Table rows the CSV writers build at once, in whole frames (one frame at
-# least); it bounds the text and the objects held at once.
-FRAME_ROWS = 4096
 
 
 def _frame_chunks(k0: int, cells: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -13,13 +13,18 @@ with one row per character position, whose padding one
 ``bytes.translate`` drops.  Its ``%.17g`` is Python's to the byte; the
 values of ``1e-4 <= |v| < 1e17``, fixed notation, take their digits from
 an exact product, and every other value Python's own text.
+:func:`column_lines` builds the lines of ``%d`` and ``%.17g`` columns the
+same way, for the certificate's trace and assignment tables.  Both build
+a chunk of at most ``FRAME_ROWS`` rows at a time.  A grid has a fixed
+cost that one ``%`` beats on tables of a hundred rows or so, and the
+other tables keep :func:`write_table`.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -27,6 +32,10 @@ __all__: list[str] = []
 
 # Rows formatted and written together; it bounds the text held at once.
 BLOCK_ROWS = 512
+
+# Table rows a byte grid holds at once (in whole frames, one frame at
+# least, for the frame writers); it bounds the text and the arrays held.
+FRAME_ROWS = 4096
 
 
 def write_lines(out: str | Path | TextIO, header: str, chunks: Iterable[str]) -> Path:
@@ -92,6 +101,65 @@ def frame_lines(k0: int, cells: np.ndarray) -> str:
     grid[r] = 13
     grid[r + 1] = 10
     return grid.reshape(len(grid), -1).T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def column_lines(fmt: str, columns: Sequence[Sequence], end: str) -> Iterator[str]:
+    """``fmt % row + end`` for each row of ``columns``, the text of up to
+    ``FRAME_ROWS`` rows at a time, where ``fmt`` is ``%d`` and ``%.17g``
+    fields joined by commas, one per column.
+
+    Each chunk's lines are the columns of one uint8 grid, as in
+    :func:`frame_lines`: the rows of each field's characters
+    (:func:`_int_rows` for ``%d``, :func:`_g17_rows` for ``%.17g``), a
+    comma between fields and ``end`` last.  A ``%d`` value beyond int64
+    raises ``OverflowError``.
+    """
+    kinds = fmt.split(",")
+    if not set(kinds) <= {"%d", "%.17g"} or len(kinds) != len(columns):
+        raise ValueError(f"fmt {fmt!r} does not name one %d or %.17g field per column")
+    tail = np.frombuffer(end.encode("ascii"), np.uint8)[:, None]
+    total = len(columns[0])
+    for lo in range(0, total, FRAME_ROWS):
+        rows = min(FRAME_ROWS, total - lo)
+        chunk = [column[lo : lo + rows] for column in columns]
+        # One _g17_rows pass takes the floats of every %.17g field: its
+        # fixed cost is most of its time on a few thousand values.
+        floats = [np.asarray(c, dtype=float) for kind, c in zip(kinds, chunk) if kind == "%.17g"]
+        g17 = _g17_rows(np.concatenate(floats or [np.empty(0)])).reshape(24, -1, rows)
+        float_fields = iter(g17.swapaxes(0, 1))
+        comma = np.full((1, rows), 44, np.uint8)
+        parts = []
+        for kind, column in zip(kinds, chunk):
+            parts += [comma, _int_rows(_int64(column)) if kind == "%d" else next(float_fields)]
+        grid = np.concatenate([*parts[1:], tail.repeat(rows, axis=1)])
+        yield grid.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _int64(column: Sequence) -> np.ndarray:
+    """``column`` as int64; a value beyond int64 raises ``OverflowError``
+    (an array of another dtype goes through Python ints, so that it cannot
+    wrap)."""
+    if isinstance(column, np.ndarray) and column.dtype != np.int64:
+        column = column.tolist()
+    return np.asarray(column, dtype=np.int64)
+
+
+def _int_rows(v: np.ndarray) -> np.ndarray:
+    """``'%d' % v`` of each int64 value as a column of uint8 rows, NUL
+    where the text has no character: the sign, then one row per digit of
+    the widest magnitude.  A leading zero is NUL; the last digit stays, so
+    that 0 reads "0"."""
+    neg = v < 0
+    mag = v.view(np.uint64).copy()
+    mag[neg] = np.uint64(0) - mag[neg]  # exact for -2**63 too
+    width = len(str(int(mag.max()))) if len(v) else 1
+    out = np.zeros((width + 1, len(v)), np.uint8)
+    out[0] = 45 * neg
+    for r in range(width, 0, -1):
+        q = mag // np.uint64(10)
+        out[r] = (mag - q * np.uint64(10) + np.uint64(48)) * ((mag > 0) | (r == width))
+        mag = q
+    return out
 
 
 def _g17_rows(v: np.ndarray) -> np.ndarray:

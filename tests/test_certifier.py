@@ -587,6 +587,45 @@ class TestCertificateOutput:
         assert lines[0] == "t,length,cumulative_product,neg_log_sum"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    def test_trace_and_assignment_lines_match_one_format_per_row(self, tmp_path, case):
+        # beta2 = 0: a slice of length 1 contracts to 0, so from it on the
+        # product reads 0.0 and neg_log_sum inf; before it, in log order,
+        # 300 slices of length 2 take the product below 1e-4, out of the
+        # fast range of the float text.
+        takeover = Params(beta1=0.05, beta2=0.0)
+        lengths = [2, 3] * 300 + [1, 2, 3]
+        cert = {
+            "i": lambda: certify_case1(lengths, 3, takeover),
+            "ii": lambda: certify_case2(lengths, 3, range(0, len(lengths), 2), takeover),
+            "iii": lambda: search_case3(lengths, takeover),
+        }[case]()
+        assert cert.certified and cert.case_used is CertificateCase("case_" + case)
+        write_certificate(cert, tmp_path)
+        tr = cert.trace
+        columns = (range(len(tr.lengths)), tr.lengths.tolist(), tr.products.tolist(), tr.neg_log_sums.tolist())
+        want = ["t,length,cumulative_product,neg_log_sum\r\n"] + [
+            "%d,%d,%.17g,%.17g\r\n" % row for row in zip(*columns)
+        ]
+        got = (tmp_path / "certificate_trace.csv").read_bytes().decode().splitlines(keepends=True)
+        assert got == want
+        assert min(tr.products) == 0.0 and max(tr.neg_log_sums) == math.inf
+        # Case iii traces the sorted lengths, so its length 1 comes first.
+        assert any(0.0 < p < 1e-4 for p in tr.products) == (case != "iii")
+        lines = (tmp_path / "certificate.txt").read_text().splitlines(keepends=True)
+        assert "trace_csv: certificate_trace.csv\n" in lines
+        assignment = cert.witnesses.get("assignment", ())
+        assert bool(assignment) == (case == "iii")
+        block = ["%d,%d,%d,%.17g\n" % row for row in assignment]
+        assert lines[len(lines) - len(block) :] == block
+
+    def test_a_certificate_without_a_trace_removes_an_old_trace_file(self, tmp_path):
+        write_certificate(certify_case1([2, 3], 3, WIDE), tmp_path)
+        assert (tmp_path / "certificate_trace.csv").exists()
+        write_certificate(certify_case1([9], 5, WIDE), tmp_path)
+        assert not (tmp_path / "certificate_trace.csv").exists()
+        assert "trace_csv:" not in (tmp_path / "certificate.txt").read_text()
+
     def test_not_certified_document(self, tmp_path):
         cert = certify_case1([9], 5, WIDE)
         write_certificate(cert, tmp_path)

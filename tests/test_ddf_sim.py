@@ -31,13 +31,13 @@ from slicekit import (
 from slicekit import ddf_sim
 from slicekit.ddf_sim import (
     DRAW_BLOCK,
-    FRAME_ROWS,
     resolve_comm_radius,
     write_positions_csv,
     write_trajectory_csv,
 )
 from slicekit.cli import EXIT_OK, main
 from slicekit.slice_engine import SliceEventKind, SliceState, push, write_event_log
+from slicekit.tables import FRAME_ROWS
 
 PARAMS = Params(beta1=0.05, beta2=0.7, alpha=0.1)
 
@@ -1019,8 +1019,9 @@ class TestCsvWriters:
             for k, frame in enumerate(states)
             for i, v in enumerate(frame)
         )
-        assert (tmp_path / "positions.csv").read_bytes() == want_positions.encode()
-        assert (tmp_path / "trajectory.csv").read_bytes() == want_states.encode()
+        # Line by line, so that a failure names its first wrong line quickly.
+        for name, want in (("positions.csv", want_positions), ("trajectory.csv", want_states)):
+            assert (tmp_path / name).read_bytes().split(b"\n") == want.encode().split(b"\n")
 
 
     @pytest.mark.parametrize("k0", [0, 5])

@@ -1,6 +1,7 @@
 """Byte-level checks of the shared CSV table writer against ``csv.writer``,
-the writer every table used before and whose bytes the outputs keep, and of
-the frame-line builder's ``%.17g`` against Python's, value by value."""
+the writer every table used before and whose bytes the outputs keep, of
+the frame-line builder's ``%.17g`` against Python's, value by value, and of
+the column-line builder against one ``%`` per row."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from slicekit.ddf_sim import (
     run_leader_follower,
     write_positions_csv,
 )
-from slicekit.tables import BLOCK_ROWS, frame_lines, write_table
+from slicekit.tables import BLOCK_ROWS, FRAME_ROWS, column_lines, frame_lines, write_table
 
 EDGE_FLOATS = [
     0.0,
@@ -211,3 +212,102 @@ def test_positions_lines_match_one_format_per_row(tmp_path, k0, positions):
     )
     # Line by line, so that a failure names its first wrong line quickly.
     assert (tmp_path / "positions.csv").read_bytes().split(b"\n") == want.encode().split(b"\n")
+
+
+def per_row_lines(fmt, columns, end):
+    """``fmt % row + end`` for each row of ``columns``, one line each."""
+    return [fmt % row + end for row in zip(*columns)]
+
+
+def column_text_lines(fmt, columns, end):
+    """The lines ``column_lines`` builds, one each, after checking that it
+    yields only whole lines, ``FRAME_ROWS`` at most per chunk."""
+    chunks = list(column_lines(fmt, columns, end))
+    assert all(chunk.endswith(end) for chunk in chunks)
+    assert all(chunk.count(end) <= FRAME_ROWS for chunk in chunks)
+    return "".join(chunks).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("count", [0, 1, FRAME_ROWS - 1, FRAME_ROWS, FRAME_ROWS + 1])
+@pytest.mark.parametrize("end", ["\r\n", "\n"])
+def test_column_lines_match_one_format_per_row_across_chunk_edges(count, end):
+    # An index, an int64 column whose width changes from row to row, and two
+    # float columns at scales from 1e-30 to 1e30 with the fallback values
+    # among them.
+    rng = np.random.default_rng(count)
+    ints = rng.integers(-(10**6), 10**6, count) * 10 ** rng.integers(0, 12, count)
+    floats = rng.normal(size=(2, count)) * 10.0 ** rng.integers(-30, 30, (2, count))
+    floats[0, : len(EDGE_FLOATS)] = EDGE_FLOATS[:count]
+    columns = (np.arange(count), ints, floats[0], floats[1])
+    fmt = "%d,%d,%.17g,%.17g"
+    reference = per_row_lines(fmt, [c.tolist() for c in columns], end)
+    assert column_text_lines(fmt, columns, end) == reference
+    assert len(reference) == count
+
+
+def test_column_lines_of_python_sequences():
+    # Tuples of Python numbers, as a certificate's assignment holds them; a
+    # %.17g field takes an int as the float it equals.
+    rows = ((1, 7, 3, 2.5), (2, 0, 10**17, 1), (3, 12, -4, 1e-7))
+    columns = list(zip(*rows))
+    fmt = "%d,%d,%d,%.17g"
+    assert column_text_lines(fmt, columns, "\n") == per_row_lines(fmt, columns, "\n")
+
+
+WIDTH_EDGES = sorted(
+    {sign * (10**j + d) for j in range(19) for d in (-1, 0, 1) for sign in (1, -1)}
+    | {0, -(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2}
+)
+
+
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_int_widths_change_inside_one_table(order):
+    # Every digit count from 1 to 19, on both sides of zero and of each
+    # power of ten, and both ends of int64, in one column.
+    values = list(WIDTH_EDGES)
+    if order == "shuffled":
+        np.random.default_rng(0).shuffle(values)
+    for column in (values, np.array(values, dtype=np.int64)):
+        assert column_text_lines("%d", [column], "\n") == per_row_lines("%d", [values], "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from(WIDTH_EDGES), max_size=40))
+def test_every_int64_prints_as_percent_d(values):
+    assert column_text_lines("%d", [values], "\r\n") == per_row_lines("%d", [values], "\r\n")
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [0, 2**63],
+        [-(2**63) - 1, 5],
+        [2**64],
+        np.array([1, 2**63], dtype=np.uint64),
+        np.array([2**64 - 1], dtype=np.uint64),
+    ],
+    ids=["2**63", "-2**63-1", "2**64", "uint64-2**63", "uint64-max"],
+)
+def test_an_int_beyond_int64_raises(column):
+    with pytest.raises(OverflowError):
+        list(column_lines("%d,%.17g", [column, [1.0] * len(column)], "\n"))
+
+
+def test_other_unsigned_ints_print_as_their_values():
+    column = np.array([0, 7, 2**63 - 1], dtype=np.uint64)
+    assert column_text_lines("%d", [column], "\n") == ["0\n", "7\n", "9223372036854775807\n"]
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS)
+def test_float_fallback_values_print_as_python_does(value):
+    # nan, the infinities, both zeros, the subnormals and the extremes leave
+    # the fast range and take Python's own text, next to a fast-range value.
+    columns = ([value, 0.5, value], [1, -2, 3], [-value, value, 0.25])
+    fmt = "%.17g,%d,%.17g"
+    assert column_text_lines(fmt, columns, "\r\n") == per_row_lines(fmt, columns, "\r\n")
+
+
+@pytest.mark.parametrize("fmt", ["%s", "%d,%.16g", "%d,%d,%d", "%d"])
+def test_column_lines_refuses_a_format_it_does_not_build(fmt):
+    with pytest.raises(ValueError):
+        list(column_lines(fmt, [[1], [2.0]], "\n"))

@@ -36,18 +36,25 @@ shared by both trees:
 - the 10 certify_growth logs, plus five configs on the first log that
   certify by case i, certify by case ii, certify nothing, certify by case
   ii after case i fails, and certify nothing after all three routes fail
-  (the certificate merges their notes), and four
-  more logs for the case-iii search: the ``gamma1`` = 0.5 schedule of
-  2 000 slices in reverse, which certifies at 0.5; the first log with its
-  longest slice one longer, which no ``gamma1`` certifies; the
-  ``gamma1`` = 0 schedule of 1 000 slices with its longest slice one
-  longer, which ``gamma1`` = 0 rejects only at its top rank, after every
-  cap, and 0.25 certifies; and the ``gamma1`` = 1 schedule at ``beta1`` =
-  0.999, whose caps are in the thousands (the three schedules come from
-  this checkout's ``slicekit.generators.case3_lengths``); the first log
-  again as a six-column log with CRLF endings, an extra unknown column,
-  its first length quoted and a trailing blank line; and the ``slices.csv`` that the
-  products op ``products_n4_seed0`` (below) writes, certified as written;
+  (the certificate merges their notes), and four more logs for the
+  case-iii search: the ``gamma1`` = 0.5 schedule of 2 000 slices in
+  reverse, which certifies at 0.5; the first log with its longest slice
+  one longer, which no ``gamma1`` certifies; the ``gamma1`` = 0 schedule
+  of 1 000 slices with its longest slice one longer, which ``gamma1`` = 0
+  rejects only at its top rank, after every cap, and 0.25 certifies; and
+  the ``gamma1`` = 1 schedule at ``beta1`` = 0.999, whose caps are in the
+  thousands; two logs for the certificate writers: the ``gamma1`` = 1
+  schedule of 5 000 slices in reverse, more rows than
+  ``slicekit.tables.FRAME_ROWS``, so that the trace and the assignment
+  each cross a chunk edge (the four schedules come from this checkout's
+  ``slicekit.generators.case3_lengths``), and 600 slices of lengths 2 and
+  3 and then 1, 2, 3 at ``beta2`` = 0, certified by case i at cap 3,
+  whose trace products fall below 1e-4, out of the fast range of the float
+  text, and then to 0, with an infinite ``neg_log_sum``, from the slice of
+  length 1 on; the first log again as a six-column log with CRLF endings,
+  an extra unknown column, its first length quoted and a trailing blank
+  line; and the ``slices.csv`` that the products op ``products_n4_seed0``
+  (below) writes, certified as written;
 - the first products_n16 config at seeds 0-4;
 - products at seeds 0-4 with default weights at n = 4, horizon 200; n = 6,
   horizon 129, run by the permissive engine (``strict`` false); n = 1,
@@ -61,7 +68,7 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before.
 
-That makes 114 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 116 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -136,6 +143,12 @@ def certify_logs(first_log: list[int]) -> dict[str, tuple[list[int], dict]]:
             case3_lengths(1000, 1.0, MIN_GAMMA2, Params(0.999, BETA2)),
             {"beta1": 0.999},
         ),
+        # More slices than tables.FRAME_ROWS: the trace and the assignment
+        # are each built in two chunks.
+        "long": (case3_lengths(5000, 1.0, MIN_GAMMA2, Params(BETA1, BETA2))[::-1], {}),
+        # beta2 = 0: case i traces the log in order, its products fall below
+        # 1e-4 and, at the slice of length 1, to 0.0 (neg_log_sum inf).
+        "takeover": ([2, 3] * 300 + [1, 2, 3], {"beta2": 0.0, "case1_cap": 3}),
     }
 
 
