@@ -23,9 +23,8 @@ import json
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,9 +42,10 @@ from .ddf_sim import (
 from .errors import (
     AssumptionViolated, ConfigError, InvalidLength, InvalidSubset, NegativeEntry, SliceKitError
 )
-from .generators import random_product_sequence
-from .matrix_core import Params, SystemMatrix, inf_norm, spectral_radius
-from .slice_engine import read_slice_lengths, run_sequence, write_event_log, write_slice_log
+from .generators import _form_cdf, _row_blocks
+from .matrix_core import Params, inf_norm, spectral_radius
+from .slice_engine import SliceState, _run_rows
+from .slice_engine import read_slice_lengths, write_event_log, write_slice_log
 from .tables import write_table
 
 __all__ = ["ExperimentConfig", "cmd_products", "cmd_leader_follower", "cmd_certify", "main"]
@@ -233,8 +233,17 @@ def _echo_config(config: ExperimentConfig) -> None:
     (config.out_dir / "run_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
+def _open_outputs(config: ExperimentConfig, files: ExitStack, names: Sequence[str]) -> list:
+    """Make the output directory and open the named files in it for ``files`` to close."""
+    out = config.make_out_dir()
+    return [files.enter_context((out / name).open("w", newline="")) for name in names]
+
+
 def cmd_products(config: ExperimentConfig) -> int:
-    """Generate a random product sequence, slice it, and log norms."""
+    """Generate a random product sequence, slice it, and log norms, a draw
+    block of ``SCREEN_ROWS`` steps at a time from the draws to the CSVs, so
+    memory stays flat along the horizon.  A run that fails in its first
+    block writes nothing; one that fails later keeps the blocks before."""
     n, horizon, strict = config["n"], config["horizon"], config["strict"]
     if n < 1 or horizon < 0:
         raise ConfigError(f"need n >= 1 and horizon >= 0, got n={n}, horizon={horizon}")
@@ -243,93 +252,88 @@ def cmd_products(config: ExperimentConfig) -> int:
     except ValueError as exc:  # too large even to index: out of memory too
         raise MemoryError(str(exc)) from None
     try:
-        matrices = random_product_sequence(
-            n,
-            config.params,
-            horizon,
-            rng=np.random.default_rng(config.seed),
-            p_stochastic=config["p_stochastic"],
-            p_substochastic=config["p_substochastic"],
-            p_identity=config["p_identity"],
-        )
+        cdf = _form_cdf(config["p_stochastic"], config["p_substochastic"], config["p_identity"])
     except ValueError as exc:
         raise ConfigError(f"bad form weights: {exc}") from exc
-    slices, events, _ = run_sequence(matrices, config.params, strict=strict)
-
-    out = config.make_out_dir()
-    rows = _per_k_rows(matrices, start)
-    write_table(out / "per_k.csv", "k,inf_norm,spectral_radius", "%d,%.17g,%.17g", rows)
-    write_slice_log(slices, out / "slices.csv")
-    write_event_log(events, out / "events.csv")
-    cumulative = accumulate((s.product for s in slices), lambda c, p: p @ c, initial=start)
-    next(cumulative)  # the empty product
-    rows = ((s.index, s.end_k, s.length, s.norm, inf_norm(c)) for s, c in zip(slices, cumulative))
-    header = "t,end_k,length,slice_norm,cumulative_norm"
-    write_table(out / "slice_boundaries.csv", header, "%d,%d,%d,%.17g,%.17g", rows)
+    blocks = _row_blocks(n, config.params, horizon, np.random.default_rng(config.seed), cdf)
+    state, cumulative, out = SliceState(n=n), start, config.out_dir
+    with ExitStack() as files:
+        for (k0, rows, p_rows), per_k in _per_k_rows(blocks, start):
+            no_anchors = p_rows[:, :0]
+            events = _run_rows(state, k0, rows, p_rows, no_anchors, config.params, strict)
+            slices = [ev.slice for ev in events if ev.slice is not None]
+            if k0 == 0:
+                names = ("per_k.csv", "slices.csv", "events.csv", "slice_boundaries.csv")
+                per_k_csv, slice_log, event_log, boundaries = _open_outputs(config, files, names)
+            write_table(per_k_csv, "k,inf_norm,spectral_radius", "%d,%.17g,%.17g", per_k)
+            write_slice_log(slices, slice_log)
+            write_event_log(events, event_log)
+            ends = []
+            for s in slices:
+                cumulative = s.product @ cumulative
+                ends.append((s.index, s.end_k, s.length, s.norm, inf_norm(cumulative)))
+            header = "t,end_k,length,slice_norm,cumulative_norm"
+            write_table(boundaries, header, "%d,%d,%d,%.17g,%.17g", ends)
     (out / "plot_products.gp").write_text(_products_plot_script())
     _echo_config(config)
-    print(
-        f"products: {horizon} steps, {len(slices)} completed slice(s); "
-        f"outputs in {out}"
-    )
+    print(f"products: {horizon} steps, {state.completed} completed slice(s); outputs in {out}")
     return EXIT_OK
 
 
 # The running products of one spectral-radius pass: at most this many steps,
-# and at most this many entries (4 MiB), so that from n = 91 on a block
+# and at most this many entries (4 MiB), so that from n = 91 on a group
 # holds fewer steps and its memory stays bounded at any n.
 _RHO_BLOCK = 64
 _RHO_BLOCK_ENTRIES = 1 << 19
 
 
 def _per_k_rows(
-    matrices: Sequence[SystemMatrix], start: np.ndarray
-) -> Iterator[tuple[int, float, float]]:
-    """``(k, inf_norm(J), spectral_radius(J))`` for each running product
-    ``J = P_k ... P_0 start``, bit for bit, where ``start`` is the identity
-    and every update row sums to at most one, as generated rows do.  ``J``
-    is one copy of ``start``, whose updated row is written in place, so
-    ``start`` itself is left as it was.
-
-    While some row has never been updated it is still ``e_i``, so 1 is an
-    eigenvalue and ``rho <= inf_norm = 1`` gives ``rho = 1.0`` without an
-    eigensolve.  An identity step leaves ``J`` as it was, bit for bit, so
-    it is not applied and its radius is the previous step's, carried
-    across block edges too.  The products are gathered in blocks; each
-    block is normed by one :func:`inf_norm` call, and its non-identity
-    steps with every row updated share one :func:`spectral_radius` call,
-    made only for a block that holds such a step.  The whole block is
-    checked first, so that a non-finite entry raises
-    :class:`AssumptionViolated` and a negative one :class:`NegativeEntry`
-    on the other steps too.
-    """
+    blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], start: np.ndarray
+) -> Iterator[tuple[tuple, list[tuple[int, float, float]]]]:
+    """Each block of rows ``(k0, rows, p_rows)`` (step ``k0 + t`` updates
+    row ``rows[t]``, if not -1, to ``p_rows[t]``) with ``(k, inf_norm(J),
+    spectral_radius(J))`` for each running product ``J = P_k ... P_0
+    start``, bit for bit, where ``start`` is the identity and update rows
+    sum to at most one.  Only the updated row of ``J`` and its absolute
+    sum change.  While a row is still ``e_i``, ``rho`` is 1.0 with no
+    eigensolve.  A group of a block's steps checks its updated rows (a
+    non-finite entry raises :class:`AssumptionViolated`, else a negative
+    one :class:`NegativeEntry`), then solves ``J`` at each of its updates
+    once every row is updated, in one :func:`spectral_radius` call."""
     n = start.shape[0]
-    size = max(1, min(_RHO_BLOCK, _RHO_BLOCK_ENTRIES // (n * n), len(matrices)))
-    block = np.empty((size, n, n))
+    size = max(1, min(_RHO_BLOCK, _RHO_BLOCK_ENTRIES // (n * n)))
+    solve = np.empty((size, n, n))
     touched: set[int] = set()
-    j = start.copy()
-    rho = 1.0  # the unit-row rule's radius until every row is updated
-    for k0 in range(0, len(matrices), size):
-        chunk = matrices[k0 : k0 + size]
-        fresh = []  # a new J with every row updated: solve it
-        for t, m in enumerate(chunk):
-            i = m.updated_row
-            if i is not None:
-                j[i] = m.p_row @ j
-                touched.add(i)
-                if len(touched) == n:
-                    fresh.append(t)
-            block[t] = j
-        stack = block[: len(chunk)]
-        if not np.all(np.isfinite(stack)):
-            raise AssumptionViolated("a running product holds a non-finite entry")
-        if np.any(stack < 0):
-            raise NegativeEntry("a running product holds a negative entry")
-        norms = inf_norm(stack).tolist()
-        radii = dict(zip(fresh, spectral_radius(stack[fresh]).tolist())) if fresh else {}
-        for t, norm in enumerate(norms):
-            rho = radii.get(t, rho)
-            yield k0 + t, norm, rho
+    j, sums = start.copy(), [1.0] * n
+    norm = rho = 1.0
+    for k0, rows, p_rows in blocks:
+        steps, out = rows.tolist(), []
+        for g0 in range(0, len(steps), size):
+            group, updated, fresh = steps[g0 : g0 + size], [], 0
+            for t, i in enumerate(group, g0):
+                if i >= 0:
+                    j[i] = row = p_rows[t] @ j
+                    updated.append(row)
+                    touched.add(i)
+                    if len(touched) == n:  # a new J with every row updated: solve it
+                        solve[fresh] = j
+                        fresh += 1
+            updated = np.array(updated).reshape(-1, n)
+            if not np.all(np.isfinite(updated)):
+                raise AssumptionViolated("a running product holds a non-finite entry")
+            if np.any(updated < 0):
+                raise NegativeEntry("a running product holds a negative entry")
+            new_sums = iter(np.abs(updated).sum(axis=1).tolist())
+            radii = [1.0] * (len(updated) - fresh)  # the updates before the fresh ones
+            if fresh:
+                radii += spectral_radius(solve[:fresh]).tolist()
+            radii = iter(radii)
+            for t, i in enumerate(group, k0 + g0):
+                if i >= 0:
+                    sums[i] = next(new_sums)
+                    norm, rho = max(sums), next(radii)
+                out.append((t, norm, rho))
+        yield (k0, rows, p_rows), out
 
 
 def _products_plot_script() -> str:
@@ -387,11 +391,8 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
     with ExitStack() as files:
         for block in _blocks(run_cfg):
             if block.k0 == 0:
-                config.make_out_dir()
                 names = ("trajectory.csv", "positions.csv", "events.csv")
-                trajectory, positions, events = (
-                    files.enter_context((out / name).open("w", newline="")) for name in names
-                )
+                trajectory, positions, events = _open_outputs(config, files, names)
             write_trajectory_csv(block.states, trajectory, block.k0)
             write_positions_csv(block.positions, positions, block.k0)
             write_event_log(block.events, events)

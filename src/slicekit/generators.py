@@ -16,18 +16,21 @@ Three families:
 The random protocol's draws reproduce ``rng.choice(3, p=...)``,
 ``rng.uniform(0.0, 1.0)`` and ``rng.dirichlet(np.ones(d))`` bit for bit
 without calling them, so a seed gives the same sequence as those calls
-would; the draw order (form, row, support size, support, then the
-sub-stochastic mass before the weights) is fixed, and changing it changes
-every sequence.
+would.  The draw order (form, row, support size, support, the
+sub-stochastic mass, then the weights' exponentials) is fixed, and
+changing it changes every sequence.  A loop of only these draws fills a
+block of steps, and NumPy then makes the block's weights in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from bisect import bisect_right
+from typing import Iterator
 
 import numpy as np
 
+from . import slice_engine
 from .certifier import CAP_FEASIBILITY_TOL, _case3_caps
 from .errors import InfeasibleWeights, InvalidLength
 from .matrix_core import Params, SystemMatrix, identity_step, row_update
@@ -57,57 +60,79 @@ def random_product_sequence(
     every weight can sit in [beta1, 1); sub-stochastic rows pick any support
     including self and a row sum uniform on (0, beta2].  When n = 1 or
     beta1 > 1/2 no stochastic non-identity row exists and that mass falls
-    through to the sub-stochastic form.
+    through to the sub-stochastic form.  Collects :func:`_row_blocks`.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is returned as it is
+    cdf = _form_cdf(p_stochastic, p_substochastic, p_identity)
+    identity, no_anchors = identity_step(n), np.zeros(0)
+    return [
+        identity if i < 0 else SystemMatrix._trusted(n, 0, i, p_row, no_anchors)
+        for _, rows, p_rows in _row_blocks(n, params, horizon, rng, cdf)
+        for i, p_row in zip(rows.tolist(), p_rows)
+    ]
+
+
+def _form_cdf(p_stochastic: float, p_substochastic: float, p_identity: float) -> list[float]:
+    """The form CDF ``rng.choice(3, p=...)`` searches; ``ValueError`` for bad weights."""
     masses = np.array([p_stochastic, p_substochastic, p_identity], dtype=float)
     if not np.all(np.isfinite(masses) & (masses >= 0)):
         raise ValueError(f"form weights must be finite and non-negative, got {masses.tolist()}")
     total = sum(masses.tolist())  # a Python sum overflows to inf without a warning
     if not 0 < total < math.inf:
         raise ValueError(f"form weights must have a positive, finite total, got {total}")
-    probs = masses / total
-    cdf = probs.cumsum()
+    cdf = (masses / total).cumsum()
     cdf /= cdf[-1]
-    max_support = min(n, int(math.floor(1.0 / params.beta1)))
-    identity = identity_step(n)
-    no_anchors = np.zeros(0)
-    out: list[SystemMatrix] = []
-    for _ in range(horizon):
-        form = int(cdf.searchsorted(rng.random(), side="right"))  # rng.choice(3, p=probs)
-        if form == 0 and max_support < 2:
-            form = 1
-        if form == 2:
-            out.append(identity)
-            continue
-        row = int(rng.integers(n))
-        if form == 0:
-            d = int(rng.integers(2, max_support + 1))
-        else:
-            d = int(rng.integers(1, n + 1))
-        idx = rng.choice(n - 1, d - 1, replace=False)
-        support = [row, *(idx + (idx >= row)).tolist()]
-        p_row = np.zeros(n)
-        if form == 0:
-            p_row[support] = params.beta1 + (1.0 - d * params.beta1) * _flat_dirichlet(rng, d)
-        else:
-            mass = params.beta2 * rng.random()  # rng.uniform(0.0, 1.0): 0 + 1 * u
-            p_row[support] = mass * _flat_dirichlet(rng, d)
-        out.append(SystemMatrix._trusted(n, 0, row, p_row, no_anchors))
-    return out
+    return cdf.tolist()
 
 
-def _flat_dirichlet(rng: np.random.Generator, d: int) -> np.ndarray:
-    """``rng.dirichlet(np.ones(d))``, bit for bit and with the same stream
-    use: NumPy draws ``standard_gamma(1)``, which is the standard
-    exponential, and divides by its left-to-right sum (``np.sum`` would sum
-    pairwise from 8 terms on)."""
-    e = rng.standard_exponential(d)
-    acc = 0.0
-    for v in e.tolist():
-        acc += v
-    return e * (1.0 / acc)
+def _row_blocks(
+    n: int, params: Params, horizon: int, rng: np.random.Generator, cdf: list[float]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The protocol's rows, a draw block of ``SCREEN_ROWS`` steps at a time:
+    step ``k0 + t`` of ``(k0, rows, p_rows)`` sets row ``rows[t]`` to
+    ``p_rows[t]``, or is the identity where ``rows[t]`` is -1 (and
+    ``p_rows[t]`` zero).  A horizon of 0 yields one empty block."""
+    beta1, beta2 = params.beta1, params.beta2
+    max_support = min(n, int(math.floor(1.0 / beta1)))
+    size = slice_engine.SCREEN_ROWS
+    for k0 in range(0, max(horizon, 1), size):
+        rows = [-1] * min(size, horizon - k0)
+        picks, affine, draws = [], [], []
+        for t in range(len(rows)):
+            form = bisect_right(cdf, rng.random())  # rng.choice(3, p=probs)
+            if form == 2:
+                continue
+            stochastic = form == 0 and max_support >= 2  # else sub-stochastic
+            rows[t] = int(rng.integers(n))
+            d = int(rng.integers(2, max_support + 1)) if stochastic else int(rng.integers(1, n + 1))
+            picks.append(rng.choice(n - 1, d - 1, replace=False))
+            # rng.uniform(0.0, 1.0) is 0 + 1 * u.
+            affine.append((beta1, 1.0 - d * beta1) if stochastic else (0.0, beta2 * rng.random()))
+            draws.append(rng.standard_exponential(d))
+        rows, p_rows = np.array(rows, dtype=int), np.zeros((len(rows), n))
+        if draws:
+            at = np.flatnonzero(rows >= 0)
+            w, held = _flat_dirichlet(draws)
+            d = held.sum(axis=1)
+            lift, scale = np.array(affine).T[:, :, None]
+            weights = lift + scale * w
+            # The updated row's own weight comes first; the picks skip it.
+            pick = np.concatenate(picks)
+            pick += pick >= np.repeat(rows[at], d - 1)
+            p_rows[at, rows[at]] = weights[:, 0]
+            p_rows[np.repeat(at, d - 1), pick] = weights[:, 1:][held[:, 1:]]
+        yield k0, rows, p_rows
+
+
+def _flat_dirichlet(draws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``rng.dirichlet(np.ones(d))`` from each array of ``d`` exponentials,
+    bit for bit, as the rows of a zero-padded grid, and the grid's mask:
+    NumPy divides by the left-to-right sum, a row-wise ``cumsum`` here."""
+    d = np.array([len(e) for e in draws])
+    held = np.arange(d.max()) < d[:, None]
+    e = np.zeros(held.shape)
+    e[held] = np.concatenate(draws)
+    return e * (1.0 / e.cumsum(axis=1)[np.arange(len(d)), d - 1])[:, None], held
 
 
 def worst_case_slice_sequence(

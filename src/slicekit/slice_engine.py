@@ -212,7 +212,7 @@ class RunResult(NamedTuple):
     state: SliceState
 
 
-# Matrices :func:`run_sequence` screens together; it bounds the rows held.
+# Steps screened at once, in run_sequence and products' draw blocks.
 SCREEN_ROWS = 1024
 
 
@@ -224,13 +224,10 @@ def run_sequence(
     """Drive a whole sequence through the engine, as :func:`push` one
     matrix at a time would.
 
-    Each block of ``SCREEN_ROWS`` matrices is screened at once
-    (:func:`~slicekit.matrix_core._screen_block`) over the rows that fit the
-    first matrix's sizes; one loop then sends each clear row straight to
-    :func:`_absorb` and every other matrix to :func:`push`, which skips,
-    refuses or absorbs it with its own message.  Returns the completed
-    slices in order, the full event log (events carry the raw input index),
-    and the residual state of the open window."""
+    Each block of ``SCREEN_ROWS`` matrices goes to :func:`_run_rows` as
+    rows, row -1 for those that do not fit the first matrix's sizes.
+    Returns the completed slices in order, the full event log (events
+    carry the raw input index), and the residual state of the open window."""
     slices: list[Slice] = []
     events: list[SliceEvent] = []
     matrices = iter(matrices)
@@ -240,27 +237,44 @@ def run_sequence(
         if state is None:
             state = SliceState(n=block[0].n)
             n, s = block[0].n, block[0].s
-        fits = [t for t, m in enumerate(block) if _fits(m, n, s)]
-        clear, p_sums = _screen_block(
-            np.array([block[t].p_row for t in fits], dtype=float).reshape(len(fits), n),
-            np.array([block[t].b_row for t in fits], dtype=float).reshape(len(fits), s),
-            np.array([block[t].updated_row for t in fits], dtype=int),
-            params,
-        )
-        cleared = {t: p_sum for t, ok, p_sum in zip(fits, clear.tolist(), p_sums.tolist()) if ok}
-        for t, m in enumerate(block):
-            if t in cleared:
-                evs = _absorb(state, m.updated_row, m.p_row, cleared[t], params, base + t)
-            else:
-                _, evs = push(state, m, params, strict=strict, k=base + t)
-            for ev in evs:
-                if ev.slice is not None:
-                    slices.append(ev.slice)
-            events.extend(evs)
+        fit = [_fits(m, n, s) for m in block]
+        rows = np.array([m.updated_row if f else -1 for m, f in zip(block, fit)], dtype=int)
+        p_rows = np.array([m.p_row if f else np.zeros(n) for m, f in zip(block, fit)], dtype=float)
+        b_rows = np.array([m.b_row if f else np.zeros(s) for m, f in zip(block, fit)], dtype=float)
+        evs = _run_rows(state, base, rows, p_rows, b_rows, params, strict, block)
+        events += evs
+        slices += [ev.slice for ev in evs if ev.slice is not None]
         base += len(block)
     if state is None:
         state = SliceState(n=0)
     return RunResult(slices, events, state)
+
+
+def _run_rows(
+    state: SliceState, k0: int, rows: np.ndarray, p_rows: np.ndarray, b_rows: np.ndarray,
+    params: Params, strict: bool = True, matrices: Sequence[SystemMatrix] | None = None,
+) -> list[SliceEvent]:
+    """Feed steps ``k0, k0 + 1, ...`` to the engine as :func:`push` would;
+    return their events.  Step ``k0 + t`` sets sensor row ``rows[t]`` to
+    ``p_rows[t]`` and anchor row to ``b_rows[t]``.  One screen
+    (:func:`~slicekit.matrix_core._screen_block`) sends each clear row to
+    :func:`_absorb`; the rest go to :func:`push` (``matrices[t]`` when
+    given), or without ``matrices`` row -1 is a skipped identity."""
+    clear, p_sums = _screen_block(p_rows, b_rows, rows, params)
+    clear &= rows >= 0
+    n, s = state.n, b_rows.shape[1]
+    events: list[SliceEvent] = []
+    for t, (i, ok, p_sum) in enumerate(zip(rows.tolist(), clear.tolist(), p_sums.tolist())):
+        k = k0 + t
+        if ok:
+            evs = _absorb(state, i, p_rows[t], p_sum, params, k)
+        elif i < 0 and matrices is None:
+            evs = [SliceEvent(SliceEventKind.SKIPPED, k=k)]
+        else:
+            m = matrices[t] if matrices else SystemMatrix._trusted(n, s, i, p_rows[t], b_rows[t])
+            _, evs = push(state, m, params, strict=strict, k=k)
+        events += evs
+    return events
 
 
 def _fits(m: SystemMatrix, n: int, s: int) -> bool:
@@ -285,8 +299,8 @@ def _fits(m: SystemMatrix, n: int, s: int) -> bool:
 _SLICE_LOG_COLUMNS = ("slice_index", "start_k", "end_k", "length", "norm", "bound")
 
 
-def write_slice_log(slices: Sequence[Slice], path: str | Path) -> Path:
-    """CSV with one line per completed slice."""
+def write_slice_log(slices: Sequence[Slice], path: str | Path | TextIO) -> Path:
+    """CSV with one line per completed slice; ``path`` as for :func:`write_event_log`."""
     rows = ((s.index, s.start_k, s.end_k, s.length, s.norm, s.bound) for s in slices)
     return write_table(path, ",".join(_SLICE_LOG_COLUMNS), "%d,%d,%d,%d,%.17g,%.17g", rows)
 

@@ -25,6 +25,7 @@ from slicekit import (
     random_product_sequence,
     row_update,
     run_leader_follower,
+    slice_engine,
     spectral_radius,
 )
 from slicekit.cli import (
@@ -150,6 +151,68 @@ class TestProducts:
         )
         assert (out_a / "per_k.csv").read_text() != (out_b / "per_k.csv").read_text()
 
+    def test_memory_stays_flat_along_the_horizon(self, tmp_path, monkeypatch):
+        # Draw blocks of 16 steps: ten times the horizon holds ten times the
+        # blocks but only one at a time.  The four CSV files' write buffers
+        # (8 KiB of text each) fill only on the long run, about 20 KB; at
+        # n = 16 a block's own arrays outweigh them.
+        monkeypatch.setattr(slice_engine, "SCREEN_ROWS", 16)
+
+        def peak(horizon):
+            cfg = write_config(
+                tmp_path / f"{horizon}.json", {"mode": "products", "n": 16, "horizon": horizon}
+            )
+            tracemalloc.start()
+            try:
+                with redirect_stdout(io.StringIO()):
+                    assert main(["products", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(160)  # builds the parser and warms NumPy's caches
+        short, long = peak(160), peak(1600)
+        assert len((tmp_path / "o" / "per_k.csv").read_text().splitlines()) == 1 + 1600
+        assert long <= 1.3 * short
+        # The 100 blocks wrote what two default blocks write.
+        monkeypatch.setattr(slice_engine, "SCREEN_ROWS", 1024)
+        cfg = str(tmp_path / "1600.json")
+        assert main(["products", "--config", cfg, "--out", str(tmp_path / "d")]) == EXIT_OK
+        for name in ("per_k.csv", "slices.csv", "events.csv", "slice_boundaries.csv"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+
+    def test_failure_after_the_first_block_keeps_the_blocks_before(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # At tol = 0 a generated stochastic row may sum to 1 + 2**-52.
+        # Seed 4 draws the first such row at step 36, in its third block of
+        # 16 steps: the two blocks before it stay written.
+        monkeypatch.setattr(slice_engine, "SCREEN_ROWS", 16)
+        config = {"mode": "products", "n": 4, "horizon": 400, "seed": 4, "tol": 0.0}
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["products", "--config", write_config(tmp_path / "p.json", config),
+                     "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: update failed validation")
+        names = ["events.csv", "per_k.csv", "slice_boundaries.csv", "slices.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        config["horizon"] = 32
+        assert main(["products", "--config", write_config(tmp_path / "h32.json", config),
+                     "--out", str(tmp_path / "h32")]) == EXIT_OK
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "h32" / name).read_bytes()
+
+    def test_failure_in_the_first_block_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # Seed 2's first row sums to 1 + 2**-52.
+        monkeypatch.setattr(slice_engine, "SCREEN_ROWS", 16)
+        config = {"mode": "products", "n": 4, "horizon": 400, "seed": 2, "tol": 0.0}
+        capsys.readouterr()
+        assert main(["products", "--config", write_config(tmp_path / "p.json", config),
+                     "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_the_reused_parser_keeps_no_state_between_calls(self, tmp_path):
         config_out = tmp_path / "config_out"
         cfg = write_config(
@@ -177,6 +240,16 @@ class TestProducts:
 
 
 PARAMS = Params(beta1=0.05, beta2=0.7)
+
+
+def per_k_rows(matrices, n):
+    """``_per_k_rows`` on ``matrices`` packed as one block of rows."""
+    rows = np.array([-1 if m.updated_row is None else m.updated_row for m in matrices], dtype=int)
+    p_rows = np.zeros((len(matrices), n))
+    for t, m in enumerate(matrices):
+        if m.updated_row is not None:
+            p_rows[t] = m.p_row
+    return [row for _, block in _per_k_rows([(0, rows, p_rows)], np.eye(n)) for row in block]
 
 
 def dense_per_k(matrices, n):
@@ -224,13 +297,13 @@ class TestPerKRows:
     @pytest.mark.parametrize("n", range(1, 65))
     def test_matches_per_step_norms_for_every_n(self, n):
         matrices = random_product_sequence(n, PARAMS, 129, rng=np.random.default_rng(n))
-        assert list(_per_k_rows(matrices, np.eye(n))) == dense_per_k(matrices, n)
+        assert per_k_rows(matrices, n) == dense_per_k(matrices, n)
 
     @pytest.mark.parametrize("horizon", [0, 1, 63, 64, 65, 128, 129])
     @pytest.mark.parametrize("n", [1, 3, 16])
     def test_matches_per_step_norms_across_block_edges(self, n, horizon):
         matrices = random_product_sequence(n, PARAMS, horizon, rng=np.random.default_rng(7))
-        assert list(_per_k_rows(matrices, np.eye(n))) == dense_per_k(matrices, n)
+        assert per_k_rows(matrices, n) == dense_per_k(matrices, n)
 
     def test_matches_per_step_norms_once_every_row_is_updated(self):
         # Every step updates a row, so all 64 rows are updated within 600
@@ -239,7 +312,7 @@ class TestPerKRows:
             64, PARAMS, 600, rng=np.random.default_rng(0), p_identity=0.0
         )
         assert len({m.updated_row for m in matrices}) == 64
-        assert list(_per_k_rows(matrices, np.eye(64))) == dense_per_k(matrices, 64)
+        assert per_k_rows(matrices, 64) == dense_per_k(matrices, 64)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -260,7 +333,7 @@ class TestPerKRows:
                 continue
             w = np.array(weights[:n])
             matrices.append(row_update(n, row, w / max(1.0, float(w.sum()))))
-        rows = list(_per_k_rows(matrices, np.eye(n)))
+        rows = per_k_rows(matrices, n)
         assert rows == dense_per_k(matrices, n)
         # The unit-row rule: exactly 1 while some row is untouched.
         for (_, _, rho), seen in zip(rows, accumulate_touched(matrices)):
@@ -281,14 +354,14 @@ class TestPerKRows:
 
     def test_no_eigensolve_while_a_row_is_untouched(self, solved):
         matrices = random_product_sequence(256, PARAMS, 300, rng=np.random.default_rng(1))
-        rows = list(_per_k_rows(matrices, np.eye(256)))
+        rows = per_k_rows(matrices, 256)
         assert solved == [] and [rho for _, _, rho in rows] == [1.0] * 300
 
         matrices = random_product_sequence(4, PARAMS, 200, rng=np.random.default_rng(1))
         full = [k for k, seen in enumerate(accumulate_touched(matrices)) if seen == 4]
         fresh = fresh_steps(matrices, 4)
         assert 0 < len(fresh) < len(full) < 200
-        list(_per_k_rows(matrices, np.eye(4)))
+        per_k_rows(matrices, 4)
         # One call per 64-step block holding a fully updated non-identity
         # step, each solving only those steps.
         assert len(solved) == len({k // 64 for k in fresh}) and sum(solved) == len(fresh)
@@ -304,7 +377,7 @@ class TestPerKRows:
         # identity steps: block 2 solves nothing and carries block 1's last
         # radius in, and block 3 carries it on until its first update.
         assert fresh[0] < 128 and 2 not in blocks and {1, 3} <= blocks
-        rows = list(_per_k_rows(matrices, np.eye(4)))
+        rows = per_k_rows(matrices, 4)
         assert len(solved) == len(blocks) and sum(solved) == len(fresh)
         assert rows == dense_per_k(matrices, 4)
         carried = {rho for _, _, rho in rows[127 : min(k for k in fresh if k >= 192)]}
@@ -323,7 +396,7 @@ class TestPerKRows:
         matrices = [row_update(2, 0, rows)] * 2
         with np.errstate(over="ignore"):
             with pytest.raises(error):
-                list(_per_k_rows(matrices, np.eye(2)))
+                per_k_rows(matrices, 2)
             with pytest.raises(error):
                 dense_per_k(matrices, 2)
 

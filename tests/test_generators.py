@@ -20,6 +20,7 @@ from slicekit import (
     validate_update,
     worst_case_slice_sequence,
 )
+from slicekit import slice_engine
 from slicekit.generators import _flat_dirichlet
 
 PARAMS = Params(beta1=0.05, beta2=0.7)
@@ -57,28 +58,42 @@ class TestExactDraws:
     @pytest.mark.parametrize(
         "masses", [(1.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1e-300, 1.0, 1.0)]
     )
-    @pytest.mark.parametrize("n", [1, 2, 5, 64])
-    def test_rows_match_choice_and_dirichlet(self, n, masses):
-        for seed in range(3):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = random_product_sequence(
-                n, PARAMS, 120, rng=rng,
-                p_stochastic=masses[0], p_substochastic=masses[1], p_identity=masses[2],
-            )
-            ref = choice_dirichlet_sequence(n, PARAMS, 120, ref_rng, masses)
-            for m, (row, p_row) in zip(got, ref, strict=True):
-                assert m.updated_row == row
-                assert row is None or np.array_equal(m.p_row, p_row)
-            # Both consumed the stream alike.
-            assert rng.random() == ref_rng.random()
+    @pytest.mark.parametrize("n", [1, 2, 5, 33, 64])
+    def test_rows_match_choice_and_dirichlet(self, monkeypatch, n, masses):
+        # The default weights over 120 steps, a beta1 of 0.6, which leaves
+        # no room for a stochastic row, and draw blocks of 16 steps over
+        # horizons of no step, one, a block less one, one block, a block and
+        # a step, and two blocks and a part.
+        cases = [(PARAMS, None, 120), (Params(beta1=0.6, beta2=0.7), None, 120)]
+        cases += [(PARAMS, 16, h) for h in (0, 1, 15, 16, 17, 35)]
+        for params, block, horizon in cases:
+            if block is not None:
+                monkeypatch.setattr(slice_engine, "SCREEN_ROWS", block)
+            for seed in range(3):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = random_product_sequence(
+                    n, params, horizon, rng=rng,
+                    p_stochastic=masses[0], p_substochastic=masses[1], p_identity=masses[2],
+                )
+                ref = choice_dirichlet_sequence(n, params, horizon, ref_rng, masses)
+                for m, (row, p_row) in zip(got, ref, strict=True):
+                    assert m.updated_row == row
+                    assert row is None or np.array_equal(m.p_row, p_row)
+                # Both consumed the stream alike.
+                assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("d", range(1, 65))
     def test_flat_dirichlet_matches_numpy(self, d):
         # From d = 8 on, np.sum's pairwise sum would differ from NumPy's
-        # sequential one.
+        # sequential one.  Each row shares its grid with rows of other sizes.
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(_flat_dirichlet(rng, d), ref_rng.dirichlet(np.ones(d)))
+            draws = [rng.standard_exponential(k) for k in (d, 1, 64, d)]
+            weights, held = _flat_dirichlet(draws)
+            assert held.sum(axis=1).tolist() == [d, 1, 64, d]
+            for row, k in zip(weights, (d, 1, 64, d)):
+                assert np.array_equal(row[:k], ref_rng.dirichlet(np.ones(k)))
+                assert not row[k:].any()
             assert rng.random() == ref_rng.random()
 
     def test_output_is_pinned_at_one_seed(self):

@@ -30,6 +30,7 @@ from slicekit import (
     write_slice_log,
 )
 from slicekit import slice_engine
+from slicekit.generators import _form_cdf, _row_blocks
 
 PARAMS = Params(beta1=0.05, beta2=0.7)
 LOOSE = Params(beta1=0.3, beta2=0.5)
@@ -442,6 +443,20 @@ def mixed_sequence(n, params, horizon, rng):
     return out
 
 
+def products_path(n, params, horizon, seed, engine_params, strict):
+    """The products command's path: each draw block of rows goes straight
+    to ``_run_rows``, with no matrices; returns what :func:`run_sequence`
+    does."""
+    state, slices, events = SliceState(n=n), [], []
+    cdf = _form_cdf(1.0, 1.0, 1.0)
+    for k0, rows, p_rows in _row_blocks(n, params, horizon, np.random.default_rng(seed), cdf):
+        no_anchors = np.zeros((len(rows), 0))
+        evs = slice_engine._run_rows(state, k0, rows, p_rows, no_anchors, engine_params, strict)
+        events += evs
+        slices += [ev.slice for ev in evs if ev.slice is not None]
+    return slices, events, state
+
+
 class TestRunSequenceScreensBlocks:
     """``run_sequence`` screens a block of rows at once and absorbs the
     clear ones directly; it must return what a loop of :func:`push` does,
@@ -462,6 +477,14 @@ class TestRunSequenceScreensBlocks:
             want = run_fields(*push_loop(mats, PARAMS, strict))
             assert run_fields(*run_sequence(mats, PARAMS, strict)) == want
             assert run_fields(*run_sequence(iter(mats), PARAMS, strict)) == want
+        # The products path, on draw blocks of the same size.  Under a
+        # beta2 of 0.3 the rows of sum in (0.3, 0.7] fail the screen, so the
+        # permissive engine sends them to push.
+        for strict, engine_params in ((True, PARAMS), (False, Params(beta1=0.05, beta2=0.3))):
+            mats = random_product_sequence(n, PARAMS, 300, rng=seed)
+            want = run_fields(*push_loop(mats, engine_params, strict))
+            got = products_path(n, PARAMS, 300, seed, engine_params, strict)
+            assert run_fields(*got) == want
 
     def test_block_edges_at_the_default_size(self):
         size = slice_engine.SCREEN_ROWS

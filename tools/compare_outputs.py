@@ -66,9 +66,13 @@ shared by both trees:
   stacked ``eigvals`` too;
 - products at n = 8, horizon 400, seeds 0-4, with ``p_identity`` 0.9 over
   the default 1/3 and 1/3: long runs of identity steps after every row is
-  updated, each carrying the spectral radius of the step before.
+  updated, each carrying the spectral radius of the step before;
+- products at n = 4, horizon 2 500, seeds 0-4, by the strict and by the
+  permissive engine: three draw blocks of ``slicekit.slice_engine.SCREEN_ROWS``
+  (1 024) steps, the last a part, so that the draws, the engine, the
+  spectral radius and every products CSV cross two block edges.
 
-That makes 116 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 126 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -252,6 +256,8 @@ PRODUCTS_VARIANTS = {
     "n64_h600": {"n": 64, "horizon": 600},
     "n96_h1200": {"n": 96, "horizon": 1200},
     "idle": {"n": 8, "horizon": 400, "p_identity": 0.9},
+    "n4_h2500": {"n": 4, "horizon": 2500},
+    "n4_h2500_permissive": {"n": 4, "horizon": 2500, "strict": False},
 }
 
 # Runs a JSON list of (name, argv) ops from stdin through slicekit.cli.main,
