@@ -15,13 +15,15 @@ The library splits into layers that can be used independently:
 - :mod:`slicekit.generators` — random and adversarial sequence generators.
 - :mod:`slicekit.ddf_sim` — disk-confined mobile agents fusing toward an
   anchor value, driving the engine online.
+- :mod:`slicekit.tables` — every CSV and text writer, and the slice-log
+  read; the modules above do no I/O.
 - :mod:`slicekit.cli` — the ``slicekit`` command-line harness.
 
 Each module's ``__all__`` is its public list; the package re-exports the
 lists of every module above except :mod:`slicekit.cli`.
 """
 
-from . import bounds, certifier, ddf_sim, errors, generators, matrix_core, slice_engine
+from . import bounds, certifier, ddf_sim, errors, generators, matrix_core, slice_engine, tables
 from .errors import *
 from .matrix_core import *
 from .bounds import *
@@ -29,6 +31,7 @@ from .slice_engine import *
 from .certifier import *
 from .generators import *
 from .ddf_sim import *
+from .tables import *
 
 __version__ = "0.1.0"
 
@@ -41,4 +44,5 @@ __all__ = [
     *certifier.__all__,
     *generators.__all__,
     *ddf_sim.__all__,
+    *tables.__all__,
 ]

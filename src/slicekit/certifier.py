@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ import numpy as np
 from .bounds import log_slice_norm_gap, slice_norm_bound
 from .errors import InvalidLength, InvalidSubset, MeaninglessBound
 from .matrix_core import Params
-from .tables import column_lines, write_lines
 
 __all__ = [
     "Verdict",
@@ -53,8 +51,6 @@ __all__ = [
     "case3_length_cap",
     "certify_case3",
     "search_case3",
-    "format_certificate",
-    "write_certificate",
     "DEFAULT_GAMMA1_GRID",
     "MIN_GAMMA2",
 ]
@@ -368,66 +364,3 @@ def search_case3(lengths: Sequence[int], params: Params) -> Certificate:
         [f"no gamma1 in the grid {DEFAULT_GAMMA1_GRID} certifies at the "
          f"rate floor gamma2 = {MIN_GAMMA2}"],
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
-    """Render a certificate as a structured text document; the assignment
-    table's lines ``%d,%d,%d,%.17g`` are built in NumPy byte grids
-    (:func:`~slicekit.tables.column_lines`), byte for byte Python's."""
-    lines = [
-        f"verdict: {cert.verdict.value}",
-        f"case: {cert.case_used.value if cert.case_used else 'none'}",
-        f"horizon: {cert.horizon}",
-    ]
-    for note in cert.notes:
-        lines.append(f"note: {note}")
-    log_gap_for = {"delta": "log_gap", "delta1": "log_gap1"}
-    for key, value in cert.witnesses.items():
-        if key == "assignment":
-            continue
-        log_key = log_gap_for.get(key)
-        if log_key in cert.witnesses and isinstance(value, float) and value >= 1.0:
-            # The per-slice gap 1 - delta underflows in binary64; present the
-            # contraction through its log-space witness instead of a bare "1".
-            lines.append(
-                f"witness {key}: 1 - exp({cert.witnesses[log_key]:.17g})"
-            )
-        elif isinstance(value, float):
-            lines.append(f"witness {key}: {value:.17g}")
-        else:
-            lines.append(f"witness {key}: {value}")
-    if trace_csv is not None:
-        lines.append(f"trace_csv: {trace_csv}")
-    text = "\n".join(lines) + "\n"
-    assignment = cert.witnesses.get("assignment")
-    if not assignment:
-        return text
-    block = column_lines("%d,%d,%d,%.17g", list(zip(*assignment)), "\n")
-    return "".join([text, "assignment:\ni,slice_index,length,cap\n", *block])
-
-
-def write_certificate(cert: Certificate, directory: str | Path) -> Path:
-    """Write ``certificate.txt`` plus, when the certificate has a trace,
-    ``certificate_trace.csv``, whose lines ``%d,%d,%.17g,%.17g`` are built
-    in NumPy byte grids (:func:`~slicekit.tables.column_lines`); without a
-    trace, a trace file left there by an earlier certificate is removed.
-    Returns the text path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    trace_path = directory / "certificate_trace.csv"
-    tr = cert.trace
-    if tr is None:
-        trace_path.unlink(missing_ok=True)
-    else:
-        columns = (np.arange(len(tr.lengths)), tr.lengths, tr.products, tr.neg_log_sums)
-        header = "t,length,cumulative_product,neg_log_sum"
-        write_lines(trace_path, header, column_lines("%d,%d,%.17g,%.17g", columns, "\r\n"))
-    text_path = directory / "certificate.txt"
-    text_path.write_text(
-        format_certificate(cert, trace_csv=None if tr is None else trace_path.name)
-    )
-    return text_path

@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .certifier import Certificate, certify_case1, certify_case2, search_case3, write_certificate
+from .certifier import Certificate, certify_case1, certify_case2, search_case3
 from .ddf_sim import (
     LeaderFollowerConfig,
     World,
@@ -36,8 +36,6 @@ from .ddf_sim import (
     _disk_world,
     demo_world,
     steady_state_check,
-    write_positions_csv,
-    write_trajectory_csv,
 )
 from .errors import (
     AssumptionViolated, ConfigError, InvalidLength, InvalidSubset, NegativeEntry, SliceKitError
@@ -45,8 +43,8 @@ from .errors import (
 from .generators import _form_cdf, _row_blocks
 from .matrix_core import Params, inf_norm, spectral_radius
 from .slice_engine import SliceState, _run_rows
-from .slice_engine import read_slice_lengths, write_event_log, write_slice_log
-from .tables import write_table
+from .tables import read_slice_lengths, write_certificate, write_event_log, write_positions_csv
+from .tables import write_slice_log, write_table, write_trajectory_csv
 
 __all__ = ["ExperimentConfig", "cmd_products", "cmd_leader_follower", "cmd_certify", "main"]
 

@@ -48,12 +48,7 @@ The run is a stream of blocks (:func:`_blocks`): each yields its frames of
 states and positions, its events and the slices it completed, so a caller
 that writes each block as it comes, as the ``lf`` command does, holds one
 block at a time whatever the horizon.  :func:`run_leader_follower` collects
-the blocks into one :class:`SimResult`.  The CSV writers take a block too,
-appending to an open file.  In ``trajectory.csv`` a frame's node index is
-literal text of the format, its step index is formatted once per frame, and
-each distinct state value of a block once; ``positions.csv``, whose floats
-are all distinct, builds its lines in one byte grid
-(:func:`~slicekit.tables.frame_lines`).
+the blocks into one :class:`SimResult`.
 """
 
 from __future__ import annotations
@@ -63,8 +58,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from math import sqrt
-from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,7 +66,6 @@ from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params, SystemMatrix, _screen_block
 from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _absorb, push
-from .tables import FRAME_ROWS, frame_lines, write_lines
 
 __all__ = [
     "World",
@@ -83,8 +76,6 @@ __all__ = [
     "resolve_comm_radius",
     "run_leader_follower",
     "steady_state_check",
-    "write_trajectory_csv",
-    "write_positions_csv",
 ]
 
 
@@ -634,50 +625,3 @@ def steady_state_check(
     row_total = m_t.sum(axis=1) + n_t.reshape(m_t.shape[0], -1).sum(axis=1)
     residual = float(np.max(np.abs(row_total - 1.0)))
     return SteadyStateCheck(residual <= tol, residual)
-
-
-def _frame_chunks(k0: int, cells: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Each run of whole frames of ``cells``, ``FRAME_ROWS`` entries at
-    most, with the index of its first frame, for frames from ``k0`` on."""
-    step = max(1, FRAME_ROWS // max(cells.shape[1], 1))
-    return ((k0 + lo, cells[lo : lo + step]) for lo in range(0, len(cells), step))
-
-
-def _text_lines(k0: int, texts: np.ndarray) -> str:
-    """The table lines ``k,i,text`` of frames ``k0, k0 + 1, ...``, with
-    ``texts[k - k0, i]`` as the text.  Each frame's ``k`` is formatted once
-    and each ``i`` is literal text of the format, so that one ``%`` fills
-    in only the frames' indices and the texts."""
-    frames, entries = texts.shape
-    fields = np.empty((frames, entries, 2), dtype=object)
-    fields[:, :, 0] = np.array(list(map(str, range(k0, k0 + frames))), dtype=object)[:, None]
-    fields[:, :, 1] = texts
-    frame_fmt = "".join(f"%s,{i},%s\r\n" for i in range(entries))
-    return frame_fmt * frames % tuple(fields.ravel().tolist())
-
-
-def write_trajectory_csv(states: np.ndarray, path: str | Path | TextIO, k0: int = 0) -> None:
-    """CSV ``k,sensor,state`` with k = 0 the initial state; ``states`` holds
-    the frames from ``k0`` on.  ``path`` may be a text file open for
-    writing, to append a block of frames to (:func:`~slicekit.tables.write_lines`).
-
-    Each distinct value is formatted once.  Values are told apart by their
-    bits, so that ``0.0`` and ``-0.0`` keep their own text."""
-    states = np.ascontiguousarray(states, dtype=float)
-    bits, where = np.unique(states.view(np.int64), return_inverse=True)
-    texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-    chunks = _frame_chunks(k0, texts[where.reshape(states.shape)])
-    write_lines(path, "k,sensor,state", (_text_lines(k, chunk) for k, chunk in chunks))
-
-
-def write_positions_csv(positions: np.ndarray, path: str | Path | TextIO, k0: int = 0) -> None:
-    """CSV ``k,node,x,y``; nodes are sensors 0..n-1 then anchors, and
-    ``positions`` holds the frames from ``k0`` on (``path`` as for
-    :func:`write_trajectory_csv`).
-
-    The lines of each ``FRAME_ROWS`` chunk are built in one byte grid
-    (:func:`~slicekit.tables.frame_lines`), since every position is a
-    distinct float: the ``%.17g`` of most of them comes from NumPy, byte
-    for byte Python's."""
-    chunks = _frame_chunks(k0, np.asarray(positions, dtype=float))
-    write_lines(path, "k,node,x,y", (frame_lines(k, chunk) for k, chunk in chunks))

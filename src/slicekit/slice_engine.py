@@ -13,26 +13,21 @@ full product factors exactly into slice products.
 Row bookkeeping drives the norm bounds downstream: ``h[i]`` records the
 1-based within-slice index at which row i first became sub-stochastic and
 ``g[i]`` the index of the last update whose own sensor row was
-sub-stochastic at row i.  The slice log records each slice's window, norm
-and bound; a certificate needs only the lengths, the one column read back.
+sub-stochastic at row i.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
-from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import slice_norm_bound
 from .errors import AssumptionViolated
 from .matrix_core import Params, SystemMatrix, _screen, _screen_block, inf_norm
-from .tables import write_table
 
 __all__ = [
     "Slice",
@@ -42,9 +37,6 @@ __all__ = [
     "push",
     "run_sequence",
     "RunResult",
-    "write_slice_log",
-    "read_slice_lengths",
-    "write_event_log",
 ]
 
 
@@ -289,56 +281,3 @@ def _fits(m: SystemMatrix, n: int, s: int) -> bool:
         and m.p_row.shape == (n,)
         and m.b_row.shape == (s,)
     )
-
-
-# ---------------------------------------------------------------------------
-# Logs
-# ---------------------------------------------------------------------------
-
-# Slice log columns in file order.
-_SLICE_LOG_COLUMNS = ("slice_index", "start_k", "end_k", "length", "norm", "bound")
-
-
-def write_slice_log(slices: Sequence[Slice], path: str | Path | TextIO) -> Path:
-    """CSV with one line per completed slice; ``path`` as for :func:`write_event_log`."""
-    rows = ((s.index, s.start_k, s.end_k, s.length, s.norm, s.bound) for s in slices)
-    return write_table(path, ",".join(_SLICE_LOG_COLUMNS), "%d,%d,%d,%d,%.17g,%.17g", rows)
-
-
-def read_slice_lengths(path: str | Path) -> list[int]:
-    """The ``length`` of each non-blank row of a slice log, the only cell read.
-    A bad length raises ``ValueError``, a row short of a log column its header
-    names ``IndexError``, and a missing ``length`` column ``KeyError``."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(filter(None, reader))
-    if not rows:
-        return []
-    if "length" not in header:
-        raise KeyError("length")
-    last = max(header.index(c) for c in _SLICE_LOG_COLUMNS if c in header)
-    if min(map(len, rows)) <= last:
-        raise IndexError(f"a row has fewer than the {last + 1} fields its header names")
-    return list(map(int, map(itemgetter(header.index("length")), rows)))
-
-
-# The text of each event kind in the event log.  A dict lookup costs less
-# than the enum's ``value`` descriptor, once per event.
-_EVENT_TEXT = {kind: kind.value for kind in SliceEventKind}
-
-
-def write_event_log(events: Sequence[SliceEvent], path: str | Path | TextIO) -> Path:
-    """CSV with one line per engine event; absent fields are left empty.
-    ``path`` may be a text file open for writing, to append a block of
-    events to (:func:`~slicekit.tables.write_lines`)."""
-    rows = (
-        (
-            "" if ev.k is None else ev.k,
-            _EVENT_TEXT[ev.kind],
-            "" if ev.row is None else ev.row,
-            "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
-        )
-        for ev in events
-    )
-    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", rows)

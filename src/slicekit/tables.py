@@ -18,17 +18,38 @@ same way, for the certificate's trace and assignment tables.  Both build
 a chunk of at most ``FRAME_ROWS`` rows at a time.  A grid has a fixed
 cost that one ``%`` beats on tables of a hundred rows or so, and the
 other tables keep :func:`write_table`.
+
+Every output file is written here.  The slice log records each slice's
+window, norm and bound; a certificate needs only the lengths, the one
+column read back.  The lf writers take a draw block of frames, appending
+to an open file.  In ``trajectory.csv`` a frame's node index is literal
+text of the format, its step index is formatted once per frame, and each
+distinct state value of a block once; ``positions.csv``, whose floats are
+all distinct, builds its lines in one byte grid (:func:`frame_lines`).
 """
 
 from __future__ import annotations
 
+import csv
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-__all__: list[str] = []
+from .certifier import Certificate
+from .slice_engine import Slice, SliceEvent, SliceEventKind
+
+__all__ = [
+    "write_slice_log",
+    "read_slice_lengths",
+    "write_event_log",
+    "format_certificate",
+    "write_certificate",
+    "write_trajectory_csv",
+    "write_positions_csv",
+]
 
 # Rows formatted and written together; it bounds the text held at once.
 BLOCK_ROWS = 512
@@ -38,24 +59,28 @@ BLOCK_ROWS = 512
 FRAME_ROWS = 4096
 
 
-def write_lines(out: str | Path | TextIO, header: str, chunks: Iterable[str]) -> Path:
+def write_lines(out: str | Path | TextIO, header: str, chunks: Iterable[str]) -> Path | None:
     """Write ``header`` and then each chunk of whole ``\\r\\n``-ended lines
-    to ``out``, and return the path written.  A path is created or emptied
-    first; an open file gets the header only where nothing has been written
-    to it yet, so a table written to it in several calls holds one."""
+    to ``out``; return the path written, or ``None`` for an open file.  A
+    path is created or emptied first; an open file gets the header only
+    where nothing has been written to it yet, so a table written to it in
+    several calls holds one."""
     if isinstance(out, (str, Path)):
         with Path(out).open("w", newline="") as fh:
-            return write_lines(fh, header, chunks)
+            write_lines(fh, header, chunks)
+        return Path(out)
     if out.tell() == 0:
         out.write(header + "\r\n")
     for chunk in chunks:
         out.write(chunk)
-    return Path(out.name)
+    return None
 
 
-def write_table(out: str | Path | TextIO, header: str, fmt: str, rows: Iterable[tuple]) -> Path:
-    """Write ``header`` and then ``fmt % row`` for each row to ``out`` (see
-    :func:`write_lines`), streaming the rows, and return the path.
+def write_table(
+    out: str | Path | TextIO, header: str, fmt: str, rows: Iterable[tuple]
+) -> Path | None:
+    """Write ``header`` and then ``fmt % row`` for each row to ``out``,
+    streaming the rows, and return as :func:`write_lines` does.
 
     Each block of ``BLOCK_ROWS`` rows is formatted with one ``%`` on its
     fields in row order, so every row must hold exactly the fields ``fmt``
@@ -68,32 +93,185 @@ def write_table(out: str | Path | TextIO, header: str, fmt: str, rows: Iterable[
     return write_lines(out, header, (line * len(b) % tuple(chain.from_iterable(b)) for b in blocks))
 
 
+# Slice log columns in file order.
+_SLICE_LOG_COLUMNS = ("slice_index", "start_k", "end_k", "length", "norm", "bound")
+
+
+def write_slice_log(slices: Sequence[Slice], path: str | Path | TextIO) -> Path | None:
+    """CSV with one line per completed slice; ``path`` as for :func:`write_event_log`."""
+    rows = ((s.index, s.start_k, s.end_k, s.length, s.norm, s.bound) for s in slices)
+    return write_table(path, ",".join(_SLICE_LOG_COLUMNS), "%d,%d,%d,%d,%.17g,%.17g", rows)
+
+
+def read_slice_lengths(path: str | Path) -> list[int]:
+    """The ``length`` of each non-blank row of a slice log, the only cell read.
+    A bad length raises ``ValueError``, a row short of a log column its header
+    names ``IndexError``, and a missing ``length`` column ``KeyError``."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(filter(None, reader))
+    if not rows:
+        return []
+    if "length" not in header:
+        raise KeyError("length")
+    last = max(header.index(c) for c in _SLICE_LOG_COLUMNS if c in header)
+    if min(map(len, rows)) <= last:
+        raise IndexError(f"a row has fewer than the {last + 1} fields its header names")
+    return list(map(int, map(itemgetter(header.index("length")), rows)))
+
+
+# The text of each event kind in the event log.  A dict lookup costs less
+# than the enum's ``value`` descriptor, once per event.
+_EVENT_TEXT = {kind: kind.value for kind in SliceEventKind}
+
+
+def write_event_log(events: Sequence[SliceEvent], path: str | Path | TextIO) -> Path | None:
+    """CSV with one line per engine event; absent fields are left empty.
+    ``path`` may be a text file open for writing, to append a block of
+    events to (:func:`write_lines`)."""
+    rows = (
+        (
+            "" if ev.k is None else ev.k,
+            _EVENT_TEXT[ev.kind],
+            "" if ev.row is None else ev.row,
+            "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
+        )
+        for ev in events
+    )
+    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", rows)
+
+
+def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
+    """Render a certificate as a structured text document; the assignment
+    table's lines ``%d,%d,%d,%.17g`` are built in NumPy byte grids
+    (:func:`column_lines`), byte for byte Python's."""
+    lines = [
+        f"verdict: {cert.verdict.value}",
+        f"case: {cert.case_used.value if cert.case_used else 'none'}",
+        f"horizon: {cert.horizon}",
+    ]
+    for note in cert.notes:
+        lines.append(f"note: {note}")
+    log_gap_for = {"delta": "log_gap", "delta1": "log_gap1"}
+    for key, value in cert.witnesses.items():
+        if key == "assignment":
+            continue
+        log_key = log_gap_for.get(key)
+        if log_key in cert.witnesses and isinstance(value, float) and value >= 1.0:
+            # The per-slice gap 1 - delta underflows in binary64; present the
+            # contraction through its log-space witness instead of a bare "1".
+            lines.append(f"witness {key}: 1 - exp({cert.witnesses[log_key]:.17g})")
+        elif isinstance(value, float):
+            lines.append(f"witness {key}: {value:.17g}")
+        else:
+            lines.append(f"witness {key}: {value}")
+    if trace_csv is not None:
+        lines.append(f"trace_csv: {trace_csv}")
+    text = "\n".join(lines) + "\n"
+    assignment = cert.witnesses.get("assignment")
+    if not assignment:
+        return text
+    block = column_lines("%d,%d,%d,%.17g", list(zip(*assignment)), "\n")
+    return "".join([text, "assignment:\ni,slice_index,length,cap\n", *block])
+
+
+def write_certificate(cert: Certificate, directory: str | Path) -> Path:
+    """Write ``certificate.txt`` plus, when the certificate has a trace,
+    ``certificate_trace.csv``, whose lines ``%d,%d,%.17g,%.17g`` are built
+    in NumPy byte grids (:func:`column_lines`); without a
+    trace, a trace file left there by an earlier certificate is removed.
+    Returns the text path."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    trace_path = directory / "certificate_trace.csv"
+    tr = cert.trace
+    if tr is None:
+        trace_path.unlink(missing_ok=True)
+    else:
+        columns = (np.arange(len(tr.lengths)), tr.lengths, tr.products, tr.neg_log_sums)
+        header = "t,length,cumulative_product,neg_log_sum"
+        write_lines(trace_path, header, column_lines("%d,%d,%.17g,%.17g", columns, "\r\n"))
+    text_path = directory / "certificate.txt"
+    text_path.write_text(
+        format_certificate(cert, trace_csv=None if tr is None else trace_path.name)
+    )
+    return text_path
+
+
+def _frame_chunks(k0: int, cells: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each run of whole frames of ``cells``, ``FRAME_ROWS`` entries at
+    most, with the index of its first frame, for frames from ``k0`` on."""
+    step = max(1, FRAME_ROWS // max(cells.shape[1], 1))
+    return ((k0 + lo, cells[lo : lo + step]) for lo in range(0, len(cells), step))
+
+
+def _text_lines(k0: int, texts: np.ndarray) -> str:
+    """The table lines ``k,i,text`` of frames ``k0, k0 + 1, ...``, with
+    ``texts[k - k0, i]`` as the text.  Each frame's ``k`` is formatted once
+    and each ``i`` is literal text of the format, so that one ``%`` fills
+    in only the frames' indices and the texts."""
+    frames, entries = texts.shape
+    fields = np.empty((frames, entries, 2), dtype=object)
+    fields[:, :, 0] = np.array(list(map(str, range(k0, k0 + frames))), dtype=object)[:, None]
+    fields[:, :, 1] = texts
+    frame_fmt = "".join(f"%s,{i},%s\r\n" for i in range(entries))
+    return frame_fmt * frames % tuple(fields.ravel().tolist())
+
+
+def write_trajectory_csv(
+    states: np.ndarray, path: str | Path | TextIO, k0: int = 0
+) -> Path | None:
+    """CSV ``k,sensor,state`` with k = 0 the initial state; ``states`` holds
+    the frames from ``k0`` on.  ``path`` may be a text file open for
+    writing, to append a block of frames to (:func:`write_lines`).
+
+    Each distinct value is formatted once.  Values are told apart by their
+    bits, so that ``0.0`` and ``-0.0`` keep their own text."""
+    states = np.ascontiguousarray(states, dtype=float)
+    bits, where = np.unique(states.view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    chunks = _frame_chunks(k0, texts[where.reshape(states.shape)])
+    return write_lines(path, "k,sensor,state", (_text_lines(k, chunk) for k, chunk in chunks))
+
+
+def write_positions_csv(
+    positions: np.ndarray, path: str | Path | TextIO, k0: int = 0
+) -> Path | None:
+    """CSV ``k,node,x,y``; nodes are sensors 0..n-1 then anchors, and
+    ``positions`` holds the frames from ``k0`` on (``path`` as for
+    :func:`write_trajectory_csv`).
+
+    The lines of each ``FRAME_ROWS`` chunk are built in one byte grid
+    (:func:`frame_lines`), since every position is a
+    distinct float: the ``%.17g`` of most of them comes from NumPy, byte
+    for byte Python's."""
+    chunks = _frame_chunks(k0, np.asarray(positions, dtype=float))
+    return write_lines(path, "k,node,x,y", (frame_lines(k, chunk) for k, chunk in chunks))
+
+
 def frame_lines(k0: int, cells: np.ndarray) -> str:
     """The table lines of frames ``k0, k0 + 1, ...``: entry ``i`` of frame
     ``k`` reads ``k,i,`` and then the floats ``cells[k - k0, i]``, each
-    ``%.17g``, comma-separated.  ``k`` may run up to ``2**64 - 1``.
+    ``%.17g``, comma-separated.  ``k`` may run up to ``2**64 - 1``; a
+    frame past it raises ``OverflowError``.
 
     The lines are the columns of one uint8 grid, whose rows are character
-    positions: the digits of ``k`` and of ``i``, then 24 rows per float
-    (:func:`_g17_rows`).  A line shorter than the grid is NUL where it
-    has no character, and the grid, transposed, becomes the text once
-    ``bytes.translate`` has deleted every NUL.
+    positions: the digits of ``k`` and of ``i`` (:func:`_int_rows`), then
+    24 rows per float (:func:`_g17_rows`).  A line shorter than the grid
+    is NUL where it has no character, and the grid, transposed, becomes the
+    text once ``bytes.translate`` has deleted every NUL.
     """
     frames, entries, width = cells.shape
-    k_width = len(str(k0 + frames - 1))
-    i_width = len(str(max(entries - 1, 0)))
-    grid = np.zeros((k_width + i_width + 25 * width + 3, frames, entries), np.uint8)
-    ks = np.uint64(k0) + np.arange(frames, dtype=np.uint64)
-    for r in range(k_width):
-        place = np.uint64(10 ** (k_width - 1 - r))
-        # A leading zero is NUL; the last digit stays, so that 0 reads "0".
-        shown = (ks >= place) | (r == k_width - 1)
-        grid[r] = ((ks // place % np.uint64(10) + np.uint64(48)) * shown)[:, None]
-    grid[k_width] = 44
-    names = np.array([b"%d" % i for i in range(entries)], dtype=f"S{i_width}")
-    r = k_width + 1
-    grid[r : r + i_width] = names.view(np.uint8).reshape(entries, i_width).T[:, None]
-    r += i_width
+    if k0 + frames > 2**64:
+        raise OverflowError(f"frame index {k0 + frames - 1} is beyond uint64")
+    ks = _int_rows(np.uint64(k0) + np.arange(frames, dtype=np.uint64))[1:]
+    names = _int_rows(np.arange(entries))[1:]
+    r = len(ks) + 1 + len(names)
+    grid = np.zeros((r + 25 * width + 2, frames, entries), np.uint8)
+    grid[: len(ks)] = ks[:, :, None]
+    grid[len(ks)] = 44
+    grid[len(ks) + 1 : r] = names[:, None]
     for c in range(width):
         grid[r] = 44
         grid[r + 1 : r + 25] = _g17_rows(cells[:, :, c].ravel()).reshape(24, frames, entries)
@@ -145,9 +323,9 @@ def _int64(column: Sequence) -> np.ndarray:
 
 
 def _int_rows(v: np.ndarray) -> np.ndarray:
-    """``'%d' % v`` of each int64 value as a column of uint8 rows, NUL
-    where the text has no character: the sign, then one row per digit of
-    the widest magnitude.  A leading zero is NUL; the last digit stays, so
+    """``'%d' % v`` of each int64 or uint64 value as a column of uint8
+    rows, NUL where the text has no character: the sign, then one row per
+    digit of the widest magnitude.  A leading zero is NUL; the last digit stays, so
     that 0 reads "0"."""
     neg = v < 0
     mag = v.view(np.uint64).copy()

@@ -29,15 +29,15 @@ from slicekit import (
     steady_state_check,
 )
 from slicekit import ddf_sim
-from slicekit.ddf_sim import (
-    DRAW_BLOCK,
-    resolve_comm_radius,
+from slicekit.ddf_sim import DRAW_BLOCK, resolve_comm_radius
+from slicekit.cli import EXIT_OK, main
+from slicekit.slice_engine import SliceEventKind, SliceState, push
+from slicekit.tables import (
+    FRAME_ROWS,
+    write_event_log,
     write_positions_csv,
     write_trajectory_csv,
 )
-from slicekit.cli import EXIT_OK, main
-from slicekit.slice_engine import SliceEventKind, SliceState, push, write_event_log
-from slicekit.tables import FRAME_ROWS
 
 PARAMS = Params(beta1=0.05, beta2=0.7, alpha=0.1)
 
@@ -983,7 +983,7 @@ class TestCsvWriters:
     def test_trajectory_csv(self, tmp_path):
         states = np.array([[0.0, 1.0], [0.5, 1.5]])
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(states, path)
+        assert write_trajectory_csv(states, path) == path
         lines = path.read_text().splitlines()
         assert lines[0] == "k,sensor,state"
         assert len(lines) == 1 + states.size
@@ -991,7 +991,7 @@ class TestCsvWriters:
     def test_positions_csv(self, tmp_path):
         positions = np.zeros((2, 3, 2))
         path = tmp_path / "positions.csv"
-        write_positions_csv(positions, path)
+        assert write_positions_csv(positions, path) == path
         lines = path.read_text().splitlines()
         assert lines[0] == "k,node,x,y"
         assert len(lines) == 1 + 6
@@ -1056,7 +1056,7 @@ class TestCsvWriters:
         ):
             with (tmp_path / f"blocks_{name}").open("w", newline="") as fh:
                 for k0, stop in ((0, 4), (4, 5), (5, 9)):
-                    write(history[k0:stop], fh, k0)
+                    assert write(history[k0:stop], fh, k0) is None
             assert (tmp_path / f"blocks_{name}").read_bytes() == (tmp_path / name).read_bytes()
 
 

@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 import slicekit
-from slicekit import bounds, certifier, ddf_sim, errors, generators, matrix_core, slice_engine
+from slicekit import (
+    bounds,
+    certifier,
+    ddf_sim,
+    errors,
+    generators,
+    matrix_core,
+    slice_engine,
+    streams,
+    tables,
+)
 
-MODULES = (errors, matrix_core, bounds, slice_engine, certifier, generators, ddf_sim)
+MODULES = (errors, matrix_core, bounds, slice_engine, certifier, generators, ddf_sim, tables)
+
+# The modules that compute; every file they feed is written by ``tables``.
+NO_IO_MODULES = (slice_engine, certifier, ddf_sim, matrix_core, bounds, generators, streams)
 
 # slicekit.__all__ before the package derived it from the module lists.
 EARLIER_EXPORTS = [
@@ -69,6 +85,24 @@ def test_removed_names_are_gone():
     for module, name in REMOVED:
         assert name not in slicekit.__all__
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("module", NO_IO_MODULES, ids=lambda m: m.__name__)
+def test_maths_modules_do_no_io(module):
+    tree = ast.parse(inspect.getsource(module))
+    imported, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            if node.level:
+                imported |= {"." + alias.name for alias in node.names}
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert not imported & {"csv", "pathlib", ".tables"}
+    assert not called & {"open", "read_text", "write_text"}
 
 
 def _run_config():

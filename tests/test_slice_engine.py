@@ -333,6 +333,12 @@ class TestRunSequence:
         assert slices == []
         assert state.completed == 0
 
+    @pytest.mark.parametrize("matrices", [[], iter(())], ids=["list", "iterator"])
+    def test_empty_sequence(self, matrices):
+        slices, events, state = run_sequence(matrices, PARAMS)
+        assert slices == [] and events == []
+        assert state.n == 0 and state.completed == 0
+
     def test_events_carry_raw_positions(self):
         mats = [identity_step(2), sub_update(2, 0, 0.5), identity_step(2)]
         _, events, _ = run_sequence(mats, PARAMS)

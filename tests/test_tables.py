@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slicekit import Params, tables
-from slicekit.ddf_sim import (
-    LeaderFollowerConfig,
-    demo_world,
-    run_leader_follower,
+from slicekit.ddf_sim import LeaderFollowerConfig, demo_world, run_leader_follower
+from slicekit.tables import (
+    BLOCK_ROWS,
+    FRAME_ROWS,
+    column_lines,
+    frame_lines,
     write_positions_csv,
+    write_table,
 )
-from slicekit.tables import BLOCK_ROWS, FRAME_ROWS, column_lines, frame_lines, write_table
 
 EDGE_FLOATS = [
     0.0,
@@ -59,10 +61,14 @@ def csv_writer_bytes(rows):
 @settings(max_examples=200, deadline=None)
 @given(rows=ROWS)
 def test_matches_csv_writer_byte_for_byte(tmp_path_factory, rows):
+    # A path comes back from the writer; an open file, here in memory, does not.
     path = tmp_path_factory.mktemp("table") / "t.csv"
-    table_rows = ((k, "" if row is None else row, value, ok) for k, row, value, ok in rows)
-    assert write_table(path, "k,row,value,ok", "%d,%s,%.17g,%d", table_rows) == path
+    buf = io.StringIO(newline="")
+    for out, returned in ((path, path), (buf, None)):
+        table_rows = ((k, "" if row is None else row, value, ok) for k, row, value, ok in rows)
+        assert write_table(out, "k,row,value,ok", "%d,%s,%.17g,%d", table_rows) == returned
     assert path.read_bytes() == csv_writer_bytes(rows)
+    assert buf.getvalue().encode() == csv_writer_bytes(rows)
 
 
 def edge_rows(count):
@@ -201,9 +207,14 @@ def scattered_positions(nodes):
     [scattered_positions(1), scattered_positions(12), positions_of_a_run(12)],
     ids=["1-node", "12-node", "12-node-run"],
 )
-@pytest.mark.parametrize("k0", [0, 9, 2**63 - 2])
+@pytest.mark.parametrize("k0", [0, 9, 2**63 - 2, 2**64 - 3])
 def test_positions_lines_match_one_format_per_row(tmp_path, k0, positions):
-    # Frame indices run past 2**63 - 1 and node indices to two digits.
+    # Frame indices run past 2**63 - 1, some to 2**64 - 1, and node indices
+    # to two digits.  A frame index past 2**64 - 1 is refused.
+    if k0 + len(positions) > 2**64:
+        with pytest.raises(OverflowError):
+            write_positions_csv(positions, tmp_path / "positions.csv", k0)
+        return
     write_positions_csv(positions, tmp_path / "positions.csv", k0)
     want = "k,node,x,y\r\n" + "".join(
         "%d,%d,%.17g,%.17g\r\n" % (k0 + k, i, x, y)
