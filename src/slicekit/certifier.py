@@ -25,13 +25,19 @@ certification routes are implemented:
 Cases i and ii are the gamma1 = 0 specializations of case iii.  All traces
 are accumulated in log space so verdict-relevant signs survive slice
 lengths whose margins underflow as floats.
+
+Lengths, caps and subset indices are whole numbers within int64 (``3.0``
+passes; a fraction, NaN, a string or a bool does not).  Every route works
+on one int64 array of the lengths, with no per-slice Python object.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,22 +91,46 @@ class BoundTrace:
     neg_log_sums: np.ndarray
 
 
-def _length_array(lengths: Sequence[int]) -> np.ndarray:
-    """``lengths`` as an int64 array; a length below 1 or beyond int64
-    raises :class:`InvalidLength`."""
+def _whole(v: object) -> bool:
+    """Whether ``v`` is an integer, not a bool, or an integral float."""
+    if isinstance(v, float):
+        return v.is_integer()
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _whole_array(values: Sequence, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as an int64 array, an int64 array itself as it is; a value
+    that is not :func:`_whole` or lies beyond int64 raises ``error``."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not set(map(type, items)) <= {int}:  # checked one by one
+        for v in filterfalse(_whole, items):
+            raise error(f"{what} must be whole numbers, got {v!r}")
+        items = list(map(int, items))
     try:
-        arr = np.asarray(lengths, dtype=np.int64)
+        return np.asarray(items, dtype=np.int64)
     except OverflowError as exc:
-        raise InvalidLength(f"slice lengths must fit in 64 bits: {exc}") from exc
+        raise error(f"{what} must fit in 64 bits: {exc}") from exc
+
+
+def _length_array(lengths: Sequence[int]) -> np.ndarray:
+    """``lengths`` read by :func:`_whole_array`; a length that is not a whole
+    number from 1 to int64 max raises :class:`InvalidLength`."""
+    arr = _whole_array(lengths, "slice lengths", InvalidLength)
     if arr.size and arr.min() < 1:
         raise InvalidLength(f"slice lengths must be >= 1, got min {arr.min()}")
     return arr
 
 
-def _check_cap(cap: int) -> None:
-    """Refuse a cap below 1 or beyond int64, as :func:`_length_array` does lengths."""
+def _cap(cap: int) -> int:
+    """``cap`` as an int; one that is not a whole number from 1 to int64 max
+    raises :class:`InvalidLength`, as a length does."""
+    if not _whole(cap):
+        raise InvalidLength(f"cap must be a whole number, got {cap!r}")
     if not 1 <= cap <= np.iinfo(np.int64).max:
         raise InvalidLength(f"cap must be >= 1 and fit in 64 bits, got {cap}")
+    return int(cap)
 
 
 def bound_trace(lengths: Sequence[int], params: Params) -> BoundTrace:
@@ -114,7 +144,7 @@ def bound_trace(lengths: Sequence[int], params: Params) -> BoundTrace:
     return BoundTrace(lengths=arr, products=products, neg_log_sums=neg_log_sums)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Outcome of a certification attempt over a finite slice sample."""
 
@@ -131,51 +161,38 @@ class Certificate:
 
 
 def _not_certified(horizon: int, notes: Iterable[str]) -> Certificate:
-    return Certificate(
-        verdict=Verdict.NOT_CERTIFIED,
-        case_used=None,
-        witnesses={},
-        trace=None,
-        horizon=horizon,
-        notes=tuple(notes),
-    )
+    return Certificate(Verdict.NOT_CERTIFIED, None, {}, None, horizon, tuple(notes))
 
 
-def certify_case1(
-    lengths: Sequence[int], n_cap: int, params: Params
-) -> Certificate:
+def certify_case1(lengths: Sequence[int], n_cap: int, params: Params) -> Certificate:
     """Certify under a uniform slice-length cap.
 
     Certified iff every observed length is at most ``n_cap``; the witness is
     the uniform per-slice norm bound ``delta = 1 + beta1**(n_cap-1) *
     (beta2 - 1) < 1``.
     """
-    arr = _length_array(lengths).tolist()
-    _check_cap(n_cap)
-    if not arr:
+    arr = _length_array(lengths)
+    n_cap = _cap(n_cap)
+    if not arr.size:
         return _not_certified(0, ["no completed slices in the sample"])
-    offenders = [(t, L) for t, L in enumerate(arr) if L > n_cap]
-    if offenders:
-        t, L = offenders[0]
-        return _not_certified(
-            len(arr),
-            [f"slice {t} has length {L} above the cap {n_cap} "
-             f"({len(offenders)} offender(s) total)"],
-        )
-    delta = slice_norm_bound(n_cap, params)
+    offenders = np.flatnonzero(arr > n_cap)
+    if offenders.size:
+        t = offenders[0]
+        note = f"slice {t} has length {arr[t]} above the cap {n_cap}"
+        return _not_certified(arr.size, [f"{note} ({offenders.size} offender(s) total)"])
     return Certificate(
         verdict=Verdict.CERTIFIED,
         case_used=CertificateCase.CASE_I,
         witnesses={
-            "N": int(n_cap),
-            "delta": delta,
+            "N": n_cap,
+            "delta": slice_norm_bound(n_cap, params),
             # delta = 1 - exp(log_gap); kept in log space because the gap
             # underflows the direct float for large caps while still being
             # strictly positive mathematically.
             "log_gap": log_slice_norm_gap(n_cap, params),
         },
         trace=bound_trace(arr, params),
-        horizon=len(arr),
+        horizon=arr.size,
     )
 
 
@@ -194,46 +211,39 @@ def certify_case2(
     infinite, so the caller must keep ``subset_declared_infinite`` true (the
     certificate records this proviso) or the verdict is not certified.
     """
-    arr = _length_array(lengths).tolist()
-    horizon = len(arr)
-    _check_cap(infinite_subset_cap)
-    idx = list(int(t) for t in subset)
-    if len(set(idx)) != len(idx):
+    arr = _length_array(lengths)
+    horizon = arr.size
+    cap = _cap(infinite_subset_cap)
+    idx = _whole_array(subset, "subset indices", InvalidSubset)
+    if np.unique(idx).size != idx.size:
         raise InvalidSubset("subset contains duplicate indices")
-    if not arr:
+    if not horizon:
         return _not_certified(0, ["no completed slices in the sample"])
-    bad = [t for t in idx if not 0 <= t < horizon]
-    if bad:
-        raise InvalidSubset(f"subset indices out of range: {bad}")
-    if not idx:
-        return _not_certified(
-            horizon, ["empty subset: no infinite bounded family to certify from"]
-        )
+    bad = idx[(idx < 0) | (idx >= horizon)]
+    if bad.size:
+        raise InvalidSubset(f"subset indices out of range: {bad.tolist()}")
+    if not idx.size:
+        return _not_certified(horizon, ["empty subset: no infinite bounded family to certify from"])
     if not subset_declared_infinite:
         return _not_certified(
             horizon,
             ["subset not declared part of an infinite family; a finite "
              "sample cannot establish that on its own"],
         )
-    offenders = [t for t in idx if arr[t] > infinite_subset_cap]
-    if offenders:
+    offenders = idx[arr[idx] > cap]  # in subset order
+    if offenders.size:
         t = offenders[0]
-        return _not_certified(
-            horizon,
-            [f"subset slice {t} has length {arr[t]} above the cap "
-             f"{infinite_subset_cap}"],
-        )
-    delta1 = slice_norm_bound(infinite_subset_cap, params)
+        return _not_certified(horizon, [f"subset slice {t} has length {arr[t]} above the cap {cap}"])
     return Certificate(
         verdict=Verdict.CERTIFIED,
         case_used=CertificateCase.CASE_II,
         witnesses={
-            "N1": int(infinite_subset_cap),
-            "delta1": delta1,
-            "log_gap1": log_slice_norm_gap(infinite_subset_cap, params),
-            "subset": tuple(idx),
+            "N1": cap,
+            "delta1": slice_norm_bound(cap, params),
+            "log_gap1": log_slice_norm_gap(cap, params),
+            "subset": tuple(idx.tolist()),
         },
-        trace=bound_trace([arr[t] for t in idx], params),
+        trace=bound_trace(arr[idx], params),
         horizon=horizon,
         notes=(
             "subset declared unbounded-by-construction by the caller; the "
@@ -242,9 +252,7 @@ def certify_case2(
     )
 
 
-def case3_length_cap(
-    i: int, gamma1: float, gamma2: float, params: Params
-) -> float:
+def case3_length_cap(i: int, gamma1: float, gamma2: float, params: Params) -> float:
     """Length cap at position i for the slack rate ``gamma2 * i**-gamma1``.
 
     Defined only while ``beta2 < exp(-gamma2 * i**-gamma1)``, i.e. while the
@@ -305,9 +313,12 @@ def certify_case3(
     the caps' order.  The caps come in chunks of positions 1-8, then up to
     8 times those done, and the scan stops at the first chunk holding a
     failing rank.
+
+    The witness ``assignment`` is the columns ``(i, slice_index, length,
+    cap)``, three int64 arrays and one float64, a row per slice.
     """
     arr = _length_array(lengths)
-    horizon = int(arr.size)
+    horizon = arr.size
     if horizon == 0:
         return _not_certified(0, ["no completed slices in the sample"])
     sorted_lengths = np.sort(arr)
@@ -319,23 +330,17 @@ def certify_case3(
         failures = np.flatnonzero(sorted_lengths[done:stop] > caps[done:stop] + CAP_FEASIBILITY_TOL)
         if failures.size:
             t = done + int(failures[0])
-            return _not_certified(
-                horizon,
-                [f"rank {t}: length {int(sorted_lengths[t])} exceeds the cap "
-                 f"{float(caps[t])!r} at position i={t + 1}"],
-            )
+            note = f"rank {t}: length {sorted_lengths[t]} exceeds the cap {float(caps[t])!r}"
+            return _not_certified(horizon, [f"{note} at position i={t + 1}"])
         done = stop
     by_length = np.argsort(arr, kind="stable")
-    matched = tuple(
-        zip(range(1, horizon + 1), by_length.tolist(), sorted_lengths.tolist(), caps.tolist())
-    )
     return Certificate(
         verdict=Verdict.CERTIFIED,
         case_used=CertificateCase.CASE_III,
         witnesses={
             "gamma1": float(gamma1),
             "gamma2": float(gamma2),
-            "assignment": matched,
+            "assignment": (np.arange(1, horizon + 1), by_length, sorted_lengths, caps),
         },
         trace=bound_trace(sorted_lengths, params),
         horizon=horizon,

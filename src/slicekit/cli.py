@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .certifier import Certificate, certify_case1, certify_case2, search_case3
+from .certifier import Certificate, _length_array, certify_case1, certify_case2, search_case3
 from .ddf_sim import (
     LeaderFollowerConfig,
     World,
@@ -486,9 +486,10 @@ def cmd_certify(config: ExperimentConfig) -> int:
         routes.append(case2)
     routes.append(lambda: search_case3(lengths, config.params))
     attempts: list[Certificate] = []
-    # The routes check their inputs; a bad cap, subset or logged length is
-    # a fault of the config or the log, not of the run.
+    # The routes check their inputs and take the lengths as one int64 array; a
+    # bad cap, subset or logged length is a fault of the config or the log.
     try:
+        lengths = _length_array(lengths)
         for route in routes:
             attempts.append(route())
             if attempts[-1].certified:

@@ -58,6 +58,9 @@ BLOCK_ROWS = 512
 # least, for the frame writers); it bounds the text and the arrays held.
 FRAME_ROWS = 4096
 
+# 10**j for j = 0..22, every power of ten exact in binary64, for _g17_rows.
+_POW10 = np.array([float(10**j) for j in range(23)])
+
 
 def write_lines(out: str | Path | TextIO, header: str, chunks: Iterable[str]) -> Path | None:
     """Write ``header`` and then each chunk of whole ``\\r\\n``-ended lines
@@ -143,9 +146,9 @@ def write_event_log(events: Sequence[SliceEvent], path: str | Path | TextIO) -> 
 
 
 def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
-    """Render a certificate as a structured text document; the assignment
-    table's lines ``%d,%d,%d,%.17g`` are built in NumPy byte grids
-    (:func:`column_lines`), byte for byte Python's."""
+    """Render a certificate as a structured text document; the lines
+    ``%d,%d,%d,%.17g`` of the assignment's columns are built in NumPy byte
+    grids (:func:`column_lines`), byte for byte Python's."""
     lines = [
         f"verdict: {cert.verdict.value}",
         f"case: {cert.case_used.value if cert.case_used else 'none'}",
@@ -169,10 +172,10 @@ def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:
     if trace_csv is not None:
         lines.append(f"trace_csv: {trace_csv}")
     text = "\n".join(lines) + "\n"
-    assignment = cert.witnesses.get("assignment")
-    if not assignment:
+    assignment = cert.witnesses.get("assignment", ((),))
+    if not len(assignment[0]):
         return text
-    block = column_lines("%d,%d,%d,%.17g", list(zip(*assignment)), "\n")
+    block = column_lines("%d,%d,%d,%.17g", assignment, "\n")
     return "".join([text, "assignment:\ni,slice_index,length,cap\n", *block])
 
 
@@ -363,15 +366,14 @@ def _g17_rows(v: np.ndarray) -> np.ndarray:
     a[~fast] = 1.0
     # log10 can miss x by one next to a power of ten; the loop mends it.
     x = np.floor(np.log10(a)).astype(np.int64).clip(-4, 16)
-    pow10 = np.array([float(10**j) for j in range(23)])  # exact up to 10**22
-    d = _round_product(a, pow10[16 - x])
+    d = _round_product(a, _POW10[16 - x])
     while True:
         up = d >= 10**17
         off = np.flatnonzero(up | (d < 10**16))
         if not len(off):
             break
         x[off] += 2 * up[off] - 1
-        d[off] = _round_product(a[off], pow10[16 - x[off]])
+        d[off] = _round_product(a[off], _POW10[16 - x[off]])
     e = np.zeros((21, n), np.uint8)
     m = np.arange(21, dtype=np.uint8)[:, None]
     # 17 uint32 divisions give the digits: 9 from d's low part, 8 from its high.

@@ -41,6 +41,13 @@ PARAMS = Params(beta1=0.05, beta2=0.3)
 WIDE = Params(beta1=0.05, beta2=0.7)
 
 
+def _rows(witnesses):
+    """``witnesses`` with case iii's assignment columns read as rows of
+    Python numbers, ``(i, slice_index, length, cap)`` each."""
+    columns = witnesses["assignment"]
+    return {**witnesses, "assignment": tuple(zip(*(column.tolist() for column in columns)))}
+
+
 class TestCase1:
     def test_constant_lengths_certify(self):
         cert = certify_case1([3, 3, 3, 3], 3, WIDE)
@@ -134,6 +141,174 @@ class TestCase2:
         assert len(cert.trace.lengths) == 2
 
 
+INT64_MAX = 2**63 - 1
+
+
+class TestWholeNumbers:
+    """Lengths, caps and subset indices are whole numbers within int64."""
+
+    @pytest.mark.parametrize("cap", [3.5, True, np.bool_(True), float("nan"), float("inf"), "3"])
+    def test_a_cap_that_is_not_a_whole_number_is_refused(self, cap):
+        # A cap of 3.5 used to certify with witness N = 3 but the bound at 3.5.
+        with pytest.raises(InvalidLength, match="cap must be a whole number"):
+            certify_case1([2, 3], cap, WIDE)
+        with pytest.raises(InvalidLength, match="cap must be a whole number"):
+            certify_case2([2, 3], cap, [0, 1], WIDE)
+
+    def test_an_integral_float_cap_is_its_integer(self):
+        for cap in (3.0, np.float64(3.0), np.int64(3)):
+            cert = certify_case1([2, 3], cap, WIDE)
+            assert cert.certified and type(cert.witnesses["N"]) is int
+            assert cert.witnesses["N"] == 3
+            assert cert.witnesses["delta"] == slice_norm_bound(3, WIDE)
+            cert = certify_case2([2, 3], cap, [0, 1], WIDE)
+            assert cert.certified and cert.witnesses["N1"] == 3
+        cert = certify_case1([2, 9], np.float64(3.0), WIDE)
+        assert cert.notes == ("slice 1 has length 9 above the cap 3 (1 offender(s) total)",)
+
+    @pytest.mark.parametrize("entry", [1.5, True, float("nan"), "1"])
+    def test_a_subset_entry_that_is_not_a_whole_number_is_refused(self, entry):
+        # 1.5 used to be read as slice 1.
+        with pytest.raises(InvalidSubset, match="subset indices must be whole numbers"):
+            certify_case2([2, 3], 3, [0, entry], WIDE)
+
+    def test_integral_float_and_array_subsets_are_read_as_indices(self):
+        for subset in ([2.0, 0.0], np.array([2, 0]), np.array([2, 0], dtype=np.uint8), (2, 0)):
+            cert = certify_case2([2, 9, 3], 3, subset, WIDE)
+            assert cert.certified and cert.witnesses["subset"] == (2, 0)
+            assert cert.trace.lengths.tolist() == [3, 2]
+
+    def test_a_subset_index_beyond_int64_is_refused(self):
+        for subset in ([10**30], [2**63], np.array([2**63], dtype=np.uint64)):
+            with pytest.raises(InvalidSubset, match="fit in 64 bits"):
+                certify_case2([2, 3], 3, subset, WIDE)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[2, 3.7], ["3"], [float("nan")], [float("inf")], np.array([True, True]), [True, 2.5],
+         np.array([2.0, 3.5]), np.array(["3"], dtype=object)],
+        ids=["fraction", "string", "nan", "inf", "bool-array", "bool-and-fraction",
+             "float-array", "object-string"],
+    )
+    def test_lengths_that_are_not_whole_numbers_are_refused(self, lengths):
+        for route in (
+            lambda: certify_case1(lengths, 4, WIDE),
+            lambda: certify_case2(lengths, 4, [0], WIDE),
+            lambda: certify_case3(lengths, 1.0, MIN_GAMMA2, WIDE),
+            lambda: search_case3(lengths, WIDE),
+            lambda: bound_trace(lengths, WIDE),
+        ):
+            with pytest.raises(InvalidLength, match="slice lengths must be whole numbers"):
+                route()
+
+    @pytest.mark.parametrize(
+        "lengths", [[10**30], [2**63], np.array([2**63], dtype=np.uint64), [2**63, -1]]
+    )
+    def test_lengths_beyond_int64_are_refused(self, lengths):
+        with pytest.raises(InvalidLength, match="slice lengths must fit in 64 bits"):
+            search_case3(lengths, WIDE)
+
+    def test_whole_lengths_of_any_type_read_as_int64(self):
+        for lengths in ([2.0, 3.0], np.array([2, 3], dtype=np.uint16), np.array([2, 3], dtype=object),
+                        [np.int64(2), 3], (2, 3), range(2, 4)):
+            cert = certify_case1(lengths, 3, WIDE)
+            assert cert.trace.lengths.dtype == np.int64
+            assert cert.trace.lengths.tolist() == [2, 3]
+        # A length at the top of int64 stays exact.
+        assert certifier._length_array([INT64_MAX, 1.0]).tolist() == [INT64_MAX, 1]
+
+    def test_an_int64_array_is_taken_as_it_is(self):
+        lengths = np.array([3, 2, 3])
+        assert certifier._length_array(lengths) is lengths
+
+    def test_empty_input_is_a_horizon_0_sample(self):
+        for lengths in ([], (), np.array([]), np.empty(0, dtype=np.int64), range(0)):
+            assert certifier._length_array(lengths).dtype == np.int64
+            cert = search_case3(lengths, WIDE)
+            assert not cert.certified and cert.horizon == 0
+
+    def test_case_iii_certificates_compare_by_identity(self):
+        # The witness holds arrays, so == must not compare it field by field.
+        lengths = case3_lengths(20, 1.0, MIN_GAMMA2, PARAMS)
+        first, second = (search_case3(lengths, PARAMS) for _ in range(2))
+        assert first == first and first != second
+
+
+def _case1_reference(lengths, cap):
+    """Case i's notes from a per-slice Python scan: ``()`` when it certifies."""
+    if not lengths:
+        return ("no completed slices in the sample",)
+    offenders = [(t, length) for t, length in enumerate(lengths) if length > cap]
+    if not offenders:
+        return ()
+    t, length = offenders[0]
+    return (f"slice {t} has length {length} above the cap {cap} ({len(offenders)} offender(s) total)",)
+
+
+def _case2_reference(lengths, cap, subset):
+    """Case ii's notes from a per-slice Python scan in subset order, for a
+    nonempty log and subset; the declaration note when it certifies."""
+    offenders = [t for t in subset if lengths[t] > cap]
+    if not offenders:
+        return ("subset declared unbounded-by-construction by the caller; the "
+                "verdict is conditional on that declaration",)
+    t = offenders[0]
+    return (f"subset slice {t} has length {lengths[t]} above the cap {cap}",)
+
+
+# Lengths up to int64 max, most of them near small caps.
+_LENGTHS = st.lists(st.integers(1, 6) | st.integers(1, INT64_MAX), max_size=40)
+_CAPS = st.sampled_from([1, INT64_MAX]) | st.integers(1, 6) | st.integers(1, INT64_MAX)
+
+
+class TestVectorisedChecks:
+    @given(lengths=_LENGTHS, cap=_CAPS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_case1_matches_a_per_slice_scan(self, lengths, cap):
+        cert = certify_case1(lengths, cap, WIDE)
+        notes = _case1_reference(lengths, cap)
+        assert cert.notes == notes
+        assert cert.certified == (notes == ())
+        if cert.certified:
+            assert cert.trace.lengths.tolist() == lengths
+
+    @given(data=st.data(), lengths=_LENGTHS.filter(bool), cap=_CAPS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_case2_matches_a_per_slice_scan(self, data, lengths, cap):
+        order = data.draw(st.permutations(range(len(lengths))))
+        subset = order[: data.draw(st.integers(1, len(lengths)))]
+        cert = certify_case2(lengths, cap, subset, WIDE)
+        notes = _case2_reference(lengths, cap, subset)
+        assert cert.notes == notes
+        assert cert.certified == notes[0].startswith("subset declared")
+        if cert.certified:
+            assert cert.trace.lengths.tolist() == [lengths[t] for t in subset]
+
+    def test_case2_names_the_first_offender_in_subset_order(self):
+        cert = certify_case2([9, 2, 8, 2], 3, [3, 2, 0], WIDE)
+        assert cert.notes == ("subset slice 2 has length 8 above the cap 3",)
+
+    @given(data=st.data(), gamma1=st.sampled_from(DEFAULT_GAMMA1_GRID))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_case3_columns_match_the_scalar_rows(self, data, gamma1):
+        params, lengths = data.draw(_boundary_inputs())
+        try:
+            rows = _scalar_rank_check(lengths, gamma1, params)
+        except MeaninglessBound:
+            with pytest.raises(MeaninglessBound):
+                certify_case3(lengths, gamma1, MIN_GAMMA2, params)
+            return
+        cert = certify_case3(lengths, gamma1, MIN_GAMMA2, params)
+        assert cert.certified == (rows is not None)
+        if rows is None:
+            return
+        columns = cert.witnesses["assignment"]
+        assert [c.dtype for c in columns] == [np.int64, np.int64, np.int64, np.float64]
+        for c in range(3):
+            assert columns[c].tolist() == [row[c] for row in rows]
+        assert [cap.hex() for cap in columns[3].tolist()] == [row[3].hex() for row in rows]
+
+
 class TestLengthCap:
     def test_oracle_value(self):
         # [DERIVED] ln((1 - e^-1) / 0.7) / ln(0.05) + 1
@@ -206,7 +381,7 @@ class TestCase3:
         lengths = [schedule[t] for t in rng.permutation(len(schedule))]
         cert = certify_case3(lengths, 1.0, 1.0, PARAMS)
         assert cert.certified
-        assignment = cert.witnesses["assignment"]
+        assignment = _rows(cert.witnesses)["assignment"]
         positions = [entry[0] for entry in assignment]
         slice_ids = [entry[1] for entry in assignment]
         assert sorted(positions) == list(range(1, 51))
@@ -312,7 +487,7 @@ class TestSearchMatchesGrid:
             return
         assert cert.verdict is expected.verdict
         assert cert.case_used is expected.case_used
-        assert cert.witnesses == expected.witnesses
+        assert _rows(cert.witnesses) == _rows(expected.witnesses)
         assert cert.horizon == expected.horizon
         for name in ("lengths", "products", "neg_log_sums"):
             assert np.array_equal(
@@ -398,10 +573,10 @@ class TestScreenedSearch:
             return
         gamma1, assignment = expected
         assert cert.verdict is Verdict.CERTIFIED
-        assert cert.witnesses == {
+        assert _rows(cert.witnesses) == {
             "gamma1": gamma1, "gamma2": MIN_GAMMA2, "assignment": assignment,
         }
-        assert [cap.hex() for *_, cap in cert.witnesses["assignment"]] == [
+        assert [cap.hex() for cap in cert.witnesses["assignment"][3].tolist()] == [
             cap.hex() for *_, cap in assignment
         ]
         trace = bound_trace([length for _, _, length, _ in assignment], params)
@@ -472,7 +647,7 @@ class TestEarlyReturn:
         monkeypatch.setattr(certifier, "_case3_caps", lambda positions, *_: [caps[i - 1] for i in positions])
         cert = certify_case3([4, 3, 2], 1.0, MIN_GAMMA2, PARAMS)
         assert cert.certified
-        rows = cert.witnesses["assignment"]
+        rows = _rows(cert.witnesses)["assignment"]
         assert rows == ((1, 2, 2, 5.0), (2, 1, 3, 3.0), (3, 0, 4, 4.0))
         assert all(length <= cap + CAP_FEASIBILITY_TOL for _, _, length, cap in rows)
 
@@ -482,7 +657,7 @@ class TestEarlyReturn:
         monkeypatch.setattr(certifier, "_case3_caps", lambda positions, *_: [caps[i - 1] for i in positions])
         cert = certify_case3([4, 3], 1.0, MIN_GAMMA2, PARAMS)
         assert cert.certified
-        assert cert.witnesses["assignment"] == ((1, 1, 3, caps[0]), (2, 0, 4, caps[1]))
+        assert _rows(cert.witnesses)["assignment"] == ((1, 1, 3, caps[0]), (2, 0, 4, caps[1]))
 
     def test_undefined_cap_at_the_first_position_raises(self):
         params = Params(beta1=0.05, beta2=0.9995)
@@ -570,7 +745,8 @@ class TestCertificateOutput:
             (i + 1, (7 * i) % size, 1 + i * 2**40, caps[i % len(caps)]) for i in range(size)
         )
         head = Certificate(Verdict.CERTIFIED, CertificateCase.CASE_III, {"gamma1": 1.0}, None, size)
-        cert = replace(head, witnesses={"gamma1": 1.0, "assignment": rows})
+        columns = tuple(np.array([row[c] for row in rows]) for c in range(4))
+        cert = replace(head, witnesses={"gamma1": 1.0, "assignment": columns})
         block = "".join("%d,%d,%d,%.17g\n" % row for row in rows)
         expected = format_certificate(head)
         if rows:
@@ -614,7 +790,8 @@ class TestCertificateOutput:
         assert any(0.0 < p < 1e-4 for p in tr.products) == (case != "iii")
         lines = (tmp_path / "certificate.txt").read_text().splitlines(keepends=True)
         assert "trace_csv: certificate_trace.csv\n" in lines
-        assignment = cert.witnesses.get("assignment", ())
+        columns = cert.witnesses.get("assignment", ())
+        assignment = tuple(zip(*(column.tolist() for column in columns)))
         assert bool(assignment) == (case == "iii")
         block = ["%d,%d,%d,%.17g\n" % row for row in assignment]
         assert lines[len(lines) - len(block) :] == block

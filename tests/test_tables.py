@@ -257,8 +257,8 @@ def test_column_lines_match_one_format_per_row_across_chunk_edges(count, end):
 
 
 def test_column_lines_of_python_sequences():
-    # Tuples of Python numbers, as a certificate's assignment holds them; a
-    # %.17g field takes an int as the float it equals.
+    # Tuples of Python numbers; a %.17g field takes an int as the float it
+    # equals.
     rows = ((1, 7, 3, 2.5), (2, 0, 10**17, 1), (3, 12, -4, 1e-7))
     columns = list(zip(*rows))
     fmt = "%d,%d,%d,%.17g"

@@ -33,10 +33,13 @@ shared by both trees:
   permissive engine (``strict`` false), and the two infeasible-weight
   failures (a sensor group too large for ``beta1``, two anchors too many
   for ``alpha``), which exit 4;
-- the 10 certify_growth logs, plus five configs on the first log that
+- the 10 certify_growth logs, plus six configs on the first log that
   certify by case i, certify by case ii, certify nothing, certify by case
   ii after case i fails, and certify nothing after all three routes fail
-  (the certificate merges their notes), and four more logs for the
+  (the certificate merges their notes), once with case ii refused for want
+  of ``infinite_family`` and once with case ii failing on an unsorted
+  subset, whose note names its first offender in subset order, not its
+  lowest, and four more logs for the
   case-iii search: the ``gamma1`` = 0.5 schedule of 2 000 slices in
   reverse, which certifies at 0.5; the first log with its longest slice
   one longer, which no ``gamma1`` certifies; the ``gamma1`` = 0 schedule
@@ -72,7 +75,7 @@ shared by both trees:
   (1 024) steps, the last a part, so that the draws, the engine, the
   spectral radius and every products CSV cross two block edges.
 
-That makes 126 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 127 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -112,6 +115,13 @@ CERTIFY_OUTCOMES = {
         "case1_cap": 3, "case2": {"cap": 5, "subset": [0, 1, 2], "infinite_family": True}
     },
     "every_route_fails": {"beta1": 0.01, "case1_cap": 4, "case2": {"cap": 5, "subset": [0, 1, 2]}},
+    # Slices 9, 1 and 5 of the first log have length 5: case ii names slice
+    # 9, the first offender in subset order.
+    "every_route_fails_unsorted_subset": {
+        "beta1": 0.01,
+        "case1_cap": 4,
+        "case2": {"cap": 4, "subset": [9, 4, 5, 0, 1], "infinite_family": True},
+    },
 }
 
 
