@@ -258,7 +258,8 @@ def cmd_products(config: ExperimentConfig) -> int:
     with ExitStack() as files:
         for (k0, rows, p_rows), per_k in _per_k_rows(blocks, start):
             no_anchors = p_rows[:, :0]
-            events = _run_rows(state, k0, rows, p_rows, no_anchors, config.params, strict)
+            steps = _run_rows(state, k0, rows, p_rows, no_anchors, config.params, strict)
+            events = [ev for evs in steps for ev in evs]
             slices = [ev.slice for ev in events if ev.slice is not None]
             if k0 == 0:
                 names = ("per_k.csv", "slices.csv", "events.csv", "slice_boundaries.csv")

@@ -35,14 +35,12 @@ one moves with one NumPy pass over all nodes per step.  Both evaluate the
 same IEEE operations, unfused and in that order, for two components, so
 they agree bit for bit.  The neighbour rows and fusion weights depend on the
 positions and the fusing sensor but not on the states, so one NumPy pass
-computes them for every step of the block, and
-one more screens those rows against the weight rules
-(:func:`~slicekit.matrix_core._screen_block`).  The run loop then advances
-``x`` and ``N`` in place by each fused row and feeds the slice engine: a
-cleared row straight into its window (:func:`~slicekit.slice_engine._absorb`),
-an identity step as a skipped event, and any other row, wrapped as an
-update, through :func:`~slicekit.slice_engine.push`, which refuses it with
-its own message or, when permissive, absorbs it.
+computes them for every step of the block.  The steps before the block's
+first infeasible one then go to the slice engine's block loop
+(:func:`~slicekit.slice_engine._run_rows`), idle and no-neighbour steps as
+identities.  It screens their rows against the weight rules at once and
+yields each step's events as the step runs; beside it the run loop advances
+``x`` and ``N`` in place by each fused row.
 
 The run is a stream of blocks (:func:`_blocks`): each yields its frames of
 states and positions, its events and the slices it completed, so a caller
@@ -64,8 +62,8 @@ import numpy as np
 
 from . import streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
-from .matrix_core import Params, SystemMatrix, _screen_block
-from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _absorb, push
+from .matrix_core import Params
+from .slice_engine import Slice, SliceEvent, SliceState, _run_rows
 
 __all__ = [
     "World",
@@ -501,19 +499,18 @@ class _Block(NamedTuple):
 
 def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
     """Run the full loop from the world's start state and yield each block
-    of ``DRAW_BLOCK`` steps once it has run: motion (:func:`_move`), fusion
-    rows (:func:`_fusion_rows`) and one block screen, then per step the
-    state advance, slice tracking and per-slice input accumulation ``N <- P
-    N + B``, all in place.  Only a row the block screen did not clear is
-    wrapped as a :class:`~slicekit.matrix_core.SystemMatrix`, for
-    :func:`~slicekit.slice_engine.push`.
+    of ``DRAW_BLOCK`` steps once it has run: motion (:func:`_move`) and
+    fusion rows (:func:`_fusion_rows`), then per step the slice engine's
+    events (:func:`~slicekit.slice_engine._run_rows`), the state advance
+    and the per-slice input accumulation ``N <- P N + B``, all in place.
 
     The first block's frames start at frame 0, the start state, so a run
     of horizon 0 yields that frame alone.  An early stop ends the last
-    block at its step.  A step with infeasible weights raises
-    :class:`InfeasibleWeights` only once the loop reaches it, after the
-    blocks before it were yielded.  The loop owns the positions, the states
-    and the step index; the world itself never changes."""
+    block at its step, before any later step reaches the engine.  A step
+    with infeasible weights raises :class:`InfeasibleWeights` only once the
+    loop reaches it, after the blocks before it were yielded.  The loop
+    owns the positions, the states and the step index; the world itself
+    never changes."""
     world = config.world
     params = config.params
     n, s = world.n, world.s
@@ -533,30 +530,24 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
         _move(world, _displacements(world, start, stop), pos, track)
         who = _updaters(world, start, stop)
         rows = _fusion_rows(world, track, who, params)
-        # Idle rows and rows from the infeasible step on are screened too,
-        # but only the verdicts of fused rows up to it are read.
-        clear, p_sums = _screen_block(rows.p_rows, rows.b_rows, who, params)
+        # The engine takes only the steps before an infeasible one, and a
+        # step that fuses no row (idle, or no neighbours) as row -1.
+        f = rows.feasible
+        identity = (UpdateKind.IDLE, UpdateKind.NO_NEIGHBORS)
+        fused = np.where([kind not in identity for kind in rows.kinds[:f]], who[:f], -1)
+        steps = _run_rows(
+            state, start, fused, rows.p_rows[:f], rows.b_rows[:f], params, config.strict
+        )
         events: list[SliceEvent] = []
         slices: list[Slice] = []
         slice_inputs: list[np.ndarray] = []
         ran, stopped = stop - start, False
-        verdicts = zip(rows.kinds, who.tolist(), clear.tolist(), p_sums.tolist())
-        for t, (kind, i, ok, p_sum) in enumerate(verdicts):
-            if t == rows.feasible:
-                raise InfeasibleWeights(rows.fault)
-            k = start + t
-            # An identity step (idle, or no neighbours) leaves x and N as they are.
-            if kind is UpdateKind.IDLE or kind is UpdateKind.NO_NEIGHBORS:
-                evs = [SliceEvent(SliceEventKind.SKIPPED, k=k)]
-            else:
+        for t, (i, evs) in enumerate(zip(fused.tolist(), steps)):
+            # An identity step leaves x and N as they are.
+            if i >= 0:
                 p_row, b_row = rows.p_rows[t], rows.b_rows[t]
                 x[i] = p_row @ x + b_row @ u
                 n_accum[i] = p_row @ n_accum + b_row
-                if ok:
-                    evs = _absorb(state, i, p_row, p_sum, params, k)
-                else:
-                    m = SystemMatrix._trusted(n, s, i, p_row, b_row)
-                    _, evs = push(state, m, params, strict=config.strict, k=k)
             for ev in evs:
                 if ev.slice is not None:
                     slices.append(ev.slice)
@@ -567,6 +558,9 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
             if limit is not None and np.max(np.abs(x - u[0])) <= limit:
                 ran, stopped = t + 1, True
                 break
+        else:
+            if f < ran:
+                raise InfeasibleWeights(rows.fault)
         head = 0 if start == 0 else 1
         yield _Block(
             start + head,

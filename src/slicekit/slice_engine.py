@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -204,7 +203,7 @@ class RunResult(NamedTuple):
     state: SliceState
 
 
-# Steps screened at once, in run_sequence and products' draw blocks.
+# Steps in one of products' draw blocks of rows (generators._row_blocks).
 SCREEN_ROWS = 1024
 
 
@@ -213,30 +212,20 @@ def run_sequence(
     params: Params,
     strict: bool = True,
 ) -> RunResult:
-    """Drive a whole sequence through the engine, as :func:`push` one
-    matrix at a time would.
+    """Drive a whole sequence through the engine, one :func:`push` per
+    matrix, the engine sized by the first.
 
-    Each block of ``SCREEN_ROWS`` matrices goes to :func:`_run_rows` as
-    rows, row -1 for those that do not fit the first matrix's sizes.
     Returns the completed slices in order, the full event log (events
     carry the raw input index), and the residual state of the open window."""
     slices: list[Slice] = []
     events: list[SliceEvent] = []
-    matrices = iter(matrices)
     state: SliceState | None = None
-    base = 0
-    while block := list(islice(matrices, SCREEN_ROWS)):
+    for k, m in enumerate(matrices):
         if state is None:
-            state = SliceState(n=block[0].n)
-            n, s = block[0].n, block[0].s
-        fit = [_fits(m, n, s) for m in block]
-        rows = np.array([m.updated_row if f else -1 for m, f in zip(block, fit)], dtype=int)
-        p_rows = np.array([m.p_row if f else np.zeros(n) for m, f in zip(block, fit)], dtype=float)
-        b_rows = np.array([m.b_row if f else np.zeros(s) for m, f in zip(block, fit)], dtype=float)
-        evs = _run_rows(state, base, rows, p_rows, b_rows, params, strict, block)
+            state = SliceState(n=m.n)
+        _, evs = push(state, m, params, strict=strict, k=k)
         events += evs
         slices += [ev.slice for ev in evs if ev.slice is not None]
-        base += len(block)
     if state is None:
         state = SliceState(n=0)
     return RunResult(slices, events, state)
@@ -244,40 +233,23 @@ def run_sequence(
 
 def _run_rows(
     state: SliceState, k0: int, rows: np.ndarray, p_rows: np.ndarray, b_rows: np.ndarray,
-    params: Params, strict: bool = True, matrices: Sequence[SystemMatrix] | None = None,
-) -> list[SliceEvent]:
-    """Feed steps ``k0, k0 + 1, ...`` to the engine as :func:`push` would;
-    return their events.  Step ``k0 + t`` sets sensor row ``rows[t]`` to
-    ``p_rows[t]`` and anchor row to ``b_rows[t]``.  One screen
+    params: Params, strict: bool = True,
+) -> Iterator[list[SliceEvent]]:
+    """Feed steps ``k0, k0 + 1, ...`` to the engine as :func:`push` would,
+    yielding each step's events as the step runs.  Step ``k0 + t`` sets
+    sensor row ``rows[t]`` to ``p_rows[t]`` and anchor row to ``b_rows[t]``;
+    row -1 is a skipped identity.  One screen
     (:func:`~slicekit.matrix_core._screen_block`) sends each clear row to
-    :func:`_absorb`; the rest go to :func:`push` (``matrices[t]`` when
-    given), or without ``matrices`` row -1 is a skipped identity."""
+    :func:`_absorb` and the rest to :func:`push`, one step per draw, so a
+    caller that stops drawing leaves the later steps unfed."""
     clear, p_sums = _screen_block(p_rows, b_rows, rows, params)
-    clear &= rows >= 0
     n, s = state.n, b_rows.shape[1]
-    events: list[SliceEvent] = []
     for t, (i, ok, p_sum) in enumerate(zip(rows.tolist(), clear.tolist(), p_sums.tolist())):
         k = k0 + t
-        if ok:
-            evs = _absorb(state, i, p_rows[t], p_sum, params, k)
-        elif i < 0 and matrices is None:
-            evs = [SliceEvent(SliceEventKind.SKIPPED, k=k)]
+        if i < 0:
+            yield [SliceEvent(SliceEventKind.SKIPPED, k=k)]
+        elif ok:
+            yield _absorb(state, i, p_rows[t], p_sum, params, k)
         else:
-            m = matrices[t] if matrices else SystemMatrix._trusted(n, s, i, p_rows[t], b_rows[t])
-            _, evs = push(state, m, params, strict=strict, k=k)
-        events += evs
-    return events
-
-
-def _fits(m: SystemMatrix, n: int, s: int) -> bool:
-    """Whether ``m`` updates a row of n sensors and s anchors with rows of
-    those lengths, so that its rows stack with the block's."""
-    i = m.updated_row
-    return (
-        i is not None
-        and m.n == n
-        and m.s == s
-        and 0 <= i < n
-        and m.p_row.shape == (n,)
-        and m.b_row.shape == (s,)
-    )
+            m = SystemMatrix._trusted(n, s, i, p_rows[t], b_rows[t])
+            yield push(state, m, params, strict=strict, k=k)[1]

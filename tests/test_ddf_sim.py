@@ -1078,7 +1078,7 @@ def corrupt_first_block(monkeypatch, how, at=5):
                 rows.p_rows[t, i] = params.beta2 + 0.05
                 rows.b_rows[t] = (1.0 - rows.p_rows[t, i]) / world.s
                 rows.kinds[t] = UpdateKind.SUB_STOCHASTIC_UPDATE
-            hit.append(ddf_sim.SystemMatrix._trusted(
+            hit.append(SystemMatrix._trusted(
                 world.n, world.s, i, rows.p_rows[t], rows.b_rows[t]
             ))
         return rows

@@ -428,9 +428,9 @@ def run_fields(slices, events, state):
 def mixed_sequence(n, params, horizon, rng):
     """Generated rows with, at random steps, a row of two anchors, an
     identity step over one anchor and a generated row rebuilt by
-    ``_trusted`` on a strided view: rows :func:`run_sequence` sends to
-    :func:`push` because their sizes differ from the first matrix's, and a
-    row it screens."""
+    ``_trusted`` on a strided view: rows whose sizes differ from the first
+    matrix's, which :func:`push` takes as they are, and a row that is not
+    contiguous."""
     out = []
     for m in random_product_sequence(n, params, horizon, rng=rng):
         roll = rng.integers(6)
@@ -451,22 +451,24 @@ def mixed_sequence(n, params, horizon, rng):
 
 def products_path(n, params, horizon, seed, engine_params, strict):
     """The products command's path: each draw block of rows goes straight
-    to ``_run_rows``, with no matrices; returns what :func:`run_sequence`
-    does."""
+    to ``_run_rows``, whose steps are flattened into one event list;
+    returns what :func:`run_sequence` does."""
     state, slices, events = SliceState(n=n), [], []
     cdf = _form_cdf(1.0, 1.0, 1.0)
     for k0, rows, p_rows in _row_blocks(n, params, horizon, np.random.default_rng(seed), cdf):
         no_anchors = np.zeros((len(rows), 0))
-        evs = slice_engine._run_rows(state, k0, rows, p_rows, no_anchors, engine_params, strict)
+        steps = slice_engine._run_rows(state, k0, rows, p_rows, no_anchors, engine_params, strict)
+        evs = [ev for step in steps for ev in step]
         events += evs
         slices += [ev.slice for ev in evs if ev.slice is not None]
     return slices, events, state
 
 
 class TestRunSequenceScreensBlocks:
-    """``run_sequence`` screens a block of rows at once and absorbs the
-    clear ones directly; it must return what a loop of :func:`push` does,
-    across block edges, in both modes, on rows that do not fit the block."""
+    """``run_sequence`` is the loop of :func:`push` that every block path
+    is checked against.  The products path screens a block of rows at once
+    in ``_run_rows`` and absorbs the clear ones directly; it must return
+    what the :func:`push` loop does, across block edges, in both modes."""
 
     @pytest.mark.parametrize("block", [1, 3, 64, None])
     @pytest.mark.parametrize("seed", range(4))
@@ -492,6 +494,36 @@ class TestRunSequenceScreensBlocks:
             got = products_path(n, PARAMS, 300, seed, engine_params, strict)
             assert run_fields(*got) == want
 
+    def test_steps_run_only_as_they_are_drawn(self, monkeypatch):
+        # Step 3 (k = 13) is refused in strict mode.  Drawing the three steps
+        # before it raises nothing, and no later step reaches the engine.
+        good = [0.3, 0.3, 0.1]
+        rows = np.array([0, -1, 2, 1, 0, 1])
+        p_rows = np.array([good, [0.0] * 3, good, [0.2, 0.5, 0.1], good, good])
+        b_rows = np.array([[0.3], [0.0], [0.3], [0.2], [0.3], [0.3]])
+        fed = []
+
+        def absorb(state, i, p_row, p_sum, params, k):
+            fed.append(k)
+            return real_absorb(state, i, p_row, p_sum, params, k)
+
+        def lone_push(state, m, params, strict=True, k=None):
+            fed.append(k)
+            return real_push(state, m, params, strict=strict, k=k)
+
+        real_absorb, real_push = slice_engine._absorb, slice_engine.push
+        monkeypatch.setattr(slice_engine, "_absorb", absorb)
+        monkeypatch.setattr(slice_engine, "push", lone_push)
+        state = SliceState(n=3)
+        steps = slice_engine._run_rows(state, 10, rows, p_rows, b_rows, PARAMS)
+        drawn = [next(steps) for _ in range(3)]
+        assert [ev.kind for ev in drawn[1]] == [SliceEventKind.SKIPPED]
+        assert fed == [10, 12]
+        assert state.next_k == 2
+        with pytest.raises(AssumptionViolated, match="exceeds beta2"):
+            next(steps)
+        assert fed == [10, 12, 13]
+
     def test_block_edges_at_the_default_size(self):
         size = slice_engine.SCREEN_ROWS
         mats = random_product_sequence(2, LOOSE, 2 * size + 3, rng=9)
@@ -503,7 +535,7 @@ class TestRunSequenceScreensBlocks:
             row_update(3, 1, [0.2, 0.5, 0.1], b_row=[0.2]),  # sensor sum 0.8 > beta2
             SystemMatrix._trusted(3, 1, 1, np.array([0.2, np.nan, 0.1]), np.array([0.2])),
             SystemMatrix._trusted(3, 1, 1, np.array([0.2, 0.5]), np.array([0.3])),
-            # Rows the block screen would clear, were their sizes not checked.
+            # Rows of weights within the rules, sized or indexed for another engine.
             SystemMatrix._trusted(3, 1, -1, np.array([0.2, 0.3, 0.1]), np.array([0.4])),
             SystemMatrix._trusted(3, 1, 3, np.array([0.2, 0.3, 0.1]), np.array([0.4])),
             SystemMatrix._trusted(3, 2, 1, np.array([0.2, 0.3, 0.1]), np.array([0.4])),

@@ -32,7 +32,11 @@ shared by both trees:
   zeros in one block, which the trajectory writer must keep apart), the
   permissive engine (``strict`` false), and the two infeasible-weight
   failures (a sensor group too large for ``beta1``, two anchors too many
-  for ``alpha``), which exit 4;
+  for ``alpha``), which exit 4, and seven sensors sharing one disk beside an
+  anchor disk at ``tol`` 0, whose equal-weight rows of seven sum to
+  0.9999999999999998 and so fail the block screen and go to ``push``: over
+  a horizon of 1 500 the permissive engine absorbs them across a block edge
+  of the draws, and the strict one refuses the first (exit 4);
 - the 10 certify_growth logs, plus six configs on the first log that
   certify by case i, certify by case ii, certify nothing, certify by case
   ii after case i fails, and certify nothing after all three routes fail
@@ -75,7 +79,7 @@ shared by both trees:
   (1 024) steps, the last a part, so that the draws, the engine, the
   spectral radius and every products CSV cross two block edges.
 
-That makes 127 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 129 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -214,6 +218,18 @@ HUGE_REGIONS = {
     },
 }
 
+# Seven sensors that all hear each other and, on few steps, an anchor: every
+# anchor-free row is seven weights of 1/7, which sum to 0.9999999999999998.
+# At tol = 0 that sum fails the block screen's fusion rule, so each such row
+# goes to push, which absorbs it when permissive and refuses it when strict.
+UNSCREENED_REGIONS = {
+    "n": 7,
+    "tol": 0.0,
+    "comm_radius": 2.5,
+    "horizon": 1500,
+    "regions": {"sensors": [[0.0, 0.0, 1.0]] * 7, "anchors": [[3.9, 0.0, 1.0]]},
+}
+
 # Overrides of the first lf_demo config.
 LF_VARIANTS = {
     "idle": {"update_prob": 0.5},
@@ -255,6 +271,8 @@ LF_VARIANTS = {
     "crowded": {"beta1": 0.6},
     # Two anchors heard at once cannot each get alpha = 0.6.
     "anchor_floor": {**TWO_ANCHOR_REGIONS, "alpha": 0.6, "comm_radius": 3.0},
+    "unscreened_permissive": {**UNSCREENED_REGIONS, "strict": False},
+    "unscreened_strict": {**UNSCREENED_REGIONS, "strict": True},
 }
 
 # Products configs beyond products_n16, each run at PRODUCTS_SEEDS.
