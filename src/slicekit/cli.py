@@ -239,9 +239,10 @@ def _open_outputs(config: ExperimentConfig, files: ExitStack, names: Sequence[st
 
 def cmd_products(config: ExperimentConfig) -> int:
     """Generate a random product sequence, slice it, and log norms, a draw
-    block of ``SCREEN_ROWS`` steps at a time from the draws to the CSVs, so
-    memory stays flat along the horizon.  A run that fails in its first
-    block writes nothing; one that fails later keeps the blocks before."""
+    block of ``slice_engine.DRAW_BLOCK`` steps at a time from the draws to
+    the CSVs, so memory stays flat along the horizon.  The outputs are
+    opened once the first block has run: a run that fails in its first
+    block writes nothing, and one that fails later keeps the blocks before."""
     n, horizon, strict = config["n"], config["horizon"], config["strict"]
     if n < 1 or horizon < 0:
         raise ConfigError(f"need n >= 1 and horizon >= 0, got n={n}, horizon={horizon}")
@@ -375,41 +376,43 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
     """Run the mobile fusion protocol and log states, positions, slices,
     and the per-slice steady-state identity residuals.
 
-    The trajectory, the positions and the event log are written a draw
-    block at a time, as the run yields them, so memory stays flat along the
-    horizon; the rest is written at the end.  The output directory is made
-    when the first block arrives: a run that fails in its first block
-    writes nothing, and one that fails later keeps the rows of the blocks
-    before."""
+    Every table is written a draw block at a time, as the run yields it,
+    and each slice's steady-state check as it completes, so memory stays
+    flat along the horizon.  The outputs are opened once the first block
+    has run, as :func:`cmd_products` opens its own: a run that fails in its
+    first block writes nothing, and one that fails later keeps the rows of
+    the blocks before."""
     world = _build_world(config)
     run_cfg = LeaderFollowerConfig(
         world=world, params=config.params, horizon=config["horizon"], strict=config["strict"]
     )
-    out = config.out_dir
-    slices, slice_inputs = [], []
+    out, completed = config.out_dir, 0
     with ExitStack() as files:
         for block in _blocks(run_cfg):
             if block.k0 == 0:
-                names = ("trajectory.csv", "positions.csv", "events.csv")
-                trajectory, positions, events = _open_outputs(config, files, names)
+                names = ("trajectory.csv", "positions.csv", "events.csv", "slices.csv",
+                         "steady_state.csv")
+                trajectory, positions, events, slice_log, steady = _open_outputs(
+                    config, files, names
+                )
             write_trajectory_csv(block.states, trajectory, block.k0)
             write_positions_csv(block.positions, positions, block.k0)
             write_event_log(block.events, events)
-            slices += block.slices
-            slice_inputs += block.slice_inputs
-    write_slice_log(slices, out / "slices.csv")
-    checks = map(steady_state_check, (s.product for s in slices), slice_inputs)
-    rows = ((s.index, c.residual, c.ok) for s, c in zip(slices, checks))
-    write_table(out / "steady_state.csv", "slice_index,residual,ok", "%d,%.17g,%d", rows)
+            write_slice_log(block.slices, slice_log)
+            checks = map(steady_state_check, (s.product for s in block.slices), block.slice_inputs)
+            rows = ((s.index, c.residual, c.ok) for s, c in zip(block.slices, checks))
+            write_table(steady, "slice_index,residual,ok", "%d,%.17g,%d", rows)
+            completed += len(block.slices)
     (out / "plot_states.gp").write_text(_states_plot_script(world))
     (out / "plot_trajectories.gp").write_text(_trajectories_plot_script(world))
     _echo_config(config)
     # A run yields one block at least; the last ends at the last step run.
     steps_run = block.k0 + len(block.states) - 1
+    with np.errstate(over="ignore"):  # states far from u print an inf spread
+        spread = np.max(np.abs(block.states[-1] - world.u[0]))
     print(
-        f"lf: {steps_run} steps, {len(slices)} completed "
-        f"slice(s), final spread "
-        f"{np.max(np.abs(block.states[-1] - world.u[0])):.3e}; outputs in {out}"
+        f"lf: {steps_run} steps, {completed} completed slice(s), "
+        f"final spread {spread:.3e}; outputs in {out}"
     )
     return EXIT_OK
 

@@ -24,10 +24,10 @@ drives all sensor states to the anchor value.
 Step ``k`` draws its motion from ``default_rng([rng_seed, k, 0])`` and its
 fusing sensor from ``default_rng([rng_seed, k, 1])``, so every step is
 reproducible on its own.  A run computes those draws for a block of
-``DRAW_BLOCK`` steps at once (:mod:`slicekit.streams`), bit for bit, without
-building the generators.  It then takes the block in two passes.  The motion
-runs step after step, since each projection depends on the previous
-position, but every node moves on its own.  A world of up to
+``slice_engine.DRAW_BLOCK`` steps at once (:mod:`slicekit.streams`), bit for
+bit, without building the generators.  It then takes the block in two
+passes.  The motion runs step after step, since each projection depends on
+the previous position, but every node moves on its own.  A world of up to
 ``FLOAT_MOTION_NODES`` nodes therefore moves node by node on Python floats:
 each node walks the whole block, per step ``x + dx - cx``,
 ``sqrt(ox*ox + oy*oy)`` and, past the edge, ``cx + ox * (r / d)``; a larger
@@ -60,7 +60,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import streams
+from . import slice_engine, streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params
 from .slice_engine import Slice, SliceEvent, SliceState, _run_rows
@@ -431,10 +431,6 @@ class SimResult:
         return self.states.shape[0] - 1
 
 
-# Steps whose random draws a run computes at once; it bounds the memory the
-# draws take whatever the horizon.
-DRAW_BLOCK = 1024
-
 # The most nodes a world may have to move on Python floats.  Per 1 024
 # demo-world steps (best of repeated runs; x86_64, Python 3.11, NumPy 2.4)
 # the node-major float loop takes 5.3 ms at 32 nodes, 8.3 at 56, 10.2 at 64
@@ -499,10 +495,11 @@ class _Block(NamedTuple):
 
 def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
     """Run the full loop from the world's start state and yield each block
-    of ``DRAW_BLOCK`` steps once it has run: motion (:func:`_move`) and
-    fusion rows (:func:`_fusion_rows`), then per step the slice engine's
-    events (:func:`~slicekit.slice_engine._run_rows`), the state advance
-    and the per-slice input accumulation ``N <- P N + B``, all in place.
+    of ``slice_engine.DRAW_BLOCK`` steps once it has run: motion
+    (:func:`_move`) and fusion rows (:func:`_fusion_rows`), then per step the
+    slice engine's events (:func:`~slicekit.slice_engine._run_rows`), the
+    state advance and the per-slice input accumulation ``N <- P N + B``, all
+    in place.
 
     The first block's frames start at frame 0, the start state, so a run
     of horizon 0 yields that frame alone.  An early stop ends the last
@@ -518,9 +515,9 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
     pos = world.pos
     state = SliceState(n=n)
     n_accum = np.zeros((n, s))
-    limit = config.stop_when_error_below
-    for start in range(0, max(config.horizon, 1), DRAW_BLOCK):
-        stop = min(start + DRAW_BLOCK, config.horizon)
+    limit, size = config.stop_when_error_below, slice_engine.DRAW_BLOCK
+    for start in range(0, max(config.horizon, 1), size):
+        stop = min(start + size, config.horizon)
         # Row 0 holds the frame before the block's first step.
         states = np.empty((stop - start + 1, n))
         states[0] = x

@@ -88,13 +88,13 @@ def _form_cdf(p_stochastic: float, p_substochastic: float, p_identity: float) ->
 def _row_blocks(
     n: int, params: Params, horizon: int, rng: np.random.Generator, cdf: list[float]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The protocol's rows, a draw block of ``SCREEN_ROWS`` steps at a time:
-    step ``k0 + t`` of ``(k0, rows, p_rows)`` sets row ``rows[t]`` to
-    ``p_rows[t]``, or is the identity where ``rows[t]`` is -1 (and
-    ``p_rows[t]`` zero).  A horizon of 0 yields one empty block."""
+    """The protocol's rows, a draw block of ``slice_engine.DRAW_BLOCK``
+    steps at a time: step ``k0 + t`` of ``(k0, rows, p_rows)`` sets row
+    ``rows[t]`` to ``p_rows[t]``, or is the identity where ``rows[t]`` is -1
+    (and ``p_rows[t]`` zero).  A horizon of 0 yields one empty block."""
     beta1, beta2 = params.beta1, params.beta2
     max_support = min(n, int(math.floor(1.0 / beta1)))
-    size = slice_engine.SCREEN_ROWS
+    size = slice_engine.DRAW_BLOCK
     for k0 in range(0, max(horizon, 1), size):
         rows = [-1] * min(size, horizon - k0)
         picks, affine, draws = [], [], []

@@ -134,34 +134,10 @@ class SystemMatrix:
             p[self.updated_row] = self.p_row
         return p
 
-    @cached_property
-    def b(self) -> np.ndarray:
-        """The dense n x s anchor block, built on first use."""
-        b = np.zeros((self.n, self.s))
-        if self.updated_row is not None:
-            b[self.updated_row] = self.b_row
-        return b
-
     def is_identity(self, tol: float = 1e-12) -> bool:
         """True when the step leaves the state untouched."""
         i = self.updated_row
         return i is None or _unit_row(self.p_row.tolist(), self.b_row.tolist(), i, tol)
-
-    def apply(self, a: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-        """``P a``, plus ``B u`` when ``u`` is given, for a vector or a
-        stack of n rows ``a``.  Returns a new array; only the updated row
-        is recomputed, since every other row of ``P`` is the identity's and
-        of ``B`` zero."""
-        out = np.array(a, dtype=float)
-        if out.shape[:1] != (self.n,):
-            raise DimensionMismatch(
-                f"cannot apply a {self.n}-row update to shape {out.shape}"
-            )
-        i = self.updated_row
-        if i is not None:
-            row = self.p_row @ out
-            out[i] = row if u is None else row + self.b_row @ u
-        return out
 
 
 def identity_step(n: int, s: int = 0) -> SystemMatrix:

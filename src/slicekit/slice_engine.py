@@ -203,10 +203,6 @@ class RunResult(NamedTuple):
     state: SliceState
 
 
-# Steps in one of products' draw blocks of rows (generators._row_blocks).
-SCREEN_ROWS = 1024
-
-
 def run_sequence(
     matrices: Iterable[SystemMatrix],
     params: Params,
@@ -229,6 +225,11 @@ def run_sequence(
     if state is None:
         state = SliceState(n=0)
     return RunResult(slices, events, state)
+
+
+# Steps in one draw block of products (generators._row_blocks) and lf
+# (ddf_sim._blocks); it bounds what a block holds whatever the horizon.
+DRAW_BLOCK = 1024
 
 
 def _run_rows(

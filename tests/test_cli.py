@@ -19,7 +19,6 @@ from slicekit import (
     Params,
     case3_lengths,
     demo_world,
-    ddf_sim,
     identity_step,
     inf_norm,
     random_product_sequence,
@@ -51,6 +50,23 @@ def write_config(path, payload):
 def base_config(mode, log):
     """A small config for ``mode`` holding only keys that mode declares."""
     return {"mode": mode, **({"slice_log": str(log)} if mode == "certify" else {"horizon": 5})}
+
+
+def ring_world(n):
+    """An lf config whose ``n`` sensors sit in disks of radius 0.3 on a ring
+    of radius ``0.8 n / (2 pi) + 2``, with one anchor disk per 8 sensors on
+    the ring 1.0 further in.  Information spreads around the ring from every
+    anchor, so slices complete at every n, unlike the demo world's chain."""
+    ring = 0.8 * n / (2 * np.pi) + 2.0
+
+    def disks(radius, count):
+        angles = 2 * np.pi * np.arange(count) / count
+        return [[radius * np.cos(a), radius * np.sin(a), 0.3] for a in angles.tolist()]
+
+    return {
+        "mode": "lf", "n": n, "seed": 1, "comm_radius": 1.6, "sigma": 0.1,
+        "regions": {"sensors": disks(ring, n), "anchors": disks(ring - 1.0, n // 8)},
+    }
 
 
 @pytest.fixture
@@ -156,7 +172,7 @@ class TestProducts:
         # blocks but only one at a time.  The four CSV files' write buffers
         # (8 KiB of text each) fill only on the long run, about 20 KB; at
         # n = 16 a block's own arrays outweigh them.
-        monkeypatch.setattr(slice_engine, "SCREEN_ROWS", 16)
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", 16)
 
         def peak(horizon):
             cfg = write_config(
@@ -175,7 +191,7 @@ class TestProducts:
         assert len((tmp_path / "o" / "per_k.csv").read_text().splitlines()) == 1 + 1600
         assert long <= 1.3 * short
         # The 100 blocks wrote what two default blocks write.
-        monkeypatch.setattr(slice_engine, "SCREEN_ROWS", 1024)
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", 1024)
         cfg = str(tmp_path / "1600.json")
         assert main(["products", "--config", cfg, "--out", str(tmp_path / "d")]) == EXIT_OK
         for name in ("per_k.csv", "slices.csv", "events.csv", "slice_boundaries.csv"):
@@ -187,7 +203,7 @@ class TestProducts:
         # At tol = 0 a generated stochastic row may sum to 1 + 2**-52.
         # Seed 4 draws the first such row at step 36, in its third block of
         # 16 steps: the two blocks before it stay written.
-        monkeypatch.setattr(slice_engine, "SCREEN_ROWS", 16)
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", 16)
         config = {"mode": "products", "n": 4, "horizon": 400, "seed": 4, "tol": 0.0}
         out = tmp_path / "out"
         capsys.readouterr()
@@ -205,7 +221,7 @@ class TestProducts:
 
     def test_failure_in_the_first_block_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # Seed 2's first row sums to 1 + 2**-52.
-        monkeypatch.setattr(slice_engine, "SCREEN_ROWS", 16)
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", 16)
         config = {"mode": "products", "n": 4, "horizon": 400, "seed": 2, "tol": 0.0}
         capsys.readouterr()
         assert main(["products", "--config", write_config(tmp_path / "p.json", config),
@@ -256,7 +272,8 @@ def dense_per_k(matrices, n):
     """The per_k rows computed one running product at a time."""
     j, rows = np.eye(n), []
     for k, m in enumerate(matrices):
-        j = m.apply(j)
+        if m.updated_row is not None:
+            j[m.updated_row] = m.p_row @ j
         rows.append((k, inf_norm(j), spectral_radius(j)))
     return rows
 
@@ -446,7 +463,8 @@ class TestLeaderFollower:
     def test_demo_disks_as_regions_write_the_demo_run(self, tmp_path):
         # README's lf example spells the demo layout out as regions.  Both
         # configs build their world the same way, over two draw blocks.
-        demo = {"mode": "lf", "n": 4, "u": 3.0, "horizon": ddf_sim.DRAW_BLOCK + 476, "seed": 1}
+        horizon = slice_engine.DRAW_BLOCK + 476
+        demo = {"mode": "lf", "n": 4, "u": 3.0, "horizon": horizon, "seed": 1}
         regions = {
             "sensors": [[1.9, 0.0, 1.2], [-1.9, 0.0, 1.2], [3.9, 0.0, 1.2], [-3.9, 0.0, 1.2]],
             "anchors": [[0.0, 0.0, 1.0]],
@@ -528,6 +546,18 @@ class TestLeaderFollower:
         assert main(["lf", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    def test_an_overflowing_spread_prints_inf_silently(self, tmp_path, capsys):
+        # The final states minus u overflow to -inf; the summary reports an
+        # inf spread and stderr stays empty.
+        cfg = write_config(
+            tmp_path / "lf.json",
+            {"mode": "lf", "horizon": 5, "u": 1e308, "x0": [-1e308, -1e308, -1e308, -1e308]},
+        )
+        capsys.readouterr()
+        assert main(["lf", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and "final spread inf;" in captured.out
+
     @pytest.mark.parametrize("comm_radius", ["1.5*innermost", 2.0])
     def test_negative_region_radius_is_named(self, tmp_path, capsys, comm_radius):
         cfg = write_config(
@@ -565,13 +595,18 @@ class TestLeaderFollower:
         # Both zeros last past the first frame, so one block holds both.
         assert min(sum(line.endswith(z) for line in lines[5:]) for z in (",0", ",-0")) > 0
 
-    def test_memory_stays_flat_along_the_horizon(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "world, short, long", [({"mode": "lf", "n": 4}, 160, 1600), (ring_world(64), 400, 4000)],
+        ids=["demo", "ring64"],
+    )
+    def test_memory_stays_flat_along_the_horizon(self, tmp_path, monkeypatch, world, short, long):
         # Blocks of 16 steps: ten times the horizon holds ten times the
-        # blocks but only one at a time.
-        monkeypatch.setattr(ddf_sim, "DRAW_BLOCK", 16)
+        # blocks but only one at a time.  The ring world completes 8 more
+        # slices on the long run, each a 64 x 64 product and a 64 x 8 N_t.
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", 16)
 
         def peak(horizon):
-            cfg = write_config(tmp_path / f"{horizon}.json", {"mode": "lf", "horizon": horizon})
+            cfg = write_config(tmp_path / f"{horizon}.json", {**world, "horizon": horizon})
             tracemalloc.start()
             try:
                 with redirect_stdout(io.StringIO()):
@@ -580,18 +615,20 @@ class TestLeaderFollower:
             finally:
                 tracemalloc.stop()
 
-        peak(160)  # builds the parser and warms NumPy's caches
-        short, long = peak(160), peak(1600)
-        assert len((tmp_path / "o" / "trajectory.csv").read_text().splitlines()) == 1 + 1601 * 4
-        assert long <= 1.3 * short
+        peak(short)  # builds the parser and warms NumPy's caches
+        short_peak, long_peak = peak(short), peak(long)
+        trajectory = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+        assert len(trajectory) == 1 + (long + 1) * world["n"]
+        assert long_peak <= 1.3 * short_peak
 
     def test_failure_after_the_first_block_keeps_the_blocks_before(
         self, tmp_path, monkeypatch, capsys
     ):
         # At beta1 = 0.6 no two sensors fit in one row.  Seed 1 meets such a
         # group in its third block of 16 steps: the two blocks before it
-        # stay written, as whole frames, and nothing of the end is.
-        monkeypatch.setattr(ddf_sim, "DRAW_BLOCK", 16)
+        # stay written, as whole frames, in every table, and nothing of the
+        # end is.
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", 16)
         config = {"mode": "lf", "n": 4, "horizon": 400, "seed": 1, "beta1": 0.6}
         cfg = write_config(tmp_path / "lf.json", config)
         out = tmp_path / "out"
@@ -599,17 +636,16 @@ class TestLeaderFollower:
         assert main(["lf", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: 2 sensors share the row")
-        assert sorted(p.name for p in out.iterdir()) == [
-            "events.csv", "positions.csv", "trajectory.csv"
-        ]
+        names = ["events.csv", "positions.csv", "slices.csv", "steady_state.csv", "trajectory.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
         config["horizon"] = 32
         assert main(["lf", "--config", write_config(tmp_path / "h32.json", config),
                      "--out", str(tmp_path / "h32")]) == EXIT_OK
-        for name in ("trajectory.csv", "positions.csv", "events.csv"):
+        for name in names:
             assert (out / name).read_bytes() == (tmp_path / "h32" / name).read_bytes()
 
     def test_failure_in_the_first_block_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(ddf_sim, "DRAW_BLOCK", 16)
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", 16)
         config = {"mode": "lf", "n": 4, "horizon": 400, "seed": 0, "beta1": 0.6}
         cfg = write_config(tmp_path / "lf.json", config)
         capsys.readouterr()

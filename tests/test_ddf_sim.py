@@ -28,10 +28,10 @@ from slicekit import (
     run_leader_follower,
     steady_state_check,
 )
-from slicekit import ddf_sim
-from slicekit.ddf_sim import DRAW_BLOCK, resolve_comm_radius
+from slicekit import ddf_sim, slice_engine
+from slicekit.ddf_sim import resolve_comm_radius
 from slicekit.cli import EXIT_OK, main
-from slicekit.slice_engine import SliceEventKind, SliceState, push
+from slicekit.slice_engine import DRAW_BLOCK, SliceEventKind, SliceState, push
 from slicekit.tables import (
     FRAME_ROWS,
     write_event_log,
@@ -295,7 +295,7 @@ class TestFusionRows:
         m, kind = one_step(w, w.pos, 0, PARAMS)
         assert kind is UpdateKind.SUB_STOCHASTIC_UPDATE
         assert m.p[0, 0] == pytest.approx(0.7)
-        assert m.b[0, 0] == pytest.approx(0.3)
+        assert m.b_row[0] == pytest.approx(0.3)
 
     def test_isolated_sensor_yields_identity(self):
         w = tiny_world(comm_radius=0.1)
@@ -309,7 +309,7 @@ class TestFusionRows:
         w = tiny_world(comm_radius=0.6)
         m, kind = one_step(w, np.array([[0.5, 0.0], [0.0, 0.0]]), 0, PARAMS)
         assert kind is UpdateKind.SUB_STOCHASTIC_UPDATE
-        assert m.b[0, 0] == pytest.approx(0.3)
+        assert m.b_row[0] == pytest.approx(0.3)
 
     @pytest.mark.parametrize("i, group", [(0, [0, 1]), (1, [0, 1, 2]), (2, [1, 2])])
     def test_sensor_group_shares_equally(self, i, group):
@@ -345,7 +345,7 @@ class TestFusionRows:
         )
         m, _ = one_step(w, w.pos, 0, params)
         # alpha * 3 = 0.6 > 1 - beta2 = 0.3, so each anchor gets exactly alpha
-        assert np.allclose(m.b[0], 0.2)
+        assert np.allclose(m.b_row, 0.2)
         assert m.p[0, 0] == pytest.approx(0.4)
 
     def test_too_many_anchors_is_infeasible(self):
@@ -544,12 +544,14 @@ def reference_run(config):
             i = int(rng.integers(n))
         try:
             m = reference_update(world, pos, i, params)
-            x = m.apply(x, world.u)
             state, evs = push(state, m, params, strict=config.strict, k=k)
         except SliceKitError as exc:
             error = exc
             break
-        n_accum = m.apply(n_accum, np.eye(s))
+        if m.updated_row is not None:
+            x, n_accum = x.copy(), n_accum.copy()
+            x[m.updated_row] = m.p_row @ x + m.b_row @ world.u
+            n_accum[m.updated_row] = m.p_row @ n_accum + m.b_row @ np.eye(s)
         for ev in evs:
             if ev.slice is not None:
                 slice_inputs.append(n_accum)
@@ -886,7 +888,7 @@ class TestBlockStream:
     def test_infeasible_step_raises_after_the_blocks_before_it(self, monkeypatch):
         # Seed 1 meets infeasible weights at step 698; in blocks of 100
         # steps, the six blocks before its block are yielded first.
-        monkeypatch.setattr(ddf_sim, "DRAW_BLOCK", 100)
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", 100)
         stream = ddf_sim._blocks(late_infeasible_config(1))
         blocks = [next(stream) for _ in range(6)]
         with pytest.raises(InfeasibleWeights):
@@ -967,14 +969,12 @@ class TestLeaderFollowerConfig:
 class TestSteadyStateCheck:
     def test_single_sensor_identity(self):
         # [DERIVED] 0.7 + 0.3 = 1
-        m = row_update(1, 0, [0.7], b_row=[0.3], s=1)
-        check = steady_state_check(m.p, m.b)
+        check = steady_state_check(np.array([[0.7]]), np.array([[0.3]]))
         assert check.ok
         assert check.residual <= 1e-15
 
     def test_detects_mass_leak(self):
-        m = row_update(1, 0, [0.7], b_row=[0.2], s=1)
-        check = steady_state_check(m.p, m.b)
+        check = steady_state_check(np.array([[0.7]]), np.array([[0.2]]))
         assert not check.ok
         assert check.residual == pytest.approx(0.1)
 

@@ -68,7 +68,7 @@ class TestExactDraws:
         cases += [(PARAMS, 16, h) for h in (0, 1, 15, 16, 17, 35)]
         for params, block, horizon in cases:
             if block is not None:
-                monkeypatch.setattr(slice_engine, "SCREEN_ROWS", block)
+                monkeypatch.setattr(slice_engine, "DRAW_BLOCK", block)
             for seed in range(3):
                 rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = random_product_sequence(

@@ -118,7 +118,7 @@ class TestSystemMatrix:
         m = identity_step(4, s=2)
         assert m.is_identity()
         assert m.updated_row is None
-        assert m.b.shape == (4, 2)
+        assert (m.n, m.s) == (4, 2)
 
     def test_anchor_row_with_coupling(self):
         m = row_update(2, 0, [0.6, 0.1], b_row=[0.3], s=1)
@@ -149,16 +149,6 @@ class TestSystemMatrix:
             b_row[0] = bad
         with pytest.raises(AssumptionViolated):
             row_update(2, 0, p_row, b_row=b_row)
-
-    def test_apply_matches_dense_product(self):
-        rng = np.random.default_rng(4)
-        m = row_update(3, 2, [0.2, 0.3, 0.1], b_row=[0.25, 0.15])
-        a = rng.uniform(size=(3, 5))
-        u = rng.uniform(size=(2, 5))
-        assert np.allclose(m.apply(a), m.p @ a, rtol=0, atol=1e-15)
-        assert np.allclose(m.apply(a, u), m.p @ a + m.b @ u, rtol=0, atol=1e-15)
-        assert np.array_equal(m.apply(a)[:2], a[:2])  # untouched rows copied
-        assert np.array_equal(identity_step(3).apply(a), a)
 
 
 class TestValidateUpdate:
@@ -332,7 +322,7 @@ def assert_same_fields(trusted, public):
     assert (trusted.n, trusted.s, trusted.updated_row) == (
         public.n, public.s, public.updated_row,
     )
-    for name in ("p_row", "b_row", "p", "b"):
+    for name in ("p_row", "b_row", "p"):
         a, b = getattr(trusted, name), getattr(public, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -623,30 +613,10 @@ class TestScreenBlock:
 
 
 class TestArithmetic:
-    def test_multiply_oracle(self):
-        # [DERIVED] hand multiplication; P has row 0 = [0.5, 0.5]
-        a = row_update(2, 0, [0.5, 0.5])
-        b = np.array([[1.0, 0.0], [0.5, 0.5]])
-        assert np.allclose(a.apply(b), [[0.75, 0.25], [0.5, 0.5]], atol=1e-15)
-
     def test_inf_norm_oracles(self):
         # [DERIVED] max row sums 1.0 and 0.5
         assert inf_norm(np.array([[0.3, 0.2], [0.5, 0.5]])) == pytest.approx(1.0)
         assert inf_norm(np.array([[0.3, 0.2], [0.1, 0.1]])) == pytest.approx(0.5)
-
-    def test_multiply_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            row_update(2, 0, [0.5, 0.5]).apply(np.eye(3))
-
-    def test_stochastic_matrices_are_closed_under_multiplication(self):
-        rng = np.random.default_rng(1)
-        weights = rng.uniform(size=4)
-        a = row_update(4, 1, weights / weights.sum())
-        b = rng.uniform(size=(4, 4))
-        b /= b.sum(axis=1, keepdims=True)
-        product = a.apply(b)
-        assert np.all(product >= 0)
-        assert np.allclose(product.sum(axis=1), 1.0, atol=2e-12)
 
     def test_spectral_radius_identity(self):
         assert abs(spectral_radius(np.eye(3)) - 1.0) <= 1e-12
@@ -698,7 +668,8 @@ class TestArithmetic:
         for seed in range(5):
             running = np.eye(n)
             for m in random_product_sequence(n, params, 256, rng=seed):
-                running = m.apply(running)
+                if m.updated_row is not None:
+                    running[m.updated_row] = m.p_row @ running
                 if np.any(np.all(running == np.eye(n), axis=1)):
                     assert abs(spectral_radius(running) - 1.0) <= 1e-12
                     checked += 1
@@ -726,7 +697,9 @@ def running_products(n, horizon, seed):
     sequence, the identity start excluded."""
     stack, j = [], np.eye(n)
     for m in random_product_sequence(n, PARAMS, horizon, rng=np.random.default_rng(seed)):
-        j = m.apply(j)
+        if m.updated_row is not None:
+            j = j.copy()
+            j[m.updated_row] = m.p_row @ j
         stack.append(j)
     return np.array(stack).reshape(horizon, n, n)
 

@@ -10,6 +10,7 @@ import pytest
 
 import slicekit
 from slicekit import (
+    SystemMatrix,
     bounds,
     certifier,
     ddf_sim,
@@ -46,13 +47,19 @@ EARLIER_EXPORTS = [
 ]
 
 # Names removed with their module: the simulator wrappers, once the run
-# built every row in blocks (only tests called them), and the slice-log
-# reader, once certify read only the lengths (read_slice_lengths).
+# built every row in blocks (only tests called them), the slice-log
+# reader, once certify read only the lengths (read_slice_lengths), the two
+# block sizes that slice_engine.DRAW_BLOCK replaced, and SystemMatrix's
+# dense anchor block and row product, which only tests called.
 REMOVED = (
     (ddf_sim, "StepRecord"),
     (ddf_sim, "neighbors"),
     (ddf_sim, "build_update"),
     (slice_engine, "read_slice_log"),
+    (slice_engine, "SCREEN_ROWS"),
+    (ddf_sim, "DRAW_BLOCK"),
+    (SystemMatrix, "apply"),
+    (SystemMatrix, "b"),
 )
 
 

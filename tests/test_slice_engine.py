@@ -474,7 +474,7 @@ class TestRunSequenceScreensBlocks:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_a_push_loop(self, monkeypatch, block, seed):
         if block is not None:
-            monkeypatch.setattr(slice_engine, "SCREEN_ROWS", block)
+            monkeypatch.setattr(slice_engine, "DRAW_BLOCK", block)
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
         for strict, mats in (
@@ -525,7 +525,7 @@ class TestRunSequenceScreensBlocks:
         assert fed == [10, 12, 13]
 
     def test_block_edges_at_the_default_size(self):
-        size = slice_engine.SCREEN_ROWS
+        size = slice_engine.DRAW_BLOCK
         mats = random_product_sequence(2, LOOSE, 2 * size + 3, rng=9)
         assert run_fields(*run_sequence(mats, LOOSE)) == run_fields(*push_loop(mats, LOOSE))
 
@@ -734,7 +734,8 @@ def dense_push(state, m, params, k=None):
     and ``g`` derived from those sums.  No validation: callers feed it the
     rows they feed the engine."""
     n, tol = state.n, params.tol
-    if np.all(np.abs(m.p - np.eye(n)) <= tol) and np.all(np.abs(m.b) <= tol):
+    unit_b = m.updated_row is None or np.all(np.abs(m.b_row) <= tol)
+    if np.all(np.abs(m.p - np.eye(n)) <= tol) and unit_b:
         return [SliceEvent(SliceEventKind.SKIPPED, k=k)]
     this_k = state.next_k
     state.next_k += 1

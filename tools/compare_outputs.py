@@ -32,7 +32,13 @@ shared by both trees:
   zeros in one block, which the trajectory writer must keep apart), the
   permissive engine (``strict`` false), and the two infeasible-weight
   failures (a sensor group too large for ``beta1``, two anchors too many
-  for ``alpha``), which exit 4, and seven sensors sharing one disk beside an
+  for ``alpha``), which exit 4, two sensors at ``beta1`` 0.6 over a horizon
+  of 3 000 (seed 12), which complete 40 slices and then meet an infeasible
+  group in their third draw block, so that a run that exits 4 keeps
+  ``slices.csv`` and ``steady_state.csv`` rows, 64 sensors on a sparse ring
+  with one anchor per 8 sensors over 4 000 steps (seed 1), which complete
+  9 slices of 64 x 64 products across draw-block edges, and seven sensors
+  sharing one disk beside an
   anchor disk at ``tol`` 0, whose equal-weight rows of seven sum to
   0.9999999999999998 and so fail the block screen and go to ``push``: over
   a horizon of 1 500 the permissive engine absorbs them across a block edge
@@ -75,11 +81,11 @@ shared by both trees:
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before;
 - products at n = 4, horizon 2 500, seeds 0-4, by the strict and by the
-  permissive engine: three draw blocks of ``slicekit.slice_engine.SCREEN_ROWS``
+  permissive engine: three draw blocks of ``slicekit.slice_engine.DRAW_BLOCK``
   (1 024) steps, the last a part, so that the draws, the engine, the
   spectral radius and every products CSV cross two block edges.
 
-That makes 129 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 131 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -91,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -230,6 +237,24 @@ UNSCREENED_REGIONS = {
     "regions": {"sensors": [[0.0, 0.0, 1.0]] * 7, "anchors": [[3.9, 0.0, 1.0]]},
 }
 
+
+def ring_regions(n: int) -> dict:
+    """Overrides for ``n`` sensors in disks of radius 0.3 on a ring of radius
+    ``0.8 n / (2 pi) + 2``, with one anchor disk of radius 0.3 per 8 sensors
+    on the ring 1.0 further in: a sparse world whose slices complete at any
+    ``n``."""
+    ring = 0.8 * n / (2 * math.pi) + 2.0
+
+    def disks(radius: float, count: int) -> list[list[float]]:
+        angles = (2 * math.pi * j / count for j in range(count))
+        return [[radius * math.cos(a), radius * math.sin(a), 0.3] for a in angles]
+
+    return {
+        "n": n, "seed": 1, "comm_radius": 1.6, "sigma": 0.1,
+        "regions": {"sensors": disks(ring, n), "anchors": disks(ring - 1.0, n // 8)},
+    }
+
+
 # Overrides of the first lf_demo config.
 LF_VARIANTS = {
     "idle": {"update_prob": 0.5},
@@ -273,6 +298,10 @@ LF_VARIANTS = {
     "anchor_floor": {**TWO_ANCHOR_REGIONS, "alpha": 0.6, "comm_radius": 3.0},
     "unscreened_permissive": {**UNSCREENED_REGIONS, "strict": False},
     "unscreened_strict": {**UNSCREENED_REGIONS, "strict": True},
+    "ring64": {**ring_regions(64), "horizon": 4000},
+    # 40 slices, then a group of two sensors, too many for beta1, in the
+    # third draw block.
+    "fails_after_slices": {"n": 2, "horizon": 3000, "seed": 12, "beta1": 0.6},
 }
 
 # Products configs beyond products_n16, each run at PRODUCTS_SEEDS.
