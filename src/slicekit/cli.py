@@ -260,14 +260,14 @@ def cmd_products(config: ExperimentConfig) -> int:
         for (k0, rows, p_rows), per_k in _per_k_rows(blocks, start):
             no_anchors = p_rows[:, :0]
             steps = _run_rows(state, k0, rows, p_rows, no_anchors, config.params, strict)
-            events = [ev for evs in steps for ev in evs]
+            events = [ev for _, evs in steps for ev in evs]
             slices = [ev.slice for ev in events if ev.slice is not None]
             if k0 == 0:
                 names = ("per_k.csv", "slices.csv", "events.csv", "slice_boundaries.csv")
                 per_k_csv, slice_log, event_log, boundaries = _open_outputs(config, files, names)
             write_table(per_k_csv, "k,inf_norm,spectral_radius", "%d,%.17g,%.17g", per_k)
             write_slice_log(slices, slice_log)
-            write_event_log(events, event_log)
+            write_event_log(events, event_log, k0, rows)
             ends = []
             for s in slices:
                 cumulative = s.product @ cumulative
@@ -397,7 +397,7 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
                 )
             write_trajectory_csv(block.states, trajectory, block.k0)
             write_positions_csv(block.positions, positions, block.k0)
-            write_event_log(block.events, events)
+            write_event_log(block.events, events, block.start, block.rows)
             write_slice_log(block.slices, slice_log)
             checks = map(steady_state_check, (s.product for s in block.slices), block.slice_inputs)
             rows = ((s.index, c.residual, c.ok) for s, c in zip(block.slices, checks))

@@ -37,16 +37,21 @@ they agree bit for bit.  The neighbour rows and fusion weights depend on the
 positions and the fusing sensor but not on the states, so one NumPy pass
 computes them for every step of the block.  The steps before the block's
 first infeasible one then go to the slice engine's block loop
-(:func:`~slicekit.slice_engine._run_rows`), idle and no-neighbour steps as
-identities.  It screens their rows against the weight rules at once and
-yields each step's events as the step runs; beside it the run loop advances
-``x`` and ``N`` in place by each fused row.
+(:func:`~slicekit.slice_engine._run_rows`) as engine rows, an idle or
+no-neighbour step as row -1, which the loop passes over.  It screens the
+fused rows against the weight rules at once and yields each fused step's
+events as the step runs; beside it the run loop advances ``x`` and ``N`` in
+place by each fused row and fills the frames of the identity steps between
+two fused ones with one assignment.
 
 The run is a stream of blocks (:func:`_blocks`): each yields its frames of
-states and positions, its events and the slices it completed, so a caller
-that writes each block as it comes, as the ``lf`` command does, holds one
-block at a time whatever the horizon.  :func:`run_leader_follower` collects
-the blocks into one :class:`SimResult`.
+states and positions, its engine rows and events and the slices it
+completed, so a caller that writes each block as it comes, as the ``lf``
+command does, holds one block at a time whatever the horizon.  An identity
+step's SKIPPED event is no object there, only its row -1: the event log
+writer (:func:`~slicekit.tables.write_event_log`) writes its line from the
+row, and :func:`run_leader_follower`, which collects the blocks into one
+:class:`SimResult`, builds its event.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import numpy as np
 from . import slice_engine, streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params
-from .slice_engine import Slice, SliceEvent, SliceState, _run_rows
+from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _run_rows
 
 __all__ = [
     "World",
@@ -482,12 +487,16 @@ def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
 
 class _Block(NamedTuple):
     """What one draw block of a run adds, in step order: the state and
-    position frames from frame ``k0`` on, the engine's events, and the
-    slices completed, each with its accumulated input matrix ``N_t``."""
+    position frames from frame ``k0`` on, the engine rows of the steps run
+    from step ``start`` on (-1 for an idle or no-neighbour step), the events
+    the engine yielded for the other steps, and the slices completed, each
+    with its accumulated input matrix ``N_t``."""
 
     k0: int
+    start: int
     states: np.ndarray
     positions: np.ndarray
+    rows: np.ndarray
     events: list[SliceEvent]
     slices: list[Slice]
     slice_inputs: list[np.ndarray]
@@ -496,10 +505,13 @@ class _Block(NamedTuple):
 def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
     """Run the full loop from the world's start state and yield each block
     of ``slice_engine.DRAW_BLOCK`` steps once it has run: motion
-    (:func:`_move`) and fusion rows (:func:`_fusion_rows`), then per step the
-    slice engine's events (:func:`~slicekit.slice_engine._run_rows`), the
-    state advance and the per-slice input accumulation ``N <- P N + B``, all
-    in place.
+    (:func:`_move`) and fusion rows (:func:`_fusion_rows`), then per fused
+    step the slice engine's events (:func:`~slicekit.slice_engine._run_rows`),
+    the state advance and the per-slice input accumulation ``N <- P N + B``,
+    all in place.  An identity step changes neither ``x`` nor ``N``, so the
+    frames between two fused steps are filled with one slice assignment,
+    and the early stop is checked at the run's first step and after each
+    fused step, the only steps after which ``x`` can be newly close enough.
 
     The first block's frames start at frame 0, the start state, so a run
     of horizon 0 yields that frame alone.  An early stop ends the last
@@ -532,19 +544,27 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
         f = rows.feasible
         identity = (UpdateKind.IDLE, UpdateKind.NO_NEIGHBORS)
         fused = np.where([kind not in identity for kind in rows.kinds[:f]], who[:f], -1)
+        ran, stopped = stop - start, False
+        # An identity first step keeps the start state, which may be close
+        # enough already; later identity steps keep a state that was not.
+        if start == 0 and limit is not None and f and fused[0] < 0 and (
+            np.max(np.abs(x - u[0])) <= limit
+        ):
+            ran, stopped, fused = 1, True, fused[:1]
         steps = _run_rows(
-            state, start, fused, rows.p_rows[:f], rows.b_rows[:f], params, config.strict
+            state, start, fused, rows.p_rows[: len(fused)], rows.b_rows[: len(fused)],
+            params, config.strict,
         )
         events: list[SliceEvent] = []
         slices: list[Slice] = []
         slice_inputs: list[np.ndarray] = []
-        ran, stopped = stop - start, False
-        for t, (i, evs) in enumerate(zip(fused.tolist(), steps)):
-            # An identity step leaves x and N as they are.
-            if i >= 0:
-                p_row, b_row = rows.p_rows[t], rows.b_rows[t]
-                x[i] = p_row @ x + b_row @ u
-                n_accum[i] = p_row @ n_accum + b_row
+        done = 0  # the steps whose frames are written
+        for t, evs in steps:
+            states[done + 1 : t + 1] = x
+            i = int(fused[t])
+            p_row, b_row = rows.p_rows[t], rows.b_rows[t]
+            x[i] = p_row @ x + b_row @ u
+            n_accum[i] = p_row @ n_accum + b_row
             for ev in evs:
                 if ev.slice is not None:
                     slices.append(ev.slice)
@@ -552,17 +572,21 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
                     n_accum = np.zeros((n, s))
             events.extend(evs)
             states[t + 1] = x
+            done = t + 1
             if limit is not None and np.max(np.abs(x - u[0])) <= limit:
-                ran, stopped = t + 1, True
+                ran, stopped = done, True
                 break
         else:
             if f < ran:
                 raise InfeasibleWeights(rows.fault)
+        states[done + 1 : ran + 1] = x
         head = 0 if start == 0 else 1
         yield _Block(
             start + head,
+            start,
             states[head : ran + 1],
             positions[head : ran + 1],
+            fused[:ran],
             events,
             slices,
             slice_inputs,
@@ -575,8 +599,9 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
 def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     """Run the full loop (:func:`_blocks`) and collect its blocks: the
     state and position histories, the completed slices with their input
-    matrices, and the event log.  Room for the whole horizon is taken
-    first, so a history too large for memory fails before any step."""
+    matrices, and the event log, with a SKIPPED event for each identity
+    step, in step order.  Room for the whole horizon is taken first, so a
+    history too large for memory fails before any step."""
     n, s = config.world.n, config.world.s
     states = _history(config.horizon, (n,))
     positions = _history(config.horizon, (n + s, 2))
@@ -590,7 +615,9 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         positions[block.k0 : end] = block.positions
         slices += block.slices
         slice_inputs += block.slice_inputs
-        events += block.events
+        skipped = np.flatnonzero(block.rows < 0).tolist()
+        block_events = [SliceEvent(SliceEventKind.SKIPPED, k=block.start + t) for t in skipped]
+        events += sorted(block.events + block_events, key=operator.attrgetter("k"))
     return SimResult(
         states=states[:end],
         slices=slices,

@@ -235,22 +235,22 @@ DRAW_BLOCK = 1024
 def _run_rows(
     state: SliceState, k0: int, rows: np.ndarray, p_rows: np.ndarray, b_rows: np.ndarray,
     params: Params, strict: bool = True,
-) -> Iterator[list[SliceEvent]]:
+) -> Iterator[tuple[int, list[SliceEvent]]]:
     """Feed steps ``k0, k0 + 1, ...`` to the engine as :func:`push` would,
-    yielding each step's events as the step runs.  Step ``k0 + t`` sets
-    sensor row ``rows[t]`` to ``p_rows[t]`` and anchor row to ``b_rows[t]``;
-    row -1 is a skipped identity.  One screen
-    (:func:`~slicekit.matrix_core._screen_block`) sends each clear row to
-    :func:`_absorb` and the rest to :func:`push`, one step per draw, so a
+    yielding ``(t, events)`` for each step ``k0 + t`` as it runs.  Step
+    ``k0 + t`` sets sensor row ``rows[t]`` to ``p_rows[t]`` and anchor row
+    to ``b_rows[t]``; row -1 is an identity, which the engine skips, so it
+    yields nothing and its SKIPPED event is left to the caller.  One screen
+    (:func:`~slicekit.matrix_core._screen_block`) of the other rows sends
+    each clear one to :func:`_absorb` and the rest to :func:`push` (a unit
+    row among them yields its own SKIPPED event), one step per draw, so a
     caller that stops drawing leaves the later steps unfed."""
-    clear, p_sums = _screen_block(p_rows, b_rows, rows, params)
+    at = np.flatnonzero(rows >= 0)
+    clear, p_sums = _screen_block(p_rows[at], b_rows[at], rows[at], params)
     n, s = state.n, b_rows.shape[1]
-    for t, (i, ok, p_sum) in enumerate(zip(rows.tolist(), clear.tolist(), p_sums.tolist())):
-        k = k0 + t
-        if i < 0:
-            yield [SliceEvent(SliceEventKind.SKIPPED, k=k)]
-        elif ok:
-            yield _absorb(state, i, p_rows[t], p_sum, params, k)
+    for t, i, ok, p_sum in zip(at.tolist(), rows[at].tolist(), clear.tolist(), p_sums.tolist()):
+        if ok:
+            yield t, _absorb(state, i, p_rows[t], p_sum, params, k0 + t)
         else:
             m = SystemMatrix._trusted(n, s, i, p_rows[t], b_rows[t])
-            yield push(state, m, params, strict=strict, k=k)[1]
+            yield t, push(state, m, params, strict=strict, k=k0 + t)[1]

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .certifier import Certificate
-from .slice_engine import Slice, SliceEvent, SliceEventKind
+from .slice_engine import Slice, SliceEvent
 
 __all__ = [
     "write_slice_log",
@@ -124,25 +124,36 @@ def read_slice_lengths(path: str | Path) -> list[int]:
     return list(map(int, map(itemgetter(header.index("length")), rows)))
 
 
-# The text of each event kind in the event log.  A dict lookup costs less
-# than the enum's ``value`` descriptor, once per event.
-_EVENT_TEXT = {kind: kind.value for kind in SliceEventKind}
-
-
-def write_event_log(events: Sequence[SliceEvent], path: str | Path | TextIO) -> Path | None:
-    """CSV with one line per engine event; absent fields are left empty.
-    ``path`` may be a text file open for writing, to append a block of
-    events to (:func:`write_lines`)."""
-    rows = (
-        (
-            "" if ev.k is None else ev.k,
-            _EVENT_TEXT[ev.kind],
-            "" if ev.row is None else ev.row,
-            "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
-        )
-        for ev in events
+def _event_fields(ev: SliceEvent) -> tuple:
+    """The fields of ``ev``'s event-log line; absent fields are empty."""
+    return (
+        "" if ev.k is None else ev.k,
+        ev.kind._value_,
+        "" if ev.row is None else ev.row,
+        "" if ev.row_sum_after is None else "%.17g" % ev.row_sum_after,
     )
-    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", rows)
+
+
+def write_event_log(
+    events: Sequence[SliceEvent],
+    path: str | Path | TextIO,
+    k0: int = 0,
+    rows: np.ndarray | Sequence[int] = (),
+) -> Path | None:
+    """CSV with one line per engine event.  ``path`` may be a text file
+    open for writing, to append a block of events to (:func:`write_lines`).
+
+    ``rows``, when given, are the engine rows of steps ``k0, k0 + 1, ...``
+    (:func:`~slicekit.slice_engine._run_rows`), and ``events`` those the
+    steps of the other rows yielded: each step of row -1 gets the line
+    ``k,skipped,,`` of its SKIPPED event, and every line goes in step order."""
+    lines: Iterable[tuple] = map(_event_fields, events)
+    skipped = np.flatnonzero(np.asarray(rows) < 0)
+    if len(skipped):
+        lines = list(lines)
+        lines += [(k0 + t, "skipped", "", "") for t in skipped.tolist()]
+        lines.sort(key=itemgetter(0))  # two sorted runs, merged stably
+    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", lines)
 
 
 def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:

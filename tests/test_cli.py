@@ -24,8 +24,10 @@ from slicekit import (
     random_product_sequence,
     row_update,
     run_leader_follower,
+    run_sequence,
     slice_engine,
     spectral_radius,
+    write_event_log,
 )
 from slicekit.cli import (
     CONFIG_KEYS,
@@ -196,6 +198,11 @@ class TestProducts:
         assert main(["products", "--config", cfg, "--out", str(tmp_path / "d")]) == EXIT_OK
         for name in ("per_k.csv", "slices.csv", "events.csv", "slice_boundaries.csv"):
             assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+        # The push loop's event log, a SKIPPED event per identity step
+        # included, writes the same bytes.
+        events = run_sequence(random_product_sequence(16, PARAMS, 1600, rng=0), PARAMS).events
+        write_event_log(events, tmp_path / "events.csv")
+        assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "d" / "events.csv").read_bytes()
 
     def test_failure_after_the_first_block_keeps_the_blocks_before(
         self, tmp_path, monkeypatch, capsys
@@ -620,6 +627,26 @@ class TestLeaderFollower:
         trajectory = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
         assert len(trajectory) == 1 + (long + 1) * world["n"]
         assert long_peak <= 1.3 * short_peak
+
+    @pytest.mark.parametrize("update_prob", [1.0, 0.5])
+    def test_same_bytes_at_any_draw_block(self, tmp_path, monkeypatch, update_prob):
+        # 69 blocks of 16 steps against two of 1 024: each block writes the
+        # skipped lines of its identity steps numbered from its first step.
+        config = {"mode": "lf", "n": 4, "horizon": 1100, "seed": 3, "update_prob": update_prob}
+        cfg = write_config(tmp_path / "lf.json", config)
+        for block in (16, 1024):
+            monkeypatch.setattr(slice_engine, "DRAW_BLOCK", block)
+            with redirect_stdout(io.StringIO()):
+                assert main(["lf", "--config", cfg, "--out", str(tmp_path / f"o{block}")]) == EXIT_OK
+        names = ("trajectory.csv", "positions.csv", "events.csv", "slices.csv", "steady_state.csv")
+        for name in names:
+            assert (tmp_path / "o16" / name).read_bytes() == (tmp_path / "o1024" / name).read_bytes()
+        assert (tmp_path / "o16" / "slices.csv").read_text().count("\n") > 1
+        # The collected run's event log writes the same bytes.
+        world = demo_world(n=4, seed=3, update_prob=update_prob)
+        res = run_leader_follower(LeaderFollowerConfig(world=world, params=PARAMS, horizon=1100))
+        write_event_log(res.events, tmp_path / "events.csv")
+        assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "o16" / "events.csv").read_bytes()
 
     def test_failure_after_the_first_block_keeps_the_blocks_before(
         self, tmp_path, monkeypatch, capsys

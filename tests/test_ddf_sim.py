@@ -710,6 +710,17 @@ class TestBlockDraws:
         assert_same_run(cfg)
         assert DRAW_BLOCK < run_leader_follower(cfg).steps_run < 100_000
 
+    @pytest.mark.parametrize("update_prob, comm_radius", [(0.0, "1.5*innermost"), (1.0, 0.0)])
+    def test_early_stop_at_an_identity_first_step(self, update_prob, comm_radius):
+        # The sensors start at the anchor value.  A first step that fuses no
+        # row (it idles, or no node is in reach) keeps them there, and the
+        # run stops after it.
+        w = demo_world(n=4, u=3.0, x0=[3.0] * 4, update_prob=update_prob, comm_radius=comm_radius)
+        cfg = LeaderFollowerConfig(world=w, params=PARAMS, horizon=100, stop_when_error_below=1e-3)
+        ref = assert_same_run(cfg)
+        assert len(ref.states) == 2
+        assert ref.events == [(SliceEventKind.SKIPPED, 0, None, None)]
+
     @pytest.mark.parametrize("seed, steps", [(1, 698), (2, 3637)])
     def test_late_infeasible_step_matches_per_step_reference(self, seed, steps):
         # The run fails at that step, in the first draw block or the
@@ -852,12 +863,20 @@ class TestBlockStream:
     def assert_blocks_join_to_the_run(self, cfg):
         blocks = list(ddf_sim._blocks(cfg))
         res = run_leader_follower(cfg)
-        assert blocks[0].k0 == 0
+        assert blocks[0].k0 == blocks[0].start == 0
         for before, after in zip(blocks, blocks[1:]):
             assert after.k0 == before.k0 + len(before.states)
+            assert after.k0 == after.start + 1 == before.start + len(before.rows) + 1
+        assert sum(len(b.rows) for b in blocks) == res.steps_run
         assert np.concatenate([b.states for b in blocks]).tobytes() == res.states.tobytes()
         assert np.concatenate([b.positions for b in blocks]).tobytes() == res.positions.tobytes()
-        assert event_fields([e for b in blocks for e in b.events]) == event_fields(res.events)
+        # A block yields no event for an identity step (row -1); the run
+        # holds its SKIPPED event in step order.
+        identity = {b.start + t for b in blocks for t in np.flatnonzero(b.rows < 0).tolist()}
+        skipped = [(SliceEventKind.SKIPPED, k, None, None) for k in sorted(identity)]
+        assert event_fields([e for e in res.events if e.k in identity]) == skipped
+        rest = [e for e in res.events if e.k not in identity]
+        assert event_fields([e for b in blocks for e in b.events]) == event_fields(rest)
         assert slice_fields([s for b in blocks for s in b.slices]) == slice_fields(res.slices)
         inputs = [n_t.tobytes() for b in blocks for n_t in b.slice_inputs]
         assert inputs == [n_t.tobytes() for n_t in res.slice_inputs]

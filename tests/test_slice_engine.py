@@ -451,14 +451,22 @@ def mixed_sequence(n, params, horizon, rng):
 
 def products_path(n, params, horizon, seed, engine_params, strict):
     """The products command's path: each draw block of rows goes straight
-    to ``_run_rows``, whose steps are flattened into one event list;
+    to ``_run_rows``, whose steps are flattened into one event list, with a
+    SKIPPED event for each step of row -1, which the engine does not see;
     returns what :func:`run_sequence` does."""
     state, slices, events = SliceState(n=n), [], []
     cdf = _form_cdf(1.0, 1.0, 1.0)
     for k0, rows, p_rows in _row_blocks(n, params, horizon, np.random.default_rng(seed), cdf):
         no_anchors = np.zeros((len(rows), 0))
         steps = slice_engine._run_rows(state, k0, rows, p_rows, no_anchors, engine_params, strict)
-        evs = [ev for step in steps for ev in step]
+        ran = dict(steps)
+        assert list(ran) == np.flatnonzero(rows >= 0).tolist()
+        skipped = SliceEventKind.SKIPPED
+        evs = [
+            ev
+            for t, i in enumerate(rows.tolist())
+            for ev in (ran[t] if i >= 0 else [SliceEvent(skipped, k=k0 + t)])
+        ]
         events += evs
         slices += [ev.slice for ev in evs if ev.slice is not None]
     return slices, events, state
@@ -516,13 +524,23 @@ class TestRunSequenceScreensBlocks:
         monkeypatch.setattr(slice_engine, "push", lone_push)
         state = SliceState(n=3)
         steps = slice_engine._run_rows(state, 10, rows, p_rows, b_rows, PARAMS)
-        drawn = [next(steps) for _ in range(3)]
-        assert [ev.kind for ev in drawn[1]] == [SliceEventKind.SKIPPED]
+        drawn = [next(steps) for _ in range(2)]
+        # The identity step (t = 1) yields nothing: it never reaches the engine.
+        assert [t for t, _ in drawn] == [0, 2]
         assert fed == [10, 12]
         assert state.next_k == 2
         with pytest.raises(AssumptionViolated, match="exceeds beta2"):
             next(steps)
         assert fed == [10, 12, 13]
+
+    def test_a_unit_row_yields_its_own_skipped_event(self):
+        # Row -1 yields nothing; a unit row is not clear, so push skips it.
+        rows = np.array([-1, 1, 0])
+        p_rows = np.array([[0.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        state = SliceState(n=2)
+        steps = list(slice_engine._run_rows(state, 4, rows, p_rows, np.zeros((3, 0)), PARAMS))
+        assert [t for t, _ in steps] == [1, 2]
+        assert [(ev.kind, ev.k) for ev in steps[0][1]] == [(SliceEventKind.SKIPPED, 5)]
 
     def test_block_edges_at_the_default_size(self):
         size = slice_engine.DRAW_BLOCK

@@ -12,7 +12,9 @@ shared by both trees:
 - the 32 lf_demo configs, plus variants of the first one that reach what
   lf_demo never does: idling steps (``update_prob`` 0.5, also over a
   horizon of 1500, so that idle steps fall on both sides of a block edge
-  of the random draws), 3 and 5 sensors, 40 sensors (41 nodes, which move
+  of the random draws), no fusing step at all (``update_prob`` 0.0 over a
+  horizon of 1500: two draw blocks with no engine step, whose
+  ``events.csv`` is 1500 skipped lines), 3 and 5 sensors, 40 sensors (41 nodes, which move
   node by node on floats), 72 sensors (more nodes than
   ``ddf_sim.FLOAT_MOTION_NODES``, so they move with NumPy passes, not on
   floats), two sensors and two anchors in given ``regions``, the
@@ -80,12 +82,15 @@ shared by both trees:
 - products at n = 8, horizon 400, seeds 0-4, with ``p_identity`` 0.9 over
   the default 1/3 and 1/3: long runs of identity steps after every row is
   updated, each carrying the spectral radius of the step before;
+- products at n = 4, horizon 1 500, seeds 0-4, with ``p_stochastic`` and
+  ``p_substochastic`` 0 and ``p_identity`` 1: two draw blocks with no
+  engine step, whose ``events.csv`` is 1500 skipped lines;
 - products at n = 4, horizon 2 500, seeds 0-4, by the strict and by the
   permissive engine: three draw blocks of ``slicekit.slice_engine.DRAW_BLOCK``
   (1 024) steps, the last a part, so that the draws, the engine, the
   spectral radius and every products CSV cross two block edges.
 
-That makes 131 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 137 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -259,6 +264,7 @@ def ring_regions(n: int) -> dict:
 LF_VARIANTS = {
     "idle": {"update_prob": 0.5},
     "idle_h1500": {"update_prob": 0.5, "horizon": 1500},
+    "never_fuses": {"update_prob": 0.0, "horizon": 1500},
     "n3": {"n": 3},
     "n5": {"n": 5},
     "n40": {"n": 40},
@@ -313,6 +319,9 @@ PRODUCTS_VARIANTS = {
     "n64_h600": {"n": 64, "horizon": 600},
     "n96_h1200": {"n": 96, "horizon": 1200},
     "idle": {"n": 8, "horizon": 400, "p_identity": 0.9},
+    "all_identity": {
+        "n": 4, "horizon": 1500, "p_stochastic": 0.0, "p_substochastic": 0.0, "p_identity": 1.0
+    },
     "n4_h2500": {"n": 4, "horizon": 2500},
     "n4_h2500_permissive": {"n": 4, "horizon": 2500, "strict": False},
 }
