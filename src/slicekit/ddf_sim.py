@@ -35,10 +35,11 @@ one moves with one NumPy pass over all nodes per step.  Both evaluate the
 same IEEE operations, unfused and in that order, for two components, so
 they agree bit for bit.  The neighbour rows and fusion weights depend on the
 positions and the fusing sensor but not on the states, so one NumPy pass
-computes them for every step of the block.  The steps before the block's
-first infeasible one then go to the slice engine's block loop
-(:func:`~slicekit.slice_engine._run_rows`) as engine rows, an idle or
-no-neighbour step as row -1, which the loop passes over.  It screens the
+computes them for every step of the block, each step's kind as an integer
+code into ``_KINDS`` and, from those codes, the engine rows of the steps
+before the block's first infeasible one: the fusing sensor, or -1 for an
+idle or no-neighbour step, which the slice engine's block loop
+(:func:`~slicekit.slice_engine._run_rows`) passes over.  It screens the
 fused rows against the weight rules at once and yields each fused step's
 events as the step runs; beside it the run loop advances ``x`` and ``N`` in
 place by each fused row and fills the frames of the identity steps between
@@ -311,12 +312,15 @@ def _updaters(world: World, start: int, stop: int) -> np.ndarray:
 
 
 class _Rows(NamedTuple):
-    """The updates of a block of steps.  Step ``t`` is of kind ``kinds[t]``;
-    a fusing step replaces its sensor's row by ``p_rows[t]`` and its anchor
-    row by ``b_rows[t]``.  Steps from ``feasible`` on were not built: that
-    step's weights do not fit, for the reason ``fault``."""
+    """The updates of a block of steps.  Step ``t`` is of kind
+    ``_KINDS[kinds[t]]``; a fusing step replaces its sensor's row by
+    ``p_rows[t]`` and its anchor row by ``b_rows[t]``.  ``rows`` holds the
+    engine rows of the steps before ``feasible``: the fusing sensor, or -1
+    for an idle or no-neighbour step.  Steps from ``feasible`` on were not
+    built: that step's weights do not fit, for the reason ``fault``."""
 
-    kinds: list[UpdateKind]
+    kinds: np.ndarray
+    rows: np.ndarray
     p_rows: np.ndarray
     b_rows: np.ndarray
     feasible: int
@@ -371,7 +375,8 @@ def _fusion_rows(world: World, track: np.ndarray, who: np.ndarray, params: Param
                 f"{fit} weights of at least beta1 = {params.beta1} fit in one row"
             )
     return _Rows(
-        kinds=[_KINDS[c] for c in kind.tolist()],
+        kinds=kind,
+        rows=np.where(kind[:feasible] >= 2, who[:feasible], -1),
         p_rows=np.where(members, p_weight[:, None], 0.0),
         b_rows=np.where(near[:, n:], b_weight[:, None], 0.0),
         feasible=feasible,
@@ -505,8 +510,8 @@ class _Block(NamedTuple):
 def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
     """Run the full loop from the world's start state and yield each block
     of ``slice_engine.DRAW_BLOCK`` steps once it has run: motion
-    (:func:`_move`) and fusion rows (:func:`_fusion_rows`), then per fused
-    step the slice engine's events (:func:`~slicekit.slice_engine._run_rows`),
+    (:func:`_move`), fusion and engine rows (:func:`_fusion_rows`), then per
+    fused step the engine's events (:func:`~slicekit.slice_engine._run_rows`),
     the state advance and the per-slice input accumulation ``N <- P N + B``,
     all in place.  An identity step changes neither ``x`` nor ``N``, so the
     frames between two fused steps are filled with one slice assignment,
@@ -539,22 +544,15 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
         _move(world, _displacements(world, start, stop), pos, track)
         who = _updaters(world, start, stop)
         rows = _fusion_rows(world, track, who, params)
-        # The engine takes only the steps before an infeasible one, and a
-        # step that fuses no row (idle, or no neighbours) as row -1.
-        f = rows.feasible
-        identity = (UpdateKind.IDLE, UpdateKind.NO_NEIGHBORS)
-        fused = np.where([kind not in identity for kind in rows.kinds[:f]], who[:f], -1)
+        fused = rows.rows
         ran, stopped = stop - start, False
         # An identity first step keeps the start state, which may be close
         # enough already; later identity steps keep a state that was not.
-        if start == 0 and limit is not None and f and fused[0] < 0 and (
+        if start == 0 and limit is not None and len(fused) and fused[0] < 0 and (
             np.max(np.abs(x - u[0])) <= limit
         ):
             ran, stopped, fused = 1, True, fused[:1]
-        steps = _run_rows(
-            state, start, fused, rows.p_rows[: len(fused)], rows.b_rows[: len(fused)],
-            params, config.strict,
-        )
+        steps = _run_rows(state, start, fused, rows.p_rows, rows.b_rows, params, config.strict)
         events: list[SliceEvent] = []
         slices: list[Slice] = []
         slice_inputs: list[np.ndarray] = []
@@ -577,7 +575,7 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
                 ran, stopped = done, True
                 break
         else:
-            if f < ran:
+            if rows.feasible < ran:
                 raise InfeasibleWeights(rows.fault)
         states[done + 1 : ran + 1] = x
         head = 0 if start == 0 else 1

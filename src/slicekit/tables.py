@@ -51,11 +51,9 @@ __all__ = [
     "write_positions_csv",
 ]
 
-# Rows formatted and written together; it bounds the text held at once.
-BLOCK_ROWS = 512
-
-# Table rows a byte grid holds at once (in whole frames, one frame at
-# least, for the frame writers); it bounds the text and the arrays held.
+# Table rows formatted together, by one ``%`` or in one byte grid (in whole
+# frames, one frame at least, for the frame writers); it bounds the text
+# and the arrays held at once.
 FRAME_ROWS = 4096
 
 # 10**j for j = 0..22, every power of ten exact in binary64, for _g17_rows.
@@ -85,13 +83,13 @@ def write_table(
     """Write ``header`` and then ``fmt % row`` for each row to ``out``,
     streaming the rows, and return as :func:`write_lines` does.
 
-    Each block of ``BLOCK_ROWS`` rows is formatted with one ``%`` on its
+    Each block of ``FRAME_ROWS`` rows is formatted with one ``%`` on its
     fields in row order, so every row must hold exactly the fields ``fmt``
     takes.  Fields are not quoted, so no field may hold a comma, a quote or
     a line break; every table holds only numbers and enum values.
     """
     rows = iter(rows)
-    blocks = iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
+    blocks = iter(lambda: list(islice(rows, FRAME_ROWS)), [])
     line = fmt + "\r\n"
     return write_lines(out, header, (line * len(b) % tuple(chain.from_iterable(b)) for b in blocks))
 

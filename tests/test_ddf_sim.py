@@ -274,7 +274,7 @@ def row_as_update(world, rows, t, i):
     """Step ``t``'s update from its block's fusion ``rows``, with sensor
     ``i`` fusing: the fused row as ``SystemMatrix._trusted`` wraps it, and
     the identity step for any other kind."""
-    if rows.kinds[t] in FUSED:
+    if ddf_sim._KINDS[rows.kinds[t]] in FUSED:
         return SystemMatrix._trusted(world.n, world.s, i, rows.p_rows[t], rows.b_rows[t])
     return identity_step(world.n, world.s)
 
@@ -285,7 +285,7 @@ def one_step(world, pos, i, params):
     rows = ddf_sim._fusion_rows(world, pos[None], np.array([i]), params)
     if rows.feasible == 0:
         raise InfeasibleWeights(rows.fault)
-    return row_as_update(world, rows, 0, i), rows.kinds[0]
+    return row_as_update(world, rows, 0, i), ddf_sim._KINDS[rows.kinds[0]]
 
 
 class TestFusionRows:
@@ -830,7 +830,7 @@ class TestBlockRows:
 
         def counting(*args):
             rows = real(*args)
-            kinds.extend(rows.kinds)
+            kinds.extend(ddf_sim._KINDS[c] for c in rows.kinds)
             return rows
 
         monkeypatch.setattr(ddf_sim, "_fusion_rows", counting)
@@ -841,6 +841,58 @@ class TestBlockRows:
         skipped = sum(ev.kind is SliceEventKind.SKIPPED for ev in res.events)
         assert counts[UpdateKind.IDLE] + counts[UpdateKind.NO_NEIGHBORS] == skipped
         assert counts[UpdateKind.IDLE] == idle
+
+    @pytest.mark.parametrize("name", ["demo", "regions", "late_infeasible"])
+    def test_fusion_pass_hands_the_engine_its_rows(self, monkeypatch, name):
+        # The kind codes index _KINDS; the engine rows follow from them and
+        # reach the engine's block loop as they are.
+        ring = 2 * np.pi * np.arange(12) / 12
+        sensors = np.stack([3 * np.cos(ring), 3 * np.sin(ring), np.full(12, 0.5)], axis=1)
+        cfg = {
+            "demo": lambda: LeaderFollowerConfig(
+                world=demo_world(n=4, seed=3, update_prob=0.5), params=PARAMS, horizon=DRAW_BLOCK
+            ),
+            "regions": lambda: LeaderFollowerConfig(
+                world=ddf_sim._disk_world(
+                    sensors, np.array([[2.0, 0.0, 0.5], [-2.0, 0.0, 0.5]]), 3.0, 4, 0.3,
+                    1.6, None, 0.5,
+                ),
+                params=PARAMS, horizon=DRAW_BLOCK,
+            ),
+            "late_infeasible": lambda: dataclasses.replace(
+                late_infeasible_config(1), horizon=DRAW_BLOCK
+            ),
+        }[name]()
+        passes, fed = [], []
+        real_rows, real_run = ddf_sim._fusion_rows, ddf_sim._run_rows
+
+        def recorded(world, track, who, params):
+            passes.append((who, real_rows(world, track, who, params)))
+            return passes[-1][1]
+
+        def feeding(state, k0, rows, *rest):
+            fed.append(rows)
+            return real_run(state, k0, rows, *rest)
+
+        monkeypatch.setattr(ddf_sim, "_fusion_rows", recorded)
+        monkeypatch.setattr(ddf_sim, "_run_rows", feeding)
+        if name == "late_infeasible":
+            with pytest.raises(InfeasibleWeights):
+                run_leader_follower(cfg)
+        else:
+            run_leader_follower(cfg)
+        ((who, rows),) = passes
+        assert len(fed) == 1 and fed[0] is rows.rows
+        assert np.issubdtype(rows.kinds.dtype, np.integer)
+        assert len(rows.kinds) == DRAW_BLOCK
+        assert len(rows.rows) == rows.feasible == (698 if name == "late_infeasible" else DRAW_BLOCK)
+        kinds = [ddf_sim._KINDS[c] for c in rows.kinds.tolist()]
+        want = [i if kind in FUSED else -1 for i, kind in zip(who.tolist(), kinds)]
+        assert rows.rows.tolist() == want[: rows.feasible]
+        counts = [kinds.count(kind) for kind in ddf_sim._KINDS]
+        assert np.bincount(rows.kinds, minlength=4).tolist() == counts
+        if name != "late_infeasible":
+            assert all(counts), counts  # every kind occurs
 
 
 def slice_fields(slices):
@@ -1088,7 +1140,7 @@ def corrupt_first_block(monkeypatch, how, at=5):
     def corrupted(world, track, who, params):
         rows = real(world, track, who, params)
         if not hit:
-            t = next(t for t in range(at, len(who)) if rows.kinds[t] in FUSED)
+            t = next(t for t in range(at, len(who)) if ddf_sim._KINDS[rows.kinds[t]] in FUSED)
             i = int(who[t])
             if how == "nan":
                 rows.p_rows[t, i] = np.nan
@@ -1096,7 +1148,7 @@ def corrupt_first_block(monkeypatch, how, at=5):
                 rows.p_rows[t] = 0.0
                 rows.p_rows[t, i] = params.beta2 + 0.05
                 rows.b_rows[t] = (1.0 - rows.p_rows[t, i]) / world.s
-                rows.kinds[t] = UpdateKind.SUB_STOCHASTIC_UPDATE
+                rows.kinds[t] = ddf_sim._KINDS.index(UpdateKind.SUB_STOCHASTIC_UPDATE)
             hit.append(SystemMatrix._trusted(
                 world.n, world.s, i, rows.p_rows[t], rows.b_rows[t]
             ))

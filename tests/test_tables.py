@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 from slicekit import Params, tables
 from slicekit.ddf_sim import LeaderFollowerConfig, demo_world, run_leader_follower
 from slicekit.tables import (
-    BLOCK_ROWS,
     FRAME_ROWS,
     column_lines,
     frame_lines,
@@ -80,7 +79,7 @@ def edge_rows(count):
 
 
 @pytest.mark.parametrize(
-    "count", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+    "count", [0, 1, FRAME_ROWS - 1, FRAME_ROWS, FRAME_ROWS + 1, 2 * FRAME_ROWS + 3]
 )
 def test_block_edges_match_per_row_format_and_csv_writer(tmp_path, count):
     # Rows are formatted a block at a time; across every block edge the
