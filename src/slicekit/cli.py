@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .certifier import Certificate, _length_array, certify_case1, certify_case2, search_case3
+from .certifier import Certificate, _length_array, _whole, certify_case1, certify_case2, search_case3
 from .ddf_sim import (
     LeaderFollowerConfig,
     World,
@@ -154,11 +154,10 @@ def _flag(value: Any) -> bool:
 
 
 def _int(value: Any) -> int:
-    """A JSON integer or an integral float such as ``4.0``; booleans,
-    strings, fractions, NaN and infinities are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected an integer")
-    if isinstance(value, float) and not value.is_integer():
+    """A JSON integer or an integral float such as ``4.0``, the whole
+    numbers of :func:`~slicekit.certifier._whole`; booleans, strings,
+    fractions, NaN and infinities are refused."""
+    if not _whole(value):
         raise ValueError("expected an integer")
     return int(value)
 

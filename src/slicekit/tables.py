@@ -2,30 +2,30 @@
 
 A table is a header line followed by one line per row, each ended by
 ``\\r\\n``, with unquoted comma-separated fields and floats written as
-``%.17g`` so that they read back exactly.  Rows are formatted a block at a
-time, with the bytes of one ``%`` per row.  A table goes to a path, written
+``%.17g`` so that they read back exactly.  A table goes to a path, written
 whole, or to a text file open for writing, where it may be written a block
 of rows at a time: its header goes only into a file still empty.
 
-:func:`frame_lines` builds the lines of a float history, ``k,i`` and then
-the floats of entry ``i`` at frame ``k``, in NumPy instead: a byte grid
-with one row per character position, whose padding one
-``bytes.translate`` drops.  Its ``%.17g`` is Python's to the byte; the
-values of ``1e-4 <= |v| < 1e17``, fixed notation, take their digits from
-an exact product, and every other value Python's own text.
-:func:`column_lines` builds the lines of ``%d`` and ``%.17g`` columns the
-same way, for the certificate's trace and assignment tables.  Both build
-a chunk of at most ``FRAME_ROWS`` rows at a time.  A grid has a fixed
-cost that one ``%`` beats on tables of a hundred rows or so, and the
-other tables keep :func:`write_table`.
+Lines are built in one of two ways.  :func:`write_table` formats a block
+of rows with one ``%``.  The float tables build theirs in NumPy byte
+grids (:func:`_grid_text`) from the digit rows of integers
+(:func:`_int_rows`) and of floats (:func:`_g17_rows`).  Their
+``%.17g`` is Python's to the byte; the values of ``1e-4 <= |v| < 1e17``,
+fixed notation, take their digits from an exact product, and every other
+value Python's own text.  :func:`frame_lines` builds the lines ``k,i,``
+and floats of a frame history, :func:`column_lines` those of ``%d`` and
+``%.17g`` columns (the certificate's trace and assignment tables), each
+at most ``FRAME_ROWS`` rows at a time.  A grid has a fixed cost that one
+``%`` beats on tables of a hundred rows or so, and the other tables keep
+:func:`write_table`.
 
 Every output file is written here.  The slice log records each slice's
 window, norm and bound; a certificate needs only the lengths, the one
 column read back.  The lf writers take a draw block of frames, appending
-to an open file.  In ``trajectory.csv`` a frame's node index is literal
-text of the format, its step index is formatted once per frame, and each
-distinct state value of a block once; ``positions.csv``, whose floats are
-all distinct, builds its lines in one byte grid (:func:`frame_lines`).
+to an open file.  ``positions.csv``, whose floats are all distinct,
+formats every cell (:func:`frame_lines`); ``trajectory.csv`` formats each
+distinct state value of a block once, by :func:`_g17_rows`, and gathers
+those rows into its grids.
 """
 
 from __future__ import annotations
@@ -218,19 +218,6 @@ def _frame_chunks(k0: int, cells: np.ndarray) -> Iterator[tuple[int, np.ndarray]
     return ((k0 + lo, cells[lo : lo + step]) for lo in range(0, len(cells), step))
 
 
-def _text_lines(k0: int, texts: np.ndarray) -> str:
-    """The table lines ``k,i,text`` of frames ``k0, k0 + 1, ...``, with
-    ``texts[k - k0, i]`` as the text.  Each frame's ``k`` is formatted once
-    and each ``i`` is literal text of the format, so that one ``%`` fills
-    in only the frames' indices and the texts."""
-    frames, entries = texts.shape
-    fields = np.empty((frames, entries, 2), dtype=object)
-    fields[:, :, 0] = np.array(list(map(str, range(k0, k0 + frames))), dtype=object)[:, None]
-    fields[:, :, 1] = texts
-    frame_fmt = "".join(f"%s,{i},%s\r\n" for i in range(entries))
-    return frame_fmt * frames % tuple(fields.ravel().tolist())
-
-
 def write_trajectory_csv(
     states: np.ndarray, path: str | Path | TextIO, k0: int = 0
 ) -> Path | None:
@@ -238,13 +225,16 @@ def write_trajectory_csv(
     the frames from ``k0`` on.  ``path`` may be a text file open for
     writing, to append a block of frames to (:func:`write_lines`).
 
-    Each distinct value is formatted once.  Values are told apart by their
-    bits, so that ``0.0`` and ``-0.0`` keep their own text."""
+    Each distinct value is formatted once (:func:`_g17_rows`), told apart
+    by its bits so that ``0.0`` and ``-0.0`` keep their own text, and its
+    rows gathered into each chunk's grid after :func:`_index_rows`.  A
+    frame past ``2**64 - 1`` raises ``OverflowError``."""
     states = np.ascontiguousarray(states, dtype=float)
     bits, where = np.unique(states.view(np.int64), return_inverse=True)
-    texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-    chunks = _frame_chunks(k0, texts[where.reshape(states.shape)])
-    return write_lines(path, "k,sensor,state", (_text_lines(k, chunk) for k, chunk in chunks))
+    texts = _g17_rows(bits.view(float))
+    chunks = _frame_chunks(k0, where.reshape(states.shape))
+    lines = (_grid_text([*_index_rows(k, *w.shape), texts[:, w]], "\r\n") for k, w in chunks)
+    return write_lines(path, "k,sensor,state", lines)
 
 
 def write_positions_csv(
@@ -254,10 +244,8 @@ def write_positions_csv(
     ``positions`` holds the frames from ``k0`` on (``path`` as for
     :func:`write_trajectory_csv`).
 
-    The lines of each ``FRAME_ROWS`` chunk are built in one byte grid
-    (:func:`frame_lines`), since every position is a
-    distinct float: the ``%.17g`` of most of them comes from NumPy, byte
-    for byte Python's."""
+    Every position is a distinct float, and each ``FRAME_ROWS`` chunk
+    formats all of its cells in one :func:`frame_lines` grid."""
     chunks = _frame_chunks(k0, np.asarray(positions, dtype=float))
     return write_lines(path, "k,node,x,y", (frame_lines(k, chunk) for k, chunk in chunks))
 
@@ -268,29 +256,23 @@ def frame_lines(k0: int, cells: np.ndarray) -> str:
     ``%.17g``, comma-separated.  ``k`` may run up to ``2**64 - 1``; a
     frame past it raises ``OverflowError``.
 
-    The lines are the columns of one uint8 grid, whose rows are character
-    positions: the digits of ``k`` and of ``i`` (:func:`_int_rows`), then
-    24 rows per float (:func:`_g17_rows`).  A line shorter than the grid
-    is NUL where it has no character, and the grid, transposed, becomes the
-    text once ``bytes.translate`` has deleted every NUL.
+    The lines are one :func:`_grid_text` grid: the digit rows of ``k`` and
+    of ``i`` (:func:`_index_rows`), then the 24 rows of each float
+    (:func:`_g17_rows`), one ``_g17_rows`` pass per float column.
     """
     frames, entries, width = cells.shape
+    floats = [_g17_rows(cells[:, :, c].ravel()).reshape(24, frames, entries) for c in range(width)]
+    return _grid_text([*_index_rows(k0, frames, entries), *floats], "\r\n")
+
+
+def _index_rows(k0: int, frames: int, entries: int) -> list[np.ndarray]:
+    """The digit rows (:func:`_int_rows`) of ``k`` and of ``i`` for entry
+    ``i`` of frames ``k0, k0 + 1, ...``, as :func:`_grid_text` fields; a
+    frame past ``2**64 - 1`` raises ``OverflowError``."""
     if k0 + frames > 2**64:
         raise OverflowError(f"frame index {k0 + frames - 1} is beyond uint64")
-    ks = _int_rows(np.uint64(k0) + np.arange(frames, dtype=np.uint64))[1:]
-    names = _int_rows(np.arange(entries))[1:]
-    r = len(ks) + 1 + len(names)
-    grid = np.zeros((r + 25 * width + 2, frames, entries), np.uint8)
-    grid[: len(ks)] = ks[:, :, None]
-    grid[len(ks)] = 44
-    grid[len(ks) + 1 : r] = names[:, None]
-    for c in range(width):
-        grid[r] = 44
-        grid[r + 1 : r + 25] = _g17_rows(cells[:, :, c].ravel()).reshape(24, frames, entries)
-        r += 25
-    grid[r] = 13
-    grid[r + 1] = 10
-    return grid.reshape(len(grid), -1).T.tobytes().translate(None, b"\0").decode("ascii")
+    ks = _int_rows(np.uint64(k0) + np.arange(frames, dtype=np.uint64))
+    return [ks[1:, :, None], _int_rows(np.arange(entries))[1:, None]]
 
 
 def column_lines(fmt: str, columns: Sequence[Sequence], end: str) -> Iterator[str]:
@@ -298,16 +280,13 @@ def column_lines(fmt: str, columns: Sequence[Sequence], end: str) -> Iterator[st
     ``FRAME_ROWS`` rows at a time, where ``fmt`` is ``%d`` and ``%.17g``
     fields joined by commas, one per column.
 
-    Each chunk's lines are the columns of one uint8 grid, as in
-    :func:`frame_lines`: the rows of each field's characters
-    (:func:`_int_rows` for ``%d``, :func:`_g17_rows` for ``%.17g``), a
-    comma between fields and ``end`` last.  A ``%d`` value beyond int64
-    raises ``OverflowError``.
+    Each chunk is one :func:`_grid_text` grid, whose fields are
+    :func:`_int_rows` for ``%d`` and :func:`_g17_rows` for ``%.17g``.  A
+    ``%d`` value beyond int64 raises ``OverflowError``.
     """
     kinds = fmt.split(",")
     if not set(kinds) <= {"%d", "%.17g"} or len(kinds) != len(columns):
         raise ValueError(f"fmt {fmt!r} does not name one %d or %.17g field per column")
-    tail = np.frombuffer(end.encode("ascii"), np.uint8)[:, None]
     total = len(columns[0])
     for lo in range(0, total, FRAME_ROWS):
         rows = min(FRAME_ROWS, total - lo)
@@ -317,12 +296,29 @@ def column_lines(fmt: str, columns: Sequence[Sequence], end: str) -> Iterator[st
         floats = [np.asarray(c, dtype=float) for kind, c in zip(kinds, chunk) if kind == "%.17g"]
         g17 = _g17_rows(np.concatenate(floats or [np.empty(0)])).reshape(24, -1, rows)
         float_fields = iter(g17.swapaxes(0, 1))
-        comma = np.full((1, rows), 44, np.uint8)
-        parts = []
-        for kind, column in zip(kinds, chunk):
-            parts += [comma, _int_rows(_int64(column)) if kind == "%d" else next(float_fields)]
-        grid = np.concatenate([*parts[1:], tail.repeat(rows, axis=1)])
-        yield grid.T.tobytes().translate(None, b"\0").decode("ascii")
+        fields = [_int_rows(_int64(c)) if kind == "%d" else next(float_fields)
+                  for kind, c in zip(kinds, chunk)]
+        yield _grid_text(fields, end)
+
+
+def _grid_text(fields: Sequence[np.ndarray], end: str) -> str:
+    """The lines of ``fields``, uint8 arrays ``(chars, *lines)`` broadcast
+    to one shape of lines, joined by commas, each line ended by ``end``.
+
+    The lines are the columns of one uint8 grid whose rows are character
+    positions: each field's rows, a comma row between fields, ``end``'s
+    rows last.  A line shorter than the grid is NUL where it has no
+    character; the grid, transposed, is the text once ``bytes.translate``
+    has deleted every NUL."""
+    shape = np.broadcast_shapes(*(f.shape[1:] for f in fields))
+    seps = [np.frombuffer(s.encode("ascii"), np.uint8).reshape(-1, *[1] * len(shape))
+            for s in [","] * (len(fields) - 1) + [end]]
+    grid = np.empty((sum(map(len, fields)) + sum(map(len, seps)), *shape), np.uint8)
+    r = 0
+    for part in chain.from_iterable(zip(fields, seps)):
+        grid[r : r + len(part)] = part
+        r += len(part)
+    return grid.reshape(len(grid), -1).T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _int64(column: Sequence) -> np.ndarray:

@@ -1095,16 +1095,22 @@ class TestCsvWriters:
             assert (tmp_path / name).read_bytes().split(b"\n") == want.encode().split(b"\n")
 
 
-    @pytest.mark.parametrize("k0", [0, 5])
+    @pytest.mark.parametrize("k0", [0, 5, 2**63 - 150, 2**64 - 300, 2**64 - 299])
     def test_memo_keeps_each_value_text(self, tmp_path, k0):
         # One block that repeats values, signed zeros, subnormals and the
         # extremes among them: each line is one ``%.17g`` of its own value.
+        # Frame indices run past 2**63 - 1, one block to 2**64 - 1; a frame
+        # index past 2**64 - 1 is refused.
         edge = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
                 1.7976931348623157e308, 1.5, 0.1, np.nan, np.inf, -np.inf]
         rng = np.random.default_rng(k0)
         states = np.array(edge)[rng.integers(len(edge), size=(300, 5))]
         assert len(np.unique(states.view(np.int64))) == len(edge)
         path = tmp_path / "trajectory.csv"
+        if k0 + len(states) > 2**64:
+            with pytest.raises(OverflowError):
+                write_trajectory_csv(states, path, k0)
+            return
         write_trajectory_csv(states, path, k0)
         want = "k,sensor,state\r\n" + "".join(
             "%d,%d,%.17g\r\n" % (k0 + k, i, v)

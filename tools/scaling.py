@@ -17,6 +17,13 @@ sweep's smallest point.  The sweeps are:
   more), horizon 2 000, seed 1; the motion runs on Python floats up to
   ``ddf_sim.FLOAT_MOTION_NODES`` nodes and with NumPy passes above, so
   points lie on both sides;
+- ``lf_ring``: a sparse ring world given as ``regions`` at n = 16, 64,
+  256 sensors, horizon 4 000, seed 1: n sensor disks of radius 0.3 evenly
+  spaced on a circle of radius ``0.8 n / (2 pi) + 2``, one anchor disk of
+  radius 0.3 per 8 sensors on the circle 1.0 further in, ``comm_radius``
+  1.6 and ``sigma`` 0.1.  Unlike the demo chain it completes slices at
+  every n, so these points time slice completions, the steady-state check
+  and ``slices.csv`` as well as motion and the writers;
 - ``certify``: length-only slice logs of 10^3, 10^4, 10^5 entries, the
   case-iii schedule ``floor(cap(i) + 1e-9)`` at ``gamma1`` = 0.5 and
   ``gamma2`` = 1e-3 for i = 1..N, in reverse order, default weights.
@@ -28,7 +35,7 @@ wall time, their median and the exit codes, plus the commit, the SHA-256 of
 ``src/`` (each ``src/**/*.py`` in sorted order, its path relative to
 ``src/`` then its bytes, as ``perfbench/run.py`` records it), and the
 Python and NumPy versions; stderr gets one progress line per point.  The
-whole sweep takes about 30 s on a 2-vCPU machine.  Exits 1 if any run
+whole sweep takes about a minute on a 2-vCPU machine.  Exits 1 if any run
 exits nonzero.
 """
 
@@ -65,6 +72,7 @@ POINTS = {
     "products": ("products", "n", [4, 16, 64, 256]),
     "lf": ("lf", "horizon", [10**3, 10**4, 10**5]),
     "lf_nodes": ("lf", "n", [4, 16, 64, 256]),
+    "lf_ring": ("lf", "n", [16, 64, 256]),
     "certify": ("certify", "entries", [10**3, 10**4, 10**5]),
 }
 
@@ -78,6 +86,17 @@ def growth_lengths(count: int) -> list[int]:
         cap = (math.log(budget) - math.log1p(-BETA2)) / math.log(BETA1) + 1.0
         lengths.append(math.floor(cap + 1e-9))
     return lengths
+
+
+def ring_regions(n: int) -> dict:
+    """``lf_ring``'s sensor and anchor disks ``[cx, cy, r]`` for ``n`` sensors."""
+    ring = 0.8 * n / (2 * math.pi) + 2.0
+
+    def disks(radius: float, count: int) -> list[list[float]]:
+        angles = (2 * math.pi * j / count for j in range(count))
+        return [[radius * math.cos(a), radius * math.sin(a), 0.3] for a in angles]
+
+    return {"sensors": disks(ring, n), "anchors": disks(ring - 1.0, n // 8)}
 
 
 def write_inputs(name: str, directory: Path) -> tuple[list[tuple[int, list[str]]], str]:
@@ -94,6 +113,9 @@ def write_inputs(name: str, directory: Path) -> tuple[list[tuple[int, list[str]]
             payload = {"mode": mode, "n": 4, "u": 3.0, "horizon": value, "seed": 1}
         elif name == "lf_nodes":
             payload = {"mode": mode, "n": value, "u": 3.0, "horizon": 2000, "seed": 1}
+        elif name == "lf_ring":
+            payload = {"mode": mode, "n": value, "horizon": 4000, "seed": 1,
+                       "comm_radius": 1.6, "sigma": 0.1, "regions": ring_regions(value)}
         else:
             log = directory / f"growth_{value}.csv"
             rows = enumerate(reversed(growth_lengths(value)))
