@@ -43,7 +43,7 @@ from .errors import (
 from .generators import _form_cdf, _row_blocks
 from .matrix_core import Params, inf_norm, spectral_radius
 from .slice_engine import SliceState, _run_rows
-from .tables import read_slice_lengths, write_certificate, write_event_log, write_positions_csv
+from .tables import _write_steps, read_slice_lengths, write_certificate, write_positions_csv
 from .tables import write_slice_log, write_table, write_trajectory_csv
 
 __all__ = ["ExperimentConfig", "cmd_products", "cmd_leader_follower", "cmd_certify", "main"]
@@ -257,16 +257,16 @@ def cmd_products(config: ExperimentConfig) -> int:
     state, cumulative, out = SliceState(n=n), start, config.out_dir
     with ExitStack() as files:
         for (k0, rows, p_rows), per_k in _per_k_rows(blocks, start):
+            codes, sums = np.zeros(len(rows), np.int8), np.zeros(len(rows))
             no_anchors = p_rows[:, :0]
-            steps = _run_rows(state, k0, rows, p_rows, no_anchors, config.params, strict)
-            events = [ev for _, evs in steps for ev in evs]
-            slices = [ev.slice for ev in events if ev.slice is not None]
+            steps = _run_rows(state, rows, p_rows, no_anchors, codes, sums, config.params, strict)
+            slices = [finished for _, finished in steps if finished is not None]
             if k0 == 0:
                 names = ("per_k.csv", "slices.csv", "events.csv", "slice_boundaries.csv")
                 per_k_csv, slice_log, event_log, boundaries = _open_outputs(config, files, names)
             write_table(per_k_csv, "k,inf_norm,spectral_radius", "%d,%.17g,%.17g", per_k)
             write_slice_log(slices, slice_log)
-            write_event_log(events, event_log, k0, rows)
+            _write_steps(event_log, k0, codes, rows, sums)
             ends = []
             for s in slices:
                 cumulative = s.product @ cumulative
@@ -311,7 +311,7 @@ def _per_k_rows(
             group, updated, fresh = steps[g0 : g0 + size], [], 0
             for t, i in enumerate(group, g0):
                 if i >= 0:
-                    j[i] = row = p_rows[t] @ j
+                    j[i] = row = p_rows[t].dot(j)
                     updated.append(row)
                     touched.add(i)
                     if len(touched) == n:  # a new J with every row updated: solve it
@@ -396,7 +396,7 @@ def cmd_leader_follower(config: ExperimentConfig) -> int:
                 )
             write_trajectory_csv(block.states, trajectory, block.k0)
             write_positions_csv(block.positions, positions, block.k0)
-            write_event_log(block.events, events, block.start, block.rows)
+            _write_steps(events, block.start, block.codes, block.rows, block.sums)
             write_slice_log(block.slices, slice_log)
             checks = map(steady_state_check, (s.product for s in block.slices), block.slice_inputs)
             rows = ((s.index, c.residual, c.ok) for s, c in zip(block.slices, checks))

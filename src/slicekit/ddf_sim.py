@@ -40,19 +40,19 @@ code into ``_KINDS`` and, from those codes, the engine rows of the steps
 before the block's first infeasible one: the fusing sensor, or -1 for an
 idle or no-neighbour step, which the slice engine's block loop
 (:func:`~slicekit.slice_engine._run_rows`) passes over.  It screens the
-fused rows against the weight rules at once and yields each fused step's
-events as the step runs; beside it the run loop advances ``x`` and ``N`` in
-place by each fused row and fills the frames of the identity steps between
-two fused ones with one assignment.
+fused rows against the weight rules at once, writes each fused step's code
+and row sum into the block's arrays and yields the step as it runs; beside
+it the run loop advances ``x`` and ``N`` in place by each fused row and
+fills the frames of the identity steps between two fused ones with one
+assignment.
 
 The run is a stream of blocks (:func:`_blocks`): each yields its frames of
-states and positions, its engine rows and events and the slices it
-completed, so a caller that writes each block as it comes, as the ``lf``
-command does, holds one block at a time whatever the horizon.  An identity
-step's SKIPPED event is no object there, only its row -1: the event log
-writer (:func:`~slicekit.tables.write_event_log`) writes its line from the
-row, and :func:`run_leader_follower`, which collects the blocks into one
-:class:`SimResult`, builds its event.
+states and positions, its engine rows, step codes and row sums and the
+slices it completed, so a caller that writes each block as it comes, as the
+``lf`` command does, holds one block at a time whatever the horizon.  No
+step is an event object there: the ``lf`` command writes ``events.csv``
+from the codes, and :func:`run_leader_follower`, which collects the blocks
+into one :class:`SimResult`, builds the events from them.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ import numpy as np
 from . import slice_engine, streams
 from .errors import ConfigError, DimensionMismatch, InfeasibleWeights
 from .matrix_core import Params
-from .slice_engine import Slice, SliceEvent, SliceEventKind, SliceState, _run_rows
+from .slice_engine import Slice, SliceEvent, SliceState, _events, _run_rows
 
 __all__ = [
     "World",
@@ -493,16 +493,18 @@ def _history(horizon: int, frame: tuple[int, ...]) -> np.ndarray:
 class _Block(NamedTuple):
     """What one draw block of a run adds, in step order: the state and
     position frames from frame ``k0`` on, the engine rows of the steps run
-    from step ``start`` on (-1 for an idle or no-neighbour step), the events
-    the engine yielded for the other steps, and the slices completed, each
-    with its accumulated input matrix ``N_t``."""
+    from step ``start`` on (-1 for an idle or no-neighbour step), each
+    step's engine code and row sum
+    (:func:`~slicekit.slice_engine._run_rows`), and the slices completed,
+    each with its accumulated input matrix ``N_t``."""
 
     k0: int
     start: int
     states: np.ndarray
     positions: np.ndarray
     rows: np.ndarray
-    events: list[SliceEvent]
+    codes: np.ndarray
+    sums: np.ndarray
     slices: list[Slice]
     slice_inputs: list[np.ndarray]
 
@@ -511,9 +513,9 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
     """Run the full loop from the world's start state and yield each block
     of ``slice_engine.DRAW_BLOCK`` steps once it has run: motion
     (:func:`_move`), fusion and engine rows (:func:`_fusion_rows`), then per
-    fused step the engine's events (:func:`~slicekit.slice_engine._run_rows`),
-    the state advance and the per-slice input accumulation ``N <- P N + B``,
-    all in place.  An identity step changes neither ``x`` nor ``N``, so the
+    fused step the engine's code and row sum
+    (:func:`~slicekit.slice_engine._run_rows`), the state advance and the
+    per-slice input accumulation ``N <- P N + B``, all in place.  An identity step changes neither ``x`` nor ``N``, so the
     frames between two fused steps are filled with one slice assignment,
     and the early stop is checked at the run's first step and after each
     fused step, the only steps after which ``x`` can be newly close enough.
@@ -552,23 +554,23 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
             np.max(np.abs(x - u[0])) <= limit
         ):
             ran, stopped, fused = 1, True, fused[:1]
-        steps = _run_rows(state, start, fused, rows.p_rows, rows.b_rows, params, config.strict)
-        events: list[SliceEvent] = []
+        codes, sums = np.zeros(len(fused), np.int8), np.zeros(len(fused))
+        steps = _run_rows(
+            state, fused, rows.p_rows, rows.b_rows, codes, sums, params, config.strict
+        )
         slices: list[Slice] = []
         slice_inputs: list[np.ndarray] = []
         done = 0  # the steps whose frames are written
-        for t, evs in steps:
+        for t, finished in steps:
             states[done + 1 : t + 1] = x
             i = int(fused[t])
             p_row, b_row = rows.p_rows[t], rows.b_rows[t]
-            x[i] = p_row @ x + b_row @ u
-            n_accum[i] = p_row @ n_accum + b_row
-            for ev in evs:
-                if ev.slice is not None:
-                    slices.append(ev.slice)
-                    slice_inputs.append(n_accum)
-                    n_accum = np.zeros((n, s))
-            events.extend(evs)
+            x[i] = p_row.dot(x) + b_row.dot(u)
+            n_accum[i] = p_row.dot(n_accum) + b_row
+            if finished is not None:
+                slices.append(finished)
+                slice_inputs.append(n_accum)
+                n_accum = np.zeros((n, s))
             states[t + 1] = x
             done = t + 1
             if limit is not None and np.max(np.abs(x - u[0])) <= limit:
@@ -585,7 +587,8 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
             states[head : ran + 1],
             positions[head : ran + 1],
             fused[:ran],
-            events,
+            codes[:ran],
+            sums[:ran],
             slices,
             slice_inputs,
         )
@@ -597,9 +600,9 @@ def _blocks(config: LeaderFollowerConfig) -> Iterator[_Block]:
 def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
     """Run the full loop (:func:`_blocks`) and collect its blocks: the
     state and position histories, the completed slices with their input
-    matrices, and the event log, with a SKIPPED event for each identity
-    step, in step order.  Room for the whole horizon is taken first, so a
-    history too large for memory fails before any step."""
+    matrices, and the event log, in step order.  Room for the whole horizon
+    is taken first, so a history too large for memory fails before any
+    step."""
     n, s = config.world.n, config.world.s
     states = _history(config.horizon, (n,))
     positions = _history(config.horizon, (n + s, 2))
@@ -613,9 +616,10 @@ def run_leader_follower(config: LeaderFollowerConfig) -> SimResult:
         positions[block.k0 : end] = block.positions
         slices += block.slices
         slice_inputs += block.slice_inputs
-        skipped = np.flatnonzero(block.rows < 0).tolist()
-        block_events = [SliceEvent(SliceEventKind.SKIPPED, k=block.start + t) for t in skipped]
-        events += sorted(block.events + block_events, key=operator.attrgetter("k"))
+        ks = range(block.start, block.start + len(block.rows))
+        events += _events(
+            ks, block.codes.tolist(), block.rows.tolist(), block.sums.tolist(), block.slices
+        )
     return SimResult(
         states=states[:end],
         slices=slices,

@@ -14,6 +14,15 @@ Row bookkeeping drives the norm bounds downstream: ``h[i]`` records the
 1-based within-slice index at which row i first became sub-stochastic and
 ``g[i]`` the index of the last update whose own sensor row was
 sub-stochastic at row i.
+
+The engine reports each step as data: a small integer code (skipped,
+absorbed, success, or the success that starts a slice, plus a completed
+bit), the updated row's new sum, and the slice it completed, if any.  The
+block loop (:func:`_run_rows`) writes the codes and sums of a draw block
+into its caller's arrays, which the commands hand to the event log's step
+writer as they are.  :class:`SliceEvent` objects are built from them in one
+place, for the public :func:`push` and :func:`run_sequence` and the
+simulator's collected run.
 """
 
 from __future__ import annotations
@@ -133,67 +142,100 @@ def push(
     rule-violating rows are observable rather than fatal.  Every other row
     goes to :func:`_absorb`, which updates ``state.j`` in place.
     """
+    code, row_sum, finished = _push(state, m, params, strict)
+    return state, _events([k], [code], [m.updated_row], [row_sum], [finished])
+
+
+# A step's code, one small int from the engine to the event log: the step
+# was skipped (an identity), absorbed, a success, or the success that
+# started the slice, plus _COMPLETED when it completed the slice.
+_SKIPPED, _ABSORBED, _SUCCESS, _STARTED, _COMPLETED = 0, 1, 2, 3, 4
+
+
+def _push(
+    state: SliceState, m: SystemMatrix, params: Params, strict: bool
+) -> tuple[int, float, Slice | None]:
+    """:func:`push` as :func:`_absorb` reports it, with code ``_SKIPPED``
+    and a NaN row sum for an identity step."""
     if m.n != state.n:
         raise AssumptionViolated(
             f"matrix is {m.n}x{m.n} but the engine tracks {state.n} rows"
         )
     identity, p_sum, fails = _screen(m, params)
     if identity:
-        return state, [SliceEvent(SliceEventKind.SKIPPED, k=k)]
+        return _SKIPPED, float("nan"), None
     if fails and strict:
         raise AssumptionViolated(f"update failed validation: {'; '.join(fails)}")
-    return state, _absorb(state, m.updated_row, m.p_row, p_sum, params, k)
+    return _absorb(state, m.updated_row, m.p_row, p_sum, params)
 
 
 def _absorb(
-    state: SliceState, i: int, p_row: np.ndarray, p_sum: float, params: Params, k: int | None
-) -> list[SliceEvent]:
+    state: SliceState, i: int, p_row: np.ndarray, p_sum: float, params: Params
+) -> tuple[int, float, Slice | None]:
     """Hold the non-identity update of sensor row ``i`` to ``p_row``, of row
     sum ``p_sum``, in the window, as :func:`push` does once the row is
-    screened.  Only row ``i`` of the running product moves, in place, so
-    only that row's sum and informed status are recomputed.  One update can
-    emit several events: opening the slice, a success when the row becomes
-    newly informed, and completion, whose slice takes the product array
-    itself, since the next window starts on a fresh one."""
+    screened, and return the step's code, row ``i``'s new sum and the slice
+    it completed, if any.  Only row ``i`` of the running product moves, in
+    place, so only that row's sum and informed status are recomputed.  A
+    completed slice takes the product array itself, since the next window
+    starts on a fresh one."""
     this_k = state.next_k
     state.next_k += 1
     if state.start_k is None:
         state.start_k = this_k
 
     j = state.j
-    j[i] = p_row @ j
-    row_sum = float(j[i].sum())
+    j[i] = row = p_row.dot(j)
+    row_sum = float(row.sum())
 
     # Direct sub-stochastic updates stamp g for their row, successes stamp h.
     if p_sum < 1.0 - params.tol:
         state.g[i] = state.k_local
 
-    events: list[SliceEvent] = []
     informed_now = row_sum < 1.0 - params.tol
     if informed_now and i not in state.informed:
-        if not state.h:
-            events.append(SliceEvent(SliceEventKind.STARTED, k=k))
+        code = _SUCCESS if state.h else _STARTED
         state.h.setdefault(i, state.k_local)
         state.informed.add(i)
-        kind = SliceEventKind.SUCCESS
     else:
         if not informed_now:
             state.informed.discard(i)
-        kind = SliceEventKind.ABSORBED
-    events.append(SliceEvent(kind, k=k, row=i, row_sum_after=row_sum))
+        code = _ABSORBED
 
-    if len(state.informed) == state.n:
-        finished = Slice(
-            index=state.completed,
-            product=j,
-            start_k=state.start_k,
-            end_k=this_k,
-            norm=inf_norm(j),
-            bound=slice_norm_bound(state.k_local, params),
-        )
-        state.completed += 1
-        state.reset_window()
-        events.append(SliceEvent(SliceEventKind.COMPLETED, k=k, slice=finished))
+    if len(state.informed) < state.n:
+        return code, row_sum, None
+    finished = Slice(
+        index=state.completed,
+        product=j,
+        start_k=state.start_k,
+        end_k=this_k,
+        norm=inf_norm(j),
+        bound=slice_norm_bound(state.k_local, params),
+    )
+    state.completed += 1
+    state.reset_window()
+    return code | _COMPLETED, row_sum, finished
+
+
+def _events(
+    ks: Iterable, codes: Iterable[int], rows: Iterable, sums: Iterable[float],
+    slices: Iterable[Slice | None],
+) -> list[SliceEvent]:
+    """The events of steps ``ks`` from their codes, engine rows and row
+    sums, in step order; ``slices`` holds the slices they completed, in
+    order.  Every :class:`SliceEvent` is built here."""
+    done = iter(slices)
+    events = []
+    for k, code, i, row_sum in zip(ks, codes, rows, sums):
+        if code == _SKIPPED:
+            events.append(SliceEvent(SliceEventKind.SKIPPED, k=k))
+            continue
+        if (code & _STARTED) == _STARTED:
+            events.append(SliceEvent(SliceEventKind.STARTED, k=k))
+        kind = SliceEventKind.SUCCESS if code & _SUCCESS else SliceEventKind.ABSORBED
+        events.append(SliceEvent(kind, k=k, row=i, row_sum_after=row_sum))
+        if code & _COMPLETED:
+            events.append(SliceEvent(SliceEventKind.COMPLETED, k=k, slice=next(done)))
     return events
 
 
@@ -233,24 +275,27 @@ DRAW_BLOCK = 1024
 
 
 def _run_rows(
-    state: SliceState, k0: int, rows: np.ndarray, p_rows: np.ndarray, b_rows: np.ndarray,
-    params: Params, strict: bool = True,
-) -> Iterator[tuple[int, list[SliceEvent]]]:
-    """Feed steps ``k0, k0 + 1, ...`` to the engine as :func:`push` would,
-    yielding ``(t, events)`` for each step ``k0 + t`` as it runs.  Step
-    ``k0 + t`` sets sensor row ``rows[t]`` to ``p_rows[t]`` and anchor row
-    to ``b_rows[t]``; row -1 is an identity, which the engine skips, so it
-    yields nothing and its SKIPPED event is left to the caller.  One screen
+    state: SliceState, rows: np.ndarray, p_rows: np.ndarray, b_rows: np.ndarray,
+    codes: np.ndarray, sums: np.ndarray, params: Params, strict: bool = True,
+) -> Iterator[tuple[int, Slice | None]]:
+    """Feed a block of steps to the engine as :func:`push` would, writing
+    step ``t``'s code into ``codes[t]`` and its row sum into ``sums[t]``
+    and yielding ``(t, finished)`` as it runs, ``finished`` the slice it
+    completed or None.  Step ``t`` sets sensor row ``rows[t]`` to
+    ``p_rows[t]`` and anchor row to ``b_rows[t]``; row -1 is an identity,
+    which the engine skips, so it yields nothing and its code is left as the
+    caller's, ``_SKIPPED``.  One screen
     (:func:`~slicekit.matrix_core._screen_block`) of the other rows sends
-    each clear one to :func:`_absorb` and the rest to :func:`push` (a unit
-    row among them yields its own SKIPPED event), one step per draw, so a
-    caller that stops drawing leaves the later steps unfed."""
+    each clear one to :func:`_absorb` and the rest to :func:`push`'s
+    :func:`_push` (a unit row among them is skipped), one step per draw, so
+    a caller that stops drawing leaves the later steps unfed."""
     at = np.flatnonzero(rows >= 0)
     clear, p_sums = _screen_block(p_rows[at], b_rows[at], rows[at], params)
     n, s = state.n, b_rows.shape[1]
     for t, i, ok, p_sum in zip(at.tolist(), rows[at].tolist(), clear.tolist(), p_sums.tolist()):
         if ok:
-            yield t, _absorb(state, i, p_rows[t], p_sum, params, k0 + t)
+            codes[t], sums[t], finished = _absorb(state, i, p_rows[t], p_sum, params)
         else:
             m = SystemMatrix._trusted(n, s, i, p_rows[t], b_rows[t])
-            yield t, push(state, m, params, strict=strict, k=k0 + t)[1]
+            codes[t], sums[t], finished = _push(state, m, params, strict)
+        yield t, finished

@@ -25,7 +25,11 @@ column read back.  The lf writers take a draw block of frames, appending
 to an open file.  ``positions.csv``, whose floats are all distinct,
 formats every cell (:func:`frame_lines`); ``trajectory.csv`` formats each
 distinct state value of a block once, by :func:`_g17_rows`, and gathers
-those rows into its grids.
+those rows into its grids.  The event log has one line form and two
+writers: :func:`write_event_log` writes a line per :class:`SliceEvent`,
+and the commands' step writer (:func:`_write_steps`) writes a draw
+block's lines from the engine's step codes, one template per code, with
+one ``%``, the same bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .certifier import Certificate
-from .slice_engine import Slice, SliceEvent
+from .slice_engine import _COMPLETED, _STARTED, _SUCCESS, Slice, SliceEvent, SliceEventKind
 
 __all__ = [
     "write_slice_log",
@@ -122,6 +126,11 @@ def read_slice_lengths(path: str | Path) -> list[int]:
     return list(map(int, map(itemgetter(header.index("length")), rows)))
 
 
+# The event log's header and line: k, event, row, row_sum_after.
+_EVENT_HEADER = "k,event,row,row_sum_after"
+_EVENT_LINE = "%s,%s,%s,%s"
+
+
 def _event_fields(ev: SliceEvent) -> tuple:
     """The fields of ``ev``'s event-log line; absent fields are empty."""
     return (
@@ -132,26 +141,51 @@ def _event_fields(ev: SliceEvent) -> tuple:
     )
 
 
-def write_event_log(
-    events: Sequence[SliceEvent],
-    path: str | Path | TextIO,
-    k0: int = 0,
-    rows: np.ndarray | Sequence[int] = (),
-) -> Path | None:
+def write_event_log(events: Sequence[SliceEvent], path: str | Path | TextIO) -> Path | None:
     """CSV with one line per engine event.  ``path`` may be a text file
-    open for writing, to append a block of events to (:func:`write_lines`).
+    open for writing, to append a block of events to (:func:`write_lines`)."""
+    return write_table(path, _EVENT_HEADER, _EVENT_LINE, map(_event_fields, events))
 
-    ``rows``, when given, are the engine rows of steps ``k0, k0 + 1, ...``
-    (:func:`~slicekit.slice_engine._run_rows`), and ``events`` those the
-    steps of the other rows yielded: each step of row -1 gets the line
-    ``k,skipped,,`` of its SKIPPED event, and every line goes in step order."""
-    lines: Iterable[tuple] = map(_event_fields, events)
-    skipped = np.flatnonzero(np.asarray(rows) < 0)
-    if len(skipped):
-        lines = list(lines)
-        lines += [(k0 + t, "skipped", "", "") for t in skipped.tolist()]
-        lines.sort(key=itemgetter(0))  # two sorted runs, merged stably
-    return write_table(path, "k,event,row,row_sum_after", "%s,%s,%s,%s", lines)
+
+def _step_format(code: int) -> tuple[str, list[bool]]:
+    """The event-log lines of a step of engine code ``code``
+    (:func:`~slicekit.slice_engine._absorb`) as one template, and which of
+    the step's fields ``(k, k, row, row_sum, k)`` it takes: the first ``k``
+    for a skipped or started line, the next three for an absorbed or
+    success line, and the last ``k`` for a completed line."""
+
+    def line(kind: SliceEventKind, row: str = "", row_sum: str = "") -> str:
+        return _EVENT_LINE % ("%d", kind.value, row, row_sum) + "\r\n"
+
+    held = code & _STARTED
+    first = {0: line(SliceEventKind.SKIPPED), _STARTED: line(SliceEventKind.STARTED)}.get(held, "")
+    kind = SliceEventKind.SUCCESS if held & _SUCCESS else SliceEventKind.ABSORBED
+    middle = line(kind, "%d", "%.17g") if held else ""
+    last = line(SliceEventKind.COMPLETED) if code & _COMPLETED else ""
+    return first + middle + last, [bool(first)] + [bool(middle)] * 3 + [bool(last)]
+
+
+# Indexed by engine code; its three bits make eight codes.
+_STEP_LINES, _STEP_FIELDS = zip(*map(_step_format, range(8)))
+_STEP_FIELDS = np.array(_STEP_FIELDS)
+
+
+def _write_steps(
+    out: TextIO, k0: int, codes: np.ndarray, rows: np.ndarray, sums: np.ndarray
+) -> None:
+    """Append to ``out`` the event-log lines of steps ``k0, k0 + 1, ...``
+    from their engine codes, rows and row sums
+    (:func:`~slicekit.slice_engine._run_rows`), the lines
+    :func:`write_event_log` writes for the same steps' events: the fields
+    each step's code takes, picked from all steps' fields at once, go
+    through one ``%`` in step order."""
+    fields = np.empty((len(codes), 5), dtype=object)
+    fields[:, 0] = fields[:, 1] = fields[:, 4] = np.arange(
+        k0, k0 + len(codes), dtype=np.uint64
+    ).astype(object)
+    fields[:, 2], fields[:, 3] = rows.astype(object), sums.astype(object)
+    text = "".join(map(_STEP_LINES.__getitem__, codes.tolist()))
+    write_lines(out, _EVENT_HEADER, [text % tuple(fields[_STEP_FIELDS[codes]].tolist())])
 
 
 def format_certificate(cert: Certificate, trace_csv: str | None = None) -> str:

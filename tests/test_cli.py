@@ -35,6 +35,8 @@ from slicekit.cli import (
     EXIT_NOT_CERTIFIED,
     EXIT_OK,
     EXIT_RUNTIME,
+    ExperimentConfig,
+    _build_world,
     _per_k_rows,
     build_parser,
     main,
@@ -691,6 +693,128 @@ class TestLeaderFollower:
             },
         )
         assert main(["lf", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def step_shapes(text):
+    """The event kinds of each step of an ``events.csv``, in step order, and
+    the steps that started and completed each slice."""
+    kinds, starts, ends = {}, [], []
+    for line in text.splitlines()[1:]:
+        k, kind = line.split(",")[:2]
+        kinds.setdefault(int(k), []).append(kind)
+        if kind == "started":
+            starts.append(int(k))
+        elif kind == "completed":
+            ends.append(int(k))
+    return {tuple(v) for v in kinds.values()}, list(zip(starts, ends))
+
+
+# One sensor beside one anchor: a fusion that hears the anchor starts,
+# succeeds and completes a slice at once.
+ONE_SENSOR = {"n": 1, "regions": {"sensors": [[1.5, 0.0, 1.0]], "anchors": [[0.0, 0.0, 1.0]]}}
+# Seven sensors in disks of radius 1 around an anchor disk, at tol 0: now
+# and then six or seven of them fuse without the anchor, and their equal
+# weights sum to just below 1, a row that fails the block screen and goes to
+# push.  At seed 1 the first such row is step 1616.
+RING7 = {
+    "n": 7, "tol": 0.0, "comm_radius": 2.0, "seed": 1, "horizon": 2000,
+    "regions": {
+        "sensors": [[np.cos(a), np.sin(a), 1.0] for a in 2 * np.pi * np.arange(7) / 7],
+        "anchors": [[0.0, 0.0, 0.2]],
+    },
+}
+EVERY_CODE = {
+    ("skipped",), ("absorbed",), ("success",), ("started", "success"), ("success", "completed"),
+}
+ALL_AT_ONCE = ("started", "success", "completed")
+
+
+class TestStepCodesWriteTheEventLog:
+    """Both commands write ``events.csv`` from the engine's step codes and
+    row sums; :func:`write_event_log` over the same run's public events
+    (``run_sequence`` for products, ``run_leader_follower`` for lf) writes
+    the same bytes, in draw blocks of 16 steps."""
+
+    BLOCK = 16
+
+    def run(self, tmp_path, monkeypatch, mode, payload):
+        """Run ``mode`` on ``payload`` in draw blocks of 16 steps, counting
+        the rows the engine's block loop sends to push; returns the exit
+        code, the config, ``events.csv`` and that count."""
+        monkeypatch.setattr(slice_engine, "DRAW_BLOCK", self.BLOCK)
+        pushed, real_push = [], slice_engine._push
+
+        def counting(*args):
+            pushed.append(args)
+            return real_push(*args)
+
+        monkeypatch.setattr(slice_engine, "_push", counting)
+        cfg = write_config(tmp_path / f"{mode}.json", {"mode": mode, **payload})
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = main([mode, "--config", cfg, "--out", str(tmp_path / "o")])
+        text = (tmp_path / "o" / "events.csv").read_text()
+        return rc, ExperimentConfig.load(cfg, mode), text, len(pushed)
+
+    def object_text(self, tmp_path, events):
+        write_event_log(events, tmp_path / "objects.csv")
+        return (tmp_path / "objects.csv").read_text()
+
+    def products_events(self, config, horizon):
+        mats = random_product_sequence(config["n"], config.params, horizon, rng=config.seed)
+        return run_sequence(mats, config.params, strict=config["strict"]).events
+
+    def lf_events(self, config, horizon):
+        run = LeaderFollowerConfig(
+            world=_build_world(config), params=config.params, horizon=horizon,
+            strict=config["strict"],
+        )
+        return run_leader_follower(run).events
+
+    @pytest.mark.parametrize(
+        "mode, payload, shapes, pushes",
+        [
+            ("products", {"n": 1, "horizon": 200}, {("skipped",), ALL_AT_ONCE}, False),
+            ("products", {"n": 4, "horizon": 400, "seed": 1}, EVERY_CODE, False),
+            # At tol = 0 a generated stochastic row may sum to 1 + 2**-52.
+            ("products", {"n": 4, "horizon": 400, "seed": 4, "tol": 0.0, "strict": False},
+             EVERY_CODE, True),
+            ("lf", {**ONE_SENSOR, "horizon": 300}, {("skipped",), ALL_AT_ONCE}, False),
+            ("lf", {"n": 4, "horizon": 400, "seed": 3, "update_prob": 0.5}, EVERY_CODE, False),
+            ("lf", {**RING7, "strict": False}, EVERY_CODE, True),
+        ],
+    )
+    def test_same_bytes_as_the_public_events(
+        self, tmp_path, monkeypatch, mode, payload, shapes, pushes
+    ):
+        rc, config, text, pushed = self.run(tmp_path, monkeypatch, mode, payload)
+        assert rc == EXIT_OK
+        events = getattr(self, f"{mode}_events")(config, config["horizon"])
+        assert text == self.object_text(tmp_path, events)
+        seen, spans = step_shapes(text)
+        assert shapes <= seen
+        assert bool(pushed) is pushes
+        if ALL_AT_ONCE not in shapes:
+            # A slice open across a draw-block edge.
+            assert any(k0 // self.BLOCK < k1 // self.BLOCK for k0, k1 in spans)
+
+    @pytest.mark.parametrize(
+        "mode, payload",
+        [
+            ("products", {"n": 4, "horizon": 400, "seed": 4, "tol": 0.0}),
+            ("lf", RING7),
+        ],
+    )
+    def test_strict_refusal_keeps_the_finished_blocks(self, tmp_path, monkeypatch, mode, payload):
+        # The refused row's block writes nothing; the blocks before it hold
+        # the lines of the same run cut at their end.
+        rc, config, text, pushed = self.run(tmp_path, monkeypatch, mode, payload)
+        assert rc == EXIT_RUNTIME and pushed
+        steps = int(text.splitlines()[-1].split(",")[0]) + 1
+        assert steps % self.BLOCK == 0 and steps >= self.BLOCK
+        events = getattr(self, f"{mode}_events")
+        assert text == self.object_text(tmp_path, events(config, steps))
+        with pytest.raises(AssumptionViolated):
+            events(config, steps + self.BLOCK)
 
 
 class TestCertify:

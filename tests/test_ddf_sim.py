@@ -870,9 +870,9 @@ class TestBlockRows:
             passes.append((who, real_rows(world, track, who, params)))
             return passes[-1][1]
 
-        def feeding(state, k0, rows, *rest):
+        def feeding(state, rows, *rest):
             fed.append(rows)
-            return real_run(state, k0, rows, *rest)
+            return real_run(state, rows, *rest)
 
         monkeypatch.setattr(ddf_sim, "_fusion_rows", recorded)
         monkeypatch.setattr(ddf_sim, "_run_rows", feeding)
@@ -922,13 +922,20 @@ class TestBlockStream:
         assert sum(len(b.rows) for b in blocks) == res.steps_run
         assert np.concatenate([b.states for b in blocks]).tobytes() == res.states.tobytes()
         assert np.concatenate([b.positions for b in blocks]).tobytes() == res.positions.tobytes()
-        # A block yields no event for an identity step (row -1); the run
-        # holds its SKIPPED event in step order.
+        # A block yields no event, only each step's code and row sum; an
+        # identity step (row -1) is skipped, and the run holds its SKIPPED
+        # event in step order.
         identity = {b.start + t for b in blocks for t in np.flatnonzero(b.rows < 0).tolist()}
         skipped = [(SliceEventKind.SKIPPED, k, None, None) for k in sorted(identity)]
         assert event_fields([e for e in res.events if e.k in identity]) == skipped
         rest = [e for e in res.events if e.k not in identity]
-        assert event_fields([e for b in blocks for e in b.events]) == event_fields(rest)
+        assert not any(b.codes[b.rows < 0].any() for b in blocks)
+        codes, rows, sums = (np.concatenate([getattr(b, f) for b in blocks]) for f in
+                             ("codes", "rows", "sums"))
+        done = [s for b in blocks for s in b.slices]
+        events = slice_engine._events(range(len(rows)), codes.tolist(), rows.tolist(),
+                                      sums.tolist(), done)
+        assert event_fields([e for e in events if e.k not in identity]) == event_fields(rest)
         assert slice_fields([s for b in blocks for s in b.slices]) == slice_fields(res.slices)
         inputs = [n_t.tobytes() for b in blocks for n_t in b.slice_inputs]
         assert inputs == [n_t.tobytes() for n_t in res.slice_inputs]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from slicekit import (
     write_event_log,
     write_slice_log,
 )
-from slicekit import slice_engine
+from slicekit import slice_engine, tables
 from slicekit.generators import _form_cdf, _row_blocks
 
 PARAMS = Params(beta1=0.05, beta2=0.7)
@@ -451,24 +453,25 @@ def mixed_sequence(n, params, horizon, rng):
 
 def products_path(n, params, horizon, seed, engine_params, strict):
     """The products command's path: each draw block of rows goes straight
-    to ``_run_rows``, whose steps are flattened into one event list, with a
-    SKIPPED event for each step of row -1, which the engine does not see;
-    returns what :func:`run_sequence` does."""
+    to ``_run_rows``, which writes each step's code and row sum into the
+    block's arrays, a step of row -1, which the engine does not see, left
+    skipped; the events built from those arrays are what
+    :func:`run_sequence` returns, and so are the slices."""
     state, slices, events = SliceState(n=n), [], []
     cdf = _form_cdf(1.0, 1.0, 1.0)
     for k0, rows, p_rows in _row_blocks(n, params, horizon, np.random.default_rng(seed), cdf):
         no_anchors = np.zeros((len(rows), 0))
-        steps = slice_engine._run_rows(state, k0, rows, p_rows, no_anchors, engine_params, strict)
+        codes, sums = np.zeros(len(rows), np.int8), np.zeros(len(rows))
+        steps = slice_engine._run_rows(
+            state, rows, p_rows, no_anchors, codes, sums, engine_params, strict
+        )
         ran = dict(steps)
         assert list(ran) == np.flatnonzero(rows >= 0).tolist()
-        skipped = SliceEventKind.SKIPPED
-        evs = [
-            ev
-            for t, i in enumerate(rows.tolist())
-            for ev in (ran[t] if i >= 0 else [SliceEvent(skipped, k=k0 + t)])
-        ]
-        events += evs
-        slices += [ev.slice for ev in evs if ev.slice is not None]
+        assert not codes[rows < 0].any()
+        done = [sl for sl in ran.values() if sl is not None]
+        ks = range(k0, k0 + len(rows))
+        events += slice_engine._events(ks, codes.tolist(), rows.tolist(), sums.tolist(), done)
+        slices += done
     return slices, events, state
 
 
@@ -511,19 +514,24 @@ class TestRunSequenceScreensBlocks:
         b_rows = np.array([[0.3], [0.0], [0.3], [0.2], [0.3], [0.3]])
         fed = []
 
-        def absorb(state, i, p_row, p_sum, params, k):
-            fed.append(k)
-            return real_absorb(state, i, p_row, p_sum, params, k)
+        def absorb(state, i, p_row, p_sum, params):
+            fed.append(t_of(p_row))
+            return real_absorb(state, i, p_row, p_sum, params)
 
-        def lone_push(state, m, params, strict=True, k=None):
-            fed.append(k)
-            return real_push(state, m, params, strict=strict, k=k)
+        def lone_push(state, m, params, strict):
+            fed.append(t_of(m.p_row))
+            return real_push(state, m, params, strict)
 
-        real_absorb, real_push = slice_engine._absorb, slice_engine.push
+        def t_of(p_row):  # the step whose row this is, by identity
+            (t,) = [t for t in range(len(p_rows)) if np.shares_memory(p_row, p_rows[t])]
+            return 10 + t
+
+        real_absorb, real_push = slice_engine._absorb, slice_engine._push
         monkeypatch.setattr(slice_engine, "_absorb", absorb)
-        monkeypatch.setattr(slice_engine, "push", lone_push)
+        monkeypatch.setattr(slice_engine, "_push", lone_push)
         state = SliceState(n=3)
-        steps = slice_engine._run_rows(state, 10, rows, p_rows, b_rows, PARAMS)
+        codes, sums = np.zeros(len(rows), np.int8), np.zeros(len(rows))
+        steps = slice_engine._run_rows(state, rows, p_rows, b_rows, codes, sums, PARAMS)
         drawn = [next(steps) for _ in range(2)]
         # The identity step (t = 1) yields nothing: it never reaches the engine.
         assert [t for t, _ in drawn] == [0, 2]
@@ -538,9 +546,80 @@ class TestRunSequenceScreensBlocks:
         rows = np.array([-1, 1, 0])
         p_rows = np.array([[0.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         state = SliceState(n=2)
-        steps = list(slice_engine._run_rows(state, 4, rows, p_rows, np.zeros((3, 0)), PARAMS))
+        codes, sums = np.full(3, 7, np.int8), np.zeros(3)
+        steps = list(
+            slice_engine._run_rows(state, rows, p_rows, np.zeros((3, 0)), codes, sums, PARAMS)
+        )
         assert [t for t, _ in steps] == [1, 2]
-        assert [(ev.kind, ev.k) for ev in steps[0][1]] == [(SliceEventKind.SKIPPED, 5)]
+        assert codes[1] == slice_engine._SKIPPED and codes[0] == 7  # row -1 left as it was
+        events = slice_engine._events([5], codes[1:2].tolist(), [1], sums[1:2].tolist(), [])
+        assert [(ev.kind, ev.k) for ev in events] == [(SliceEventKind.SKIPPED, 5)]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_writer_writes_the_push_loop_log(self, monkeypatch, block, seed):
+        # Each block's codes and row sums, written by the step writer, are
+        # the bytes write_event_log writes for the push loop's events:
+        # rules broken (push takes them when permissive), unit rows (row >= 0,
+        # skipped) and identity steps (row -1) included.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        mats = permissive_sequence(n, PARAMS, 300, rng)
+        units = rng.choice(len(mats), 20, replace=False).tolist()
+        for t in units:
+            i = int(rng.integers(n))
+            mats[t] = row_update(n, i, np.eye(n)[i])
+        rows = np.array([-1 if m.updated_row is None else m.updated_row for m in mats])
+        p_rows = np.array([np.zeros(n) if m.updated_row is None else m.p_row for m in mats])
+        pushed, real_push = [], slice_engine._push
+
+        def counting(state, m, params, strict):
+            pushed.append(m.updated_row)
+            return real_push(state, m, params, strict)
+
+        monkeypatch.setattr(slice_engine, "_push", counting)
+        state, got = SliceState(n=n), io.StringIO()
+        for k0 in range(0, len(mats), block):
+            at = slice(k0, k0 + block)
+            codes, sums = np.zeros(len(rows[at]), np.int8), np.zeros(len(rows[at]))
+            no_anchors = np.zeros((len(rows[at]), 0))
+            steps = slice_engine._run_rows(
+                state, rows[at], p_rows[at], no_anchors, codes, sums, PARAMS, strict=False
+            )
+            for _ in steps:
+                pass
+            tables._write_steps(got, k0, codes, rows[at], sums)
+        want = io.StringIO()
+        write_event_log(run_sequence(mats, PARAMS, strict=False).events, want)
+        assert got.getvalue() == want.getvalue()
+        assert len(pushed) > len(units)  # the unit rows and rules broken
+        lines = got.getvalue().splitlines()
+        assert {f"{t},skipped,," for t in units} <= set(lines)
+
+    def test_strided_row_takes_the_bits_of_matmul(self):
+        # push updates its row with ndarray.dot; on a column view of a
+        # C-ordered array it gives the bits of @.
+        n = 7
+        rng = np.random.default_rng(5)
+        weights = rng.dirichlet(np.ones(n), size=3 * n) * rng.choice([1.0, 0.6], (3 * n, 1))
+        columns = weights.T.copy()  # step c's row is column c
+        assert not columns[:, 0].flags.c_contiguous
+        state, j = SliceState(n=n), np.eye(n)
+        completed = 0
+        for c in range(3 * n):
+            i = c % n
+            p_row = columns[:, c]
+            j[i] = p_row @ j
+            _, events = push(state, SystemMatrix._trusted(n, 0, i, p_row, np.zeros(0)), PARAMS,
+                             strict=False)
+            done = [ev.slice for ev in events if ev.slice is not None]
+            row_sum = [ev.row_sum_after for ev in events if ev.row is not None]
+            assert row_sum == [float(j[i].sum())]
+            if done:
+                assert done[0].product.tobytes() == j.tobytes()
+                j, completed = np.eye(n), completed + 1
+            assert state.j.tobytes() == j.tobytes()
+        assert completed
 
     def test_block_edges_at_the_default_size(self):
         size = slice_engine.DRAW_BLOCK

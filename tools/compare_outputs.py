@@ -44,7 +44,10 @@ shared by both trees:
   anchor disk at ``tol`` 0, whose equal-weight rows of seven sum to
   0.9999999999999998 and so fail the block screen and go to ``push``: over
   a horizon of 1 500 the permissive engine absorbs them across a block edge
-  of the draws, and the strict one refuses the first (exit 4);
+  of the draws, and the strict one refuses the first (exit 4), and one
+  sensor beside one anchor in given ``regions``, where every fusing step
+  that hears the anchor starts, succeeds and completes a slice at once,
+  on the lf path;
 - the 10 certify_growth logs, plus six configs on the first log that
   certify by case i, certify by case ii, certify nothing, certify by case
   ii after case i fails, and certify nothing after all three routes fail
@@ -90,7 +93,7 @@ shared by both trees:
   (1 024) steps, the last a part, so that the draws, the engine, the
   spectral radius and every products CSV cross two block edges.
 
-That makes 137 ops.  Each tree runs every op through ``slicekit.cli.main`` in
+That makes 138 ops.  Each tree runs every op through ``slicekit.cli.main`` in
 its own subprocess, importing ``slicekit`` from that tree's ``src/``.  The
 trees run one after the other into the same output root, so paths recorded
 in the outputs (``run_config.json``'s ``out_dir``) match.  Every file that differs, or that
@@ -308,6 +311,12 @@ LF_VARIANTS = {
     # 40 slices, then a group of two sensors, too many for beta1, in the
     # third draw block.
     "fails_after_slices": {"n": 2, "horizon": 3000, "seed": 12, "beta1": 0.6},
+    # One sensor beside one anchor: every step that hears the anchor starts,
+    # succeeds and completes a slice at once.
+    "one_sensor_anchor": {
+        "n": 1,
+        "regions": {"sensors": [[1.5, 0.0, 1.0]], "anchors": [[0.0, 0.0, 1.0]]},
+    },
 }
 
 # Products configs beyond products_n16, each run at PRODUCTS_SEEDS.
