@@ -20,9 +20,11 @@ absorbed, success, or the success that starts a slice, plus a completed
 bit), the updated row's new sum, and the slice it completed, if any.  The
 block loop (:func:`_run_rows`) writes the codes and sums of a draw block
 into its caller's arrays, which the commands hand to the event log's step
-writer as they are.  :class:`SliceEvent` objects are built from them in one
-place, for the public :func:`push` and :func:`run_sequence` and the
-simulator's collected run.
+writer as they are.  One table, ``_STEP_EVENTS``, reads the codes: it
+lists the event kinds of each code, in order.  :class:`SliceEvent` objects
+are built from it in one place, for the public :func:`push` and
+:func:`run_sequence` and the simulator's collected run, and the step
+writer's line templates are built from it too.
 """
 
 from __future__ import annotations
@@ -151,6 +153,22 @@ def push(
 # started the slice, plus _COMPLETED when it completed the slice.
 _SKIPPED, _ABSORBED, _SUCCESS, _STARTED, _COMPLETED = 0, 1, 2, 3, 4
 
+# The events of a step, in order, indexed by its code; code 4 (completed
+# alone) is never returned and emits none.  The one reading of the codes.
+_K = SliceEventKind
+_STEP_EVENTS = (
+    (_K.SKIPPED,),
+    (_K.ABSORBED,),
+    (_K.SUCCESS,),
+    (_K.STARTED, _K.SUCCESS),
+    (),
+    (_K.ABSORBED, _K.COMPLETED),
+    (_K.SUCCESS, _K.COMPLETED),
+    (_K.STARTED, _K.SUCCESS, _K.COMPLETED),
+)
+# The kinds whose event carries the updated row and its new sum.
+_ROW_EVENTS = frozenset({_K.ABSORBED, _K.SUCCESS})
+
 
 def _push(
     state: SliceState, m: SystemMatrix, params: Params, strict: bool
@@ -222,20 +240,19 @@ def _events(
     slices: Iterable[Slice | None],
 ) -> list[SliceEvent]:
     """The events of steps ``ks`` from their codes, engine rows and row
-    sums, in step order; ``slices`` holds the slices they completed, in
-    order.  Every :class:`SliceEvent` is built here."""
+    sums, in step order, each code's kinds as ``_STEP_EVENTS`` lists them;
+    ``slices`` holds the slices they completed, in order.  Every
+    :class:`SliceEvent` is built here."""
     done = iter(slices)
     events = []
     for k, code, i, row_sum in zip(ks, codes, rows, sums):
-        if code == _SKIPPED:
-            events.append(SliceEvent(SliceEventKind.SKIPPED, k=k))
-            continue
-        if (code & _STARTED) == _STARTED:
-            events.append(SliceEvent(SliceEventKind.STARTED, k=k))
-        kind = SliceEventKind.SUCCESS if code & _SUCCESS else SliceEventKind.ABSORBED
-        events.append(SliceEvent(kind, k=k, row=i, row_sum_after=row_sum))
-        if code & _COMPLETED:
-            events.append(SliceEvent(SliceEventKind.COMPLETED, k=k, slice=next(done)))
+        for kind in _STEP_EVENTS[code]:
+            if kind in _ROW_EVENTS:
+                events.append(SliceEvent(kind, k=k, row=i, row_sum_after=row_sum))
+            elif kind is _K.COMPLETED:
+                events.append(SliceEvent(kind, k=k, slice=next(done)))
+            else:
+                events.append(SliceEvent(kind, k=k))
     return events
 
 

@@ -132,8 +132,6 @@ def integers(seed: int, start: int, stream: int, block: np.ndarray, n: int) -> n
     and drawn from."""
     if not 1 <= n <= MASK32:
         raise ValueError(f"n must lie in [1, 2**32 - 1], got {n}")
-    if n == 1:  # a one-value range draws nothing
-        return np.zeros(block.shape[0], np.int64)
     scaled = (block[:, -1] & np.uint64(MASK32)) * np.uint64(n)
     out = (scaled >> np.uint64(32)).astype(np.int64)
     for j in np.flatnonzero((scaled & np.uint64(MASK32)) < np.uint64(2**32 % n)):

@@ -28,8 +28,10 @@ distinct state value of a block once, by :func:`_g17_rows`, and gathers
 those rows into its grids.  The event log has one line form and two
 writers: :func:`write_event_log` writes a line per :class:`SliceEvent`,
 and the commands' step writer (:func:`_write_steps`) writes a draw
-block's lines from the engine's step codes, one template per code, with
-one ``%``, the same bytes.
+block's lines from the engine's step codes, with one ``%``, the same
+bytes.  Its template of each code is built from the event kinds that
+``slice_engine._STEP_EVENTS`` lists for it, the table that builds the
+events too, so the two writers read the codes alike.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .certifier import Certificate
-from .slice_engine import _COMPLETED, _STARTED, _SUCCESS, Slice, SliceEvent, SliceEventKind
+from .slice_engine import _ROW_EVENTS, _STEP_EVENTS, Slice, SliceEvent, SliceEventKind
 
 __all__ = [
     "write_slice_log",
@@ -147,26 +149,26 @@ def write_event_log(events: Sequence[SliceEvent], path: str | Path | TextIO) -> 
     return write_table(path, _EVENT_HEADER, _EVENT_LINE, map(_event_fields, events))
 
 
-def _step_format(code: int) -> tuple[str, list[bool]]:
-    """The event-log lines of a step of engine code ``code``
-    (:func:`~slicekit.slice_engine._absorb`) as one template, and which of
-    the step's fields ``(k, k, row, row_sum, k)`` it takes: the first ``k``
-    for a skipped or started line, the next three for an absorbed or
-    success line, and the last ``k`` for a completed line."""
+def _step_format(kinds: tuple[SliceEventKind, ...]) -> tuple[str, list[bool]]:
+    """The event-log lines of a step whose events are ``kinds``
+    (:data:`~slicekit.slice_engine._STEP_EVENTS`) as one template, and
+    which of the step's fields ``(k, k, row, row_sum, k)`` it takes: the
+    first ``k`` for a skipped or started line, the next three for an
+    absorbed or success line (``_ROW_EVENTS``), and the last ``k`` for a
+    completed line."""
 
-    def line(kind: SliceEventKind, row: str = "", row_sum: str = "") -> str:
-        return _EVENT_LINE % ("%d", kind.value, row, row_sum) + "\r\n"
+    def line(kind: SliceEventKind) -> str:
+        held = ("%d", "%.17g") if kind in _ROW_EVENTS else ("", "")
+        return _EVENT_LINE % ("%d", kind.value, *held) + "\r\n"
 
-    held = code & _STARTED
-    first = {0: line(SliceEventKind.SKIPPED), _STARTED: line(SliceEventKind.STARTED)}.get(held, "")
-    kind = SliceEventKind.SUCCESS if held & _SUCCESS else SliceEventKind.ABSORBED
-    middle = line(kind, "%d", "%.17g") if held else ""
-    last = line(SliceEventKind.COMPLETED) if code & _COMPLETED else ""
-    return first + middle + last, [bool(first)] + [bool(middle)] * 3 + [bool(last)]
+    middle = not _ROW_EVENTS.isdisjoint(kinds)
+    last = SliceEventKind.COMPLETED in kinds
+    first = len(kinds) > middle + last
+    return "".join(map(line, kinds)), [first] + [middle] * 3 + [last]
 
 
-# Indexed by engine code; its three bits make eight codes.
-_STEP_LINES, _STEP_FIELDS = zip(*map(_step_format, range(8)))
+# Indexed by engine code, as _STEP_EVENTS is.
+_STEP_LINES, _STEP_FIELDS = zip(*map(_step_format, _STEP_EVENTS))
 _STEP_FIELDS = np.array(_STEP_FIELDS)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +111,28 @@ def test_maths_modules_do_no_io(module):
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     assert not imported & {"csv", "pathlib", ".tables"}
     assert not called & {"open", "read_text", "write_text"}
+
+
+# slice_engine's step-code constants; its _STEP_EVENTS is their one reading.
+STEP_CODE_NAMES = {"_SKIPPED", "_ABSORBED", "_SUCCESS", "_STARTED", "_COMPLETED"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(slicekit.__file__).parent.glob("*.py")), ids=lambda p: p.stem
+)
+def test_only_the_engine_names_the_step_codes(path):
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    if path.stem == "slice_engine":
+        assert STEP_CODE_NAMES <= named
+    else:
+        assert not named & STEP_CODE_NAMES
 
 
 def _run_config():

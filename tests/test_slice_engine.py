@@ -596,6 +596,17 @@ class TestRunSequenceScreensBlocks:
         lines = got.getvalue().splitlines()
         assert {f"{t},skipped,," for t in units} <= set(lines)
 
+    @pytest.mark.parametrize("code", range(8))
+    def test_step_writer_and_events_read_a_code_alike(self, code):
+        # Every code, 4 (completed alone, never returned) included, gives the
+        # same lines from the step writer as from its events.
+        done = Slice(0, np.eye(2), 0, 1, 0.5, 0.9)
+        got, want = io.StringIO(), io.StringIO()
+        tables._write_steps(got, 5, np.array([code], np.int8), np.array([1]), np.array([0.5]))
+        write_event_log(slice_engine._events([5], [code], [1], [0.5], [done]), want)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().count("\r\n") == 1 + len(slice_engine._STEP_EVENTS[code])
+
     def test_strided_row_takes_the_bits_of_matmul(self):
         # push updates its row with ndarray.dot; on a column view of a
         # C-ordered array it gives the bits of @.
